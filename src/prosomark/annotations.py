@@ -20,6 +20,8 @@ move derivation.
 
 from __future__ import annotations
 
+import heapq
+import sys
 from dataclasses import dataclass, field
 
 from . import lexica
@@ -123,7 +125,11 @@ class AnnotationSet:
         return None
 
     def clause_at(self, token_index: int) -> ClauseFeatures | None:
-        """Clause whose span contains the token; smallest span wins."""
+        """Clause whose span contains the token; smallest span wins.
+
+        A one-off scan; a pass over a whole document reads the clause of
+        every token from one ``innermost_clauses`` list instead.
+        """
         best = None
         best_width = None
         for c in self.clauses:
@@ -135,10 +141,56 @@ class AnnotationSet:
         return best
 
 
+def innermost_clauses(ann: AnnotationSet, n_tokens: int) -> list[ClauseFeatures | None]:
+    """The clause of each token position below ``n_tokens``.
+
+    A token belongs to the narrowest clause span holding it; among spans of
+    equal width the clause listed first wins; a token in no span gets None.
+    One sweep over the positions keeps the spans open at the current one in
+    a heap, so the list costs O(tokens + clauses log clauses) and a span
+    reaching past ``n_tokens`` does not make it longer.
+    """
+    spans = []
+    for order, c in enumerate(ann.clauses):
+        span = ann.clause_spans.get(c.clause_no)
+        if span:
+            spans.append((span[0], span[1] - span[0], order, span[1], c))
+    spans.sort(key=lambda s: s[0])
+    owners: list[ClauseFeatures | None] = [None] * n_tokens
+    open_spans: list[tuple] = []          # (width, order, end, clause)
+    k = 0
+    for t in range(n_tokens):
+        while k < len(spans) and spans[k][0] <= t:
+            heapq.heappush(open_spans, spans[k][1:])
+            k += 1
+        while open_spans and open_spans[0][2] < t:
+            heapq.heappop(open_spans)
+        if open_spans:
+            owners[t] = open_spans[0][3]
+    return owners
+
+
+def check_clause_spans(ann: AnnotationSet, n_tokens: int) -> None:
+    """Reject a clause span that is reversed or reaches outside the text."""
+    for clause_no, (frm, to) in ann.clause_spans.items():
+        if not 0 <= frm <= to < n_tokens:
+            raise SidecarError(f"clause {clause_no}: span {frm}-{to} is not "
+                               f"within the text's {n_tokens} tokens")
+
+
 def _expect(value: str, allowed: tuple[str, ...], what: str, line_no: int) -> str:
     if value not in allowed:
         raise SidecarError(f"unknown {what} {value!r}", line_no)
-    return value
+    # the shared constant, not this line's copy: a long sidecar would
+    # otherwise keep one string per field per line
+    return allowed[allowed.index(value)]
+
+
+def _clause_no(text: str, line_no: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SidecarError(f"bad clause number {text!r}", line_no) from None
 
 
 def _parse_span(text: str, line_no: int) -> tuple[int | None, int]:
@@ -154,6 +206,7 @@ def _parse_span(text: str, line_no: int) -> tuple[int | None, int]:
 
 def parse_sidecar(text: str) -> AnnotationSet:
     ann = AnnotationSet()
+    known: set[int] = set()
     saw_disc = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -170,14 +223,14 @@ def parse_sidecar(text: str) -> AnnotationSet:
              disc_rel, subj, span) = fields
             func, _, role = func_role.partition("/")
             feats = ClauseFeatures(
-                clause_no=int(no),
+                clause_no=_clause_no(no, line_no),
                 func_role=(func, role or "prop"),
                 view=_expect(view, VIEWS, "view", line_no),
                 factivity=_expect(fact, FACTIVITIES, "factivity", line_no),
                 change=_expect(change, CHANGES, "change", line_no),
                 relevance=None if rel == "_" else _expect(rel, RELEVANCES, "relevance", line_no),
                 aspect=_expect(aspect, ASPECTS, "aspect", line_no),
-                pred=pred,
+                pred=sys.intern(pred),
                 tense=_expect(tense, TENSES, "tense", line_no),
                 disc_rel=_expect(disc_rel, DISC_RELS, "disc_rel", line_no),
                 subjectivity=_expect(subj, SUBJECTIVITIES, "subjectivity", line_no),
@@ -187,8 +240,9 @@ def parse_sidecar(text: str) -> AnnotationSet:
             frm, to = _parse_span(span, line_no)
             if frm is None:
                 raise SidecarError("clause span cannot be nil", line_no)
-            if any(c.clause_no == feats.clause_no for c in ann.clauses):
+            if feats.clause_no in known:
                 raise SidecarError(f"duplicate clause {feats.clause_no}", line_no)
+            known.add(feats.clause_no)
             ann.clauses.append(feats)
             ann.clause_spans[feats.clause_no] = (frm, to)
         elif tag == "TOPIC":
@@ -200,21 +254,20 @@ def parse_sidecar(text: str) -> AnnotationSet:
                 raise SidecarError(f"bad morph triple {morph!r}", line_no)
             ann.topics.append(TopicRecord(
                 topic_type=_expect(ttype, TOPIC_TYPES, "topic type", line_no),
-                clause_no=int(no), pred=pred, semantic_id=sid,
+                clause_no=_clause_no(no, line_no), pred=pred, semantic_id=sid,
                 morph=parts, inherent=tuple(inherent.split(";")), role=role))
         elif tag == "DISC":
             if len(fields) != 5:
                 raise SidecarError(f"DISC needs 4 fields, got {len(fields) - 1}", line_no)
             _, sent_id, no, move, span = fields
             ann.nodes.append(DiscourseNode(
-                sent_id=sent_id, clause_no=int(no),
+                sent_id=sent_id, clause_no=_clause_no(no, line_no),
                 move=_expect(move, MOVES, "move", line_no),
                 attach=_parse_span(span, line_no)))
             saw_disc = True
         else:
             raise SidecarError(f"unknown record type {tag!r}", line_no)
 
-    known = {c.clause_no for c in ann.clauses}
     for t in ann.topics:
         if t.clause_no not in known:
             raise IntegrityError(f"TOPIC references missing clause {t.clause_no}")
@@ -232,8 +285,9 @@ def parse_sidecar(text: str) -> AnnotationSet:
                 f"semantic id {t.semantic_id} maps to both {seen!r} and {t.pred!r}")
 
     if saw_disc:
+        by_no = {c.clause_no: c for c in ann.clauses}
         for n in ann.nodes:
-            c = ann.clause(n.clause_no)
+            c = by_no[n.clause_no]
             n.pred, n.tense = c.pred, c.tense
             n.disc_rel, n.subjectivity = c.disc_rel, c.subjectivity
             if c.relevance:
@@ -502,12 +556,13 @@ def shallow_analyze(doc: Document, relevance_rules=None) -> AnnotationSet:
                 counts[t.normalized] = counts.get(t.normalized, 0) + 1
     sid = 0
     assigned: dict[str, str] = {}
+    owners = innermost_clauses(ann, doc.token_count())
     for sent in doc.sentences:
         for t in sent.tokens:
             if counts.get(t.normalized, 0) >= 2 and t.normalized not in assigned:
                 sid += 1
                 assigned[t.normalized] = f"id{sid}"
-                owner = ann.clause_at(t.index)
+                owner = owners[t.index]
                 if owner:
                     ann.topics.append(TopicRecord(
                         "poten", owner.clause_no, t.normalized,

@@ -114,7 +114,7 @@ def run(argv: list[str]) -> int:
 
     try:
         text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"prosomark: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -122,7 +122,7 @@ def run(argv: list[str]) -> int:
     if args.sidecar:
         try:
             sidecar_text = Path(args.sidecar).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"prosomark: cannot read sidecar: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
@@ -150,7 +150,7 @@ def run(argv: list[str]) -> int:
     if args.check:
         try:
             golden = Path(args.check).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"prosomark: cannot read golden file: {exc}", file=sys.stderr)
             return EXIT_USAGE
         report = golden_check(output, golden)
@@ -162,3 +162,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

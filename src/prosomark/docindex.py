@@ -1,0 +1,148 @@
+"""Per-compile lookups over one document and its annotations.
+
+A compile builds one ``DocIndex`` after analysis and hands it to every
+stage, so "which clause owns this token", "which clauses start in this
+sentence" or "which quotation holds this token" is a list lookup or a
+bisect, never a scan of the whole document.  Per-token structures are flat
+lists sized by the document's token count, so memory is O(tokens +
+clauses).  The index describes one compile and is not kept on the
+``AnnotationSet``, which the caller may change between compiles.
+"""
+
+from __future__ import annotations
+
+import heapq
+from bisect import bisect_right
+
+from .annotations import AnnotationSet, ClauseFeatures, DiscourseNode, innermost_clauses
+from .ingest import QUOTE, WORD, Document, Sentence, Token, quote_is_opener
+
+
+class DocIndex:
+    """Lookups for one compile of ``doc`` with ``ann``.  The quote scan's
+    notes go to ``diagnostics`` when it is given."""
+
+    def __init__(self, doc: Document, ann: AnnotationSet,
+                 diagnostics: list[str] | None = None):
+        tokens = doc.tokens()
+        n = doc.token_count()
+        self.spans = ann.clause_spans
+        self.span_starts = {span[0] for span in ann.clause_spans.values()}
+        self.span_ends = {span[1] for span in ann.clause_spans.values()}
+        self._owner = innermost_clauses(ann, n)
+        #: per token, the list position of the first clause holding it
+        #: whose predicate is the token's word (-1: none)
+        self.pred_owner = _pred_owners(ann, tokens, n)
+        self._nodes: dict[int, DiscourseNode] = {}
+        for node in ann.nodes:
+            self._nodes.setdefault(node.clause_no, node)
+        #: predicates of non-stative clauses (stative ones are adjectives)
+        self.verb_preds = {c.pred for c in ann.clauses if c.aspect != "state"}
+
+        starting: dict[int, list[ClauseFeatures]] = {}
+        for c in ann.clauses:
+            span = ann.clause_spans.get(c.clause_no)
+            if span:
+                starting.setdefault(span[0], []).append(c)
+        self.sentence_of: list[Sentence | None] = [None] * n
+        self.paragraph_last: dict[int, Sentence] = {}
+        self._sentence_clauses: dict[int, list[tuple[int, ClauseFeatures]]] = {}
+        for s in doc.sentences:
+            self.paragraph_last[s.paragraph_index] = s
+            here = []
+            for i, t in enumerate(s.tokens):
+                self.sentence_of[t.index] = s
+                here.extend((i, c) for c in starting.get(t.index, ()))
+            self._sentence_clauses[s.index] = here
+
+        #: quote depth (0 or 1) after each token
+        self.quote_depth = bytearray(n)
+        self._region_starts: list[int] = []
+        self._region_ends: list[int] = []
+        self._region_sentences: list[list[int]] = []
+        self._scan_quotes(tokens, diagnostics)
+
+    def _scan_quotes(self, tokens: list[Token], diagnostics: list[str] | None):
+        """Quote depth after each token plus the quotation regions.
+
+        A quote mark opens a quotation when it hugs the following word
+        (no whitespace between them); nesting deeper than one is not
+        attempted.  Stray marks draw a diagnostic and do not toggle; a
+        quotation left open runs to the document end.
+        """
+        open_at: int | None = None
+        for i, t in enumerate(tokens):
+            if t.kind == QUOTE:
+                if open_at is None and quote_is_opener(tokens, i):
+                    open_at = t.index
+                elif open_at is not None:
+                    self._add_region(open_at, t.index)
+                    open_at = None
+                elif diagnostics is not None:
+                    diagnostics.append(
+                        f"unbalanced quotation mark ignored ({t.surface!r} "
+                        f"in sentence {self.sentence_of[t.index].index})")
+            if open_at is not None:
+                self.quote_depth[t.index] = 1
+        if open_at is not None:
+            if diagnostics is not None:
+                diagnostics.append("quotation left open at document end")
+            self._add_region(open_at, tokens[-1].index)
+
+    def _add_region(self, start: int, end: int):
+        self._region_starts.append(start)
+        self._region_ends.append(end)
+        self._region_sentences.append(self.sentences_between(start, end))
+
+    # -- lookups -------------------------------------------------------------
+
+    def clause_at(self, token_index: int) -> ClauseFeatures | None:
+        """The narrowest clause holding the token (see ``innermost_clauses``)."""
+        return self._owner[token_index]
+
+    def node(self, clause_no: int) -> DiscourseNode | None:
+        """The first discourse node of the clause."""
+        return self._nodes.get(clause_no)
+
+    def clauses_in(self, sent: Sentence) -> list[tuple[int, ClauseFeatures]]:
+        """(sentence-local start, clause) for each clause starting in the
+        sentence, by start position, then in clause-list order."""
+        return self._sentence_clauses.get(sent.index, [])
+
+    def sentences_between(self, start: int, end: int) -> list[int]:
+        """Indices of the sentences holding tokens ``start``..``end``."""
+        return sorted({s.index for s in self.sentence_of[start:end + 1] if s is not None})
+
+    def quote_sentences(self, token_index: int) -> list[int] | None:
+        """Sentences of the quotation region holding the token, or None."""
+        k = bisect_right(self._region_starts, token_index) - 1
+        if k >= 0 and token_index <= self._region_ends[k]:
+            return self._region_sentences[k]
+        return None
+
+
+def _pred_owners(ann: AnnotationSet, tokens: list[Token], n: int) -> list[int]:
+    """See ``DocIndex.pred_owner``: one sweep over the tokens, with a heap of
+    the open spans per predicate keyed by list position."""
+    spans = []
+    for order, c in enumerate(ann.clauses):
+        span = ann.clause_spans.get(c.clause_no)
+        if span:
+            spans.append((span[0], order, span[1], c.pred))
+    spans.sort(key=lambda s: s[0])
+    owners = [-1] * n
+    open_by_pred: dict[str, list[tuple[int, int]]] = {}
+    k = 0
+    for t in tokens:
+        while k < len(spans) and spans[k][0] <= t.index:
+            _, order, end, pred = spans[k]
+            heapq.heappush(open_by_pred.setdefault(pred, []), (order, end))
+            k += 1
+        if t.kind != WORD:
+            continue
+        heap = open_by_pred.get(t.normalized)
+        while heap and heap[0][1] < t.index:
+            heapq.heappop(heap)
+        if heap:
+            owners[t.index] = heap[0][0]
+    return owners

@@ -238,7 +238,8 @@ GLUE_NONE = "none"        # standalone: spaces both sides
 GLUE_COMPOUND = "compound"  # reset rendered as ,[[rset 0]] after a silence
 
 
-@dataclass
+# slotted: a script holds one item per token and per event
+@dataclass(slots=True)
 class ScriptItem:
     kind: str                       # token | event | sentence_start | paragraph_break
     token: Token | None = None

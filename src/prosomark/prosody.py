@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from itertools import chain, takewhile
 
 from . import lexica
-from .ingest import QUOTE, WORD, Document, Token
+from .docindex import DocIndex
+from .ingest import QUOTE, WORD, Document, Token, quote_is_opener
 
 
 class BreakIndex(enum.Enum):
@@ -210,41 +212,45 @@ class POVSpan:
         return self.holder != NARRATOR
 
 
+#: how far from a quote mark (in tokens) its communication verb may stand
+ATTRIBUTION_WINDOW = 12
+
+
 def track_point_of_view(doc: Document, ann, comm_verbs: set[str],
-                        diagnostics: list[str] | None = None) -> list[POVSpan]:
+                        diagnostics: list[str] | None = None,
+                        index: DocIndex | None = None) -> list[POVSpan]:
     """Quoted spans attributed to a character via a communication verb.
 
     The point of view persists across sentences until the closing quote;
     unattributed quotes open an anonymous character span.  A quote mark is
     an opener when it hugs the following word; stray marks draw a
     diagnostic, and a span left open is force-closed at its paragraph end.
+    ``index`` is the compile's ``DocIndex``; without it one is built.
     """
-    from .ingest import quote_is_opener
-
+    ix = index if index is not None else DocIndex(doc, ann)
     spans: list[POVSpan] = []
     tokens = doc.tokens()
     open_quote: int | None = None
     holder = NARRATOR
-    para_of = {}
-    sent_of = {}
-    for s in doc.sentences:
-        for t in s.tokens:
-            para_of[t.index] = s.paragraph_index
-            sent_of[t.index] = s.index
 
-    def attribution(q_index: int) -> str:
-        # look for a communication verb near the quote
-        verb = None
-        for t in tokens:
-            if t.kind == WORD and t.normalized in comm_verbs \
-                    and abs(t.index - q_index) <= 12:
-                verb = t
-                if t.index > q_index:
-                    break
+    def attribution(q: int) -> str:
+        # the nearest communication verb after the quote mark at tokens[q],
+        # else the nearest one before it, within the window
+        q_index = tokens[q].index
+        after = takewhile(lambda j: tokens[j].index <= q_index + ATTRIBUTION_WINDOW,
+                          range(q + 1, len(tokens)))
+        before = takewhile(lambda j: tokens[j].index >= q_index - ATTRIBUTION_WINDOW,
+                           range(q - 1, -1, -1))
+        verb = next((j for j in chain(after, before)
+                     if tokens[j].kind == WORD and tokens[j].normalized in comm_verbs),
+                    None)
         if verb is None:
             return "character:anon"
-        for t in reversed([t for t in tokens if t.index < verb.index and t.kind == WORD]):
-            if not lexica.function_word(t.normalized) and t.normalized not in comm_verbs:
+        # the speaker: the nearest content word before the verb
+        for j in range(verb - 1, -1, -1):
+            t = tokens[j]
+            if t.kind == WORD and not lexica.function_word(t.normalized) \
+                    and t.normalized not in comm_verbs:
                 return f"character:{t.normalized}"
         return "character:anon"
 
@@ -254,33 +260,38 @@ def track_point_of_view(doc: Document, ann, comm_verbs: set[str],
         if open_quote is None:
             if quote_is_opener(tokens, i):
                 open_quote = t.index
-                holder = attribution(t.index)
+                holder = attribution(i)
             elif diagnostics is not None:
                 diagnostics.append(
                     f"unbalanced quotation mark at token {t.index}")
         else:
-            span_sents = sorted({sent_of[j] for j in
-                                 range(open_quote, t.index + 1) if j in sent_of})
-            spans.append(POVSpan(holder, open_quote, t.index, span_sents))
+            spans.append(POVSpan(holder, open_quote, t.index,
+                                 ix.sentences_between(open_quote, t.index)))
             open_quote = None
             holder = NARRATOR
     if open_quote is not None:
         if diagnostics is not None:
             diagnostics.append("unbalanced quotation marks; "
                                "point of view force-closed at paragraph end")
-        para = para_of[open_quote]
-        last = max((t.index for t in tokens if para_of[t.index] == para),
-                   default=open_quote)
-        spans.append(POVSpan(holder, open_quote, last,
-                             sorted({sent_of[open_quote], sent_of[last]})))
+        opened_in = ix.sentence_of[open_quote]
+        closed_in = ix.paragraph_last[opened_in.paragraph_index]
+        spans.append(POVSpan(holder, open_quote, closed_in.tokens[-1].index,
+                             sorted({opened_in.index, closed_in.index})))
     return spans
 
 
-def span_for_sentence(spans: list[POVSpan], sent_index: int) -> POVSpan | None:
+def character_spans_by_sentence(spans: list[POVSpan]) -> dict[int, POVSpan]:
+    """Each sentence's first character span."""
+    out: dict[int, POVSpan] = {}
     for sp in spans:
-        if sp.character and sent_index in sp.sentences:
-            return sp
-    return None
+        if sp.character:
+            for s in sp.sentences:
+                out.setdefault(s, sp)
+    return out
+
+
+def span_for_sentence(spans: list[POVSpan], sent_index: int) -> POVSpan | None:
+    return character_spans_by_sentence(spans).get(sent_index)
 
 
 def pov_state(spans: list[POVSpan], sent_index: int) -> PointOfView:

@@ -7,7 +7,8 @@ import pytest
 
 from prosomark.annotations import (ClauseFeatures, IntegrityError,
                                    SidecarError, TopicRecord, TopicStack,
-                                   classify_relevance, derive_moves, fold_topics,
+                                   check_clause_spans, classify_relevance,
+                                   derive_moves, fold_topics,
                                    parse_sidecar, render_sidecar, shallow_analyze,
                                    update_topic_stack)
 from prosomark.ingest import split_document, tokenize
@@ -252,3 +253,29 @@ def test_shallow_never_emits_subjective_or_internal(config):
     assert all(c.subjectivity == "objective" for c in ann.clauses)
     assert all(c.view == "external" for c in ann.clauses)
     assert all(c.factivity == "factive" for c in ann.clauses)
+
+
+@pytest.mark.parametrize("line", [
+    "CLAUSE\t1.5\tmain/prop\texternal\tfactive\tnull\tbackground"
+    "\tactivity\trun\tpres\tnarration\tobjective\t0-1",
+    "TOPIC\tpoten\tx\tcat\tid1\t3,nil,nil\tobject\ttheme",
+    "DISC\ts_1\t#1\tup\tnil-1",
+])
+def test_non_integer_clause_number_reports_line(line):
+    first = ("CLAUSE\t1\tmain/prop\texternal\tfactive\tnull\tbackground"
+             "\tactivity\trun\tpres\tnarration\tobjective\t0-1\n")
+    with pytest.raises(SidecarError) as err:
+        parse_sidecar(first + line + "\n")
+    assert err.value.line_no == 2
+
+
+def test_clause_spans_checked_against_token_count():
+    ann = parse_sidecar(
+        "CLAUSE\t4\tmain/prop\texternal\tfactive\tnull\tbackground"
+        "\tactivity\trun\tpres\tnarration\tobjective\t1-3\n")
+    check_clause_spans(ann, 4)
+    with pytest.raises(SidecarError, match="clause 4"):
+        check_clause_spans(ann, 3)
+    ann.clause_spans[4] = (-1, 2)
+    with pytest.raises(SidecarError, match="clause 4"):
+        check_clause_spans(ann, 4)

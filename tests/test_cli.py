@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from prosomark.cli import golden_check, run
 from conftest import FIXTURES
 
@@ -114,3 +116,60 @@ def test_golden_check_reports():
     report = golden_check("a value 2 here\n", "a value 3 here\n")
     assert "line 1" in report and "'3'" in report and "'2'" in report
     assert golden_check("x \n", "x\n") != ""  # byte-exact, whitespace counts
+
+
+_CLAUSE = ("CLAUSE\t{no}\tmain/prop\texternal\tfactive\tnull\tbackground"
+           "\tactivity\trun\tpres\tnarration\tobjective\t{span}\n")
+
+
+def _three_tokens(tmp_path):
+    text = tmp_path / "in.txt"
+    text.write_text("Cats run.\n")
+    return text
+
+
+@pytest.mark.parametrize("span", ["900-1000", "2-1", "0-3", "0-2000000000"])
+def test_clause_span_outside_text_is_input_error(tmp_path, capsys, span):
+    side = tmp_path / "s.ann"
+    side.write_text(_CLAUSE.format(no=7, span=span))
+    code = invoke(str(_three_tokens(tmp_path)), "--sidecar", str(side),
+                  "--out", str(tmp_path / "o.txt"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "clause 7" in err and span in err and err.count("\n") == 1
+
+
+def test_clause_span_inside_text_is_accepted(tmp_path):
+    side = tmp_path / "s.ann"
+    side.write_text(_CLAUSE.format(no=1, span="0-2"))
+    assert invoke(str(_three_tokens(tmp_path)), "--sidecar", str(side),
+                  "--out", str(tmp_path / "o.txt")) == 0
+
+
+def test_non_integer_clause_number_is_input_error(tmp_path, capsys):
+    side = tmp_path / "s.ann"
+    side.write_text(_CLAUSE.format(no="one", span="0-1"))
+    code = invoke(str(_three_tokens(tmp_path)), "--sidecar", str(side),
+                  "--out", str(tmp_path / "o.txt"))
+    assert code == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["input", "sidecar"])
+def test_non_utf8_file_is_usage_error(tmp_path, capsys, which):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"Caf\xe9 \xff\xfe noir.\n")
+    args = [str(bad)] if which == "input" else \
+        [str(_three_tokens(tmp_path)), "--sidecar", str(bad)]
+    assert invoke(*args, "--out", str(tmp_path / "o.txt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"prosomark: cannot read {which}:") and err.count("\n") == 1
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "prosomark.cli", str(_three_tokens(tmp_path)),
+         "--emit", "groups"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "cats run β\n"
