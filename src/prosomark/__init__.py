@@ -16,8 +16,8 @@ from .ingest import (Document, PhonLexicon, Sentence, Token, classify_comma,
                      phon_exception, split_document, tokenize)
 from .phrasing import BreathGroup, classify_junction, mark_heads, render_groups, segment
 from .pipeline import PipelineResult, ProsodyManager, run_pipeline
-from .prosody import (BreakIndex, FrozenEntry, ParamEvent, PointOfView,
-                      ToneContour, apply_downstep, assign_break_index, contour,
-                      match_frozen, pov_state, select_tone, track_point_of_view)
+from .prosody import (BreakIndex, FrozenEntry, ParamEvent, ToneContour,
+                      assign_break_index, contour, match_frozen, select_tone,
+                      track_point_of_view)
 
 __version__ = "0.1.0"

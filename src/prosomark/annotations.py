@@ -335,10 +335,15 @@ def classify_relevance(feats: ClauseFeatures, ruleset=None) -> str:
 
 
 def resolve_relevance(ann: AnnotationSet, ruleset=None) -> None:
-    """Fill in relevance wherever the sidecar requested classification."""
+    """Fill in relevance wherever the sidecar requested classification, in
+    the clause and in its discourse nodes."""
+    resolved = {}
     for c in ann.clauses:
         if c.relevance is None:
-            c.relevance = classify_relevance(c, ruleset)
+            c.relevance = resolved[c.clause_no] = classify_relevance(c, ruleset)
+    for n in ann.nodes:
+        if n.clause_no in resolved:
+            n.relevance = resolved[n.clause_no]
 
 
 # Topic stack ----------------------------------------------------------------
@@ -460,7 +465,13 @@ _MARKER_RELS = {"because": "cause", "so": "result", "while": "circumstance",
                 "if": "circumstance", "since": "cause"}
 
 
-def _is_verby(norm: str) -> bool:
+#: words that open a new clause in the shallow analysis
+_CLAUSE_OPENERS = frozenset(lexica.COORDINATORS | lexica.ADVERSATIVE_CONNECTIVES
+                            | lexica.SUBORDINATORS | lexica.SUBORDINATE_MARKERS)
+
+
+def is_verby(norm: str) -> bool:
+    """The verb heuristic: an auxiliary, an irregular past or an -ed form."""
     return (norm in lexica.AUXILIARIES or norm in lexica.IRREGULAR_PASTS
             or norm.endswith("ed"))
 
@@ -509,16 +520,12 @@ def shallow_analyze(doc: Document, relevance_rules=None) -> AnnotationSet:
             nxt = toks[i + 1]
             if t.kind in (COMMA, OTHER_PUNCT) and nxt.kind == WORD:
                 boundaries.append(i + 1)
-            elif (nxt.kind == WORD
-                  and nxt.normalized in (lexica.COORDINATORS
-                                         | lexica.ADVERSATIVE_CONNECTIVES
-                                         | lexica.SUBORDINATORS
-                                         | lexica.SUBORDINATE_MARKERS)):
+            elif nxt.kind == WORD and nxt.normalized in _CLAUSE_OPENERS:
                 boundaries.append(i + 1)
             elif (t.kind == WORD and nxt.kind == WORD and nxt.normalized == "to"
                   and i + 2 < len(toks) and toks[i + 2].kind == WORD
                   and not lexica.function_word(toks[i + 2].normalized)
-                  and not _is_verby(t.normalized)):
+                  and not is_verby(t.normalized)):
                 boundaries.append(i + 1)
         boundaries.append(len(toks))
         seen = set()

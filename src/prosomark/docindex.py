@@ -57,9 +57,13 @@ class DocIndex:
 
         #: quote depth (0 or 1) after each token
         self.quote_depth = bytearray(n)
-        self._region_starts: list[int] = []
-        self._region_ends: list[int] = []
-        self._region_sentences: list[list[int]] = []
+        #: the quotation regions in document order: first and last token
+        #: and the sentences holding them
+        self.region_starts: list[int] = []
+        self.region_ends: list[int] = []
+        self.region_sentences: list[list[int]] = []
+        #: the opening mark of a quotation left open (the last region), or None
+        self.unclosed: int | None = None
         self._scan_quotes(tokens, diagnostics)
 
     def _scan_quotes(self, tokens: list[Token], diagnostics: list[str] | None):
@@ -88,11 +92,12 @@ class DocIndex:
             if diagnostics is not None:
                 diagnostics.append("quotation left open at document end")
             self._add_region(open_at, tokens[-1].index)
+            self.unclosed = open_at
 
     def _add_region(self, start: int, end: int):
-        self._region_starts.append(start)
-        self._region_ends.append(end)
-        self._region_sentences.append(self.sentences_between(start, end))
+        self.region_starts.append(start)
+        self.region_ends.append(end)
+        self.region_sentences.append(self.sentences_between(start, end))
 
     # -- lookups -------------------------------------------------------------
 
@@ -115,9 +120,9 @@ class DocIndex:
 
     def quote_sentences(self, token_index: int) -> list[int] | None:
         """Sentences of the quotation region holding the token, or None."""
-        k = bisect_right(self._region_starts, token_index) - 1
-        if k >= 0 and token_index <= self._region_ends[k]:
-            return self._region_sentences[k]
+        k = bisect_right(self.region_starts, token_index) - 1
+        if k >= 0 and token_index <= self.region_ends[k]:
+            return self.region_sentences[k]
         return None
 
 

@@ -312,7 +312,7 @@ def format_event(e: ParamEvent) -> str:
     return "[[" + "; ".join(parts) + "]]"
 
 
-def _token_text(token: Token, markup: bool) -> str:
+def _token_text(token: Token) -> str:
     if token.phon_override:
         return f"[[inpt PHON]]{token.phon_override}[[inpt TEXT]]"
     return token.surface
@@ -347,7 +347,7 @@ def render_markup(doc: Document, script: ProsodicScript) -> str:
         if item.kind == "paragraph_break":
             flush_block()
         elif item.kind == "token":
-            emit(_token_text(item.token, markup=True), GLUE_NONE)
+            emit(_token_text(item.token), GLUE_NONE)
         elif item.kind == "event":
             emit(format_event(item.event), item.glue)
     flush_block()
@@ -378,7 +378,7 @@ def render_tobi(doc: Document, script: ProsodicScript) -> str:
                 lines.append(" ".join(current))
                 current = []
                 pending_break = False
-            current.append(_token_text(item.token, markup=False))
+            current.append(_token_text(item.token))
         elif item.kind == "event":
             parts = []
             if item.bi is not None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lexica
-from .annotations import AnnotationSet
+from .annotations import AnnotationSet, is_verby
 from .docindex import DocIndex
 from .ingest import COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document, Sentence
 
@@ -52,12 +52,7 @@ def _word_positions(sentence: Sentence) -> list[int]:
 
 
 def _is_verbish(tok, ix: DocIndex) -> bool:
-    n = tok.normalized
-    if n in lexica.AUXILIARIES or n in lexica.IRREGULAR_PASTS:
-        return True
-    if n.endswith("ed") and n not in lexica.DETERMINERS:
-        return True
-    return n in ix.verb_preds
+    return is_verby(tok.normalized) or tok.normalized in ix.verb_preds
 
 
 def _index_for(sentence: Sentence, ann: AnnotationSet, index: DocIndex | None) -> DocIndex:
@@ -143,7 +138,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
     # rule: long subject before its verb phrase
     lead = []
     for i in words:
-        if toks[i].normalized in lexica.AUXILIARIES or _is_verbish(toks[i], ix):
+        if _is_verbish(toks[i], ix):
             if len(lead) >= config.max_subj:
                 add(i, "subject_vp")
             break
@@ -183,7 +178,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
     groups = _suppress_short(sentence, groups, ix, config)
     groups = _resplit_long(sentence, groups, max_len)
     for g in groups:
-        g.junction = classify_junction(g, None, sentence)
+        g.junction = classify_junction(g, sentence)
         g.head_index, g.demoted = mark_heads(g, sentence, ann, ix)
         owner = ix.clause_at(sentence.tokens[g.head_index].index) if g.head_index >= 0 else None
         g.clause_no = owner.clause_no if owner else None
@@ -286,7 +281,7 @@ def _resplit_long(sentence, groups, max_len) -> list[BreathGroup]:
     return out
 
 
-def classify_junction(group: BreathGroup, next_group, sentence: Sentence) -> str:
+def classify_junction(group: BreathGroup, sentence: Sentence) -> str:
     """End-stopped at classified punctuation or sentence end, else enjambed."""
     toks = sentence.tokens
     j = group.token_span[1] + 1

@@ -88,7 +88,6 @@ class ProsodyManager:
     def __init__(self, config: Config, table: MappingTable = DEFAULT_TABLE):
         self.config = config
         self.table = table
-        self.diagnostics: list[str] = []
 
     # -- document-level preparation ---------------------------------------
 
@@ -105,18 +104,17 @@ class ProsodyManager:
             check_clause_spans(ann, len(tokens))
             resolve_relevance(ann, cfg.relevance_rules)
             resolve_moves(ann)
-            self.diagnostics.extend(ann.warnings)
 
         self.contoured: set[int] = set()
         self.final_suppressed: set[int] = set()
         self.fired_preds: set[str] = set()
-        ix = DocIndex(doc, ann, self.diagnostics)
+        diagnostics = list(ann.warnings)
+        ix = DocIndex(doc, ann, diagnostics)
         groups = {s.index: segment(s, ann, cfg, ix) for s in doc.sentences}
-        pov_spans = (track_point_of_view(doc, ann, cfg.comm_verbs, self.diagnostics, ix)
+        pov_spans = (track_point_of_view(doc, ann, cfg.comm_verbs, ix)
                      if cfg.pov_tracking else [])
         script = self._build_script(doc, ann, ix, groups, pov_spans)
-        return PipelineResult(doc, ann, groups, script, pov_spans,
-                              self.diagnostics)
+        return PipelineResult(doc, ann, groups, script, pov_spans, diagnostics)
 
     # -- script assembly ---------------------------------------------------
 
@@ -233,21 +231,19 @@ class ProsodyManager:
             if m is None:
                 pos += 1
                 continue
-            entry = m.entry
+            row = self.table.row(m.entry.role)
             for i, p in enumerate(m.pattern_positions):
-                if i < len(entry.param_seq):
-                    tone = entry.contour_seq[0].label if i == 0 else None
-                    plan.add_prefix(p, _Placed(entry.param_seq[i][0], GLUE_RIGHT,
-                                               tone=tone))
+                if i < len(row.params):
+                    tone = row.contours[0].label if i == 0 else None
+                    plan.add_prefix(p, _Placed(row.params[i][0], GLUE_RIGHT, tone=tone))
                 plan.consumed.add(p)
             if m.tail_position is not None:
                 t = m.tail_position
-                plan.add_prefix(t, _Placed(entry.tail_params[0][0], GLUE_RIGHT,
-                                           tone=entry.tail_contour.label))
-                plan.add_suffix(t, _Placed(entry.tail_params[1][0], GLUE_LEFT))
-                plan.add_suffix(t, _Placed(entry.tail_params[2][0], GLUE_LEFT,
-                                           bi=BreakIndex.BI23))
-                plan.add_suffix(t, _Placed(RSET, GLUE_COMPOUND))
+                tail = self.table.row(f"{m.entry.role}_tail")
+                plan.add_prefix(t, _Placed(tail.params[0][0], GLUE_RIGHT,
+                                           tone=tail.contours[0].label))
+                plan.add_suffix(t, _Placed(tail.params[1][0], GLUE_LEFT))
+                plan.add_suffix_bi(t, BreakIndex.BI23)
                 plan.consumed.add(t)
             pos += m.length
 

@@ -11,12 +11,12 @@ downstepped contours.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, takewhile
 
 from . import lexica
 from .docindex import DocIndex
-from .ingest import QUOTE, WORD, Document, Token, quote_is_opener
+from .ingest import WORD, Document, Token
 
 
 class BreakIndex(enum.Enum):
@@ -180,24 +180,9 @@ def contour(label: str, row_id: str | None = None) -> ToneContour:
     return ToneContour(nuc, phr, bnd, down, variant, pfirst, row_id)
 
 
-def downstep(c: ToneContour | None) -> ToneContour:
-    """Downstepped counterpart of a sentence-initial contour (H -> !H)."""
-    if c is None:
-        return contour("H-!H*-1")
-    return replace(c, downstepped=True, phrase_first=True,
-                   variant=c.variant if c.variant is not None else 1)
-
-
 # Point of view ---------------------------------------------------------------
 
 NARRATOR = "narrator"
-
-
-@dataclass
-class PointOfView:
-    holder: str = NARRATOR
-    opened_at: int = 0            # sentence index
-    quote_depth: int = 0
 
 
 @dataclass
@@ -217,21 +202,20 @@ ATTRIBUTION_WINDOW = 12
 
 
 def track_point_of_view(doc: Document, ann, comm_verbs: set[str],
-                        diagnostics: list[str] | None = None,
                         index: DocIndex | None = None) -> list[POVSpan]:
     """Quoted spans attributed to a character via a communication verb.
 
+    The spans are the quotation regions of ``index``, the compile's
+    ``DocIndex`` (without it one is built), which also reports stray marks.
     The point of view persists across sentences until the closing quote;
-    unattributed quotes open an anonymous character span.  A quote mark is
-    an opener when it hugs the following word; stray marks draw a
-    diagnostic, and a span left open is force-closed at its paragraph end.
-    ``index`` is the compile's ``DocIndex``; without it one is built.
+    unattributed quotes open an anonymous character span, and a quotation
+    left open is force-closed at its opener's paragraph end.
     """
     ix = index if index is not None else DocIndex(doc, ann)
-    spans: list[POVSpan] = []
     tokens = doc.tokens()
-    open_quote: int | None = None
-    holder = NARRATOR
+    # doc.tokens() runs without gaps, so a token's list position is its
+    # index less the first one's
+    first = tokens[0].index if tokens else 0
 
     def attribution(q: int) -> str:
         # the nearest communication verb after the quote mark at tokens[q],
@@ -254,29 +238,14 @@ def track_point_of_view(doc: Document, ann, comm_verbs: set[str],
                 return f"character:{t.normalized}"
         return "character:anon"
 
-    for i, t in enumerate(tokens):
-        if t.kind != QUOTE:
-            continue
-        if open_quote is None:
-            if quote_is_opener(tokens, i):
-                open_quote = t.index
-                holder = attribution(i)
-            elif diagnostics is not None:
-                diagnostics.append(
-                    f"unbalanced quotation mark at token {t.index}")
-        else:
-            spans.append(POVSpan(holder, open_quote, t.index,
-                                 ix.sentences_between(open_quote, t.index)))
-            open_quote = None
-            holder = NARRATOR
-    if open_quote is not None:
-        if diagnostics is not None:
-            diagnostics.append("unbalanced quotation marks; "
-                               "point of view force-closed at paragraph end")
-        opened_in = ix.sentence_of[open_quote]
-        closed_in = ix.paragraph_last[opened_in.paragraph_index]
-        spans.append(POVSpan(holder, open_quote, closed_in.tokens[-1].index,
-                             sorted({opened_in.index, closed_in.index})))
+    spans: list[POVSpan] = []
+    for start, end, sentences in zip(ix.region_starts, ix.region_ends,
+                                     ix.region_sentences):
+        if start == ix.unclosed:
+            para = ix.sentence_of[start].paragraph_index
+            end = ix.paragraph_last[para].tokens[-1].index
+            sentences = ix.sentences_between(start, end)
+        spans.append(POVSpan(attribution(start - first), start, end, sentences))
     return spans
 
 
@@ -294,30 +263,6 @@ def span_for_sentence(spans: list[POVSpan], sent_index: int) -> POVSpan | None:
     return character_spans_by_sentence(spans).get(sent_index)
 
 
-def pov_state(spans: list[POVSpan], sent_index: int) -> PointOfView:
-    """The point-of-view switch state in force at a sentence."""
-    span = span_for_sentence(spans, sent_index)
-    if span is None:
-        return PointOfView(NARRATOR, sent_index, 0)
-    return PointOfView(span.holder, span.sentences[0], 1)
-
-
-def apply_downstep(contours: list[ToneContour | None]) -> list[ToneContour]:
-    """Downstep the continuation contours of one character-POV span.
-
-    Input: the sentence-initial contours of the span's sentences, in order.
-    The first stays; each following one is replaced by its downstepped
-    counterpart (variant preserved, defaulting to 1).
-    """
-    out: list[ToneContour] = []
-    for i, c in enumerate(contours):
-        if i == 0:
-            out.append(c if c is not None else contour("H*-H-1"))
-        else:
-            out.append(downstep(c))
-    return out
-
-
 # Break indices ---------------------------------------------------------------
 
 @dataclass
@@ -329,7 +274,6 @@ class BreakContext:
     title_final: bool = False
     before_quantifier: bool = False
     pre_exclamative: bool = False
-    enjambed: bool = False
 
 
 def assign_break_index(group, context: BreakContext) -> BreakIndex:
@@ -362,40 +306,21 @@ def assign_break_index(group, context: BreakContext) -> BreakIndex:
 
 @dataclass
 class FrozenEntry:
+    """A frozen expression.  Its contour and parameters are the mapping-table
+    row named by its role, and those of its address-term tail the row
+    ``<role>_tail``."""
     pattern: list[str]
     role: str
     tail_class: str | None = None        # e.g. address term after the pattern
-    contour_seq: list[ToneContour] = field(default_factory=list)
-    param_seq: list[list[ParamEvent]] = field(default_factory=list)
-    tail_contour: ToneContour | None = None
-    tail_params: list[list[ParamEvent]] = field(default_factory=list)
 
 
-def _exhortative_entry(pattern: list[str]) -> FrozenEntry:
-    # bitonal H*+L- over the pattern, upstepped !L+H*% over the address term,
-    # closed by the quantifier-class pause
-    return FrozenEntry(
-        pattern=pattern, role="exhortative", tail_class="dear",
-        contour_seq=[contour("H*+L-", row_id="exhortative")],
-        param_seq=[[ev(pbas=57.0, rate=170, volm=+0.5)],
-                   [ev(pbas=36.0, rate=170, volm=+0.5)]],
-        tail_contour=contour("!L+H*%", row_id="exhortative_tail"),
-        tail_params=[[ev(pbas=24.0, rate=130, volm=+0.5)],
-                     [ev(pbas=60.0, rate=150, volm=+0.5)],
-                     [ev(slnc=100), RSET]],
-    )
-
-
-_ROLE_BUILDERS = {"exhortative": _exhortative_entry}
+#: the roles the pipeline realizes, with the word class of their tail
+_ROLE_TAILS = {"exhortative": "dear"}
 
 
 def build_frozen_entries(table: list[tuple[list[str], str]]) -> list[FrozenEntry]:
-    entries = []
-    for pattern, role in table:
-        builder = _ROLE_BUILDERS.get(role)
-        if builder is not None:
-            entries.append(builder(pattern))
-    return entries
+    return [FrozenEntry(pattern, role, _ROLE_TAILS[role])
+            for pattern, role in table if role in _ROLE_TAILS]
 
 
 @dataclass
@@ -482,10 +407,6 @@ def mark_quantifier_slowdown(group, sentence, quantifiers: set[str],
 
 # Tone selection ---------------------------------------------------------------
 
-POSITIONS = ("sentence_initial", "sentence_internal", "group_final")
-AFFECTS = ("neutral", "sad", "exclaim", "exhort")
-
-
 @dataclass
 class ToneContext:
     """Everything select_tone may consult for one decision point."""
@@ -503,7 +424,6 @@ class ToneContext:
     comparative_continuation: bool = False
     resultative_infinitival: bool = False
     exclamative: bool = False
-    split_exclamative: bool = False
     head_at_bi33: bool = False
     copular_head: bool = False
     quote_final_sentence: bool = False
@@ -518,10 +438,6 @@ def select_tone(ctx: ToneContext) -> ToneContour:
     """
     if ctx.affect == "sad":
         return contour("L*-L%", row_id="sad")
-    if ctx.affect == "exhort":
-        return contour("H*+L-", row_id="exhortative")
-    if ctx.split_exclamative:
-        return contour("H*+L%", row_id="split_exclamative")
     if ctx.exclamative and (ctx.in_quote or ctx.character_pov):
         return contour("H*-H-1", row_id="ds_exclamative")
     if ctx.position == "sentence_initial":

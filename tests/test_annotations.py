@@ -122,6 +122,16 @@ def test_relevance_discourse_table_with_default_rules():
         assert classify_relevance(blind) == c.relevance
 
 
+def test_resolved_relevance_reaches_the_discourse_node(config):
+    from prosomark.pipeline import run_pipeline
+    sidecar = ("CLAUSE\t1\tmain/prop\texternal\tfactive\tculminated\t_"
+               "\taccomplishment\tran\tpast\tnarration\tobjective\t0-1\n"
+               "DISC\ts_1\t1\tup\tnil-1\n")
+    ann = run_pipeline("Cats ran.", sidecar, config).ann
+    assert ann.clauses[0].relevance == "foreground"
+    assert ann.nodes[0].relevance == "foreground"
+
+
 def test_relevance_depends_only_on_change():
     for change in ("null", "graded", "culminated"):
         seen = set()

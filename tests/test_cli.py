@@ -1,7 +1,9 @@
 """Command-line behavior: flags, exit codes, golden checking."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +175,17 @@ def test_python_m_runs_the_cli(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "cats run β\n"
+
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    # each walkthrough runs against this checkout's sources
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

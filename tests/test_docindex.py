@@ -90,8 +90,9 @@ def _ref_quotes(doc):
     return depths, region_of, diags
 
 
-def _ref_pov(doc, comm_verbs, diagnostics):
-    """Quoted spans as (holder, start, end, sentences)."""
+def _ref_pov(doc, comm_verbs):
+    """Quoted spans as (holder, start, end, sentences); a span left open ends
+    at its paragraph's last token and holds every sentence up to it."""
     from prosomark.ingest import quote_is_opener
 
     spans = []
@@ -122,18 +123,15 @@ def _ref_pov(doc, comm_verbs, diagnostics):
             if quote_is_opener(tokens, i):
                 open_quote = t.index
                 holder = attribution(t.index)
-            else:
-                diagnostics.append(f"unbalanced quotation mark at token {t.index}")
         else:
             sents = sorted({sent_of[j] for j in range(open_quote, t.index + 1) if j in sent_of})
             spans.append((holder, open_quote, t.index, sents))
             open_quote, holder = None, "narrator"
     if open_quote is not None:
-        diagnostics.append("unbalanced quotation marks; "
-                           "point of view force-closed at paragraph end")
         para = para_of[open_quote]
         last = max((t.index for t in tokens if para_of[t.index] == para), default=open_quote)
-        spans.append((holder, open_quote, last, sorted({sent_of[open_quote], sent_of[last]})))
+        sents = sorted({sent_of[j] for j in range(open_quote, last + 1) if j in sent_of})
+        spans.append((holder, open_quote, last, sents))
     return spans
 
 
@@ -278,11 +276,9 @@ def test_quote_regions_match_the_scan():
 def test_point_of_view_matches_the_scan(config, seed):
     verbs = set(config.comm_verbs)
     for rng, doc, ann in _cases(300, seed):
-        diags, ref_diags = [], []
-        spans = track_point_of_view(doc, ann, verbs, diags)
+        spans = track_point_of_view(doc, ann, verbs)
         assert [(s.holder, s.start_token, s.end_token, s.sentences) for s in spans] \
-            == _ref_pov(doc, verbs, ref_diags), doc.raw
-        assert diags == ref_diags
+            == _ref_pov(doc, verbs), doc.raw
 
 
 @pytest.mark.parametrize("gap,holder", [(11, "character:crow"), (12, "character:anon")])
@@ -294,7 +290,7 @@ def test_point_of_view_attribution_window(config, gap, holder):
     doc = split_document(tokenize(text, config.multiwords), text, "off")
     spans = track_point_of_view(doc, AnnotationSet(), config.comm_verbs)
     assert [s.holder for s in spans] == [holder, "character:fox"]
-    assert [s.holder for s in spans] == [r[0] for r in _ref_pov(doc, config.comm_verbs, [])]
+    assert [s.holder for s in spans] == [r[0] for r in _ref_pov(doc, config.comm_verbs)]
 
 
 def test_group_heads_match_the_clause_scan():

@@ -1,17 +1,18 @@
-"""Break indices, tone selection, point of view, downstep, frozen matches."""
+"""Break indices, tone selection, point of view, frozen matches."""
 
 import itertools
-import random
 
 import pytest
 
 from prosomark.annotations import shallow_analyze
+from prosomark.emit import DEFAULT_TABLE
 from prosomark.ingest import split_document, tokenize
+from prosomark.pipeline import ProsodyManager, run_pipeline
 from prosomark.prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
                                FrozenEntry, ToneContext, ToneContour,
-                               apply_downstep, assign_break_index,
-                               build_frozen_entries, contour, downstep, ev,
-                               match_frozen, select_tone, track_point_of_view)
+                               assign_break_index, build_frozen_entries,
+                               contour, ev, match_frozen, select_tone,
+                               track_point_of_view)
 
 
 # Break indices ---------------------------------------------------------------
@@ -45,7 +46,7 @@ def test_bi_paragraph_final_only_without_punctuation():
 
 
 def test_bi_default_enjambed():
-    assert assign_break_index(None, BreakContext(enjambed=True)) == BreakIndex.BI2
+    assert assign_break_index(None, BreakContext()) == BreakIndex.BI2
 
 
 # Tone contours ---------------------------------------------------------------
@@ -57,12 +58,6 @@ def test_bi_default_enjambed():
 ])
 def test_contour_label_round_trip(label):
     assert contour(label).label == label
-
-
-def test_downstep_counterpart():
-    assert downstep(contour("H*-H-1")).label == "H-!H*-1"
-    assert downstep(contour("H*-H")).label == "H-!H*-1"
-    assert downstep(None).label == "H-!H*-1"
 
 
 def test_select_tone_examples():
@@ -125,51 +120,31 @@ def test_pov_multi_sentence_span(config, fox_result):
     assert spans[0].holder == "character:fox"
 
 
-def test_pov_state_invariant(config, fox_result):
-    # quote_depth is zero exactly when the narrator holds the floor
-    from prosomark.prosody import pov_state
-    for sent in fox_result.doc.sentences:
-        state = pov_state(fox_result.pov_spans, sent.index)
-        assert (state.quote_depth == 0) == (state.holder == "narrator")
-    assert pov_state(fox_result.pov_spans, 0).holder == "narrator"
-    assert pov_state(fox_result.pov_spans, 2).holder == "character:fox"
-    assert pov_state(fox_result.pov_spans, 2).opened_at == 1
-
-
 def test_pov_unbalanced_quote_diagnostic(config):
-    text = 'He said "this is odd. And it never closes.'
-    doc = _doc(text, config)
-    diags = []
-    track_point_of_view(doc, shallow_analyze(doc), config.comm_verbs, diags)
-    assert any("unbalanced" in d or "open" in d for d in diags)
+    res = run_pipeline('He said "this is odd. And it never closes.', None, config)
+    assert res.diagnostics == ["quotation left open at document end"]
 
 
-def test_apply_downstep_continuations():
-    first = contour("H*-H-1")
-    out = apply_downstep([first, None, contour("H*-H")])
-    assert out[0].label == "H*-H-1"
-    assert out[1].label == "H-!H*-1"
-    assert out[2].label == "H-!H*-1"
+def test_diagnostics_are_per_compile(config):
+    manager = ProsodyManager(config)
+    first = manager.process('He said "hi.')
+    second = manager.process('He said "hi.')
+    assert first.diagnostics == second.diagnostics == [
+        "quotation left open at document end"]
+    assert first.diagnostics is not second.diagnostics
 
 
-def test_apply_downstep_single_sentence_unchanged():
-    out = apply_downstep([contour("H*-H-1")])
-    assert [c.label for c in out] == ["H*-H-1"]
-
-
-def test_downstep_locality_random_spans(config):
-    # only strictly-inside continuation positions change
-    rng = random.Random(17)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        contours = [contour("H*-H-1") if rng.random() < 0.5 else None
-                    for _ in range(n)]
-        out = apply_downstep(list(contours))
-        assert len(out) == n
-        if contours[0] is not None:
-            assert out[0].label == contours[0].label
-        for c in out[1:]:
-            assert c.downstepped
+def test_force_closed_pov_covers_every_sentence(config):
+    res = run_pipeline('He said "hi. She ran. It fell. Done.', None, config)
+    assert [s.sentences for s in res.pov_spans] == [[0, 1, 2, 3]]
+    # each continuation sentence opens with the downstepped contour
+    opening, current = {}, None
+    for it in res.script.items:
+        if it.kind == "sentence_start":
+            current = it.sentence_index
+        elif it.kind == "event" and it.tone_label and current not in opening:
+            opening[current] = it.tone_label
+    assert [opening[i] for i in (1, 2, 3)] == ["H-!H*-1"] * 3
 
 
 def test_fable_has_no_downstep(fable_result):
@@ -202,16 +177,16 @@ def test_frozen_come_on_baby(config):
     m = match_frozen(toks, 0, entries)
     assert m is not None
     assert m.length == 4
-    assert m.entry.contour_seq[0].label == "H*+L-"
-    assert m.entry.tail_contour.label == "!L+H*%"
-    flat = [e for seq in m.entry.param_seq for e in seq]
-    flat += [e for seq in m.entry.tail_params for e in seq]
-    assert flat == [ev(pbas=57.0, rate=170, volm=+0.5),
-                    ev(pbas=36.0, rate=170, volm=+0.5),
-                    ev(pbas=24.0, rate=130, volm=+0.5),
-                    ev(pbas=60.0, rate=150, volm=+0.5),
-                    ev(slnc=100),
-                    RSET]
+    row = DEFAULT_TABLE.row(m.entry.role)
+    tail = DEFAULT_TABLE.row(f"{m.entry.role}_tail")
+    assert [c.label for c in row.contours + tail.contours] == ["H*+L-", "!L+H*%"]
+    assert row.flat_params() + tail.flat_params() == [
+        ev(pbas=57.0, rate=170, volm=+0.5),
+        ev(pbas=36.0, rate=170, volm=+0.5),
+        ev(pbas=24.0, rate=130, volm=+0.5),
+        ev(pbas=60.0, rate=150, volm=+0.5),
+        ev(slnc=100),
+        RSET]
 
 
 def test_frozen_no_match(config):
@@ -305,7 +280,6 @@ def test_head_slowdown_all_agree(fable_result):
 
 
 def test_no_slowdown_without_quantifier(config):
-    from prosomark.pipeline import run_pipeline
     res = run_pipeline("The cat sat down.", None, config)
     rates = [it.event.rate for it in res.script.items
              if it.kind == "event" and it.event.rate and it.event.pbas is None]
