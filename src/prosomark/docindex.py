@@ -62,8 +62,6 @@ class DocIndex:
         self.region_starts: list[int] = []
         self.region_ends: list[int] = []
         self.region_sentences: list[list[int]] = []
-        #: the opening mark of a quotation left open (the last region), or None
-        self.unclosed: int | None = None
         self._scan_quotes(tokens, diagnostics)
 
     def _scan_quotes(self, tokens: list[Token], diagnostics: list[str] | None):
@@ -72,7 +70,8 @@ class DocIndex:
         A quote mark opens a quotation when it hugs the following word
         (no whitespace between them); nesting deeper than one is not
         attempted.  Stray marks draw a diagnostic and do not toggle; a
-        quotation left open runs to the document end.
+        quotation still open at the document end closes at its opener's
+        paragraph end.
         """
         open_at: int | None = None
         for i, t in enumerate(tokens):
@@ -91,13 +90,16 @@ class DocIndex:
         if open_at is not None:
             if diagnostics is not None:
                 diagnostics.append("quotation left open at document end")
-            self._add_region(open_at, tokens[-1].index)
-            self.unclosed = open_at
+            para = self.sentence_of[open_at].paragraph_index
+            end = self.paragraph_last[para].tokens[-1].index
+            self.quote_depth[end + 1:] = bytes(len(self.quote_depth) - end - 1)
+            self._add_region(open_at, end)
 
     def _add_region(self, start: int, end: int):
         self.region_starts.append(start)
         self.region_ends.append(end)
-        self.region_sentences.append(self.sentences_between(start, end))
+        self.region_sentences.append(
+            sorted({s.index for s in self.sentence_of[start:end + 1]}))
 
     # -- lookups -------------------------------------------------------------
 
@@ -113,10 +115,6 @@ class DocIndex:
         """(sentence-local start, clause) for each clause starting in the
         sentence, by start position, then in clause-list order."""
         return self._sentence_clauses.get(sent.index, [])
-
-    def sentences_between(self, start: int, end: int) -> list[int]:
-        """Indices of the sentences holding tokens ``start``..``end``."""
-        return sorted({s.index for s in self.sentence_of[start:end + 1] if s is not None})
 
     def quote_sentences(self, token_index: int) -> list[int] | None:
         """Sentences of the quotation region holding the token, or None."""

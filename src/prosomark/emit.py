@@ -36,10 +36,7 @@ class MappingRow:
         for group in self.params:
             out.extend(group)
         if self.bi is not None:
-            silence, reset = BI_REALIZATION[self.bi]
-            out.append(ev(slnc=silence))
-            if reset:
-                out.append(RSET)
+            out.extend(bi_to_params(self.bi))
         return out
 
 
@@ -119,8 +116,6 @@ TONE_ROWS: tuple[MappingRow, ...] = (
 @dataclass
 class MappingTable:
     rows: tuple[MappingRow, ...] = TONE_ROWS
-    bi_rows: dict[BreakIndex, tuple[int, bool]] = field(
-        default_factory=lambda: dict(BI_REALIZATION))
 
     def row(self, row_id: str) -> MappingRow:
         for r in self.rows:
@@ -133,11 +128,11 @@ class MappingTable:
             for r in self.rows:
                 if r.row_id == c.row_id:
                     for i, rc in enumerate(r.contours):
-                        if rc.same_shape(c):
+                        if rc.label == c.label:
                             return r, i
         for r in self.rows:
             for i, rc in enumerate(r.contours):
-                if rc.same_shape(c):
+                if rc.label == c.label:
                     return r, i
         raise MappingError(f"no parameter row for contour {c.label}")
 
@@ -152,10 +147,7 @@ def tone_to_params(c: ToneContour, table: MappingTable = DEFAULT_TABLE,
     out = list(row.params[idx])
     effective_bi = bi if bi is not None else (row.bi if idx == len(row.contours) - 1 else None)
     if effective_bi is not None:
-        silence, reset = table.bi_rows[effective_bi]
-        out.append(ev(slnc=silence))
-        if reset:
-            out.append(RSET)
+        out.extend(bi_to_params(effective_bi))
     return out
 
 
@@ -189,7 +181,7 @@ def params_to_tobi(events: list[ParamEvent],
         e = events[i]
         if e.slnc is not None and e.pbas is None and e.rate is None and e.volm is None:
             reset = i + 1 < len(events) and events[i + 1].rset
-            bi = _bi_for(e.slnc, reset, table)
+            bi = _bi_for(e.slnc, reset)
             if bi is not None:
                 out.append(("", bi.label))
                 i += 2 if reset else 1
@@ -202,32 +194,31 @@ def params_to_tobi(events: list[ParamEvent],
     return out
 
 
-def _bi_for(silence: int, reset: bool, table: MappingTable) -> BreakIndex | None:
-    for bi, (ms, rs) in table.bi_rows.items():
+def _bi_for(silence: int, reset: bool) -> BreakIndex | None:
+    for bi, (ms, rs) in BI_REALIZATION.items():
         if ms == silence and rs == reset:
             return bi
     if reset:
         # a lone silence that happens to precede an unrelated reset
-        for bi, (ms, rs) in table.bi_rows.items():
+        for bi, (ms, rs) in BI_REALIZATION.items():
             if ms == silence and not rs:
                 return bi
     return None
 
 
-def bi_to_params(bi: BreakIndex, table: MappingTable = DEFAULT_TABLE) -> list[ParamEvent]:
-    silence, reset = table.bi_rows[bi]
+def bi_to_params(bi: BreakIndex) -> list[ParamEvent]:
+    silence, reset = BI_REALIZATION[bi]
     out = [ev(slnc=silence)]
     if reset:
         out.append(RSET)
     return out
 
 
-def params_to_bi(events: list[ParamEvent],
-                 table: MappingTable = DEFAULT_TABLE) -> BreakIndex | None:
+def params_to_bi(events: list[ParamEvent]) -> BreakIndex | None:
     if not events or events[0].slnc is None:
         return None
     reset = len(events) > 1 and events[1].rset
-    return _bi_for(events[0].slnc, reset, table)
+    return _bi_for(events[0].slnc, reset)
 
 
 # Prosodic script --------------------------------------------------------------

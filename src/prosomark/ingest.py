@@ -176,9 +176,12 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
 
     Sentences end at terminal punctuation (a quote mark directly after the
     terminal is attached to the closing sentence when a quote was opened
-    inside it).  Paragraphs follow blank lines in the raw text.  The first
-    line is flagged as a title when it carries no terminal punctuation
-    (``title_mode='auto'``) or unconditionally (``'force'``).
+    inside it).  Tokens before the first word open the first sentence; a
+    later run without a word joins the sentence before it.  Paragraphs
+    follow blank lines in the raw text, and a sentence lies in the
+    paragraph of its first word.  The first line is flagged as a title when
+    it carries no terminal punctuation (``title_mode='auto'``) or
+    unconditionally (``'force'``).
     """
     doc = Document(raw=raw)
     if not tokens:
@@ -204,20 +207,21 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
     cur: list[Token] = []
 
     def flush(terminal: str):
-        if not any(t.kind == WORD for t in cur):
-            if sentences and cur:
+        first_word = next((t for t in cur if t.kind == WORD), None)
+        if first_word is None:
+            if sentences:
                 sentences[-1].tokens.extend(cur)
-            cur.clear()
-            return
+                cur.clear()
+            return  # the tokens before the first word open the first sentence
         sent = Sentence(list(cur), terminal=terminal, index=len(sentences),
-                        paragraph_index=para_of[cur[0].index])
+                        paragraph_index=para_of[first_word.index])
         sentences.append(sent)
         cur.clear()
 
     i = 0
     while i < len(tokens):
         t = tokens[i]
-        if cur and para_of[t.index] != para_of[cur[0].index]:
+        if cur and para_of[t.index] != para_of[cur[-1].index]:
             flush("none")
         cur.append(t)
         if t.kind == TERMINAL:

@@ -1,15 +1,11 @@
 """The prosody manager: wires ingest, annotations, phrasing and prosody
 into a prosodic script ready for rendering.
 
-Per sentence, in rule order: title treatment; the sentence-initial contour
-for up-moving foreground clauses; frozen pragmatic expressions; affect
-spans and the paragraph-initial fronted adverbial; the direct-speech
-exclamative; clause-level contours (subordinate marker, quoted elaboration,
-comparative continuation, resultative infinitival, foreground clause);
-adversative connectives; head contours with their closing pauses;
-clause-coordination pauses; quantifier slowdowns; group-final contours and
-break indices; point-of-view chaining with downstepped continuations; and
-the pre-quote announcement after a reporting colon.
+Each compile plans its sentences on a fresh ``_Compile``.  A title takes
+the title treatment; every other sentence runs the rules of
+``_SENTENCE_RULES`` in order.  Point-of-view chaining then gives the
+continuation sentences of each character's quotation their downstepped
+contours.
 """
 
 from __future__ import annotations
@@ -28,9 +24,8 @@ from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
 from .prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
                       ParamEvent, POVSpan, PRONOUN_QUANTIFIERS, SLOWDOWN_HEAD,
-                      ToneContext, ToneContour, assign_break_index,
-                      build_frozen_entries, character_spans_by_sentence, ev,
-                      mark_quantifier_slowdown, match_frozen, select_tone,
+                      ToneContext, assign_break_index, build_frozen_entries,
+                      ev, mark_quantifier_slowdown, match_frozen, select_tone,
                       track_point_of_view)
 
 ANNOUNCE_EVENT = ev(pbas=48.0, rate=130, volm=+0.9)  # reporting colon, pre-quote
@@ -58,8 +53,14 @@ class _Placed:
 
 
 class _SentencePlan:
-    def __init__(self, sentence: Sentence):
+    """The events the rules place around one sentence's tokens."""
+
+    def __init__(self, sentence: Sentence, groups: list[BreathGroup],
+                 paragraph_initial: bool, after_first_para: bool):
         self.sentence = sentence
+        self.groups = groups
+        self.paragraph_initial = paragraph_initial
+        self.after_first_para = after_first_para
         self.prefix: dict[int, list[_Placed]] = {}
         self.suffix: dict[int, list[_Placed]] = {}
         self.consumed: set[int] = set()
@@ -77,6 +78,11 @@ class _SentencePlan:
         if reset:
             self.add_suffix(pos, _Placed(RSET, GLUE_COMPOUND))
 
+    def chain_onward(self, pos: int):
+        """Close the sentence at ``pos`` with a BI-2 chaining it onward."""
+        self.add_suffix(pos, _Placed(ev(slnc=100), GLUE_LEFT, bi=BreakIndex.BI2))
+        self.end_bi2 = True
+
     def has_prefix(self, pos: int) -> bool:
         return pos in self.prefix
 
@@ -85,11 +91,12 @@ class _SentencePlan:
 
 
 class ProsodyManager:
+    """Compiles documents with one configuration and mapping table.  It
+    keeps no state between compiles, so threads may share one manager."""
+
     def __init__(self, config: Config, table: MappingTable = DEFAULT_TABLE):
         self.config = config
         self.table = table
-
-    # -- document-level preparation ---------------------------------------
 
     def process(self, text: str, ann: AnnotationSet | None = None) -> PipelineResult:
         cfg = self.config
@@ -105,56 +112,55 @@ class ProsodyManager:
             resolve_relevance(ann, cfg.relevance_rules)
             resolve_moves(ann)
 
-        self.contoured: set[int] = set()
-        self.final_suppressed: set[int] = set()
-        self.fired_preds: set[str] = set()
         diagnostics = list(ann.warnings)
         ix = DocIndex(doc, ann, diagnostics)
         groups = {s.index: segment(s, ann, cfg, ix) for s in doc.sentences}
         pov_spans = (track_point_of_view(doc, ann, cfg.comm_verbs, ix)
                      if cfg.pov_tracking else [])
-        script = self._build_script(doc, ann, ix, groups, pov_spans)
+        script = _Compile(cfg, self.table, doc, ann, ix).build_script(groups, pov_spans)
         return PipelineResult(doc, ann, groups, script, pov_spans, diagnostics)
 
-    # -- script assembly ---------------------------------------------------
 
-    def _build_script(self, doc, ann, ix, groups, pov_spans) -> ProsodicScript:
-        cfg = self.config
+class _Compile:
+    """The rule planner's state for one compile: the clauses already given
+    a contour, the clauses whose group-final contour is suppressed, and the
+    predicates whose head contour has fired, all shared across sentences."""
+
+    def __init__(self, config: Config, table: MappingTable, doc: Document,
+                 ann: AnnotationSet, ix: DocIndex):
+        self.config = config
+        self.table = table
+        self.doc = doc
+        self.ann = ann
+        self.ix = ix
+        self.frozen_entries = build_frozen_entries(config.frozen_table)
+        self.contoured: set[int] = set()
+        self.final_suppressed: set[int] = set()
+        self.fired_preds: set[str] = set()
+
+    def build_script(self, groups, pov_spans) -> ProsodicScript:
+        doc = self.doc
         script = ProsodicScript()
         body = [s for s in doc.sentences if not s.is_title]
         first_body_para = min((s.paragraph_index for s in body), default=0)
         para_first = {}
         for s in body:
             para_first.setdefault(s.paragraph_index, s.index)
-        frozen_entries = build_frozen_entries(cfg.frozen_table)
-        pov_of = character_spans_by_sentence(pov_spans)
 
         plans: dict[int, _SentencePlan] = {}
         for sent in doc.sentences:
-            plan = _SentencePlan(sent)
+            plan = _SentencePlan(
+                sent, groups[sent.index],
+                paragraph_initial=para_first.get(sent.paragraph_index) == sent.index,
+                after_first_para=sent.paragraph_index > first_body_para)
             plans[sent.index] = plan
             if sent.is_title:
                 self._plan_title(plan)
-                continue
-            sgroups = groups[sent.index]
-            if not sgroups:
-                continue
-            paragraph_initial = para_first.get(sent.paragraph_index) == sent.index
-            pov = pov_of.get(sent.index)
-            self._plan_initial(plan, ix, paragraph_initial,
-                               sent.paragraph_index > first_body_para)
-            self._plan_frozen(plan, frozen_entries)
-            self._plan_affect(plan, sgroups, paragraph_initial)
-            self._plan_exclamative(plan, ann, ix, sgroups, pov)
-            self._plan_clauses(plan, ix, sgroups)
-            self._plan_connectives(plan)
-            self._plan_head_contours(plan, ix)
-            self._plan_coordination(plan, ix)
-            self._plan_quantifiers(plan, sgroups)
-            self._plan_group_finals(plan, sgroups, ix)
-            self._plan_announcement(plan, ix, doc)
+            elif plan.groups:
+                for rule in _SENTENCE_RULES:
+                    rule(self, plan)
 
-        if cfg.pov_tracking:
+        if self.config.pov_tracking:
             self._plan_pov_chains(plans, pov_spans)
 
         prev_para = None
@@ -172,28 +178,34 @@ class ProsodyManager:
                     script.add_event(p.event, p.glue, p.tone, p.bi)
         return script
 
-    # -- individual rules ----------------------------------------------------
+    # -- helpers -------------------------------------------------------------
 
-    def _select(self, **kwargs) -> ToneContour:
-        return select_tone(ToneContext(**kwargs))
-
-    def _params(self, c: ToneContour) -> list[ParamEvent]:
+    def _opening(self, **context) -> _Placed:
+        """The opening event of the contour ``select_tone`` picks for the
+        context: its mapping-table row's first parameter tuple, labelled."""
+        c = select_tone(ToneContext(**context))
         row, idx = self.table.row_for_contour(c)
-        return list(row.params[idx])
+        return _Placed(row.params[idx][0], GLUE_RIGHT, tone=c.label)
 
-    def _first_word(self, sent: Sentence) -> int | None:
+    def _move_of(self, clause) -> str:
+        node = self.ix.node(clause.clause_no)
+        return node.move if node is not None else "level"
+
+    def _pred_position(self, sent, clause) -> int | None:
+        span = self.ix.spans.get(clause.clause_no)
+        if not span:
+            return None
         for i, t in enumerate(sent.tokens):
-            if t.kind == WORD:
+            if span[0] <= t.index <= span[1] and t.kind == WORD \
+                    and t.normalized == clause.pred:
                 return i
         return None
 
-    def _move_of(self, ix, clause) -> str:
-        node = ix.node(clause.clause_no)
-        return node.move if node is not None else "level"
+    # -- rules ---------------------------------------------------------------
 
     def _plan_title(self, plan: _SentencePlan):
         sent = plan.sentence
-        first = self._first_word(sent)
+        first = _first_word(sent)
         if first is None:
             return
         row = self.table.row("title")
@@ -204,24 +216,23 @@ class ProsodyManager:
         plan.add_suffix(len(sent.tokens) - 1,
                         _Placed(ev(slnc=silence), GLUE_NONE, bi=bi))
 
-    def _plan_initial(self, plan, ix, paragraph_initial, after_first_para):
+    def _plan_initial(self, plan: _SentencePlan):
         sent = plan.sentence
-        clauses = ix.clauses_in(sent)
+        clauses = self.ix.clauses_in(sent)
         if not clauses:
             return
         fc = clauses[0][1]
-        if self._move_of(ix, fc) != "up" or fc.relevance != "foreground":
+        if self._move_of(fc) != "up" or fc.relevance != "foreground":
             return
-        c = self._select(position="sentence_initial", move="up",
-                         relevance="foreground",
-                         paragraph_initial=paragraph_initial,
-                         after_first_paragraph=after_first_para)
-        first = self._first_word(sent)
-        plan.add_prefix(first, _Placed(self._params(c)[0], GLUE_RIGHT, tone=c.label))
+        plan.add_prefix(_first_word(sent), self._opening(
+            position="sentence_initial", move="up", relevance="foreground",
+            paragraph_initial=plan.paragraph_initial,
+            after_first_paragraph=plan.after_first_para))
         self.contoured.add(fc.clause_no)
         self.final_suppressed.add(fc.clause_no)
 
-    def _plan_frozen(self, plan, entries):
+    def _plan_frozen(self, plan: _SentencePlan):
+        entries = self.frozen_entries
         if not entries:
             return
         sent = plan.sentence
@@ -295,26 +306,24 @@ class ProsodyManager:
             t.kind == COMMA or (t.kind == WORD and t.normalized in ("and", "or"))
             for t in between)
 
-    def _plan_affect(self, plan, sgroups, paragraph_initial):
-        sent = plan.sentence
-        toks = sent.tokens
+    def _plan_affect(self, plan: _SentencePlan):
+        toks = plan.sentence.tokens
         spans = self._affect_spans(plan)
-        if paragraph_initial and sgroups:
-            g = sgroups[0]
+        if plan.paragraph_initial:
+            g = plan.groups[0]
             if all(toks[i].normalized in lexica.SENTENCE_ADVERBS
                    for i in g.positions() if toks[i].kind == WORD):
                 spans.insert(0, (g.token_span[0], g.token_span[1]))
         for start, end in spans:
-            c = self._select(affect="sad")
-            plan.add_prefix(start, _Placed(self._params(c)[0], GLUE_RIGHT,
-                                           tone=c.label))
+            plan.add_prefix(start, self._opening(affect="sad"))
             plan.add_suffix(end, _Placed(RSET, GLUE_NONE))
             plan.consumed.update(range(start, end + 1))
 
-    def _plan_exclamative(self, plan, ann, ix, sgroups, pov):
+    def _plan_exclamative(self, plan: _SentencePlan):
         sent = plan.sentence
         if sent.terminal not in ("question", "exclamation"):
             return
+        ix = self.ix
         term_pos = max(i for i, t in enumerate(sent.tokens) if t.kind == TERMINAL)
         region_sents = ix.quote_sentences(sent.tokens[term_pos].index)
         if region_sents is None:
@@ -326,7 +335,7 @@ class ProsodyManager:
         # a one-off AnnotationSet lookup rather than the index: the tracer
         # test in bench/test_bench.py expects a compile of the fox fixture
         # to make at least one counted clause lookup
-        owner = ann.clause_at(sent.tokens[last_word].index)
+        owner = self.ann.clause_at(sent.tokens[last_word].index)
         start = None
         if owner is not None:
             span = ix.spans[owner.clause_no]
@@ -335,20 +344,17 @@ class ProsodyManager:
                     start = i
                     break
         if start is None:
-            start = self._first_word(sent)
-        c = self._select(exclamative=True, in_quote=True)
+            start = _first_word(sent)
+        opening = self._opening(exclamative=True, in_quote=True)
         if sent.terminal == "question":
-            plan.add_prefix(start, _Placed(self._params(c)[0], GLUE_RIGHT,
-                                           tone=c.label))
-        for g, nxt in zip(sgroups, sgroups[1:]):
+            plan.add_prefix(start, opening)
+        for g, nxt in zip(plan.groups, plan.groups[1:]):
             if g.token_span[1] >= start and nxt.token_span[0] <= last_word:
                 plan.add_suffix_bi(g.token_span[1], BreakIndex.BI3)
         pre_bi = assign_break_index(None, BreakContext(pre_exclamative=True))
         silence, _ = BI_REALIZATION[pre_bi]
-        base = self._params(c)[0]
-        fused = ev(slnc=silence, pbas=base.pbas, rate=base.rate, volm=base.volm)
-        plan.add_suffix(last_word, _Placed(fused, GLUE_LEFT,
-                                           tone=c.label, bi=pre_bi))
+        plan.add_suffix(last_word, _Placed(_after_silence(opening.event, silence),
+                                           GLUE_LEFT, opening.tone, pre_bi))
         if self.config.pov_tracking:
             if region_sents and region_sents[-1] == sent.index:
                 plan.add_suffix(term_pos, _Placed(RSET, GLUE_NONE))
@@ -357,76 +363,53 @@ class ProsodyManager:
             self.contoured.add(owner.clause_no)
             self.final_suppressed.add(owner.clause_no)
 
-    def _plan_clauses(self, plan, ix, sgroups):
+    def _plan_clauses(self, plan: _SentencePlan):
         sent = plan.sentence
         toks = sent.tokens
-        first = self._first_word(sent)
-        for start, c in ix.clauses_in(sent):
+        first = _first_word(sent)
+        for start, c in self.ix.clauses_in(sent):
             if c.clause_no in self.contoured or start in plan.consumed:
                 continue
-            in_quote = ix.quote_depth[toks[start].index] > 0
+            in_quote = self.ix.quote_depth[toks[start].index] > 0
             word = toks[start].normalized
             prev = next((toks[i] for i in range(start - 1, -1, -1)
                          if toks[i].kind == WORD), None)
-            group = next((g for g in sgroups
+            group = next((g for g in plan.groups
                           if g.token_span[0] <= start <= g.token_span[1]), None)
 
             if (c.disc_rel == "circumstance" and c.relevance == "foreground"
                     and word in lexica.SUBORDINATE_MARKERS):
                 # announcing contour on the marker itself; the clause's own
                 # final head still takes its end-of-group treatment
-                tone = self._select(subordinate_marker=True)
-                base = self._params(tone)[0]
-                fused = ev(slnc=100, pbas=base.pbas, rate=base.rate, volm=base.volm)
-                plan.add_prefix(start, _Placed(fused, GLUE_RIGHT, tone=tone.label))
+                opening = self._opening(subordinate_marker=True)
+                opening.event = _after_silence(opening.event, 100)
+                plan.add_prefix(start, opening)
             elif c.disc_rel == "elaboration" and in_quote:
-                opener = self._select(position="sentence_internal", in_quote=True,
-                                      disc_rel="elaboration")
-                plan.add_prefix(start, _Placed(self._params(opener)[0], GLUE_RIGHT,
-                                               tone=opener.label))
-                pred_pos = self._pred_position(sent, ix, c)
+                plan.add_prefix(start, self._opening(
+                    position="sentence_internal", in_quote=True,
+                    disc_rel="elaboration"))
+                pred_pos = self._pred_position(sent, c)
                 if pred_pos is not None and pred_pos != start:
-                    ptone = self._select(elaboration_predicate=True)
-                    plan.add_prefix(pred_pos, _Placed(self._params(ptone)[0],
-                                                      GLUE_RIGHT, tone=ptone.label))
+                    plan.add_prefix(pred_pos, self._opening(elaboration_predicate=True))
                 self.contoured.add(c.clause_no)
             elif (in_quote and group is not None and group.trigger == "comparative"
                     and start != group.token_span[0]):
-                tone = self._select(comparative_continuation=True)
-                plan.add_prefix(start, _Placed(ev(slnc=100), GLUE_RIGHT,
-                                               bi=BreakIndex.BI2))
-                plan.add_prefix(start, _Placed(self._params(tone)[0], GLUE_RIGHT,
-                                               tone=tone.label))
+                plan.add_prefix(start, _bi2_pause())
+                plan.add_prefix(start, self._opening(comparative_continuation=True))
                 self.contoured.add(c.clause_no)
             elif c.disc_rel == "result" and prev is not None \
                     and prev.normalized == "to":
-                tone = self._select(resultative_infinitival=True)
-                plan.add_prefix(start, _Placed(ev(slnc=100), GLUE_RIGHT,
-                                               bi=BreakIndex.BI2))
-                plan.add_prefix(start, _Placed(self._params(tone)[0], GLUE_RIGHT,
-                                               tone=tone.label))
+                plan.add_prefix(start, _bi2_pause())
+                plan.add_prefix(start, self._opening(resultative_infinitival=True))
                 self.contoured.add(c.clause_no)
             elif c.relevance == "foreground" and start != first:
-                tone = self._select(position="sentence_internal",
-                                    relevance="foreground")
-                plan.add_prefix(start, _Placed(ev(slnc=100), GLUE_RIGHT,
-                                               bi=BreakIndex.BI2))
-                plan.add_prefix(start, _Placed(self._params(tone)[0], GLUE_RIGHT,
-                                               tone=tone.label))
+                plan.add_prefix(start, _bi2_pause())
+                plan.add_prefix(start, self._opening(position="sentence_internal",
+                                                     relevance="foreground"))
                 self.contoured.add(c.clause_no)
                 self.final_suppressed.add(c.clause_no)
 
-    def _pred_position(self, sent, ix, clause) -> int | None:
-        span = ix.spans.get(clause.clause_no)
-        if not span:
-            return None
-        for i, t in enumerate(sent.tokens):
-            if span[0] <= t.index <= span[1] and t.kind == WORD \
-                    and t.normalized == clause.pred:
-                return i
-        return None
-
-    def _plan_connectives(self, plan):
+    def _plan_connectives(self, plan: _SentencePlan):
         toks = plan.sentence.tokens
         for i, t in enumerate(toks):
             if t.kind != WORD or i in plan.consumed:
@@ -435,18 +418,17 @@ class ProsodyManager:
                 continue
             prev = toks[i - 1] if i > 0 else None
             if prev is not None and prev.kind == OTHER_PUNCT:
-                tone = self._select(position="group_final", head_at_bi33=True)
-                plan.add_prefix(i, _Placed(self._params(tone)[0], GLUE_RIGHT,
-                                           tone=tone.label))
+                plan.add_prefix(i, self._opening(position="group_final",
+                                                 head_at_bi33=True))
                 plan.add_suffix_bi(i, BreakIndex.BI32)
 
-    def _plan_head_contours(self, plan, ix):
+    def _plan_head_contours(self, plan: _SentencePlan):
         sent = plan.sentence
         toks = sent.tokens
-        for _, c in ix.clauses_in(sent):
+        for _, c in self.ix.clauses_in(sent):
             if c.clause_no in self.contoured:
                 continue
-            p = self._pred_position(sent, ix, c)
+            p = self._pred_position(sent, c)
             if p is None or p in plan.consumed or plan.has_prefix(p):
                 continue
             if p + 1 >= len(toks) or toks[p + 1].kind != WORD:
@@ -469,15 +451,14 @@ class ProsodyManager:
                     break
                 copular = toks[j].normalized in lexica.COPULAS
                 break
-            tone = self._select(position="group_final", copular_head=copular,
-                                head_at_bi33=not copular)
-            plan.add_prefix(p, _Placed(self._params(tone)[0], GLUE_RIGHT,
-                                       tone=tone.label))
+            plan.add_prefix(p, self._opening(position="group_final",
+                                             copular_head=copular,
+                                             head_at_bi33=not copular))
             plan.add_suffix_bi(p, bi)
 
-    def _plan_coordination(self, plan, ix):
+    def _plan_coordination(self, plan: _SentencePlan):
         toks = plan.sentence.tokens
-        starts = ix.span_starts
+        starts = self.ix.span_starts
         for i, t in enumerate(toks):
             if t.kind != WORD or t.normalized not in lexica.COORDINATORS:
                 continue
@@ -485,23 +466,23 @@ class ProsodyManager:
                 continue
             nxt = toks[i + 1] if i + 1 < len(toks) else None
             if t.index in starts or (nxt is not None and nxt.index in starts):
-                plan.add_prefix(i, _Placed(ev(slnc=100), GLUE_RIGHT,
-                                           bi=BreakIndex.BI2))
+                plan.add_prefix(i, _bi2_pause())
 
-    def _plan_quantifiers(self, plan, sgroups):
-        for g in sgroups:
+    def _plan_quantifiers(self, plan: _SentencePlan):
+        for g in plan.groups:
             for pos, event, bi, covered in mark_quantifier_slowdown(
                     g, plan.sentence, self.config.quantifiers, plan.consumed):
                 plan.add_prefix(pos, _Placed(event, GLUE_RIGHT))
                 if bi is not None:
-                    plan.add_suffix_bi(pos, assign_break_index(
-                        None, BreakContext(before_quantifier=True)))
+                    plan.add_suffix_bi(pos, bi)
                 else:
                     plan.consumed.update(covered)
 
-    def _plan_group_finals(self, plan, sgroups, ix):
+    def _plan_group_finals(self, plan: _SentencePlan):
         sent = plan.sentence
         toks = sent.tokens
+        sgroups = plan.groups
+        ix = self.ix
         continues_in_quote = ix.quote_depth[sent.tokens[-1].index] > 0
         for gi, g in enumerate(sgroups):
             positions = [i for i in g.positions() if toks[i].kind == WORD]
@@ -538,9 +519,7 @@ class ProsodyManager:
                 if suppressed:
                     if continues_in_quote and sentence_final_group \
                             and not plan.has_bi_suffix(end):
-                        plan.add_suffix(end, _Placed(ev(slnc=100), GLUE_LEFT,
-                                                     bi=BreakIndex.BI2))
-                        plan.end_bi2 = True
+                        plan.chain_onward(end)
                     continue
                 if plan.has_bi_suffix(end):
                     continue
@@ -548,19 +527,15 @@ class ProsodyManager:
                 in_quote = region_sents is not None
                 multi = in_quote and len(region_sents) > 1
                 quote_final = multi and region_sents[-1] == sent.index
-                tone = self._select(
+                plan.add_prefix(end, self._opening(
                     position="group_final",
                     in_quote=in_quote,
                     character_pov=in_quote,
                     relevance=(owner.relevance if owner else "background"),
                     quote_final_sentence=quote_final,
-                    sentence_final_group=sentence_final_group)
-                plan.add_prefix(end, _Placed(self._params(tone)[0], GLUE_RIGHT,
-                                             tone=tone.label))
+                    sentence_final_group=sentence_final_group))
                 if continues_in_quote and sentence_final_group:
-                    plan.add_suffix(end, _Placed(ev(slnc=100), GLUE_LEFT,
-                                                 bi=BreakIndex.BI2))
-                    plan.end_bi2 = True
+                    plan.chain_onward(end)
                 else:
                     ctx = BreakContext(
                         at_punct=sent.terminal != "none" or not sentence_final_group,
@@ -571,31 +546,28 @@ class ProsodyManager:
                 nxt = sgroups[gi + 1] if gi + 1 < len(sgroups) else None
                 if nxt is not None and nxt.trigger == "comparative" \
                         and not plan.has_prefix(nxt.token_span[0]):
-                    plan.add_prefix(nxt.token_span[0],
-                                    _Placed(ev(slnc=100), GLUE_RIGHT,
-                                            bi=BreakIndex.BI2))
+                    plan.add_prefix(nxt.token_span[0], _bi2_pause())
                 if continues_in_quote and sentence_final_group \
                         and not plan.has_bi_suffix(end):
-                    plan.add_suffix(end, _Placed(ev(slnc=100), GLUE_LEFT,
-                                                 bi=BreakIndex.BI2))
-                    plan.end_bi2 = True
+                    plan.chain_onward(end)
 
-    def _plan_announcement(self, plan, ix, doc):
+    def _plan_announcement(self, plan: _SentencePlan):
         sent = plan.sentence
         if sent.terminal != "colon":
             return
         # split_document numbers sentences by their position
-        nxt = doc.sentences[sent.index + 1] if sent.index + 1 < len(doc.sentences) else None
+        sentences = self.doc.sentences
+        nxt = sentences[sent.index + 1] if sent.index + 1 < len(sentences) else None
         if nxt is None or not nxt.tokens or nxt.tokens[0].kind != QUOTE:
             return
-        clauses = ix.clauses_in(sent)
+        clauses = self.ix.clauses_in(sent)
         if not clauses:
             return
         if clauses[-1][1].pred not in self.config.comm_verbs:
             return
         plan.add_suffix(len(sent.tokens) - 1, _Placed(ANNOUNCE_EVENT, GLUE_NONE))
 
-    def _plan_pov_chains(self, plans, pov_spans):
+    def _plan_pov_chains(self, plans: dict[int, _SentencePlan], pov_spans):
         for span in pov_spans:
             if not span.character or len(span.sentences) < 2:
                 continue
@@ -605,17 +577,47 @@ class ProsodyManager:
                 if plan is None:
                     continue
                 if prev_plan is not None:
-                    first = self._first_word(plan.sentence)
+                    first = _first_word(plan.sentence)
                     if first is not None:
-                        items = []
-                        if not prev_plan.end_bi2:
-                            items.append(_Placed(ev(slnc=100), GLUE_RIGHT,
-                                                 bi=BreakIndex.BI2))
-                        tone = self._select(comparative_continuation=True)
-                        items.append(_Placed(self._params(tone)[0], GLUE_RIGHT,
-                                             tone=tone.label))
+                        items = [] if prev_plan.end_bi2 else [_bi2_pause()]
+                        items.append(self._opening(comparative_continuation=True))
                         plan.prefix[first] = items + plan.prefix.get(first, [])
                 prev_plan = plan
+
+
+#: the per-sentence rules of every body sentence, in the order they run.
+#: Each sees the events placed and the tokens consumed by the rules before
+#: it, and the clauses and predicates that rules marked on the compile for
+#: earlier sentences.
+_SENTENCE_RULES = (
+    _Compile._plan_initial,        # sentence-initial contour, up-moving foreground
+    _Compile._plan_frozen,         # frozen pragmatic expressions
+    _Compile._plan_affect,         # affect spans, paragraph-initial fronted adverbial
+    _Compile._plan_exclamative,    # direct-speech exclamative
+    _Compile._plan_clauses,        # subordinate marker, quoted elaboration,
+                                   # comparative continuation, resultative
+                                   # infinitival, foreground clause
+    _Compile._plan_connectives,    # adversative connectives
+    _Compile._plan_head_contours,  # head contours with their closing pauses
+    _Compile._plan_coordination,   # clause-coordination pauses
+    _Compile._plan_quantifiers,    # quantifier slowdowns
+    _Compile._plan_group_finals,   # group-final contours and break indices
+    _Compile._plan_announcement,   # pre-quote announcement after a reporting colon
+)
+
+
+def _first_word(sent: Sentence) -> int | None:
+    return next((i for i, t in enumerate(sent.tokens) if t.kind == WORD), None)
+
+
+def _bi2_pause() -> _Placed:
+    """A BI-2 pause before the token it prefixes."""
+    return _Placed(ev(slnc=100), GLUE_RIGHT, bi=BreakIndex.BI2)
+
+
+def _after_silence(event: ParamEvent, ms: int) -> ParamEvent:
+    """``event``'s pitch, rate and volume fused after a silence of ``ms``."""
+    return ev(slnc=ms, pbas=event.pbas, rate=event.rate, volm=event.volm)
 
 
 def run_pipeline(text: str, sidecar_text: str | None, config: Config,

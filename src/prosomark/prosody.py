@@ -81,103 +81,28 @@ def ev(pbas=None, rate=None, volm=None, slnc=None) -> ParamEvent:
     return ParamEvent(pbas=pbas, rate=rate, volm=volm, slnc=slnc)
 
 
-class Nucleus(enum.Enum):
-    HSTAR = "H*"
-    LSTAR = "L*"
-    HSTAR_L = "H*+L"     # bitonal
-    BANGL_HSTAR = "!L+H*"  # upstepped-from-low bitonal
-    NONE = ""
-
-
-class Phrase(enum.Enum):
-    H = "H"
-    L = "L"
-    BANG_H = "!H"
-    BANG_L = "!L"
-    NONE = ""
-
-
-class Boundary(enum.Enum):
-    HPCT = "H%"
-    LPCT = "L%"
-    PCT = "%"
-    NONE = ""
+#: the contour shapes of the tone inventory; each may carry one of the
+#: opaque intensity variants ``-1`` to ``-4``
+_CONTOUR_SHAPES = frozenset({
+    "H*-L", "H*-H", "H*-L%", "H*-H%", "L-L%", "L*-L%", "H-H*", "H-!H*",
+    "H-!L*", "H*+L%", "H*+L-", "!L+H*%",
+})
 
 
 @dataclass(frozen=True)
 class ToneContour:
-    nucleus: Nucleus = Nucleus.NONE
-    phrase: Phrase = Phrase.NONE
-    boundary: Boundary = Boundary.NONE
-    downstepped: bool = False
-    variant: int | None = None
-    phrase_first: bool = False
+    """A pitch label of the inventory, with the mapping-table row that
+    selected it (None: the first row carrying the label)."""
+    label: str
     row_id: str | None = None
-
-    @property
-    def label(self) -> str:
-        # bitonal nucleus + phrase tone prints as e.g. H*+L- (trailing dash)
-        if (self.nucleus is Nucleus.HSTAR_L and self.phrase is Phrase.L
-                and self.boundary is Boundary.NONE):
-            label = "H*+L-"
-            if self.variant is not None:
-                label += f"-{self.variant}"
-            return label
-        nuc = self.nucleus.value
-        if self.downstepped and nuc and not nuc.startswith("!"):
-            nuc = "!" + nuc
-        parts = []
-        if self.phrase_first:
-            if self.phrase is not Phrase.NONE:
-                parts.append(self.phrase.value)
-            if nuc:
-                parts.append(nuc)
-        else:
-            if nuc:
-                parts.append(nuc)
-            if self.phrase is not Phrase.NONE:
-                parts.append(self.phrase.value)
-        label = "-".join(parts)
-        if self.boundary is not Boundary.NONE:
-            if self.boundary is Boundary.PCT:
-                label += "%"
-            else:
-                label = "-".join([label, self.boundary.value]) if label else self.boundary.value
-        if self.variant is not None:
-            label += f"-{self.variant}"
-        return label
-
-    def same_shape(self, other: "ToneContour") -> bool:
-        return self.label == other.label
 
 
 def contour(label: str, row_id: str | None = None) -> ToneContour:
-    """Build a ToneContour from its printed label."""
-    base = label
-    variant = None
-    for v in (1, 2, 3, 4):
-        if base.endswith(f"-{v}"):
-            variant = v
-            base = base[:-2]
-            break
-    table = {
-        "H*-L": (Nucleus.HSTAR, Phrase.L, Boundary.NONE, False, False),
-        "H*-H": (Nucleus.HSTAR, Phrase.H, Boundary.NONE, False, False),
-        "H*-L%": (Nucleus.HSTAR, Phrase.NONE, Boundary.LPCT, False, False),
-        "H*-H%": (Nucleus.HSTAR, Phrase.NONE, Boundary.HPCT, False, False),
-        "L-L%": (Nucleus.NONE, Phrase.L, Boundary.LPCT, False, True),
-        "L*-L%": (Nucleus.LSTAR, Phrase.NONE, Boundary.LPCT, False, False),
-        "H-H*": (Nucleus.HSTAR, Phrase.H, Boundary.NONE, False, True),
-        "H-!H*": (Nucleus.HSTAR, Phrase.H, Boundary.NONE, True, True),
-        "H-!L*": (Nucleus.LSTAR, Phrase.H, Boundary.NONE, True, True),
-        "H*+L%": (Nucleus.HSTAR_L, Phrase.NONE, Boundary.PCT, False, False),
-        "H*+L-": (Nucleus.HSTAR_L, Phrase.L, Boundary.NONE, False, False),
-        "!L+H*%": (Nucleus.BANGL_HSTAR, Phrase.NONE, Boundary.PCT, False, False),
-    }
-    if base not in table:
+    """The ToneContour printed as ``label``; unknown labels raise ValueError."""
+    shape = label[:-2] if label[-2:] in ("-1", "-2", "-3", "-4") else label
+    if shape not in _CONTOUR_SHAPES:
         raise ValueError(f"unknown contour label {label!r}")
-    nuc, phr, bnd, down, pfirst = table[base]
-    return ToneContour(nuc, phr, bnd, down, variant, pfirst, row_id)
+    return ToneContour(label, row_id)
 
 
 # Point of view ---------------------------------------------------------------
@@ -207,9 +132,9 @@ def track_point_of_view(doc: Document, ann, comm_verbs: set[str],
 
     The spans are the quotation regions of ``index``, the compile's
     ``DocIndex`` (without it one is built), which also reports stray marks.
-    The point of view persists across sentences until the closing quote;
-    unattributed quotes open an anonymous character span, and a quotation
-    left open is force-closed at its opener's paragraph end.
+    The point of view persists across sentences until the closing quote
+    (a quotation left open ends at its opener's paragraph end);
+    unattributed quotes open an anonymous character span.
     """
     ix = index if index is not None else DocIndex(doc, ann)
     tokens = doc.tokens()
@@ -238,15 +163,9 @@ def track_point_of_view(doc: Document, ann, comm_verbs: set[str],
                 return f"character:{t.normalized}"
         return "character:anon"
 
-    spans: list[POVSpan] = []
-    for start, end, sentences in zip(ix.region_starts, ix.region_ends,
-                                     ix.region_sentences):
-        if start == ix.unclosed:
-            para = ix.sentence_of[start].paragraph_index
-            end = ix.paragraph_last[para].tokens[-1].index
-            sentences = ix.sentences_between(start, end)
-        spans.append(POVSpan(attribution(start - first), start, end, sentences))
-    return spans
+    return [POVSpan(attribution(start - first), start, end, sentences)
+            for start, end, sentences in zip(ix.region_starts, ix.region_ends,
+                                             ix.region_sentences)]
 
 
 def character_spans_by_sentence(spans: list[POVSpan]) -> dict[int, POVSpan]:

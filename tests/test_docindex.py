@@ -75,8 +75,12 @@ def _ref_quotes(doc):
                              f"in sentence {sent_of.get(t.index, '?')})")
         depths[t.index] = depth
     if open_at is not None:
+        # a quotation left open closes at its opener's paragraph end
         diags.append("quotation left open at document end")
-        regions.append((open_at, tokens[-1].index))
+        para_of = {t.index: s.paragraph_index for s in doc.sentences for t in s.tokens}
+        end = max(t.index for t in tokens if para_of[t.index] == para_of[open_at])
+        regions.append((open_at, end))
+        depths.update((t.index, 0) for t in tokens if t.index > end)
 
     def region_sentences(region):
         return sorted({sent_of[i] for i in range(region[0], region[1] + 1) if i in sent_of})

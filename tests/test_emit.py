@@ -29,10 +29,8 @@ def test_sad_row():
 
 
 def test_unmapped_contour_raises():
-    weird = contour("H*-L")
-    object.__setattr__(weird, "variant", 4)
     with pytest.raises(MappingError):
-        tone_to_params(weird)
+        tone_to_params(contour("H*-L-4"))
 
 
 # params_to_tobi ---------------------------------------------------------------

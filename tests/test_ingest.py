@@ -2,8 +2,10 @@
 
 import random
 
+from prosomark.emit import render_markup
 from prosomark.ingest import (PhonLexicon, classify_comma, phon_exception,
                               reconstruct, split_document, tokenize)
+from prosomark.pipeline import run_pipeline
 from conftest import load
 
 
@@ -77,6 +79,18 @@ def test_paragraph_count_matches_blank_line_blocks(config):
     doc = split_document(tokenize(text, config.multiwords), text, "off")
     assert doc.paragraph_count == expected == 2
     assert [s.paragraph_index for s in doc.sentences] == [0, 0, 1]
+
+
+def test_tokens_before_the_first_word_open_the_first_sentence(config):
+    text = '" . Hello there.'
+    res = run_pipeline(text, None, config)
+    assert render_markup(res.doc, res.script).startswith('" . ')
+    assert reconstruct(res.doc.tokens()) == text
+    # the sentence lies in its first word's paragraph
+    text = ". \n\nHello there."
+    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    assert [(s.paragraph_index, len(s.tokens)) for s in doc.sentences] == [(1, 4)]
+    assert reconstruct(doc.tokens()) == text
 
 
 def test_title_force_and_off(config):

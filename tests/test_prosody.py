@@ -1,13 +1,18 @@
 """Break indices, tone selection, point of view, frozen matches."""
 
 import itertools
+import random
+import re
+import sys
+import threading
 
 import pytest
 
 from prosomark.annotations import shallow_analyze
-from prosomark.emit import DEFAULT_TABLE
+from prosomark.emit import DEFAULT_TABLE, render_markup, render_tobi
 from prosomark.ingest import split_document, tokenize
 from prosomark.pipeline import ProsodyManager, run_pipeline
+from conftest import load
 from prosomark.prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
                                FrozenEntry, ToneContext, ToneContour,
                                assign_break_index, build_frozen_entries,
@@ -145,6 +150,54 @@ def test_force_closed_pov_covers_every_sentence(config):
         elif it.kind == "event" and it.tone_label and current not in opening:
             opening[current] = it.tone_label
     assert [opening[i] for i in (1, 2, 3)] == ["H-!H*-1"] * 3
+
+
+def test_unclosed_quote_ends_at_its_paragraph(config):
+    # the second paragraph renders as if no quotation came before it
+    tail = "\n\nThe cat sat. It fell."
+    quoted = run_pipeline('He said "hi. She ran.' + tail, None, config)
+    plain = run_pipeline("He said hi. She ran." + tail, None, config)
+    lines = render_tobi(quoted.doc, quoted.script).splitlines()
+    assert lines[-2:] == render_tobi(plain.doc, plain.script).splitlines()[-2:]
+    assert lines[-2:] == ["The cat sat . H*-H", "It fell ."]
+    assert [s.sentences for s in quoted.pov_spans] == [[0, 1]]
+
+
+def test_threads_can_share_one_manager(config):
+    # four different documents of about 4k tokens: the fixtures' sentences
+    # shuffled and regrouped into paragraphs of four
+    sentences = re.split(r"(?<=[.!?])\s+", load("belling_cat.txt").split("\n\n", 1)[1]
+                         + " " + load("fox_crow.txt"))
+    texts = []
+    for k in range(4):
+        rng = random.Random(k)
+        picked = [rng.choice(sentences) for _ in range(160)]
+        texts.append("\n\n".join(" ".join(picked[i:i + 4]) for i in range(0, 160, 4)))
+    solo = [ProsodyManager(config).process(t) for t in texts]
+    manager = ProsodyManager(config)
+    shared = [None] * len(texts)
+    start = threading.Barrier(len(texts))
+
+    def compile_one(k):
+        start.wait(timeout=60)
+        shared[k] = manager.process(texts[k])
+
+    threads = [threading.Thread(target=compile_one, args=(k,))
+               for k in range(len(texts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for one, other in zip(solo, shared):
+        assert render_markup(one.doc, one.script) == render_markup(other.doc, other.script)
+        assert render_tobi(one.doc, one.script) == render_tobi(other.doc, other.script)
+    assert set(vars(manager)) == {"config", "table"}
 
 
 def test_fable_has_no_downstep(fable_result):
