@@ -9,6 +9,7 @@ compare it against a golden file.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -43,6 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="output file (default: stdout)")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so every call may share one
+    return build_parser()
 
 
 def golden_check(produced: str, golden: str) -> str:
@@ -89,9 +96,8 @@ def _write_output(text: str, out_path: str | None):
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code or 0
         return EXIT_OK if code == 0 else EXIT_USAGE
@@ -108,7 +114,7 @@ def run(argv: list[str]) -> int:
 
     try:
         cfg.load_lexica()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"prosomark: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

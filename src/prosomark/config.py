@@ -43,16 +43,23 @@ class Config:
             raise ValueError("min_len must not exceed max_len")
 
     def load_lexica(self) -> "Config":
-        for path in (self.multiword_path, self.phonetic_path, self.frozen_path,
-                     self.affect_path, self.quantifier_path, self.comm_verb_path):
+        """Fill the lexicon fields from their files.  A missing file raises
+        ``FileNotFoundError`` before any is loaded; one that is not UTF-8
+        raises ``ValueError`` naming it."""
+        loads = ((self.multiword_path, "multiwords", lexica.load_multiwords),
+                 (self.phonetic_path, "phon_lexicon", lexica.load_phon_lexicon),
+                 (self.frozen_path, "frozen_table", lexica.load_frozen_table),
+                 (self.affect_path, "affect_words", lexica.load_tagged_words),
+                 (self.quantifier_path, "quantifiers", lexica.load_word_set),
+                 (self.comm_verb_path, "comm_verbs", lexica.load_word_set))
+        for path, _, _ in loads:
             if not Path(path).exists():
                 raise FileNotFoundError(f"lexicon file not found: {path}")
-        self.multiwords = lexica.load_multiwords(self.multiword_path)
-        self.phon_lexicon = lexica.load_phon_lexicon(self.phonetic_path)
-        self.frozen_table = lexica.load_frozen_table(self.frozen_path)
-        self.affect_words = lexica.load_tagged_words(self.affect_path)
-        self.quantifiers = lexica.load_word_set(self.quantifier_path)
-        self.comm_verbs = lexica.load_word_set(self.comm_verb_path)
+        for path, name, load in loads:
+            try:
+                setattr(self, name, load(path))
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"cannot read lexicon {path}: {exc}") from exc
         return self
 
 

@@ -69,14 +69,22 @@ class DocIndex:
 
         A quote mark opens a quotation when it hugs the following word
         (no whitespace between them); nesting deeper than one is not
-        attempted.  Stray marks draw a diagnostic and do not toggle; a
-        quotation still open at the document end closes at its opener's
-        paragraph end.
+        attempted.  Stray marks draw a diagnostic and do not toggle.  A
+        quotation still open when an opening mark starts a later paragraph
+        (a quotation over several paragraphs, each reopened with a mark)
+        or at the document end closes at its opener's paragraph end.
         """
+        sentence_of = self.sentence_of
         open_at: int | None = None
         for i, t in enumerate(tokens):
             if t.kind == QUOTE:
-                if open_at is None and quote_is_opener(tokens, i):
+                opener = quote_is_opener(tokens, i)
+                if open_at is not None and opener and \
+                        sentence_of[tokens[i - 1].index].paragraph_index \
+                        != sentence_of[t.index].paragraph_index:
+                    self._close_at_paragraph_end(open_at, t.index)
+                    open_at = None
+                if open_at is None and opener:
                     open_at = t.index
                 elif open_at is not None:
                     self._add_region(open_at, t.index)
@@ -84,16 +92,21 @@ class DocIndex:
                 elif diagnostics is not None:
                     diagnostics.append(
                         f"unbalanced quotation mark ignored ({t.surface!r} "
-                        f"in sentence {self.sentence_of[t.index].index})")
+                        f"in sentence {sentence_of[t.index].index})")
             if open_at is not None:
                 self.quote_depth[t.index] = 1
         if open_at is not None:
             if diagnostics is not None:
                 diagnostics.append("quotation left open at document end")
-            para = self.sentence_of[open_at].paragraph_index
-            end = self.paragraph_last[para].tokens[-1].index
-            self.quote_depth[end + 1:] = bytes(len(self.quote_depth) - end - 1)
-            self._add_region(open_at, end)
+            self._close_at_paragraph_end(open_at, len(self.quote_depth))
+
+    def _close_at_paragraph_end(self, start: int, stop: int):
+        """End the quotation opened at ``start`` at its paragraph's last
+        token; the tokens after it, up to ``stop``, are unquoted."""
+        para = self.sentence_of[start].paragraph_index
+        end = self.paragraph_last[para].tokens[-1].index
+        self.quote_depth[end + 1:stop] = bytes(stop - end - 1)
+        self._add_region(start, end)
 
     def _add_region(self, start: int, end: int):
         self.region_starts.append(start)

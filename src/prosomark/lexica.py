@@ -13,7 +13,9 @@ fixtures can be edited by hand.  Formats:
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
+import os
 from pathlib import Path
 
 from .ingest import PhonLexicon
@@ -21,16 +23,40 @@ from .ingest import PhonLexicon
 DATA_PACKAGE = "prosomark.data"
 
 
+@functools.cache
+def _data_dir() -> Path:
+    return Path(str(importlib.resources.files(DATA_PACKAGE)))
+
+
 def data_path(name: str) -> Path:
-    return Path(str(importlib.resources.files(DATA_PACKAGE) / name))
+    return _data_dir() / name
 
 
-def _lines(path: str | Path) -> list[str]:
-    out = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+#: path -> ((st_mtime_ns, st_size), content lines) of the last read
+_LINES: dict[str, tuple[tuple[int, int], tuple[str, ...]]] = {}
+
+
+def _lines(path: str | Path) -> tuple[str, ...]:
+    """The non-comment lines of a lexicon file.
+
+    A file is read again only when its mtime or size has changed since the
+    last read of the same path (the rule Python uses for ``.pyc`` files);
+    one entry is kept per path.  The lines are a tuple, so no caller can
+    change what the next one gets.
+    """
+    key = os.fspath(path)
+    st = os.stat(key)
+    stamp = (st.st_mtime_ns, st.st_size)
+    cached = _LINES.get(key)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    lines = []
+    for raw in Path(key).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append(line)
+            lines.append(line)
+    out = tuple(lines)
+    _LINES[key] = (stamp, out)
     return out
 
 

@@ -74,7 +74,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
 
     min_len = config.min_len
     max_len = config.max_len
-    affect_words = set(getattr(config, "affect_words", ()) or ())
+    affect_words = config.affect_words
 
     boundaries: dict[int, str] = {words[0]: "start"}
     clause_starts = {i for i, t in enumerate(toks) if t.index in ix.span_starts}

@@ -134,6 +134,10 @@ class _Compile:
         self.ann = ann
         self.ix = ix
         self.frozen_entries = build_frozen_entries(config.frozen_table)
+        #: first words of the sad affect entries: a window of words can only
+        #: match an entry whose text before the first space is its first word
+        self.sad_starts = {key.split(" ", 1)[0]
+                           for key, tag in config.affect_words.items() if tag == "sad"}
         self.contoured: set[int] = set()
         self.final_suppressed: set[int] = set()
         self.fired_preds: set[str] = set()
@@ -264,7 +268,8 @@ class _Compile:
         hits: list[tuple[int, int]] = []
         i = 0
         while i < len(toks):
-            if toks[i].kind != WORD or i in plan.consumed:
+            if toks[i].kind != WORD or i in plan.consumed \
+                    or toks[i].normalized not in self.sad_starts:
                 i += 1
                 continue
             matched = 0

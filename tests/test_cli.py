@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,91 @@ def test_non_utf8_file_is_usage_error(tmp_path, capsys, which):
     assert invoke(*args, "--out", str(tmp_path / "o.txt")) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"prosomark: cannot read {which}:") and err.count("\n") == 1
+
+
+def test_non_utf8_lexicon_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "affect.tsv"
+    bad.write_bytes(b"caf\xe9\tsad\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"affect_path = {bad}\n")
+    assert invoke(str(_three_tokens(tmp_path)), "--config", str(cfg),
+                  "--out", str(tmp_path / "o.txt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"prosomark: cannot read lexicon {bad}: ") and err.count("\n") == 1
+
+
+def test_rewritten_lexicon_is_read_again(tmp_path):
+    # the lexicon is re-read when its size or mtime changes between calls
+    affect = tmp_path / "affect.tsv"
+    affect.write_text("dog\tsad\n")
+    cfg = tmp_path / "affect.cfg"
+    cfg.write_text(f"affect_path = {affect}\n")
+    text = tmp_path / "in.txt"
+    text.write_text("The old cat sat on the mat.\n")
+
+    def markup():
+        out = tmp_path / "o.txt"
+        assert invoke(str(text), "--config", str(cfg), "--out", str(out)) == 0
+        return out.read_text(encoding="utf-8")
+
+    before = markup()
+    stat = affect.stat()
+    affect.write_text("cat\tsad\nsorrow\tsad\n")
+    os.utime(affect, ns=(stat.st_atime_ns, stat.st_mtime_ns + 5_000_000_000))
+    after = markup()
+    sad_cat = "[[pbas 36.000; rate 110; volm -0.2]]cat"
+    assert sad_cat in after and sad_cat not in before
+
+
+def test_title_flag_does_not_carry_over(tmp_path):
+    text = tmp_path / "in.txt"
+    text.write_text("The cat sat.\n\nIt ran.\n")
+
+    def tobi(*flags):
+        out = tmp_path / "o.txt"
+        assert invoke(str(text), "--emit", "tobi", *flags, "--out", str(out)) == 0
+        return out.read_text(encoding="utf-8")
+
+    plain = tobi()
+    assert tobi("--title", "force") != plain
+    assert tobi() == plain
+
+
+def test_threads_can_share_the_parser_and_lexicon_cache(tmp_path):
+    # the affect lexicon's copy is new to the cache, so the threads fill it
+    affect = tmp_path / "affect.tsv"
+    affect.write_bytes((FIXTURES.parent / "affect.tsv").read_bytes())
+    cfg = tmp_path / "affect.cfg"
+    cfg.write_text(f"affect_path = {affect}\n")
+    flag_sets = [("--emit", "markup"), ("--emit", "tobi", "--title", "force"),
+                 ("--emit", "groups", "--config", str(cfg)),
+                 ("--emit", "both", "--title", "off", "--config", str(cfg)),
+                 ("--sidecar", str(FIXTURES / "belling_cat.ann"), "--emit", "tobi")]
+
+    def compile_(k, out):
+        assert invoke(str(FIXTURES / "belling_cat.txt"), *flag_sets[k], "--out", str(out)) == 0
+        return out.read_text(encoding="utf-8")
+
+    shared = {}
+    start = threading.Barrier(len(flag_sets))
+
+    def worker(k):
+        start.wait(timeout=60)
+        shared[k] = [compile_(k, tmp_path / f"t{k}-{n}.txt") for n in range(3)]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(flag_sets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(len(flag_sets)):
+        assert shared[k] == [compile_(k, tmp_path / f"solo{k}.txt")] * 3, flag_sets[k]
 
 
 def test_python_m_runs_the_cli(tmp_path):

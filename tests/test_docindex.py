@@ -58,12 +58,25 @@ def _ref_quotes(doc):
     """Quote depth after each token, regions, their sentences, diagnostics."""
     tokens = doc.tokens()
     sent_of = {t.index: s.index for s in doc.sentences for t in s.tokens}
+    para_of = {t.index: s.paragraph_index for s in doc.sentences for t in s.tokens}
+
+    def paragraph_end(token_index):
+        return max(t.index for t in tokens if para_of[t.index] == para_of[token_index])
+
     depth, open_at = 0, None
     depths, regions, diags = {}, [], []
     for i, t in enumerate(tokens):
         if t.kind == QUOTE:
             nxt = tokens[i + 1] if i + 1 < len(tokens) else None
             opener = nxt is not None and nxt.kind == WORD and nxt.pre_ws == ""
+            para_start = i == 0 or para_of[tokens[i - 1].index] != para_of[t.index]
+            if opener and depth > 0 and para_start:
+                # reopened at a later paragraph's start: the open quotation
+                # closes at its own paragraph end
+                end = paragraph_end(open_at)
+                regions.append((open_at, end))
+                depths.update((u.index, 0) for u in tokens if end < u.index < t.index)
+                depth = 0
             if opener and depth == 0:
                 depth, open_at = 1, t.index
             elif depth > 0:
@@ -77,8 +90,7 @@ def _ref_quotes(doc):
     if open_at is not None:
         # a quotation left open closes at its opener's paragraph end
         diags.append("quotation left open at document end")
-        para_of = {t.index: s.paragraph_index for s in doc.sentences for t in s.tokens}
-        end = max(t.index for t in tokens if para_of[t.index] == para_of[open_at])
+        end = paragraph_end(open_at)
         regions.append((open_at, end))
         depths.update((t.index, 0) for t in tokens if t.index > end)
 
@@ -95,8 +107,9 @@ def _ref_quotes(doc):
 
 
 def _ref_pov(doc, comm_verbs):
-    """Quoted spans as (holder, start, end, sentences); a span left open ends
-    at its paragraph's last token and holds every sentence up to it."""
+    """Quoted spans as (holder, start, end, sentences); a span left open, at
+    the document end or when a mark reopens a later paragraph, ends at its
+    paragraph's last token and holds every sentence up to it."""
     from prosomark.ingest import quote_is_opener
 
     spans = []
@@ -120,9 +133,19 @@ def _ref_pov(doc, comm_verbs):
                 return f"character:{t.normalized}"
         return "character:anon"
 
+    def close_at_paragraph_end():
+        para = para_of[open_quote]
+        last = max((t.index for t in tokens if para_of[t.index] == para), default=open_quote)
+        sents = sorted({sent_of[j] for j in range(open_quote, last + 1) if j in sent_of})
+        spans.append((holder, open_quote, last, sents))
+
     for i, t in enumerate(tokens):
         if t.kind != QUOTE:
             continue
+        if open_quote is not None and quote_is_opener(tokens, i) \
+                and para_of[tokens[i - 1].index] != para_of[t.index]:
+            close_at_paragraph_end()
+            open_quote, holder = None, "narrator"
         if open_quote is None:
             if quote_is_opener(tokens, i):
                 open_quote = t.index
@@ -132,10 +155,7 @@ def _ref_pov(doc, comm_verbs):
             spans.append((holder, open_quote, t.index, sents))
             open_quote, holder = None, "narrator"
     if open_quote is not None:
-        para = para_of[open_quote]
-        last = max((t.index for t in tokens if para_of[t.index] == para), default=open_quote)
-        sents = sorted({sent_of[j] for j in range(open_quote, last + 1) if j in sent_of})
-        spans.append((holder, open_quote, last, sents))
+        close_at_paragraph_end()
     return spans
 
 
@@ -274,6 +294,37 @@ def test_quote_regions_match_the_scan():
         for t in doc.tokens():
             assert ix.quote_depth[t.index] == depths[t.index]
             assert ix.quote_sentences(t.index) == region_of(t.index), (doc.raw, t.index)
+
+
+def test_quotation_reopened_at_each_paragraph():
+    # a quotation over two paragraphs, the second reopened with a mark
+    text = 'He said: "The cat ran. It fell.\n\n"The dog sat. It ran."\n'
+    doc = split_document(tokenize(text, []), text, "off")
+    diags = []
+    ix = DocIndex(doc, AnnotationSet(), diags)
+    assert diags == []
+    marks = [t.index for t in doc.tokens() if t.kind == QUOTE]
+    first_end = doc.sentences[2].tokens[-1].index
+    assert list(zip(ix.region_starts, ix.region_ends)) == \
+        [(marks[0], first_end), (marks[1], marks[2])]
+    assert ix.region_sentences == [[1, 2], [3, 4]]
+    assert [ix.quote_depth[t.index] for t in doc.sentences[3].tokens] == [1] * 5
+    depths, region_of, ref_diags = _ref_quotes(doc)
+    assert ref_diags == []
+    assert all(ix.quote_sentences(t.index) == region_of(t.index) for t in doc.tokens())
+
+
+@pytest.mark.parametrize("text,closes_at", [
+    # a mark inside a later paragraph, or one that opens no word, still
+    # closes the open quotation
+    ('He said: "The cat ran.\n\nThe dog sat " and ran.', 1),
+    ('He said: "The cat ran.\n\n" The dog sat.', 1),
+])
+def test_later_paragraph_marks_that_do_not_reopen(text, closes_at):
+    doc = split_document(tokenize(text, []), text, "off")
+    ix = DocIndex(doc, AnnotationSet(), [])
+    marks = [t.index for t in doc.tokens() if t.kind == QUOTE]
+    assert list(zip(ix.region_starts, ix.region_ends)) == [(marks[0], marks[closes_at])]
 
 
 @pytest.mark.parametrize("seed", [4, 5])

@@ -8,10 +8,13 @@ import threading
 
 import pytest
 
-from prosomark.annotations import shallow_analyze
+from prosomark import lexica
+from prosomark.annotations import AnnotationSet, shallow_analyze
+from prosomark.config import Config
+from prosomark.docindex import DocIndex
 from prosomark.emit import DEFAULT_TABLE, render_markup, render_tobi
 from prosomark.ingest import split_document, tokenize
-from prosomark.pipeline import ProsodyManager, run_pipeline
+from prosomark.pipeline import ProsodyManager, _Compile, _SentencePlan, run_pipeline
 from conftest import load
 from prosomark.prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
                                FrozenEntry, ToneContext, ToneContour,
@@ -337,3 +340,80 @@ def test_no_slowdown_without_quantifier(config):
     rates = [it.event.rate for it in res.script.items
              if it.kind == "event" and it.event.rate and it.event.pbas is None]
     assert rates == []
+
+
+# Affect spans ------------------------------------------------------------------
+
+def _ref_affect_spans(toks, consumed, affect):
+    """The three-window search tried at every word: the reference for the
+    planner's first-word prefilter."""
+    hits = []
+    i = 0
+    while i < len(toks):
+        if toks[i].kind != "word" or i in consumed:
+            i += 1
+            continue
+        matched = 0
+        for length in (3, 2, 1):
+            window = toks[i:i + length]
+            if len(window) < length or any(t.kind != "word" for t in window):
+                continue
+            if affect.get(" ".join(t.normalized for t in window)) == "sad":
+                matched = length
+                break
+        if matched:
+            hits.append((i, i + matched - 1))
+            i += matched
+        else:
+            i += 1
+
+    def only_connectors(a, b):
+        between = toks[a:b]
+        return bool(between) and all(
+            t.kind == "comma" or (t.kind == "word" and t.normalized in ("and", "or"))
+            for t in between)
+
+    merged = []
+    for start, end in hits:
+        if merged and only_connectors(merged[-1][1] + 1, start):
+            merged[-1][1] = end
+            merged[-1][2] += 1
+        else:
+            merged.append([start, end, 1])
+    out = []
+    for start, end, n_hits in merged:
+        while start > 0 and toks[start - 1].kind == "word" \
+                and toks[start - 1].normalized in lexica.NEGATION_WORDS:
+            start -= 1
+        if n_hits == 1 and end + 1 < len(toks) and toks[end + 1].kind == "word" \
+                and not lexica.function_word(toks[end + 1].normalized):
+            end += 1
+        out.append((start, end))
+    return out
+
+
+def test_affect_spans_match_the_window_search():
+    # one-word and multiword entries, sad and not, sharing first words
+    affect = {"alas": "sad", "sorrow": "sad", "cold": "sad", "cold night": "exclaim",
+              "cold night air": "sad", "broken heart": "sad", "broken": "exhort",
+              "out of luck": "sad", "out": "exclaim", "poor old soul": "sad",
+              "poor": "exclaim", "dear": "exhort", "dear me": "sad"}
+    vocab = ("alas sorrow cold night air broken heart out of luck poor old soul "
+             "dear me the cat and or without not never ran sat").split()
+    marks = (",", ",", ".", "!", '"', ":")
+    cfg = Config(affect_words=affect)
+    rng = random.Random(515)
+    sentences = 0
+    for _ in range(400):
+        text = " ".join(rng.choice(vocab) if rng.random() < 0.85 else rng.choice(marks)
+                        for _ in range(rng.randint(1, 30)))
+        doc = split_document(tokenize(text, []), text, "off")
+        ann = AnnotationSet()
+        compile_ = _Compile(cfg, DEFAULT_TABLE, doc, ann, DocIndex(doc, ann))
+        for sent in doc.sentences:
+            plan = _SentencePlan(sent, [], False, False)
+            plan.consumed = {i for i in range(len(sent.tokens)) if rng.random() < 0.1}
+            assert compile_._affect_spans(plan) == \
+                _ref_affect_spans(sent.tokens, plan.consumed, affect), text
+            sentences += 1
+    assert sentences > 400

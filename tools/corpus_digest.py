@@ -1,0 +1,95 @@
+"""Print one ``name<TAB>sha256`` line per document of a fixed output corpus.
+
+Usage, from the root of a checkout (standard library only):
+
+    python3 tools/corpus_digest.py > digests.txt
+
+The hash covers a document's markup, ToBI, breath groups and diagnostics,
+compiled with the default configuration by the ``prosomark`` under this
+checkout's ``src/``.  Running the script in two checkouts and comparing the
+outputs with ``diff`` lists every document whose output differs.
+
+The corpus, 1,922 documents:
+
+* ``fixture:<name>`` and ``fixture:<name>+ann`` - both fixtures, without and
+  with their sidecars;
+* ``story_shallow:<size>:<seed>`` and ``story_sidecar:<size>:<seed>`` - both
+  benchmark story generators at 1k, 4k and 16k tokens, seeds 1-3;
+* ``cli:<i>`` - ``cli_doc(1, i)`` of the benchmark for i = 4..403;
+* ``fuzz:<i>`` - 1,500 texts from ``fuzz_text`` below.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads as wl  # noqa: E402
+from prosomark import Config, render_markup, render_tobi, run_pipeline  # noqa: E402
+from prosomark.lexica import data_path  # noqa: E402
+
+STORY_SIZES = (("1k", 1000), ("4k", 4000), ("16k", 16000))
+FUZZ_SEED = 99
+FUZZ_COUNT = 1500
+FUZZ_WORDS = ("the a cat fox crow mouse bell old sly and but or while if to of "
+              "her said cried replied saw ran came nobody every who that is was "
+              "very sad alas now then come on dear").split()
+FUZZ_MARKS = (",", ".", "?", "!", ":", '"', '"', "“", "”")
+
+
+def fuzz_text(rng: random.Random) -> str:
+    """1-80 pieces: words, punctuation, straight and curly quotes and
+    paragraph breaks, 30% of them glued to the piece before."""
+    parts = []
+    for _ in range(rng.randint(1, 80)):
+        r = rng.random()
+        piece = (rng.choice(FUZZ_WORDS) if r < 0.7 else rng.choice(FUZZ_MARKS)
+                 if r < 0.95 else "\n\n")
+        parts.append(("" if rng.random() < 0.3 else " ") + piece)
+    return "".join(parts).lstrip(" ")
+
+
+def corpus(fx: wl.Fixtures, cfg: Config):
+    """(name, text, sidecar) for every document, in a fixed order."""
+    for name, text, ann in (("belling_cat", fx.fable, fx.fable_ann),
+                            ("fox_crow", fx.fox, fx.fox_ann)):
+        yield f"fixture:{name}", text, None
+        yield f"fixture:{name}+ann", text, ann
+    for label, size in STORY_SIZES:
+        for seed in (1, 2, 3):
+            doc = wl.story_shallow(seed, 0, fx, size)
+            yield f"story_shallow:{label}:{seed}", doc.text, doc.sidecar
+            doc = wl.story_sidecar(seed, 0, fx, cfg.multiwords, size)
+            yield f"story_sidecar:{label}:{seed}", doc.text, doc.sidecar
+    for i in range(len(wl.GOLDENS), len(wl.GOLDENS) + 400):
+        yield f"cli:{i}", wl.cli_doc(1, i, fx).text, None
+    rng = random.Random(FUZZ_SEED)
+    for i in range(FUZZ_COUNT):
+        yield f"fuzz:{i}", fuzz_text(rng), None
+
+
+def digest(result) -> str:
+    h = hashlib.sha256()
+    for part in (render_markup(result.doc, result.script),
+                 render_tobi(result.doc, result.script),
+                 result.groups_text(), "\n".join(result.diagnostics)):
+        h.update(part.encode("utf-8"))
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def main() -> int:
+    cfg = Config().load_lexica()
+    fx = wl.Fixtures.load(data_path("fixtures"))
+    for name, text, sidecar in corpus(fx, cfg):
+        print(f"{name}\t{digest(run_pipeline(text, sidecar, cfg))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
