@@ -151,7 +151,11 @@ def run(argv: list[str]) -> int:
     else:
         output = result.groups_text()
 
-    _write_output(output, args.out)
+    try:
+        _write_output(output, args.out)
+    except OSError as exc:
+        print(f"prosomark: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.check:
         try:

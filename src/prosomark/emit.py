@@ -48,11 +48,12 @@ def _row(row_id, description, params, labels, bi=None) -> MappingRow:
         bi)
 
 
-#: the tone inventory with its analogical parameterization.  The two
-#: duplicated subordinate-marker and coordinate-clause descriptions are
-#: merged into single rows (parameters from the first occurrence, the bare
-#: downstepped label kept as an alias).  The three trailing unlabeled
-#: parameter rows form the exhortative tail.
+#: the tone inventory with its analogical parameterization: the only home of
+#: the pitch, rate and volume the rules place.  The two duplicated
+#: subordinate-marker and coordinate-clause descriptions are merged into
+#: single rows (parameters from the first occurrence, the bare downstepped
+#: label kept as an alias).  The last three rows carry no contour label, so
+#: the annotation line does not show them.
 TONE_ROWS: tuple[MappingRow, ...] = (
     _row("title", "beginning of text, title line",
          [[ev(pbas=38.0, rate=160, volm=+0.5)]], ["H*-L"]),
@@ -110,6 +111,12 @@ TONE_ROWS: tuple[MappingRow, ...] = (
          [[ev(pbas=24.0, rate=130, volm=+0.5)],
           [ev(pbas=60.0, rate=150, volm=+0.5)]],
          ["!L+H*%"], BreakIndex.BI23),
+    _row("announce", "reporting colon before a quotation",
+         [[ev(pbas=48.0, rate=130, volm=+0.9)]], []),
+    _row("slowdown_quantifier", "slowdown before a standalone quantifier",
+         [[ev(rate=110, volm=+0.3)]], [], BreakIndex.BI23),
+    _row("slowdown_head", "slowdown over a group-final head and the word "
+         "before it", [[ev(rate=130, volm=+0.5)]], []),
 )
 
 

@@ -36,10 +36,6 @@ class Token:
     phon_override: str | None = None
     source_words: int = 1
 
-    @property
-    def is_word(self) -> bool:
-        return self.kind == WORD
-
 
 @dataclass
 class Sentence:
@@ -48,9 +44,6 @@ class Sentence:
     is_title: bool = False
     paragraph_index: int = 0
     index: int = 0
-
-    def word_tokens(self) -> list[Token]:
-        return [t for t in self.tokens if t.kind == WORD]
 
 
 @dataclass
@@ -261,9 +254,7 @@ _DETERMINERS = {"the", "a", "an", "this", "that", "these", "those", "their",
                 "his", "her", "its", "my", "your", "our"}
 
 
-def classify_comma(sentence: Sentence, index: int, ann=None,
-                   parenthetical_words: set[str] | None = None,
-                   vocative_words: set[str] | None = None) -> str:
+def classify_comma(sentence: Sentence, index: int, ann=None) -> str:
     """One of appositive/list/clause_boundary/vocative/parenthetical/other.
 
     Lexical fallback heuristics; annotations (an ``AnnotationSet``, or the
@@ -273,19 +264,16 @@ def classify_comma(sentence: Sentence, index: int, ann=None,
     toks = sentence.tokens
     if toks[index].kind != COMMA:
         raise ValueError("classify_comma called on a non-comma token")
-    parenthetical_words = parenthetical_words or PARENTHETICAL_WORDS
-    vocative_words = vocative_words or VOCATIVE_WORDS
-
     nxt = next((t for t in toks[index + 1:] if t.kind == WORD), None)
     prev = next((t for t in reversed(toks[:index]) if t.kind == WORD), None)
 
     if nxt is None:
         return "other"
-    if nxt.normalized in vocative_words:
+    if nxt.normalized in VOCATIVE_WORDS:
         return "vocative"
-    if nxt.normalized in parenthetical_words:
+    if nxt.normalized in PARENTHETICAL_WORDS:
         return "parenthetical"
-    if prev is not None and prev.normalized in parenthetical_words:
+    if prev is not None and prev.normalized in PARENTHETICAL_WORDS:
         return "parenthetical"
     if ann is not None and _comma_at_clause_edge(sentence, index, ann):
         if nxt.normalized in CONJUNCTIONS:

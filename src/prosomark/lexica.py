@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import os
+from collections.abc import Collection
 from pathlib import Path
 
 from .ingest import PhonLexicon
@@ -32,12 +33,12 @@ def data_path(name: str) -> Path:
     return _data_dir() / name
 
 
-#: path -> ((st_mtime_ns, st_size), content lines) of the last read
-_LINES: dict[str, tuple[tuple[int, int], tuple[str, ...]]] = {}
+#: path -> ((st_mtime_ns, st_size), numbered content lines) of the last read
+_LINES: dict[str, tuple[tuple[int, int], tuple[tuple[int, str], ...]]] = {}
 
 
-def _lines(path: str | Path) -> tuple[str, ...]:
-    """The non-comment lines of a lexicon file.
+def _lines(path: str | Path) -> tuple[tuple[int, str], ...]:
+    """The non-comment lines of a lexicon file, each with its line number.
 
     A file is read again only when its mtime or size has changed since the
     last read of the same path (the rule Python uses for ``.pyc`` files);
@@ -51,22 +52,45 @@ def _lines(path: str | Path) -> tuple[str, ...]:
     if cached is not None and cached[0] == stamp:
         return cached[1]
     lines = []
-    for raw in Path(key).read_text(encoding="utf-8").splitlines():
+    for line_no, raw in enumerate(Path(key).read_text(encoding="utf-8").splitlines(),
+                                  start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
+            lines.append((line_no, line))
     out = tuple(lines)
     _LINES[key] = (stamp, out)
     return out
 
 
+#: the tags of the affect lexicon
+AFFECT_TAGS = ("sad", "exclaim", "exhort")
+
+#: the roles of the frozen table, which the pipeline realizes, with the word
+#: class of their tail
+FROZEN_ROLES = {"exhortative": "dear"}
+
+
+def _tagged(path, line_no: int, line: str, tags: Collection[str]) -> tuple[str, str]:
+    """An ``entry<TAB>tag`` line split at its tab, or without one at its
+    last space.  A line with one field, or whose tag is not one of ``tags``,
+    raises ``ValueError`` naming the file and the line."""
+    entry, _, tag = line.partition("\t")
+    if not tag:
+        entry, _, tag = line.rpartition(" ")
+    entry, tag = entry.strip(), tag.strip()
+    if not entry or tag not in tags:
+        raise ValueError(f"{path}:{line_no}: expected entry<TAB>{'|'.join(tags)}, "
+                         f"got {line!r}")
+    return entry, tag
+
+
 def load_multiwords(path: str | Path) -> list[list[str]]:
-    return [line.lower().split() for line in _lines(path)]
+    return [line.lower().split() for _, line in _lines(path)]
 
 
 def load_phon_lexicon(path: str | Path) -> PhonLexicon:
     entries = {}
-    for line in _lines(path):
+    for _, line in _lines(path):
         word, _, phon = line.partition("\t")
         if not phon:
             word, _, phon = line.partition(" ")
@@ -75,27 +99,23 @@ def load_phon_lexicon(path: str | Path) -> PhonLexicon:
 
 
 def load_word_set(path: str | Path) -> set[str]:
-    return {line.lower().replace(" ", "_") for line in _lines(path)}
+    return {line.lower().replace(" ", "_") for _, line in _lines(path)}
 
 
 def load_tagged_words(path: str | Path) -> dict[str, str]:
     """word -> tag map (affect lexicon); phrases keep internal spaces."""
     out = {}
-    for line in _lines(path):
-        word, _, tag = line.partition("\t")
-        if not tag:
-            word, _, tag = line.rpartition(" ")
-        out[word.strip().lower()] = tag.strip()
+    for n, line in _lines(path):
+        word, tag = _tagged(path, n, line, AFFECT_TAGS)
+        out[word.lower()] = tag
     return out
 
 
 def load_frozen_table(path: str | Path) -> list[tuple[list[str], str]]:
     out = []
-    for line in _lines(path):
-        pattern, _, role = line.partition("\t")
-        if not role:
-            pattern, _, role = line.rpartition(" ")
-        out.append((pattern.strip().lower().split(), role.strip()))
+    for n, line in _lines(path):
+        pattern, role = _tagged(path, n, line, FROZEN_ROLES)
+        out.append((pattern.lower().split(), role))
     return out
 
 

@@ -23,11 +23,6 @@ from .ingest import COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document, Sentenc
 END_STOPPED = "end_stopped"
 ENJAMBED = "enjambed"
 
-#: trigger identifiers, in rule priority order
-TRIGGERS = ("start", "punct", "quote", "coordination", "subordinator",
-            "comparative", "infinitival", "complement", "relative",
-            "subject_vp", "adverbial", "adjunct")
-
 _LOCATIVE_PREPS = {"above", "below", "under", "over", "behind", "beside",
                    "near", "beneath"}
 
@@ -350,7 +345,7 @@ def mark_heads(group: BreathGroup, sentence: Sentence, ann: AnnotationSet,
 GROUP_MARK = "β"  # β
 
 
-def render_groups(doc, groups_by_sentence, include_title: bool = False) -> str:
+def render_groups(doc, groups_by_sentence) -> str:
     """One group per line followed by the boundary mark.
 
     Zero-width boundaries (a bare mark on its own line) appear where a quote
@@ -358,7 +353,7 @@ def render_groups(doc, groups_by_sentence, include_title: bool = False) -> str:
     """
     lines: list[str] = []
     for sent in doc.sentences:
-        if sent.is_title and not include_title:
+        if sent.is_title:
             continue
         groups = groups_by_sentence.get(sent.index, [])
         if not groups:

@@ -10,7 +10,7 @@ contours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import lexica
 from .annotations import (AnnotationSet, check_clause_spans, resolve_moves,
@@ -18,17 +18,15 @@ from .annotations import (AnnotationSet, check_clause_spans, resolve_moves,
 from .config import Config
 from .docindex import DocIndex
 from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
-                   DEFAULT_TABLE, MappingTable, ProsodicScript)
+                   DEFAULT_TABLE, MappingTable, ProsodicScript, ScriptItem)
 from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
                      Sentence, phon_exception, split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
 from .prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
-                      ParamEvent, POVSpan, PRONOUN_QUANTIFIERS, SLOWDOWN_HEAD,
-                      ToneContext, assign_break_index, build_frozen_entries,
-                      ev, mark_quantifier_slowdown, match_frozen, select_tone,
+                      ParamEvent, POVSpan, PRONOUN_QUANTIFIERS, ToneContext,
+                      assign_break_index, build_frozen_entries, ev,
+                      mark_quantifier_slowdown, match_frozen, select_tone,
                       track_point_of_view)
-
-ANNOUNCE_EVENT = ev(pbas=48.0, rate=130, volm=+0.9)  # reporting colon, pre-quote
 
 
 @dataclass
@@ -44,16 +42,8 @@ class PipelineResult:
         return render_groups(self.doc, self.groups)
 
 
-@dataclass
-class _Placed:
-    event: ParamEvent
-    glue: str = GLUE_RIGHT
-    tone: str | None = None
-    bi: BreakIndex | None = None
-
-
 class _SentencePlan:
-    """The events the rules place around one sentence's tokens."""
+    """The event items the rules place around one sentence's tokens."""
 
     def __init__(self, sentence: Sentence, groups: list[BreathGroup],
                  paragraph_initial: bool, after_first_para: bool):
@@ -61,26 +51,23 @@ class _SentencePlan:
         self.groups = groups
         self.paragraph_initial = paragraph_initial
         self.after_first_para = after_first_para
-        self.prefix: dict[int, list[_Placed]] = {}
-        self.suffix: dict[int, list[_Placed]] = {}
+        self.prefix: dict[int, list[ScriptItem]] = {}
+        self.suffix: dict[int, list[ScriptItem]] = {}
         self.consumed: set[int] = set()
         self.end_bi2 = False          # sentence chained onward with BI-2
 
-    def add_prefix(self, pos: int, placed: _Placed):
-        self.prefix.setdefault(pos, []).append(placed)
+    def add_prefix(self, pos: int, *items: ScriptItem):
+        self.prefix.setdefault(pos, []).extend(items)
 
-    def add_suffix(self, pos: int, placed: _Placed):
-        self.suffix.setdefault(pos, []).append(placed)
+    def add_suffix(self, pos: int, *items: ScriptItem):
+        self.suffix.setdefault(pos, []).extend(items)
 
     def add_suffix_bi(self, pos: int, bi: BreakIndex):
-        silence, reset = BI_REALIZATION[bi]
-        self.add_suffix(pos, _Placed(ev(slnc=silence), GLUE_LEFT, bi=bi))
-        if reset:
-            self.add_suffix(pos, _Placed(RSET, GLUE_COMPOUND))
+        self.add_suffix(pos, *_pause(bi, GLUE_LEFT))
 
     def chain_onward(self, pos: int):
         """Close the sentence at ``pos`` with a BI-2 chaining it onward."""
-        self.add_suffix(pos, _Placed(ev(slnc=100), GLUE_LEFT, bi=BreakIndex.BI2))
+        self.add_suffix_bi(pos, BreakIndex.BI2)
         self.end_bi2 = True
 
     def has_prefix(self, pos: int) -> bool:
@@ -175,21 +162,25 @@ class _Compile:
             script.sentence_start(sent.index)
             plan = plans.pop(sent.index)  # frees each plan once emitted
             for pos, tok in enumerate(sent.tokens):
-                for p in plan.prefix.get(pos, ()):
-                    script.add_event(p.event, p.glue, p.tone, p.bi)
+                script.items.extend(plan.prefix.get(pos, ()))
                 script.add_token(tok)
-                for p in plan.suffix.get(pos, ()):
-                    script.add_event(p.event, p.glue, p.tone, p.bi)
+                script.items.extend(plan.suffix.get(pos, ()))
         return script
 
     # -- helpers -------------------------------------------------------------
 
-    def _opening(self, **context) -> _Placed:
-        """The opening event of the contour ``select_tone`` picks for the
-        context: its mapping-table row's first parameter tuple, labelled."""
-        c = select_tone(ToneContext(**context))
-        row, idx = self.table.row_for_contour(c)
-        return _Placed(row.params[idx][0], GLUE_RIGHT, tone=c.label)
+    def _row_event(self, row_id: str, i: int = 0, glue: str = GLUE_RIGHT) -> ScriptItem:
+        """Contour ``i`` of the mapping-table row ``row_id``: the opening
+        event of its parameter tuple, labelled with the contour when the row
+        has one."""
+        row = self.table.row(row_id)
+        label = row.contours[i].label if i < len(row.contours) else None
+        return _event(row.params[i][0], glue, label)
+
+    def _selected(self, **context) -> ScriptItem:
+        """The row event of the contour ``select_tone`` picks for the context."""
+        row, i = self.table.row_for_contour(select_tone(ToneContext(**context)))
+        return self._row_event(row.row_id, i)
 
     def _move_of(self, clause) -> str:
         node = self.ix.node(clause.clause_no)
@@ -212,13 +203,8 @@ class _Compile:
         first = _first_word(sent)
         if first is None:
             return
-        row = self.table.row("title")
-        plan.add_prefix(first, _Placed(row.params[0][0], GLUE_RIGHT,
-                                       tone=row.contours[0].label))
-        bi = assign_break_index(None, BreakContext(title_final=True))
-        silence, _ = BI_REALIZATION[bi]
-        plan.add_suffix(len(sent.tokens) - 1,
-                        _Placed(ev(slnc=silence), GLUE_NONE, bi=bi))
+        plan.add_prefix(first, self._row_event("title"))
+        plan.add_suffix(len(sent.tokens) - 1, *_pause(BreakIndex.BI44, GLUE_NONE))
 
     def _plan_initial(self, plan: _SentencePlan):
         sent = plan.sentence
@@ -228,7 +214,7 @@ class _Compile:
         fc = clauses[0][1]
         if self._move_of(fc) != "up" or fc.relevance != "foreground":
             return
-        plan.add_prefix(_first_word(sent), self._opening(
+        plan.add_prefix(_first_word(sent), self._selected(
             position="sentence_initial", move="up", relevance="foreground",
             paragraph_initial=plan.paragraph_initial,
             after_first_paragraph=plan.after_first_para))
@@ -246,19 +232,18 @@ class _Compile:
             if m is None:
                 pos += 1
                 continue
-            row = self.table.row(m.entry.role)
+            role = m.entry.role
+            n_tuples = len(self.table.row(role).params)
             for i, p in enumerate(m.pattern_positions):
-                if i < len(row.params):
-                    tone = row.contours[0].label if i == 0 else None
-                    plan.add_prefix(p, _Placed(row.params[i][0], GLUE_RIGHT, tone=tone))
+                if i < n_tuples:
+                    plan.add_prefix(p, self._row_event(role, i))
                 plan.consumed.add(p)
             if m.tail_position is not None:
                 t = m.tail_position
-                tail = self.table.row(f"{m.entry.role}_tail")
-                plan.add_prefix(t, _Placed(tail.params[0][0], GLUE_RIGHT,
-                                           tone=tail.contours[0].label))
-                plan.add_suffix(t, _Placed(tail.params[1][0], GLUE_LEFT))
-                plan.add_suffix_bi(t, BreakIndex.BI23)
+                tail = f"{role}_tail"
+                plan.add_prefix(t, self._row_event(tail, 0))
+                plan.add_suffix(t, self._row_event(tail, 1, GLUE_LEFT))
+                plan.add_suffix_bi(t, self.table.row(tail).bi)
                 plan.consumed.add(t)
             pos += m.length
 
@@ -320,8 +305,8 @@ class _Compile:
                    for i in g.positions() if toks[i].kind == WORD):
                 spans.insert(0, (g.token_span[0], g.token_span[1]))
         for start, end in spans:
-            plan.add_prefix(start, self._opening(affect="sad"))
-            plan.add_suffix(end, _Placed(RSET, GLUE_NONE))
+            plan.add_prefix(start, self._selected(affect="sad"))
+            plan.add_suffix(end, _event(RSET, GLUE_NONE))
             plan.consumed.update(range(start, end + 1))
 
     def _plan_exclamative(self, plan: _SentencePlan):
@@ -350,19 +335,18 @@ class _Compile:
                     break
         if start is None:
             start = _first_word(sent)
-        opening = self._opening(exclamative=True, in_quote=True)
+        # the ds_exclamative row's label is H*-H%, so the H*-H-1 contour
+        # the exclamative prints is that of the paragraph-initial up row
+        opening = self._row_event("up_fg_parainit")
         if sent.terminal == "question":
             plan.add_prefix(start, opening)
         for g, nxt in zip(plan.groups, plan.groups[1:]):
             if g.token_span[1] >= start and nxt.token_span[0] <= last_word:
                 plan.add_suffix_bi(g.token_span[1], BreakIndex.BI3)
-        pre_bi = assign_break_index(None, BreakContext(pre_exclamative=True))
-        silence, _ = BI_REALIZATION[pre_bi]
-        plan.add_suffix(last_word, _Placed(_after_silence(opening.event, silence),
-                                           GLUE_LEFT, opening.tone, pre_bi))
+        plan.add_suffix(last_word, *_pause(BreakIndex.BI22, GLUE_LEFT, before=opening))
         if self.config.pov_tracking:
             if region_sents and region_sents[-1] == sent.index:
-                plan.add_suffix(term_pos, _Placed(RSET, GLUE_NONE))
+                plan.add_suffix(term_pos, _event(RSET, GLUE_NONE))
         plan.consumed.update(range(start, term_pos + 1))
         if owner is not None:
             self.contoured.add(owner.clause_no)
@@ -384,33 +368,34 @@ class _Compile:
 
             if (c.disc_rel == "circumstance" and c.relevance == "foreground"
                     and word in lexica.SUBORDINATE_MARKERS):
-                # announcing contour on the marker itself; the clause's own
-                # final head still takes its end-of-group treatment
-                opening = self._opening(subordinate_marker=True)
-                opening.event = _after_silence(opening.event, 100)
-                plan.add_prefix(start, opening)
+                # announcing contour on the marker itself, after a pause
+                # that prints no break index; the clause's own final head
+                # still takes its end-of-group treatment
+                plan.add_prefix(start, *_pause(
+                    BreakIndex.BI2, before=self._row_event("subordinate_marker"),
+                    labelled=False))
             elif c.disc_rel == "elaboration" and in_quote:
-                plan.add_prefix(start, self._opening(
-                    position="sentence_internal", in_quote=True,
-                    disc_rel="elaboration"))
+                plan.add_prefix(start, self._row_event("internal_fg"))
                 pred_pos = self._pred_position(sent, c)
                 if pred_pos is not None and pred_pos != start:
-                    plan.add_prefix(pred_pos, self._opening(elaboration_predicate=True))
+                    plan.add_prefix(pred_pos, self._row_event("subordinate_marker"))
                 self.contoured.add(c.clause_no)
             elif (in_quote and group is not None and group.trigger == "comparative"
                     and start != group.token_span[0]):
-                plan.add_prefix(start, _bi2_pause())
-                plan.add_prefix(start, self._opening(comparative_continuation=True))
+                plan.add_prefix(start, *_pause(BreakIndex.BI2),
+                                self._row_event("ds_elaboration", 1))
                 self.contoured.add(c.clause_no)
             elif c.disc_rel == "result" and prev is not None \
                     and prev.normalized == "to":
-                plan.add_prefix(start, _bi2_pause())
-                plan.add_prefix(start, self._opening(resultative_infinitival=True))
+                # the resultative_inf row is not placed: the clause opens
+                # with the internal foreground contour
+                plan.add_prefix(start, *_pause(BreakIndex.BI2),
+                                self._row_event("internal_fg"))
                 self.contoured.add(c.clause_no)
             elif c.relevance == "foreground" and start != first:
-                plan.add_prefix(start, _bi2_pause())
-                plan.add_prefix(start, self._opening(position="sentence_internal",
-                                                     relevance="foreground"))
+                plan.add_prefix(start, *_pause(BreakIndex.BI2),
+                                self._selected(position="sentence_internal",
+                                               relevance="foreground"))
                 self.contoured.add(c.clause_no)
                 self.final_suppressed.add(c.clause_no)
 
@@ -423,8 +408,7 @@ class _Compile:
                 continue
             prev = toks[i - 1] if i > 0 else None
             if prev is not None and prev.kind == OTHER_PUNCT:
-                plan.add_prefix(i, self._opening(position="group_final",
-                                                 head_at_bi33=True))
+                plan.add_prefix(i, self._row_event("head_bi33"))
                 plan.add_suffix_bi(i, BreakIndex.BI32)
 
     def _plan_head_contours(self, plan: _SentencePlan):
@@ -440,9 +424,9 @@ class _Compile:
                 continue
             nxt = toks[p + 1].normalized
             if nxt in lexica.COMPLEMENT_OPENERS:
-                bi = assign_break_index(None, BreakContext(head_followed_by_dependent=True))
+                bi = BreakIndex.BI33      # a dependent follows the head
             elif nxt in lexica.LOOSE_OPENERS:
-                bi = assign_break_index(None, BreakContext(head_followed_by_dependent=False))
+                bi = BreakIndex.BI32      # a looser continuation follows
             else:
                 continue
             if plan.has_prefix(p + 1):
@@ -456,9 +440,8 @@ class _Compile:
                     break
                 copular = toks[j].normalized in lexica.COPULAS
                 break
-            plan.add_prefix(p, self._opening(position="group_final",
-                                             copular_head=copular,
-                                             head_at_bi33=not copular))
+            plan.add_prefix(p, self._row_event("internal_boundary" if copular
+                                               else "head_bi33"))
             plan.add_suffix_bi(p, bi)
 
     def _plan_coordination(self, plan: _SentencePlan):
@@ -471,13 +454,14 @@ class _Compile:
                 continue
             nxt = toks[i + 1] if i + 1 < len(toks) else None
             if t.index in starts or (nxt is not None and nxt.index in starts):
-                plan.add_prefix(i, _bi2_pause())
+                plan.add_prefix(i, *_pause(BreakIndex.BI2))
 
     def _plan_quantifiers(self, plan: _SentencePlan):
         for g in plan.groups:
-            for pos, event, bi, covered in mark_quantifier_slowdown(
+            for pos, row_id, covered in mark_quantifier_slowdown(
                     g, plan.sentence, self.config.quantifiers, plan.consumed):
-                plan.add_prefix(pos, _Placed(event, GLUE_RIGHT))
+                plan.add_prefix(pos, self._row_event(row_id))
+                bi = self.table.row(row_id).bi
                 if bi is not None:
                     plan.add_suffix_bi(pos, bi)
                 else:
@@ -490,9 +474,9 @@ class _Compile:
         ix = self.ix
         continues_in_quote = ix.quote_depth[sent.tokens[-1].index] > 0
         for gi, g in enumerate(sgroups):
+            # every group holds a word, and a sentence's last group is
+            # end-stopped (phrasing.segment, classify_junction)
             positions = [i for i in g.positions() if toks[i].kind == WORD]
-            if not positions:
-                continue
             end = positions[-1]
             sentence_final_group = gi == len(sgroups) - 1
             if end in plan.consumed:
@@ -514,7 +498,7 @@ class _Compile:
                         and t2 not in plan.consumed):
                     cluster = True
                 if cluster:
-                    plan.add_prefix(t2, _Placed(SLOWDOWN_HEAD, GLUE_RIGHT))
+                    plan.add_prefix(t2, self._row_event("slowdown_head"))
                     continue
 
             if g.junction == END_STOPPED:
@@ -532,7 +516,7 @@ class _Compile:
                 in_quote = region_sents is not None
                 multi = in_quote and len(region_sents) > 1
                 quote_final = multi and region_sents[-1] == sent.index
-                plan.add_prefix(end, self._opening(
+                plan.add_prefix(end, self._selected(
                     position="group_final",
                     in_quote=in_quote,
                     character_pov=in_quote,
@@ -546,15 +530,11 @@ class _Compile:
                         at_punct=sent.terminal != "none" or not sentence_final_group,
                         sentence_final=sentence_final_group,
                         paragraph_final=ix.paragraph_last[sent.paragraph_index] is sent)
-                    plan.add_suffix_bi(end, assign_break_index(g, ctx))
+                    plan.add_suffix_bi(end, assign_break_index(ctx))
             else:
-                nxt = sgroups[gi + 1] if gi + 1 < len(sgroups) else None
-                if nxt is not None and nxt.trigger == "comparative" \
-                        and not plan.has_prefix(nxt.token_span[0]):
-                    plan.add_prefix(nxt.token_span[0], _bi2_pause())
-                if continues_in_quote and sentence_final_group \
-                        and not plan.has_bi_suffix(end):
-                    plan.chain_onward(end)
+                nxt = sgroups[gi + 1]
+                if nxt.trigger == "comparative" and not plan.has_prefix(nxt.token_span[0]):
+                    plan.add_prefix(nxt.token_span[0], *_pause(BreakIndex.BI2))
 
     def _plan_announcement(self, plan: _SentencePlan):
         sent = plan.sentence
@@ -570,7 +550,7 @@ class _Compile:
             return
         if clauses[-1][1].pred not in self.config.comm_verbs:
             return
-        plan.add_suffix(len(sent.tokens) - 1, _Placed(ANNOUNCE_EVENT, GLUE_NONE))
+        plan.add_suffix(len(sent.tokens) - 1, self._row_event("announce", glue=GLUE_NONE))
 
     def _plan_pov_chains(self, plans: dict[int, _SentencePlan], pov_spans):
         for span in pov_spans:
@@ -584,8 +564,8 @@ class _Compile:
                 if prev_plan is not None:
                     first = _first_word(plan.sentence)
                     if first is not None:
-                        items = [] if prev_plan.end_bi2 else [_bi2_pause()]
-                        items.append(self._opening(comparative_continuation=True))
+                        items = [] if prev_plan.end_bi2 else _pause(BreakIndex.BI2)
+                        items.append(self._row_event("ds_elaboration", 1))
                         plan.prefix[first] = items + plan.prefix.get(first, [])
                 prev_plan = plan
 
@@ -615,14 +595,28 @@ def _first_word(sent: Sentence) -> int | None:
     return next((i for i, t in enumerate(sent.tokens) if t.kind == WORD), None)
 
 
-def _bi2_pause() -> _Placed:
-    """A BI-2 pause before the token it prefixes."""
-    return _Placed(ev(slnc=100), GLUE_RIGHT, bi=BreakIndex.BI2)
+def _event(event: ParamEvent, glue: str, tone: str | None = None,
+           bi: BreakIndex | None = None) -> ScriptItem:
+    return ScriptItem("event", event=event, glue=glue, tone_label=tone, bi=bi)
 
 
-def _after_silence(event: ParamEvent, ms: int) -> ParamEvent:
-    """``event``'s pitch, rate and volume fused after a silence of ``ms``."""
-    return ev(slnc=ms, pbas=event.pbas, rate=event.rate, volm=event.volm)
+def _pause(bi: BreakIndex, glue: str = GLUE_RIGHT, before: ScriptItem | None = None,
+           labelled: bool = True) -> list[ScriptItem]:
+    """The realization of ``bi``: its silence, then its reset if it has one.
+
+    With ``before``, a row event, the silence (of an index without reset)
+    is fused in front of that event's parameters and keeps its contour
+    label; ``labelled=False`` leaves the break index off the annotation.
+    """
+    silence, reset = BI_REALIZATION[bi]
+    label = bi if labelled else None
+    if before is None:
+        items = [_event(ev(slnc=silence), glue, bi=label)]
+    else:
+        items = [_event(replace(before.event, slnc=silence), glue, before.tone_label, label)]
+    if reset:
+        items.append(_event(RSET, GLUE_COMPOUND))
+    return items
 
 
 def run_pipeline(text: str, sidecar_text: str | None, config: Config,

@@ -49,9 +49,6 @@ BI_REALIZATION: dict[BreakIndex, tuple[int, bool]] = {
     BreakIndex.BI44: (400, False),
 }
 
-EMITTED_BIS = tuple(BI_REALIZATION)
-
-
 @dataclass(frozen=True)
 class ParamEvent:
     """One embedded synthesizer instruction.
@@ -186,32 +183,21 @@ def span_for_sentence(spans: list[POVSpan], sent_index: int) -> POVSpan | None:
 
 @dataclass
 class BreakContext:
+    """Where an end-stopped breath group ends."""
     at_punct: bool = False
-    head_followed_by_dependent: bool | None = None
     sentence_final: bool = False
     paragraph_final: bool = False
-    title_final: bool = False
-    before_quantifier: bool = False
-    pre_exclamative: bool = False
 
 
-def assign_break_index(group, context: BreakContext) -> BreakIndex:
-    """Map a boundary context to its break index.
+def assign_break_index(context: BreakContext) -> BreakIndex:
+    """Map the end of a breath group to its break index.
 
     Punctuation outranks paragraph position: the markup gives a punctuated
     paragraph-final sentence the plain end-of-group index, so the strong
-    paragraph break only fires on punctuation-less sentences.
+    paragraph break only fires on punctuation-less sentences.  The rules
+    that place a fixed break (title, head, quantifier, exclamative) name
+    its index themselves.
     """
-    if context.title_final:
-        return BreakIndex.BI44
-    if context.pre_exclamative:
-        return BreakIndex.BI22
-    if context.before_quantifier:
-        return BreakIndex.BI23
-    if context.head_followed_by_dependent is True:
-        return BreakIndex.BI33
-    if context.head_followed_by_dependent is False:
-        return BreakIndex.BI32
     if context.at_punct:
         return BreakIndex.BI3
     if context.sentence_final and context.paragraph_final:
@@ -233,13 +219,9 @@ class FrozenEntry:
     tail_class: str | None = None        # e.g. address term after the pattern
 
 
-#: the roles the pipeline realizes, with the word class of their tail
-_ROLE_TAILS = {"exhortative": "dear"}
-
-
 def build_frozen_entries(table: list[tuple[list[str], str]]) -> list[FrozenEntry]:
-    return [FrozenEntry(pattern, role, _ROLE_TAILS[role])
-            for pattern, role in table if role in _ROLE_TAILS]
+    return [FrozenEntry(pattern, role, lexica.FROZEN_ROLES[role])
+            for pattern, role in table if role in lexica.FROZEN_ROLES]
 
 
 @dataclass
@@ -282,9 +264,6 @@ def match_frozen(tokens: list[Token], start: int,
 
 # Quantifier and head slowdowns ------------------------------------------------
 
-SLOWDOWN_QUANTIFIER = ev(rate=110, volm=+0.3)
-SLOWDOWN_HEAD = ev(rate=130, volm=+0.5)
-
 #: quantifier pronouns stand alone and take the pre-quantifier slowdown with
 #: its closing pause; modifier quantifiers join the following head under the
 #: head slowdown instead
@@ -296,19 +275,17 @@ def mark_quantifier_slowdown(group, sentence, quantifiers: set[str],
                              skip: set[int] | None = None):
     """Pre-word slowdown adjustments for one group.
 
-    A standalone quantifier pronoun takes the pre-quantifier slowdown with
-    its closing pause; a modifier quantifier directly before the group-final
-    head takes the head slowdown (which then covers the final pair, so the
-    head position is returned for suppression).  Result: a list of
-    (token position, prefix event, closing BreakIndex or None, covered
-    positions).
+    A standalone quantifier pronoun takes the ``slowdown_quantifier`` row,
+    whose break closes it; a modifier quantifier directly before the
+    group-final head takes the ``slowdown_head`` row (which then covers the
+    final pair, so the head position is returned for suppression).  Result:
+    a list of (token position, mapping-table row id, covered positions).
+    Every group holds a word (``phrasing.segment``).
     """
     toks = sentence.tokens
     skip = skip or set()
     out = []
     positions = [i for i in group.positions() if toks[i].kind == WORD]
-    if not positions:
-        return out
     final = positions[-1]
     for i in positions:
         if i in skip:
@@ -317,10 +294,10 @@ def mark_quantifier_slowdown(group, sentence, quantifiers: set[str],
         if n not in quantifiers:
             continue
         if n in PRONOUN_QUANTIFIERS and i != final:
-            out.append((i, SLOWDOWN_QUANTIFIER, BreakIndex.BI23, {i}))
+            out.append((i, "slowdown_quantifier", {i}))
         elif i != final and all(toks[j].kind != WORD or j == final
                                 for j in range(i + 1, final + 1)):
-            out.append((i, SLOWDOWN_HEAD, None, {i, final}))
+            out.append((i, "slowdown_head", {i, final}))
     return out
 
 
@@ -332,19 +309,11 @@ class ToneContext:
     position: str = "sentence_internal"
     move: str = "level"
     relevance: str = "background"
-    disc_rel: str = "narration"
     affect: str = "neutral"
     in_quote: bool = False
     character_pov: bool = False
     paragraph_initial: bool = False
     after_first_paragraph: bool = False
-    subordinate_marker: bool = False
-    elaboration_predicate: bool = False
-    comparative_continuation: bool = False
-    resultative_infinitival: bool = False
-    exclamative: bool = False
-    head_at_bi33: bool = False
-    copular_head: bool = False
     quote_final_sentence: bool = False
     sentence_final_group: bool = False
 
@@ -352,40 +321,25 @@ class ToneContext:
 def select_tone(ctx: ToneContext) -> ToneContour:
     """Decision table mapping a prosodic context to a tone contour.
 
-    Transcribed row by row from the tone inventory; the neutral default
-    falls through to H*-L.
+    Transcribed from the tone inventory for the points where the context
+    decides: sad affect, sentence start, sentence-internal foreground and
+    group end.  The rules that always place one row name it themselves.
+    The neutral default falls through to H*-L.
     """
     if ctx.affect == "sad":
         return contour("L*-L%", row_id="sad")
-    if ctx.exclamative and (ctx.in_quote or ctx.character_pov):
-        return contour("H*-H-1", row_id="ds_exclamative")
     if ctx.position == "sentence_initial":
         if ctx.move == "up" and ctx.relevance == "foreground":
             if ctx.paragraph_initial and ctx.after_first_paragraph:
                 return contour("H*-H-1", row_id="up_fg_parainit")
             return contour("H*-H", row_id="up_fg")
         return contour("H*-L", row_id="default")
-    if ctx.subordinate_marker:
-        return contour("H*-H-3", row_id="subordinate_marker")
-    if ctx.elaboration_predicate:
-        return contour("H*-H-3", row_id="subordinate_marker")
-    if ctx.comparative_continuation:
-        return contour("H-!H*-1", row_id="ds_elaboration")
-    if ctx.resultative_infinitival:
-        return contour("H*-L", row_id="internal_fg")
     if ctx.position == "group_final":
-        if ctx.head_at_bi33:
-            return contour("L-L%", row_id="head_bi33")
-        if ctx.copular_head:
-            return contour("H*-L%-1", row_id="internal_boundary")
         if ctx.character_pov and ctx.quote_final_sentence and ctx.sentence_final_group:
             return contour("H*-L%-2", row_id="adjunct_bg")
         if ctx.in_quote and ctx.relevance == "foreground":
             return contour("H*-L", row_id="internal_fg")
         return contour("H*-L%", row_id="eog_internal")
-    if ctx.position == "sentence_internal":
-        if ctx.relevance == "foreground":
-            return contour("H-H*-2", row_id="adjunct_fg")
-        if ctx.in_quote and ctx.disc_rel == "elaboration":
-            return contour("H*-L", row_id="internal_fg")
+    if ctx.position == "sentence_internal" and ctx.relevance == "foreground":
+        return contour("H-H*-2", row_id="adjunct_fg")
     return contour("H*-L", row_id="default")

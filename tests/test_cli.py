@@ -180,6 +180,29 @@ def test_non_utf8_lexicon_is_usage_error(tmp_path, capsys):
     assert err.startswith(f"prosomark: cannot read lexicon {bad}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name,lines", [
+    ("affect_path", "sly\tsad\n\nsad\n"),         # tag without its entry
+    ("frozen_path", "# frozen\n\ncome on\n"),    # pattern without its role
+])
+def test_single_field_lexicon_line_is_usage_error(tmp_path, capsys, name, lines):
+    bad = tmp_path / "lexicon.tsv"
+    bad.write_text(lines)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{name} = {bad}\n")
+    assert invoke(str(_three_tokens(tmp_path)), "--config", str(cfg),
+                  "--out", str(tmp_path / "o.txt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"prosomark: {bad}:") and ":3: " in err and err.count("\n") == 1
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "o.txt"
+    assert invoke(str(_three_tokens(tmp_path)), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prosomark: cannot write output: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_rewritten_lexicon_is_read_again(tmp_path):
     # the lexicon is re-read when its size or mtime changes between calls
     affect = tmp_path / "affect.tsv"

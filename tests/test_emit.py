@@ -1,5 +1,6 @@
 """Mapping table conversions and the two renderers."""
 
+import dataclasses
 import re
 
 import pytest
@@ -50,6 +51,29 @@ def test_full_table_round_trip():
         got = params_to_tobi(row.flat_params())
         labels = " ".join(c.label for c in row.contours)
         assert got == [(labels, row.bi.label if row.bi else None)], row.row_id
+
+
+def test_every_fixture_event_comes_from_the_table(fable_result, fox_result,
+                                                  fox_nopov_result):
+    # each event is a row's parameter event, a break index's silence or
+    # reset, or a silence without reset fused in front of a row event; a
+    # labelled event opens the tuple of a row contour with that label
+    row_events = {e for row in DEFAULT_TABLE.rows for tup in row.params for e in tup}
+    breaks = {ev(slnc=ms) for ms, _ in BI_REALIZATION.values()} | {RSET}
+    fused = {dataclasses.replace(e, slnc=ms) for e in row_events if e.pbas is not None
+             for ms, reset in BI_REALIZATION.values() if not reset}
+    openings = {(c.label, row.params[i][0])
+                for row in DEFAULT_TABLE.rows for i, c in enumerate(row.contours)}
+    for res in (fable_result, fox_result, fox_nopov_result):
+        events = [it for it in res.script.items if it.kind == "event"]
+        assert events
+        for it in events:
+            assert it.event in row_events | breaks | fused, it.event
+            if it.bi is not None:
+                assert it.event.slnc == BI_REALIZATION[it.bi][0], it
+            if it.tone_label is not None:
+                opening = dataclasses.replace(it.event, slnc=None)
+                assert (it.tone_label, opening) in openings, it
 
 
 def test_unknown_tuple_placeholder():

@@ -7,6 +7,7 @@ from prosomark.annotations import shallow_analyze
 from prosomark.config import Config
 from prosomark.ingest import split_document, tokenize
 from prosomark.phrasing import END_STOPPED, segment
+from prosomark.pipeline import run_pipeline
 from conftest import load
 
 
@@ -130,6 +131,40 @@ def test_last_group_always_end_stopped(fable_result, fox_result):
             groups = res.groups[sent.index]
             if groups:
                 assert groups[-1].junction == END_STOPPED
+
+
+def _random_texts(rng, count):
+    """Criterion 9's random sentences, then texts with marks anywhere:
+    straight and curly quotes, colons, no terminal, paragraph breaks."""
+    vocab = ("the a cat dog mouse bird old small said saw ran came and but "
+             "or while when if because nobody all some every to of in her "
+             "his very now then sly impossible one council bell").split()
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        body = []
+        for i in range(n):
+            body.append(rng.choice(vocab))
+            if i < n - 1 and rng.random() < 0.12:
+                body.append(",")
+        text = " ".join(body).replace(" ,", ",") + rng.choice([".", "?", "!"])
+        yield '"' + text + '"' if rng.random() < 0.2 else text
+    marks = (",", ".", "?", "!", ":", ";", '"', "\u201c", "\u201d", "\n\n")
+    for _ in range(count):
+        yield " ".join(rng.choice(vocab) if rng.random() < 0.7 else rng.choice(marks)
+                       for _ in range(rng.randint(1, 40)))
+
+
+def test_groups_hold_words_and_last_group_end_stopped_random(config):
+    # the planner relies on both: it takes each group's last word unguarded,
+    # and closes a sentence only through an end-stopped group
+    for text in _random_texts(random.Random(31337), 500):
+        res = run_pipeline(text, None, config)
+        for sent in res.doc.sentences:
+            groups = res.groups[sent.index]
+            for g in groups:
+                assert any(sent.tokens[i].kind == "word" for i in g.positions()), text
+            if groups:
+                assert groups[-1].junction == END_STOPPED, text
 
 
 def test_junction_examples(fable_result):

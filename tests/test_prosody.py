@@ -26,35 +26,58 @@ from prosomark.prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
 # Break indices ---------------------------------------------------------------
 
 def test_bi_end_stopped_at_punct():
-    assert assign_break_index(None, BreakContext(at_punct=True)) == BreakIndex.BI3
+    assert assign_break_index(BreakContext(at_punct=True)) == BreakIndex.BI3
 
 
-def test_bi_title():
-    assert assign_break_index(None, BreakContext(title_final=True)) == BreakIndex.BI44
+def _breaks_after(result, word):
+    """The break indices of the events right after each token ``word``."""
+    out, current = [], None
+    for it in result.script.items:
+        if it.kind == "token":
+            current = [] if it.token.normalized == word else None
+            if current is not None:
+                out.append(current)
+        elif it.kind == "event" and current is not None and it.bi is not None:
+            current.append(it.bi)
+    return out
 
 
-def test_bi_head_with_dependent():
-    ctx = BreakContext(head_followed_by_dependent=True)
-    assert assign_break_index(None, ctx) == BreakIndex.BI33
-    ctx = BreakContext(head_followed_by_dependent=False)
-    assert assign_break_index(None, ctx) == BreakIndex.BI32
+def test_bi_title(config, fable_result):
+    # the title line closes with the title break, a silence without reset
+    assert _breaks_after(fable_result, "aesop") == [[BreakIndex.BI44]]
+    res = run_pipeline("The Fox\n\nThe cat sat.", None, config)
+    assert render_tobi(res.doc, res.script).splitlines()[0] == "H*-L The Fox BI-44 H*-H"
+    assert "Fox [[slnc 400]]\n" in render_markup(res.doc, res.script)
 
 
-def test_bi_quantifier_and_exclamative():
-    assert assign_break_index(None, BreakContext(before_quantifier=True)) == BreakIndex.BI23
-    assert assign_break_index(None, BreakContext(pre_exclamative=True)) == BreakIndex.BI22
+def test_bi_head_with_dependent(fable_result):
+    # "to consider what measures": a complement opener follows the head;
+    # "could take to outwit": a looser continuation follows it
+    assert _breaks_after(fable_result, "consider") == [[BreakIndex.BI33]]
+    assert _breaks_after(fable_result, "take") == [[BreakIndex.BI32]]
+    line = render_tobi(fable_result.doc, fable_result.script).splitlines()[1]
+    assert "L-L% consider BI-33 what" in line and "L-L% take BI-32 to" in line
+
+
+def test_bi_quantifier_and_exclamative(fable_result, fox_result):
+    # "and nobody spoke": the standalone quantifier closes with BI-23
+    assert _breaks_after(fable_result, "nobody") == [[BreakIndex.BI23]]
+    # "who is to bell the cat?": the exclamative's last word takes BI-22
+    assert _breaks_after(fable_result, "cat")[-1] == [BreakIndex.BI22]
+    assert _breaks_after(fox_result, "me") == [[BreakIndex.BI22]]
+    assert "me BI-22 H*-H-1 !" in render_tobi(fox_result.doc, fox_result.script)
 
 
 def test_bi_paragraph_final_only_without_punctuation():
     # punctuation outranks the paragraph boundary
     ctx = BreakContext(at_punct=True, sentence_final=True, paragraph_final=True)
-    assert assign_break_index(None, ctx) == BreakIndex.BI3
+    assert assign_break_index(ctx) == BreakIndex.BI3
     ctx = BreakContext(sentence_final=True, paragraph_final=True)
-    assert assign_break_index(None, ctx) == BreakIndex.BI4
+    assert assign_break_index(ctx) == BreakIndex.BI4
 
 
 def test_bi_default_enjambed():
-    assert assign_break_index(None, BreakContext()) == BreakIndex.BI2
+    assert assign_break_index(BreakContext()) == BreakIndex.BI2
 
 
 # Tone contours ---------------------------------------------------------------
@@ -282,7 +305,7 @@ def test_frozen_determinism(config):
 # Quantifier slowdowns ----------------------------------------------------------
 
 def test_mark_quantifier_slowdown_direct(config, fable_result):
-    from prosomark.prosody import SLOWDOWN_HEAD, SLOWDOWN_QUANTIFIER, mark_quantifier_slowdown
+    from prosomark.prosody import mark_quantifier_slowdown
     doc = fable_result.doc
     # "and nobody spoke": standalone quantifier pronoun
     sent = doc.sentences[9]
@@ -290,18 +313,20 @@ def test_mark_quantifier_slowdown_direct(config, fable_result):
                  if any(sent.tokens[i].normalized == "nobody" for i in g.positions()))
     out = mark_quantifier_slowdown(group, sent, config.quantifiers)
     assert len(out) == 1
-    pos, event, bi, covered = out[0]
+    pos, row_id, covered = out[0]
     assert sent.tokens[pos].normalized == "nobody"
-    assert event == SLOWDOWN_QUANTIFIER and bi == BreakIndex.BI23
+    assert row_id == "slowdown_quantifier" and covered == {pos}
+    assert DEFAULT_TABLE.row(row_id).bi == BreakIndex.BI23
     # "you will all agree": modifier quantifier before the group-final head
     sent3 = doc.sentences[3]
     group3 = next(g for g in fable_result.groups[3]
                   if any(sent3.tokens[i].normalized == "agree" for i in g.positions()))
     out3 = mark_quantifier_slowdown(group3, sent3, config.quantifiers)
     assert len(out3) == 1
-    pos3, event3, bi3, covered3 = out3[0]
+    pos3, row_id3, covered3 = out3[0]
     assert sent3.tokens[pos3].normalized == "all"
-    assert event3 == SLOWDOWN_HEAD and bi3 is None
+    assert row_id3 == "slowdown_head" and DEFAULT_TABLE.row(row_id3).bi is None
+    assert [sent3.tokens[i].normalized for i in sorted(covered3)] == ["all", "agree"]
     # no quantifier, non-final head: nothing
     sent1 = doc.sentences[1]
     group1 = fable_result.groups[1][1]   # "the mice had a general council"

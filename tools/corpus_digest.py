@@ -8,6 +8,9 @@ The hash covers a document's markup, ToBI, breath groups and diagnostics,
 compiled with the default configuration by the ``prosomark`` under this
 checkout's ``src/``.  Running the script in two checkouts and comparing the
 outputs with ``diff`` lists every document whose output differs.
+``tests/test_corpus_digest.py`` does that against the copy kept in
+``tests/data/corpus_digest.tsv``; a change that means to move output
+regenerates that file with this script.
 
 The corpus, 1,922 documents:
 
