@@ -14,7 +14,7 @@ from .emit import (DEFAULT_TABLE, MappingTable, ProsodicScript, params_to_tobi,
                    render_markup, render_tobi, tone_to_params)
 from .ingest import (Document, PhonLexicon, Sentence, Token, classify_comma,
                      phon_exception, split_document, tokenize)
-from .phrasing import BreathGroup, classify_junction, mark_heads, render_groups, segment
+from .phrasing import BreathGroup, classify_junction, render_groups, segment
 from .pipeline import PipelineResult, ProsodyManager, run_pipeline
 from .prosody import (BreakIndex, FrozenEntry, ParamEvent, ToneContour,
                       assign_break_index, contour, match_frozen, select_tone,

@@ -15,7 +15,9 @@ Sidecar format (tab-separated, ``#`` comments):
     DISC   <sent_id> <clause_no> <move> <from>-<to>
 
 A ``_`` relevance asks for classification; omitting all DISC lines asks for
-move derivation.
+move derivation.  A DISC attachment span (clause numbers, ``nil`` for no
+origin) is kept and written back by ``render_sidecar`` but not checked: no
+rule reads it, so it may name clauses past the last one.
 """
 
 from __future__ import annotations
@@ -86,11 +88,6 @@ class DiscourseNode:
     clause_no: int
     move: str
     attach: tuple[int | None, int]
-    subjectivity: str = "objective"
-    disc_rel: str = "narration"
-    tense: str = "pres"
-    pred: str = ""
-    relevance: str = "background"
 
 
 @dataclass
@@ -207,7 +204,6 @@ def _parse_span(text: str, line_no: int) -> tuple[int | None, int]:
 def parse_sidecar(text: str) -> AnnotationSet:
     ann = AnnotationSet()
     known: set[int] = set()
-    saw_disc = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -264,7 +260,6 @@ def parse_sidecar(text: str) -> AnnotationSet:
                 sent_id=sent_id, clause_no=_clause_no(no, line_no),
                 move=_expect(move, MOVES, "move", line_no),
                 attach=_parse_span(span, line_no)))
-            saw_disc = True
         else:
             raise SidecarError(f"unknown record type {tag!r}", line_no)
 
@@ -283,15 +278,6 @@ def parse_sidecar(text: str) -> AnnotationSet:
             warned.add((t.semantic_id, t.pred))
             ann.warnings.append(
                 f"semantic id {t.semantic_id} maps to both {seen!r} and {t.pred!r}")
-
-    if saw_disc:
-        by_no = {c.clause_no: c for c in ann.clauses}
-        for n in ann.nodes:
-            c = by_no[n.clause_no]
-            n.pred, n.tense = c.pred, c.tense
-            n.disc_rel, n.subjectivity = c.disc_rel, c.subjectivity
-            if c.relevance:
-                n.relevance = c.relevance
     return ann
 
 
@@ -335,15 +321,10 @@ def classify_relevance(feats: ClauseFeatures, ruleset=None) -> str:
 
 
 def resolve_relevance(ann: AnnotationSet, ruleset=None) -> None:
-    """Fill in relevance wherever the sidecar requested classification, in
-    the clause and in its discourse nodes."""
-    resolved = {}
+    """Fill in relevance wherever the sidecar requested classification."""
     for c in ann.clauses:
         if c.relevance is None:
-            c.relevance = resolved[c.clause_no] = classify_relevance(c, ruleset)
-    for n in ann.nodes:
-        if n.clause_no in resolved:
-            n.relevance = resolved[n.clause_no]
+            c.relevance = classify_relevance(c, ruleset)
 
 
 # Topic stack ----------------------------------------------------------------
@@ -444,12 +425,8 @@ def derive_moves(clauses: list[ClauseFeatures],
         else:
             move = "level"
             attach = prev.attach if prev.attach[0] is not None else (root_no, c.clause_no)
-        node = DiscourseNode(
-            sent_id=f"s_{i + 1}", clause_no=c.clause_no, move=move, attach=attach,
-            subjectivity=c.subjectivity, disc_rel=c.disc_rel, tense=c.tense,
-            pred=c.pred, relevance=c.relevance or "background")
-        nodes.append(node)
-        prev = node
+        prev = DiscourseNode(f"s_{i + 1}", c.clause_no, move, attach)
+        nodes.append(prev)
     return nodes
 
 

@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 from .annotations import IntegrityError, SidecarError
-from .config import Config, parse_config_file
+from .config import EMIT_MODES, TITLE_MODES, Config, parse_config_file
 from .emit import render_markup, render_tobi
 from .pipeline import run_pipeline
 
@@ -34,12 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", help="input text file")
     parser.add_argument("--sidecar", metavar="PATH",
                         help="clause-level annotation sidecar")
-    parser.add_argument("--emit", choices=["markup", "tobi", "both", "groups"],
+    parser.add_argument("--emit", choices=EMIT_MODES,
                         default=None, help="output kind (default: markup)")
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     parser.add_argument("--check", metavar="PATH",
                         help="compare output against a golden file")
-    parser.add_argument("--title", choices=["auto", "force", "off"], default=None,
+    parser.add_argument("--title", choices=TITLE_MODES, default=None,
                         help="title detection mode")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="output file (default: stdout)")

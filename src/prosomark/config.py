@@ -13,6 +13,9 @@ from pathlib import Path
 from . import lexica
 from .annotations import DEFAULT_RELEVANCE_RULES
 
+TITLE_MODES = ("auto", "force", "off")
+EMIT_MODES = ("markup", "tobi", "both", "groups")
+
 
 @dataclass
 class Config:
@@ -63,15 +66,19 @@ class Config:
         return self
 
 
-_BOOL_KEYS = {"pov_tracking"}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 _INT_KEYS = {"min_len", "max_len", "max_subj"}
 _PATH_KEYS = {"multiword_path", "phonetic_path", "frozen_path", "affect_path",
               "quantifier_path", "comm_verb_path"}
-_STR_KEYS = {"title_mode", "emit_mode"}
+_MODE_KEYS = {"title_mode": TITLE_MODES, "emit_mode": EMIT_MODES}
 
 
-def parse_config_file(path: str | Path, base: Config | None = None) -> Config:
-    cfg = base or Config()
+def parse_config_file(path: str | Path) -> Config:
+    """A ``Config`` from a config file.  A malformed line, an unknown key or
+    a value its key does not accept raises ``ValueError`` naming
+    ``path:line``."""
+    cfg = Config()
     text = Path(path).read_text(encoding="utf-8")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -79,19 +86,30 @@ def parse_config_file(path: str | Path, base: Config | None = None) -> Config:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        where = f"{path}:{line_no}"
         if not value:
-            raise ValueError(f"{path}:{line_no}: expected key = value")
+            raise ValueError(f"{where}: expected key = value")
         if key in _INT_KEYS:
-            setattr(cfg, key, int(value))
-        elif key in _BOOL_KEYS:
-            setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
+            try:
+                setattr(cfg, key, int(value))
+            except ValueError:
+                raise ValueError(f"{where}: {key} must be an integer, "
+                                 f"not {value!r}") from None
+        elif key == "pov_tracking":
+            if value.lower() not in _BOOLS:
+                raise ValueError(f"{where}: {key} must be one of "
+                                 f"{'/'.join(_BOOLS)}, not {value!r}")
+            cfg.pov_tracking = _BOOLS[value.lower()]
         elif key in _PATH_KEYS:
             setattr(cfg, key, (Path(path).parent / value).resolve()
                     if not Path(value).is_absolute() else Path(value))
-        elif key in _STR_KEYS:
+        elif key in _MODE_KEYS:
+            if value not in _MODE_KEYS[key]:
+                raise ValueError(f"{where}: {key} must be one of "
+                                 f"{'/'.join(_MODE_KEYS[key])}, not {value!r}")
             setattr(cfg, key, value)
         else:
-            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
     if cfg.min_len > cfg.max_len:
         raise ValueError("min_len must not exceed max_len")
     return cfg

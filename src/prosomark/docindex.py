@@ -11,11 +11,10 @@ clauses).  The index describes one compile and is not kept on the
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 
 from .annotations import AnnotationSet, ClauseFeatures, DiscourseNode, innermost_clauses
-from .ingest import QUOTE, WORD, Document, Sentence, Token, quote_is_opener
+from .ingest import QUOTE, Document, Sentence, Token, quote_is_opener
 
 
 class DocIndex:
@@ -28,11 +27,7 @@ class DocIndex:
         n = doc.token_count()
         self.spans = ann.clause_spans
         self.span_starts = {span[0] for span in ann.clause_spans.values()}
-        self.span_ends = {span[1] for span in ann.clause_spans.values()}
         self._owner = innermost_clauses(ann, n)
-        #: per token, the list position of the first clause holding it
-        #: whose predicate is the token's word (-1: none)
-        self.pred_owner = _pred_owners(ann, tokens, n)
         self._nodes: dict[int, DiscourseNode] = {}
         for node in ann.nodes:
             self._nodes.setdefault(node.clause_no, node)
@@ -135,30 +130,3 @@ class DocIndex:
         if k >= 0 and token_index <= self.region_ends[k]:
             return self.region_sentences[k]
         return None
-
-
-def _pred_owners(ann: AnnotationSet, tokens: list[Token], n: int) -> list[int]:
-    """See ``DocIndex.pred_owner``: one sweep over the tokens, with a heap of
-    the open spans per predicate keyed by list position."""
-    spans = []
-    for order, c in enumerate(ann.clauses):
-        span = ann.clause_spans.get(c.clause_no)
-        if span:
-            spans.append((span[0], order, span[1], c.pred))
-    spans.sort(key=lambda s: s[0])
-    owners = [-1] * n
-    open_by_pred: dict[str, list[tuple[int, int]]] = {}
-    k = 0
-    for t in tokens:
-        while k < len(spans) and spans[k][0] <= t.index:
-            _, order, end, pred = spans[k]
-            heapq.heappush(open_by_pred.setdefault(pred, []), (order, end))
-            k += 1
-        if t.kind != WORD:
-            continue
-        heap = open_by_pred.get(t.normalized)
-        while heap and heap[0][1] < t.index:
-            heapq.heappop(heap)
-        if heap:
-            owners[t.index] = heap[0][0]
-    return owners

@@ -147,30 +147,27 @@ class MappingTable:
 DEFAULT_TABLE = MappingTable()
 
 
-def tone_to_params(c: ToneContour, table: MappingTable = DEFAULT_TABLE,
-                   bi: BreakIndex | None = None) -> list[ParamEvent]:
-    """Parameter tuple(s) for a contour, plus its break-index realization."""
-    row, idx = table.row_for_contour(c)
+def tone_to_params(c: ToneContour) -> list[ParamEvent]:
+    """Parameter tuple(s) for a contour, plus the break-index realization of
+    its row when it is the row's last contour."""
+    row, idx = DEFAULT_TABLE.row_for_contour(c)
     out = list(row.params[idx])
-    effective_bi = bi if bi is not None else (row.bi if idx == len(row.contours) - 1 else None)
-    if effective_bi is not None:
-        out.extend(bi_to_params(effective_bi))
+    if row.bi is not None and idx == len(row.contours) - 1:
+        out.extend(bi_to_params(row.bi))
     return out
 
 
 UNKNOWN_LABEL = "X-?"
 
 
-def params_to_tobi(events: list[ParamEvent],
-                   table: MappingTable = DEFAULT_TABLE
-                   ) -> list[tuple[str, str | None]]:
+def params_to_tobi(events: list[ParamEvent]) -> list[tuple[str, str | None]]:
     """Invert a parameter stream to (contour label, break-index label) pairs.
 
     Greedy longest-sequence matching over the table rows, then bare
     (silence, reset) pairs as break indices; unknown tuples come back as a
     diagnostic placeholder so third-party markup can still be inspected.
     """
-    ordered = sorted(table.rows, key=lambda r: len(r.flat_params()), reverse=True)
+    ordered = sorted(DEFAULT_TABLE.rows, key=lambda r: len(r.flat_params()), reverse=True)
     out: list[tuple[str, str | None]] = []
     i = 0
     while i < len(events):

@@ -240,8 +240,6 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
 
 # Comma classification ------------------------------------------------------
 
-CONJUNCTIONS = {"and", "or", "but", "nor", "so", "yet", "for"}
-
 #: words whose appearance right after a comma signals a parenthetical aside
 PARENTHETICAL_WORDS = {
     "therefore", "however", "moreover", "indeed", "perhaps", "though",
@@ -254,12 +252,10 @@ _DETERMINERS = {"the", "a", "an", "this", "that", "these", "those", "their",
                 "his", "her", "its", "my", "your", "our"}
 
 
-def classify_comma(sentence: Sentence, index: int, ann=None) -> str:
-    """One of appositive/list/clause_boundary/vocative/parenthetical/other.
+def classify_comma(sentence: Sentence, index: int) -> str:
+    """One of appositive/vocative/parenthetical/other, by lexical heuristics.
 
-    Lexical fallback heuristics; annotations (an ``AnnotationSet``, or the
-    ``DocIndex`` built from one), when given, can pin a comma to a clause
-    boundary via clause spans.
+    These are the classes that keep a short comma group standalone.
     """
     toks = sentence.tokens
     if toks[index].kind != COMMA:
@@ -275,14 +271,6 @@ def classify_comma(sentence: Sentence, index: int, ann=None) -> str:
         return "parenthetical"
     if prev is not None and prev.normalized in PARENTHETICAL_WORDS:
         return "parenthetical"
-    if ann is not None and _comma_at_clause_edge(sentence, index, ann):
-        if nxt.normalized in CONJUNCTIONS:
-            return "clause_boundary"
-    if nxt.normalized in CONJUNCTIONS:
-        # enumeration when the run before the comma is a bare NP list item
-        if _in_enumeration(toks, index):
-            return "list"
-        return "clause_boundary"
     if nxt.normalized in _DETERMINERS and prev is not None:
         # an NP echo with no verb up to the next boundary restates the head
         after = []
@@ -292,8 +280,6 @@ def classify_comma(sentence: Sentence, index: int, ann=None) -> str:
             after.append(t)
         if len(after) >= 2 and not _contains_verb(after[:5]):
             return "appositive"
-    if _in_enumeration(toks, index):
-        return "list"
     return "other"
 
 
@@ -305,29 +291,3 @@ _VERB_HINTS = {"is", "are", "was", "were", "be", "been", "had", "have", "has",
 def _contains_verb(tokens: list[Token]) -> bool:
     return any(t.normalized in _VERB_HINTS or t.normalized.endswith("ed")
                for t in tokens)
-
-
-def _in_enumeration(toks: list[Token], index: int) -> bool:
-    """A second comma (or comma+and) nearby suggests an enumeration."""
-    following = toks[index + 1:]
-    words_until_next_comma = []
-    for t in following:
-        if t.kind == COMMA:
-            return len(words_until_next_comma) <= 3
-        if t.kind == WORD:
-            words_until_next_comma.append(t)
-        if len(words_until_next_comma) > 3:
-            break
-    if (len(words_until_next_comma) >= 2
-            and words_until_next_comma[0].normalized in CONJUNCTIONS
-            and len(words_until_next_comma) <= 3):
-        return True
-    return False
-
-
-def _comma_at_clause_edge(sentence: Sentence, index: int, ann) -> bool:
-    from .docindex import DocIndex
-
-    ix = ann if isinstance(ann, DocIndex) else DocIndex(Document([sentence]), ann)
-    tok = sentence.tokens[index]
-    return tok.index + 1 in ix.span_starts or tok.index - 1 in ix.span_ends

@@ -89,12 +89,18 @@ def load_multiwords(path: str | Path) -> list[list[str]]:
 
 
 def load_phon_lexicon(path: str | Path) -> PhonLexicon:
+    """``word<TAB>phonetic`` lines, or without a tab split at the first
+    space.  A line without a phonetic field raises ``ValueError`` naming the
+    file and the line."""
     entries = {}
-    for _, line in _lines(path):
+    for n, line in _lines(path):
         word, _, phon = line.partition("\t")
         if not phon:
             word, _, phon = line.partition(" ")
-        entries[word.strip()] = phon.strip()
+        word, phon = word.strip(), phon.strip()
+        if not word or not phon:
+            raise ValueError(f"{path}:{n}: expected word<TAB>phonetic, got {line!r}")
+        entries[word] = phon
     return PhonLexicon(entries)
 
 
@@ -120,7 +126,7 @@ def load_frozen_table(path: str | Path) -> list[tuple[list[str], str]]:
 
 
 # Built-in word classes -----------------------------------------------------
-# Small closed classes used by segmentation and head marking.  These are not
+# Small closed classes used by segmentation and the accent rules.  These are not
 # a tag set; just enough to tell function words from content words.
 
 DETERMINERS = {"the", "a", "an", "this", "that", "these", "those", "some",

@@ -13,12 +13,13 @@ the strongest internal trigger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lexica
 from .annotations import AnnotationSet, is_verby
 from .docindex import DocIndex
-from .ingest import COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document, Sentence
+from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document, Sentence,
+                     classify_comma)
 
 END_STOPPED = "end_stopped"
 ENJAMBED = "enjambed"
@@ -32,11 +33,8 @@ _INTENSIFIERS = {"very", "quite", "rather", "so", "too"}
 @dataclass
 class BreathGroup:
     token_span: tuple[int, int]          # sentence-local positions, words only
-    head_index: int = -1                 # sentence-local position of the head
     trigger: str = "start"               # rule that opened this group
-    clause_no: int | None = None
     junction: str = ENJAMBED
-    demoted: set[int] = field(default_factory=set)
 
     def positions(self) -> range:
         return range(self.token_span[0], self.token_span[1] + 1)
@@ -50,10 +48,6 @@ def _is_verbish(tok, ix: DocIndex) -> bool:
     return is_verby(tok.normalized) or tok.normalized in ix.verb_preds
 
 
-def _index_for(sentence: Sentence, ann: AnnotationSet, index: DocIndex | None) -> DocIndex:
-    return index if index is not None else DocIndex(Document([sentence]), ann)
-
-
 def segment(sentence: Sentence, ann: AnnotationSet, config,
             index: DocIndex | None = None) -> list[BreathGroup]:
     """Split one sentence into breath groups.
@@ -61,7 +55,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
     ``index`` is the compile's ``DocIndex``; without it one is built for
     this sentence alone.
     """
-    ix = _index_for(sentence, ann, index)
+    ix = index if index is not None else DocIndex(Document([sentence]), ann)
     toks = sentence.tokens
     words = _word_positions(sentence)
     if not words:
@@ -170,13 +164,10 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
                     break
 
     groups = _build_groups(sentence, boundaries, words)
-    groups = _suppress_short(sentence, groups, ix, config)
+    groups = _suppress_short(sentence, groups, config)
     groups = _resplit_long(sentence, groups, max_len)
     for g in groups:
         g.junction = classify_junction(g, sentence)
-        g.head_index, g.demoted = mark_heads(g, sentence, ann, ix)
-        owner = ix.clause_at(sentence.tokens[g.head_index].index) if g.head_index >= 0 else None
-        g.clause_no = owner.clause_no if owner else None
     return groups
 
 
@@ -196,32 +187,19 @@ def _src_len(sentence, group) -> int:
                if sentence.tokens[i].kind == WORD)
 
 
-def _suppress_short(sentence, groups, ix, config) -> list[BreathGroup]:
+def _suppress_short(sentence, groups, config) -> list[BreathGroup]:
     """Merge punctuation-created fragments shorter than min_len.
 
     Appositive and parenthetical comma groups stay standalone, and so does a
     comma-marked sentence-initial adverbial.
     """
-    from .ingest import classify_comma
-
     out = []
     for g in groups:
         if out and _src_len(sentence, g) < config.min_len:
-            keep = False
-            first_tok = sentence.tokens[g.token_span[0]]
-            prev_comma = None
-            for j in range(g.token_span[0] - 1, -1, -1):
-                if sentence.tokens[j].kind == COMMA:
-                    prev_comma = j
-                break
-            if g.trigger == "punct" and prev_comma is not None:
-                cls = classify_comma(sentence, prev_comma, ix)
-                if cls in ("appositive", "parenthetical", "vocative"):
-                    keep = True
-            if (g.token_span[0] == _word_positions(sentence)[0]
-                    and first_tok.normalized in lexica.SENTENCE_ADVERBS):
-                keep = True
-            if not keep:
+            # a later group never starts the sentence, so a token precedes it
+            j = g.token_span[0] - 1
+            if not (g.trigger == "punct" and sentence.tokens[j].kind == COMMA
+                    and classify_comma(sentence, j) != "other"):
                 out[-1] = BreathGroup((out[-1].token_span[0], g.token_span[1]),
                                       trigger=out[-1].trigger)
                 continue
@@ -239,9 +217,6 @@ def _suppress_short(sentence, groups, ix, config) -> list[BreathGroup]:
                                  trigger="start")
             out = [merged] + out[2:]
     return out
-
-
-_RESPLIT_OPENERS = ("complement", "relative", "subordinator", "coordination")
 
 
 def _resplit_long(sentence, groups, max_len) -> list[BreathGroup]:
@@ -289,55 +264,6 @@ def classify_junction(group: BreathGroup, sentence: Sentence) -> str:
             return END_STOPPED
         return ENJAMBED
     return END_STOPPED
-
-
-def mark_heads(group: BreathGroup, sentence: Sentence, ann: AnnotationSet,
-               index: DocIndex | None = None) -> tuple[int, set[int]]:
-    """Head position plus the demoted (never accented) positions.
-
-    The group-final word is the nuclear-accent slot: it heads the group
-    unless it is a determiner, coordinator or auxiliary, in which case the
-    rightmost content word (or the clause predicate) takes over.  Function
-    words and non-final pronouns are demoted.  ``index`` as for ``segment``.
-    """
-    ix = _index_for(sentence, ann, index)
-    toks = sentence.tokens
-    positions = [i for i in group.positions() if toks[i].kind == WORD]
-    final = positions[-1]
-    demonstratives = {"this", "that", "these", "those"}
-    demoted = set()
-    for i in positions:
-        n = toks[i].normalized
-        if n in demonstratives and i == final:
-            continue  # group-final demonstrative is an accentable object
-        if n in lexica.DETERMINERS or n in lexica.COORDINATORS \
-                or n in lexica.AUXILIARIES or n in lexica.SUBORDINATORS \
-                or n in lexica.SUBORDINATE_MARKERS:
-            demoted.add(i)
-        elif n in lexica.PREPOSITIONS and i != final:
-            demoted.add(i)
-        elif n in lexica.PRONOUNS and i != final:
-            demoted.add(i)
-
-    head = None
-    if final not in demoted:
-        head = final
-    else:
-        # the first-listed clause whose predicate is one of the group's
-        # words inside its span, at the rightmost such word
-        owned = [(ix.pred_owner[toks[i].index], -i) for i in positions
-                 if ix.pred_owner[toks[i].index] >= 0]
-        if owned:
-            head = -min(owned)[1]
-        if head is None:
-            for i in reversed(positions):
-                if i not in demoted:
-                    head = i
-                    break
-        if head is None:
-            head = final
-    demoted.discard(head)
-    return head, demoted
 
 
 # Debug dump -----------------------------------------------------------------

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import lexica
-from .annotations import (AnnotationSet, check_clause_spans, resolve_moves,
-                          resolve_relevance, shallow_analyze)
+from .annotations import (AnnotationSet, check_clause_spans, parse_sidecar,
+                          resolve_moves, resolve_relevance, shallow_analyze)
 from .config import Config
 from .docindex import DocIndex
 from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
-                   DEFAULT_TABLE, MappingTable, ProsodicScript, ScriptItem)
+                   DEFAULT_TABLE, ProsodicScript, ScriptItem)
 from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
                      Sentence, phon_exception, split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
@@ -78,12 +78,11 @@ class _SentencePlan:
 
 
 class ProsodyManager:
-    """Compiles documents with one configuration and mapping table.  It
-    keeps no state between compiles, so threads may share one manager."""
+    """Compiles documents with one configuration.  It keeps no state
+    between compiles, so threads may share one manager."""
 
-    def __init__(self, config: Config, table: MappingTable = DEFAULT_TABLE):
+    def __init__(self, config: Config):
         self.config = config
-        self.table = table
 
     def process(self, text: str, ann: AnnotationSet | None = None) -> PipelineResult:
         cfg = self.config
@@ -104,7 +103,7 @@ class ProsodyManager:
         groups = {s.index: segment(s, ann, cfg, ix) for s in doc.sentences}
         pov_spans = (track_point_of_view(doc, ann, cfg.comm_verbs, ix)
                      if cfg.pov_tracking else [])
-        script = _Compile(cfg, self.table, doc, ann, ix).build_script(groups, pov_spans)
+        script = _Compile(cfg, doc, ann, ix).build_script(groups, pov_spans)
         return PipelineResult(doc, ann, groups, script, pov_spans, diagnostics)
 
 
@@ -113,10 +112,8 @@ class _Compile:
     a contour, the clauses whose group-final contour is suppressed, and the
     predicates whose head contour has fired, all shared across sentences."""
 
-    def __init__(self, config: Config, table: MappingTable, doc: Document,
-                 ann: AnnotationSet, ix: DocIndex):
+    def __init__(self, config: Config, doc: Document, ann: AnnotationSet, ix: DocIndex):
         self.config = config
-        self.table = table
         self.doc = doc
         self.ann = ann
         self.ix = ix
@@ -151,8 +148,7 @@ class _Compile:
                 for rule in _SENTENCE_RULES:
                     rule(self, plan)
 
-        if self.config.pov_tracking:
-            self._plan_pov_chains(plans, pov_spans)
+        self._plan_pov_chains(plans, pov_spans)
 
         prev_para = None
         for sent in doc.sentences:
@@ -173,13 +169,13 @@ class _Compile:
         """Contour ``i`` of the mapping-table row ``row_id``: the opening
         event of its parameter tuple, labelled with the contour when the row
         has one."""
-        row = self.table.row(row_id)
+        row = DEFAULT_TABLE.row(row_id)
         label = row.contours[i].label if i < len(row.contours) else None
         return _event(row.params[i][0], glue, label)
 
     def _selected(self, **context) -> ScriptItem:
         """The row event of the contour ``select_tone`` picks for the context."""
-        row, i = self.table.row_for_contour(select_tone(ToneContext(**context)))
+        row, i = DEFAULT_TABLE.row_for_contour(select_tone(ToneContext(**context)))
         return self._row_event(row.row_id, i)
 
     def _move_of(self, clause) -> str:
@@ -233,7 +229,7 @@ class _Compile:
                 pos += 1
                 continue
             role = m.entry.role
-            n_tuples = len(self.table.row(role).params)
+            n_tuples = len(DEFAULT_TABLE.row(role).params)
             for i, p in enumerate(m.pattern_positions):
                 if i < n_tuples:
                     plan.add_prefix(p, self._row_event(role, i))
@@ -243,7 +239,7 @@ class _Compile:
                 tail = f"{role}_tail"
                 plan.add_prefix(t, self._row_event(tail, 0))
                 plan.add_suffix(t, self._row_event(tail, 1, GLUE_LEFT))
-                plan.add_suffix_bi(t, self.table.row(tail).bi)
+                plan.add_suffix_bi(t, DEFAULT_TABLE.row(tail).bi)
                 plan.consumed.add(t)
             pos += m.length
 
@@ -461,7 +457,7 @@ class _Compile:
             for pos, row_id, covered in mark_quantifier_slowdown(
                     g, plan.sentence, self.config.quantifiers, plan.consumed):
                 plan.add_prefix(pos, self._row_event(row_id))
-                bi = self.table.row(row_id).bi
+                bi = DEFAULT_TABLE.row(row_id).bi
                 if bi is not None:
                     plan.add_suffix_bi(pos, bi)
                 else:
@@ -619,10 +615,7 @@ def _pause(bi: BreakIndex, glue: str = GLUE_RIGHT, before: ScriptItem | None = N
     return items
 
 
-def run_pipeline(text: str, sidecar_text: str | None, config: Config,
-                 table: MappingTable = DEFAULT_TABLE) -> PipelineResult:
-    from .annotations import parse_sidecar
-
-    manager = ProsodyManager(config, table)
+def run_pipeline(text: str, sidecar_text: str | None, config: Config) -> PipelineResult:
+    manager = ProsodyManager(config)
     ann = parse_sidecar(sidecar_text) if sidecar_text is not None else None
     return manager.process(text, ann)

@@ -219,9 +219,9 @@ class FrozenEntry:
     tail_class: str | None = None        # e.g. address term after the pattern
 
 
-def build_frozen_entries(table: list[tuple[list[str], str]]) -> list[FrozenEntry]:
+def build_frozen_entries(frozen_table: list[tuple[list[str], str]]) -> list[FrozenEntry]:
     return [FrozenEntry(pattern, role, lexica.FROZEN_ROLES[role])
-            for pattern, role in table if role in lexica.FROZEN_ROLES]
+            for pattern, role in frozen_table if role in lexica.FROZEN_ROLES]
 
 
 @dataclass
@@ -233,10 +233,8 @@ class FrozenMatch:
 
 
 def match_frozen(tokens: list[Token], start: int,
-                 entries: list[FrozenEntry],
-                 dear_terms: set[str] | None = None) -> FrozenMatch | None:
+                 entries: list[FrozenEntry]) -> FrozenMatch | None:
     """Longest frozen-expression match at the current token."""
-    dear_terms = dear_terms if dear_terms is not None else lexica.DEAR_TERMS
     best: FrozenMatch | None = None
     for entry in entries:
         n = len(entry.pattern)
@@ -253,7 +251,7 @@ def match_frozen(tokens: list[Token], start: int,
             while j < len(tokens) and tokens[j].kind == "comma":
                 j += 1
             if j < len(tokens) and tokens[j].kind == WORD \
-                    and tokens[j].normalized in dear_terms:
+                    and tokens[j].normalized in lexica.DEAR_TERMS:
                 tail_pos = j
                 length = j - start + 1
         match = FrozenMatch(length, entry, list(range(start, start + n)), tail_pos)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -123,13 +124,13 @@ def test_relevance_discourse_table_with_default_rules():
 
 
 def test_resolved_relevance_reaches_the_discourse_node(config):
+    # the node carries no clause features: its relevance is its clause's
     from prosomark.pipeline import run_pipeline
     sidecar = ("CLAUSE\t1\tmain/prop\texternal\tfactive\tculminated\t_"
                "\taccomplishment\tran\tpast\tnarration\tobjective\t0-1\n"
                "DISC\ts_1\t1\tup\tnil-1\n")
     ann = run_pipeline("Cats ran.", sidecar, config).ann
-    assert ann.clauses[0].relevance == "foreground"
-    assert ann.nodes[0].relevance == "foreground"
+    assert ann.clause(ann.nodes[0].clause_no).relevance == "foreground"
 
 
 def test_relevance_depends_only_on_change():
@@ -216,6 +217,26 @@ def test_derive_moves_one_node_per_clause():
             assert n.attach[0] in known
             assert n.attach[0] < n.attach[1]
         known.add(n.clause_no)
+
+
+@pytest.mark.parametrize("stem", ["belling_cat", "fox_crow"])
+def test_disc_attachment_spans_reach_no_output(config, stem):
+    # attachment spans are kept and written back, not checked, because no
+    # rule reads them; a rule that starts to must revisit that
+    from prosomark.emit import render_markup, render_tobi
+    from prosomark.pipeline import run_pipeline
+
+    text, sidecar = load(f"{stem}.txt"), load(f"{stem}.ann")
+    moved = re.sub(r"^(DISC\t.*\t)\S+$", r"\1nil-999", sidecar, flags=re.M)
+    assert moved != sidecar
+    assert render_sidecar(parse_sidecar(moved)).count("nil-999") == sidecar.count("\nDISC")
+
+    def outputs(sidecar_text):
+        res = run_pipeline(text, sidecar_text, config)
+        return (render_markup(res.doc, res.script), render_tobi(res.doc, res.script),
+                res.groups_text())
+
+    assert outputs(moved) == outputs(sidecar)
 
 
 # Shallow fallback ------------------------------------------------------------

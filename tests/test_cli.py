@@ -183,6 +183,7 @@ def test_non_utf8_lexicon_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("name,lines", [
     ("affect_path", "sly\tsad\n\nsad\n"),         # tag without its entry
     ("frozen_path", "# frozen\n\ncome on\n"),    # pattern without its role
+    ("phonetic_path", "cat\tkat\n\nhue\n"),       # word without its phonetic
 ])
 def test_single_field_lexicon_line_is_usage_error(tmp_path, capsys, name, lines):
     bad = tmp_path / "lexicon.tsv"
@@ -193,6 +194,23 @@ def test_single_field_lexicon_line_is_usage_error(tmp_path, capsys, name, lines)
                   "--out", str(tmp_path / "o.txt")) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"prosomark: {bad}:") and ":3: " in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line,message", [
+    ("emit_mode = bogus", "emit_mode must be one of markup/tobi/both/groups, not 'bogus'"),
+    ("title_mode = Force", "title_mode must be one of auto/force/off, not 'Force'"),
+    ("pov_tracking = maybe", "pov_tracking must be one of "
+                             "1/true/yes/on/0/false/no/off, not 'maybe'"),
+    ("min_len = two", "min_len must be an integer, not 'two'"),
+], ids=["emit_mode", "title_mode", "pov_tracking", "min_len"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# a config\n{line}\n")
+    out = tmp_path / "o.txt"
+    assert invoke(str(_three_tokens(tmp_path)), "--config", str(cfg),
+                  "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"prosomark: config error: {cfg}:2: {message}\n"
+    assert not out.exists()
 
 
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):

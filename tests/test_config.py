@@ -1,8 +1,10 @@
-"""Configuration: lexicon loading."""
+"""Configuration: lexicon loading and config files."""
 
 import copy
 
-from prosomark.config import Config
+import pytest
+
+from prosomark.config import Config, parse_config_file
 
 LEXICON_FIELDS = ("multiwords", "frozen_table", "affect_words", "quantifiers", "comm_verbs")
 
@@ -22,3 +24,14 @@ def test_configs_share_no_lexicon_objects():
     for name in LEXICON_FIELDS:
         assert getattr(second, name) == pristine[name], name
     assert "cat" not in second.phon_lexicon.entries
+
+
+@pytest.mark.parametrize("value,expected", [
+    ("1", True), ("TRUE", True), ("yes", True), ("On", True),
+    ("0", False), ("false", False), ("No", False), ("off", False),
+])
+def test_config_file_booleans(tmp_path, value, expected):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"pov_tracking = {value}\nemit_mode = tobi\ntitle_mode = off\n")
+    cfg = parse_config_file(path)
+    assert (cfg.pov_tracking, cfg.emit_mode, cfg.title_mode) == (expected, "tobi", "off")

@@ -14,7 +14,6 @@ from prosomark import lexica
 from prosomark.annotations import AnnotationSet, ClauseFeatures, innermost_clauses
 from prosomark.docindex import DocIndex
 from prosomark.ingest import QUOTE, WORD, split_document, tokenize
-from prosomark.phrasing import BreathGroup, mark_heads
 from prosomark.prosody import track_point_of_view
 
 
@@ -157,43 +156,6 @@ def _ref_pov(doc, comm_verbs):
     if open_quote is not None:
         close_at_paragraph_end()
     return spans
-
-
-def _ref_mark_heads(group, sentence, ann):
-    toks = sentence.tokens
-    positions = [i for i in group.positions() if toks[i].kind == WORD]
-    final = positions[-1]
-    demoted = set()
-    for i in positions:
-        n = toks[i].normalized
-        if n in {"this", "that", "these", "those"} and i == final:
-            continue
-        if n in lexica.DETERMINERS or n in lexica.COORDINATORS \
-                or n in lexica.AUXILIARIES or n in lexica.SUBORDINATORS \
-                or n in lexica.SUBORDINATE_MARKERS:
-            demoted.add(i)
-        elif n in lexica.PREPOSITIONS and i != final:
-            demoted.add(i)
-        elif n in lexica.PRONOUNS and i != final:
-            demoted.add(i)
-    head = None
-    if final not in demoted:
-        head = final
-    else:
-        for c in ann.clauses:
-            span = ann.clause_spans.get(c.clause_no)
-            if not span:
-                continue
-            for i in reversed(positions):
-                if span[0] <= toks[i].index <= span[1] and toks[i].normalized == c.pred:
-                    head = i
-                    break
-            if head is not None:
-                break
-        if head is None:
-            head = next((i for i in reversed(positions) if i not in demoted), final)
-    demoted.discard(head)
-    return head, demoted
 
 
 # Random inputs ------------------------------------------------------------------
@@ -346,18 +308,3 @@ def test_point_of_view_attribution_window(config, gap, holder):
     spans = track_point_of_view(doc, AnnotationSet(), config.comm_verbs)
     assert [s.holder for s in spans] == [holder, "character:fox"]
     assert [s.holder for s in spans] == [r[0] for r in _ref_pov(doc, config.comm_verbs)]
-
-
-def test_group_heads_match_the_clause_scan():
-    for rng, doc, ann in _cases(300, 6):
-        ix = DocIndex(doc, ann)
-        for sent in doc.sentences:
-            words = [i for i, t in enumerate(sent.tokens) if t.kind == WORD]
-            if not words:
-                continue
-            a = rng.choice(words)
-            b = rng.choice([w for w in words if w >= a])
-            group = BreathGroup((a, b))
-            expected = _ref_mark_heads(group, sent, ann)
-            assert mark_heads(group, sent, ann, ix) == expected, (doc.raw, a, b)
-            assert mark_heads(group, sent, ann) == expected

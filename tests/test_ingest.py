@@ -109,22 +109,13 @@ def test_comma_appositive(config):
     assert classify_comma(sent, comma) == "appositive"
 
 
-def test_comma_list(config):
-    text = "apples, pears, and plums."
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
-    sent = doc.sentences[0]
-    first = next(i for i, t in enumerate(sent.tokens) if t.kind == "comma")
-    assert classify_comma(sent, first) == "list"
-
-
 def test_comma_total_over_fable(fable_result):
     # every comma receives exactly one class from the closed set
-    classes = {"appositive", "list", "clause_boundary", "vocative",
-               "parenthetical", "other"}
+    classes = {"appositive", "vocative", "parenthetical", "other"}
     for sent in fable_result.doc.sentences:
         for i, t in enumerate(sent.tokens):
             if t.kind == "comma":
-                assert classify_comma(sent, i, fable_result.ann) in classes
+                assert classify_comma(sent, i) in classes
 
 
 def test_comma_classes_at_gold_boundaries(fable_result):
@@ -136,10 +127,9 @@ def test_comma_classes_at_gold_boundaries(fable_result):
             if t.kind == "comma":
                 prev = next(t2.normalized for t2 in reversed(sent.tokens[:i])
                             if t2.kind == "word")
-                by_surface.setdefault(prev, classify_comma(sent, i, fable_result.ann))
+                by_surface.setdefault(prev, classify_comma(sent, i))
     assert by_surface["enemy"] == "appositive"
     assert by_surface["venture"] == "parenthetical"
-    assert by_surface["this"] == "clause_boundary"
 
 
 def test_phon_exception_hue(config):

@@ -1,7 +1,6 @@
-"""Breath-group segmentation, junctions, head marking."""
+"""Breath-group segmentation and junctions."""
 
 import random
-import re
 
 from prosomark.annotations import shallow_analyze
 from prosomark.config import Config
@@ -178,43 +177,3 @@ def test_junction_examples(fable_result):
     groups2 = fable_result.groups[2]
     by_text2 = {t: g for t, g in zip(group_texts(sent2, groups2), groups2)}
     assert by_text2["and said he had a proposal"].junction == "enjambed"
-
-
-def test_head_enemy(fable_result):
-    sent = fable_result.doc.sentences[1]
-    groups = fable_result.groups[1]
-    g = next(g for g, t in zip(groups, group_texts(sent, groups))
-             if t.endswith("common enemy"))
-    assert sent.tokens[g.head_index].normalized == "enemy"
-
-
-def test_determiner_never_head(fable_result):
-    for sent in fable_result.doc.sentences:
-        for g in fable_result.groups[sent.index]:
-            if g.head_index >= 0:
-                assert sent.tokens[g.head_index].normalized not in ("the", "a", "an")
-
-
-def test_every_group_has_one_head_outside_demoted(fable_result, fox_result):
-    for res in (fable_result, fox_result):
-        for sent in res.doc.sentences:
-            for g in res.groups[sent.index]:
-                words = [i for i in g.positions() if sent.tokens[i].kind == "word"]
-                assert g.head_index in words
-                assert g.head_index not in g.demoted
-
-
-def test_group_final_accented_words_are_heads(fable_result):
-    """Oracle: the golden markup's group-final accented words (a pitch event
-    directly on the word, closed by the end-of-group silence) must be the
-    heads the marker selects."""
-    golden = load("belling_cat.markup.golden")
-    accented = set(re.findall(r"\]\](\w+)\[\[slnc 200\]\]", golden))
-    assert accented   # sanity: the oracle found some
-    heads = set()
-    for sent in fable_result.doc.sentences:
-        for g in fable_result.groups[sent.index]:
-            if g.head_index >= 0:
-                heads.add(sent.tokens[g.head_index].surface)
-    missing = {w for w in accented if w not in heads}
-    assert not missing

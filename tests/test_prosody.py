@@ -223,7 +223,7 @@ def test_threads_can_share_one_manager(config):
     for one, other in zip(solo, shared):
         assert render_markup(one.doc, one.script) == render_markup(other.doc, other.script)
         assert render_tobi(one.doc, one.script) == render_tobi(other.doc, other.script)
-    assert set(vars(manager)) == {"config", "table"}
+    assert set(vars(manager)) == {"config"}
 
 
 def test_fable_has_no_downstep(fable_result):
@@ -290,7 +290,7 @@ def test_frozen_longest_match_wins(config):
                 best = len(e.pattern)
         return best
 
-    m = match_frozen(toks, 0, entries, dear_terms=set())
+    m = match_frozen(toks, 0, entries)
     assert m.length == oracle(toks, 0) == 3
 
 
@@ -434,7 +434,7 @@ def test_affect_spans_match_the_window_search():
                         for _ in range(rng.randint(1, 30)))
         doc = split_document(tokenize(text, []), text, "off")
         ann = AnnotationSet()
-        compile_ = _Compile(cfg, DEFAULT_TABLE, doc, ann, DocIndex(doc, ann))
+        compile_ = _Compile(cfg, doc, ann, DocIndex(doc, ann))
         for sent in doc.sentences:
             plan = _SentencePlan(sent, [], False, False)
             plan.consumed = {i for i in range(len(sent.tokens)) if rng.random() < 0.1}
