@@ -16,7 +16,7 @@ sidecar = (FIXTURES / "fox_crow.ann").read_text(encoding="utf-8")
 cfg = Config().load_lexica()
 with_pov = run_pipeline(text, sidecar, cfg)
 
-span = next(s for s in with_pov.pov_spans if s.character)
+span = with_pov.pov_spans[0]
 print(f"speech attributed to {span.holder}, "
       f"sentences {span.sentences[0]}..{span.sentences[-1]}")
 

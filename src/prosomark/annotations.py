@@ -531,25 +531,5 @@ def shallow_analyze(doc: Document, relevance_rules=None) -> AnnotationSet:
             ann.clauses.append(feats)
             word_idx = [t.index for t in toks[a:b] if t.kind == WORD]
             ann.clause_spans[clause_no] = (word_idx[0], word_idx[-1])
-    counts: dict[str, int] = {}
-    for sent in doc.sentences:
-        if sent.is_title:
-            continue
-        for t in sent.tokens:
-            if t.kind == WORD and not lexica.function_word(t.normalized):
-                counts[t.normalized] = counts.get(t.normalized, 0) + 1
-    sid = 0
-    assigned: dict[str, str] = {}
-    owners = innermost_clauses(ann, doc.token_count())
-    for sent in doc.sentences:
-        for t in sent.tokens:
-            if counts.get(t.normalized, 0) >= 2 and t.normalized not in assigned:
-                sid += 1
-                assigned[t.normalized] = f"id{sid}"
-                owner = owners[t.index]
-                if owner:
-                    ann.topics.append(TopicRecord(
-                        "poten", owner.clause_no, t.normalized,
-                        assigned[t.normalized]))
     resolve_moves(ann)
     return ann

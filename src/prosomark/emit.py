@@ -1,11 +1,12 @@
 """Rendering: embedded speech-command markup and symbolic annotation.
 
-The mapping table pairs every tone-inventory row with its analogical
-parameter tuple(s); break indices map bijectively to (silence, reset)
-pairs.  ``render_markup`` produces the copy-pasteable embedded-command
-text, bit-exactly: ``[[pbas NN.000; rate NNN; volm +N.N]]`` with fields in
-a fixed order (silence first when fused), ``[[slnc NNN]]``, ``[[rset 0]]``
-and the compound ``[[slnc NNN]],[[rset 0]]`` with its literal comma.
+``tone_to_params`` and ``params_to_tobi`` read and invert the two
+realization tables of ``prosody``: the mapping table and the bijective
+(silence, reset) pairs of the break indices.  ``render_markup`` produces
+the copy-pasteable embedded-command text, bit-exactly:
+``[[pbas NN.000; rate NNN; volm +N.N]]`` with fields in a fixed order
+(silence first when fused), ``[[slnc NNN]]``, ``[[rset 0]]`` and the
+compound ``[[slnc NNN]],[[rset 0]]`` with its literal comma.
 ``render_tobi`` prints one line per sentence with the symbolic labels
 inline.
 """
@@ -15,144 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ingest import QUOTE, Document, Token
-from .prosody import (BI_REALIZATION, RSET, BreakIndex, ParamEvent,
-                      ToneContour, contour, ev)
-
-
-class MappingError(ValueError):
-    """A contour has no parameter row."""
-
-
-@dataclass(frozen=True)
-class MappingRow:
-    row_id: str
-    description: str
-    params: tuple[tuple[ParamEvent, ...], ...]   # one tuple per contour
-    contours: tuple[ToneContour, ...]
-    bi: BreakIndex | None = None
-
-    def flat_params(self) -> list[ParamEvent]:
-        out = []
-        for group in self.params:
-            out.extend(group)
-        if self.bi is not None:
-            out.extend(bi_to_params(self.bi))
-        return out
-
-
-def _row(row_id, description, params, labels, bi=None) -> MappingRow:
-    return MappingRow(
-        row_id, description,
-        tuple(tuple(p) for p in params),
-        tuple(contour(lbl, row_id=row_id) for lbl in labels),
-        bi)
-
-
-#: the tone inventory with its analogical parameterization: the only home of
-#: the pitch, rate and volume the rules place.  The two duplicated
-#: subordinate-marker and coordinate-clause descriptions are merged into
-#: single rows (parameters from the first occurrence, the bare downstepped
-#: label kept as an alias).  The last three rows carry no contour label, so
-#: the annotation line does not show them.
-TONE_ROWS: tuple[MappingRow, ...] = (
-    _row("title", "beginning of text, title line",
-         [[ev(pbas=38.0, rate=160, volm=+0.5)]], ["H*-L"]),
-    _row("eog_internal", "end of breath group, sentence internal",
-         [[ev(pbas=38.0, rate=130, volm=+0.3)]], ["H*-L%"], BreakIndex.BI3),
-    _row("up_fg", "sentence start, up move with foreground relevance",
-         [[ev(pbas=44.0, rate=140, volm=+0.3)]], ["H*-H"]),
-    _row("up_fg_parainit", "sentence start, up move with foreground "
-         "relevance after a paragraph boundary",
-         [[ev(pbas=54.0, rate=170, volm=+0.3)]], ["H*-H-1"]),
-    _row("internal_boundary", "sentence-internal breath-group boundary",
-         [[ev(pbas=40.0, rate=140, volm=+0.3)]], ["H*-L%-1"]),
-    _row("head_bi33", "end of breath group at a syntactic head",
-         [[ev(pbas=36.0, rate=110, volm=+0.5)]], ["L-L%"], BreakIndex.BI33),
-    _row("internal_fg", "sentence internal with foreground relevance",
-         [[ev(pbas=40.0, rate=150, volm=+0.5)]], ["H*-L"]),
-    _row("adjunct_fg", "sentence-internal adjunct clause, foreground",
-         [[ev(pbas=50.0, rate=120, volm=+0.5)]], ["H-H*-2"]),
-    _row("adjunct_bg", "sentence-internal adjunct clause, background",
-         [[ev(pbas=40.0, rate=120, volm=+0.5)],
-          [ev(pbas=38.0, rate=130, volm=+0.3)]],
-         ["H-H*-4", "H*-L%-2"], BreakIndex.BI3),
-    _row("ds_exclamative", "direct-speech breath-group boundary, exclamative",
-         [[ev(pbas=54.0, rate=170, volm=+0.3)]], ["H*-H%"],
-         BreakIndex.BI44),
-    _row("sad", "sad affective tone on a phrase or word",
-         [[ev(pbas=36.0, rate=110, volm=-0.2), RSET]], ["L*-L%"]),
-    _row("subordinate_marker", "discourse marker opening a subordinate "
-         "clause, sentence internal (merged duplicate row)",
-         [[ev(pbas=48.0, rate=150, volm=+0.3)],
-          [ev(pbas=44.0, rate=140, volm=+0.3)]],
-         ["H*-H-3", "H-!H*-2"]),
-    _row("coordinate_fg", "coordinate clause with foreground relevance, "
-         "sentence internal (merged duplicate row)",
-         [[ev(pbas=50.0, rate=120, volm=+0.5)],
-          [ev(pbas=44.0, rate=140, volm=+0.3)]],
-         ["H*-H-2", "H-!H*-2"]),
-    _row("ds_elaboration", "direct speech, elaboration or explanation",
-         [[ev(pbas=54.0, rate=170, volm=+0.3)],
-          [ev(pbas=50.0, rate=160, volm=+0.5)]],
-         ["H*-H-1", "H-!H*-1"]),
-    _row("resultative_inf", "declarative with a resultative infinitival",
-         [[ev(slnc=100, pbas=40.0, rate=150, volm=+0.5)],
-          [ev(slnc=100, pbas=38.0, rate=150, volm=+0.5)]],
-         ["H-!L*"]),
-    _row("split_exclamative", "split exclamative",
-         [[ev(pbas=54.0, rate=170, volm=+0.3)],
-          [ev(pbas=36.0, rate=110, volm=-0.2), RSET]],
-         ["H*+L%"]),
-    _row("exhortative", "exhortative frozen expression",
-         [[ev(pbas=57.0, rate=170, volm=+0.5)],
-          [ev(pbas=36.0, rate=170, volm=+0.5)]],
-         ["H*+L-"]),
-    _row("exhortative_tail", "exhortative address-term tail",
-         [[ev(pbas=24.0, rate=130, volm=+0.5)],
-          [ev(pbas=60.0, rate=150, volm=+0.5)]],
-         ["!L+H*%"], BreakIndex.BI23),
-    _row("announce", "reporting colon before a quotation",
-         [[ev(pbas=48.0, rate=130, volm=+0.9)]], []),
-    _row("slowdown_quantifier", "slowdown before a standalone quantifier",
-         [[ev(rate=110, volm=+0.3)]], [], BreakIndex.BI23),
-    _row("slowdown_head", "slowdown over a group-final head and the word "
-         "before it", [[ev(rate=130, volm=+0.5)]], []),
-)
-
-
-@dataclass
-class MappingTable:
-    rows: tuple[MappingRow, ...] = TONE_ROWS
-
-    def row(self, row_id: str) -> MappingRow:
-        for r in self.rows:
-            if r.row_id == row_id:
-                return r
-        raise KeyError(row_id)
-
-    def row_for_contour(self, c: ToneContour) -> tuple[MappingRow, int]:
-        if c.row_id is not None:
-            for r in self.rows:
-                if r.row_id == c.row_id:
-                    for i, rc in enumerate(r.contours):
-                        if rc.label == c.label:
-                            return r, i
-        for r in self.rows:
-            for i, rc in enumerate(r.contours):
-                if rc.label == c.label:
-                    return r, i
-        raise MappingError(f"no parameter row for contour {c.label}")
-
-
-DEFAULT_TABLE = MappingTable()
+from .prosody import (BI_REALIZATION, DEFAULT_TABLE, BreakIndex, ParamEvent,
+                      ToneContour, bi_to_params)
 
 
 def tone_to_params(c: ToneContour) -> list[ParamEvent]:
     """Parameter tuple(s) for a contour, plus the break-index realization of
     its row when it is the row's last contour."""
-    row, idx = DEFAULT_TABLE.row_for_contour(c)
-    out = list(row.params[idx])
-    if row.bi is not None and idx == len(row.contours) - 1:
+    row = DEFAULT_TABLE.row(c.row_id)
+    out = list(row.params[c.index])
+    if row.bi is not None and c.index == len(row.contours) - 1:
         out.extend(bi_to_params(row.bi))
     return out
 
@@ -208,14 +81,6 @@ def _bi_for(silence: int, reset: bool) -> BreakIndex | None:
             if ms == silence and not rs:
                 return bi
     return None
-
-
-def bi_to_params(bi: BreakIndex) -> list[ParamEvent]:
-    silence, reset = BI_REALIZATION[bi]
-    out = [ev(slnc=silence)]
-    if reset:
-        out.append(RSET)
-    return out
 
 
 def params_to_bi(events: list[ParamEvent]) -> BreakIndex | None:

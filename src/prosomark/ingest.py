@@ -170,10 +170,11 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
     Sentences end at terminal punctuation (a quote mark directly after the
     terminal is attached to the closing sentence when a quote was opened
     inside it).  Tokens before the first word open the first sentence; a
-    later run without a word joins the sentence before it.  Paragraphs
-    follow blank lines in the raw text, and a sentence lies in the
-    paragraph of its first word.  The first line is flagged as a title when
-    it carries no terminal punctuation (``title_mode='auto'``) or
+    later run without a word joins the sentence before it, and a document
+    without a word is one sentence.  Paragraphs follow blank lines in the
+    raw text, and a sentence lies in the paragraph of its first word (of
+    its first token, without one).  The first line is flagged as a title
+    when it carries no terminal punctuation (``title_mode='auto'``) or
     unconditionally (``'force'``).
     """
     doc = Document(raw=raw)
@@ -226,6 +227,9 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
             flush(TERMINAL_CHARS[t.surface])
         i += 1
     flush("none")
+    if not sentences:
+        sentences.append(Sentence(list(cur), terminal="none", index=0,
+                                  paragraph_index=para_of[cur[0].index]))
 
     if sentences and want_title and sentences[0].paragraph_index == 0:
         first = sentences[0]

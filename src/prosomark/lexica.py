@@ -65,9 +65,9 @@ def _lines(path: str | Path) -> tuple[tuple[int, str], ...]:
 #: the tags of the affect lexicon
 AFFECT_TAGS = ("sad", "exclaim", "exhort")
 
-#: the roles of the frozen table, which the pipeline realizes, with the word
-#: class of their tail
-FROZEN_ROLES = {"exhortative": "dear"}
+#: the roles of the frozen table: mapping-table rows, each with the row
+#: ``<role>_tail`` of its address-term tail
+FROZEN_ROLES = ("exhortative",)
 
 
 def _tagged(path, line_no: int, line: str, tags: Collection[str]) -> tuple[str, str]:

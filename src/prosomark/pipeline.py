@@ -18,13 +18,13 @@ from .annotations import (AnnotationSet, check_clause_spans, parse_sidecar,
 from .config import Config
 from .docindex import DocIndex
 from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
-                   DEFAULT_TABLE, ProsodicScript, ScriptItem)
+                   ProsodicScript, ScriptItem)
 from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
                      Sentence, phon_exception, split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
-from .prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
-                      ParamEvent, POVSpan, PRONOUN_QUANTIFIERS, ToneContext,
-                      assign_break_index, build_frozen_entries, ev,
+from .prosody import (BI_REALIZATION, DEFAULT_TABLE, RSET, BreakContext,
+                      BreakIndex, ParamEvent, POVSpan, PRONOUN_QUANTIFIERS,
+                      ToneContext, assign_break_index, ev,
                       mark_quantifier_slowdown, match_frozen, select_tone,
                       track_point_of_view)
 
@@ -117,7 +117,6 @@ class _Compile:
         self.doc = doc
         self.ann = ann
         self.ix = ix
-        self.frozen_entries = build_frozen_entries(config.frozen_table)
         #: first words of the sad affect entries: a window of words can only
         #: match an entry whose text before the first space is its first word
         self.sad_starts = {key.split(" ", 1)[0]
@@ -175,8 +174,8 @@ class _Compile:
 
     def _selected(self, **context) -> ScriptItem:
         """The row event of the contour ``select_tone`` picks for the context."""
-        row, i = DEFAULT_TABLE.row_for_contour(select_tone(ToneContext(**context)))
-        return self._row_event(row.row_id, i)
+        c = select_tone(ToneContext(**context))
+        return self._row_event(c.row_id, c.index)
 
     def _move_of(self, clause) -> str:
         node = self.ix.node(clause.clause_no)
@@ -218,22 +217,21 @@ class _Compile:
         self.final_suppressed.add(fc.clause_no)
 
     def _plan_frozen(self, plan: _SentencePlan):
-        entries = self.frozen_entries
-        if not entries:
+        table = self.config.frozen_table
+        if not table:
             return
         sent = plan.sentence
         pos = 0
         while pos < len(sent.tokens):
-            m = match_frozen(sent.tokens, pos, entries)
+            m = match_frozen(sent.tokens, pos, table)
             if m is None:
                 pos += 1
                 continue
-            role = m.entry.role
+            role = m.role
             n_tuples = len(DEFAULT_TABLE.row(role).params)
-            for i, p in enumerate(m.pattern_positions):
-                if i < n_tuples:
-                    plan.add_prefix(p, self._row_event(role, i))
-                plan.consumed.add(p)
+            for i in range(min(m.pattern_length, n_tuples)):
+                plan.add_prefix(pos + i, self._row_event(role, i))
+            plan.consumed.update(range(pos, pos + m.pattern_length))
             if m.tail_position is not None:
                 t = m.tail_position
                 tail = f"{role}_tail"
@@ -331,8 +329,8 @@ class _Compile:
                     break
         if start is None:
             start = _first_word(sent)
-        # the ds_exclamative row's label is H*-H%, so the H*-H-1 contour
-        # the exclamative prints is that of the paragraph-initial up row
+        # the ds_exclamative row is not placed: the exclamative opens with
+        # the contour of the paragraph-initial up row
         opening = self._row_event("up_fg_parainit")
         if sent.terminal == "question":
             plan.add_prefix(start, opening)
@@ -515,7 +513,6 @@ class _Compile:
                 plan.add_prefix(end, self._selected(
                     position="group_final",
                     in_quote=in_quote,
-                    character_pov=in_quote,
                     relevance=(owner.relevance if owner else "background"),
                     quote_final_sentence=quote_final,
                     sentence_final_group=sentence_final_group))
@@ -550,13 +547,11 @@ class _Compile:
 
     def _plan_pov_chains(self, plans: dict[int, _SentencePlan], pov_spans):
         for span in pov_spans:
-            if not span.character or len(span.sentences) < 2:
+            if len(span.sentences) < 2:
                 continue
             prev_plan = None
             for si in span.sentences:
-                plan = plans.get(si)
-                if plan is None:
-                    continue
+                plan = plans[si]
                 if prev_plan is not None:
                     first = _first_word(plan.sentence)
                     if first is not None:

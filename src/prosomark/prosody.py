@@ -1,10 +1,12 @@
 """Symbolic prosody: break indices, tone contours, analogical parameters.
 
 The extended break-index inventory maps each emitted index to a silence
-duration plus an optional parameter reset.  Tone contours are the pitch
-labels of the extended inventory (nuclear accents, phrase accents, boundary
-tones, downstep, opaque intensity variants 1-4).  Point-of-view tracking
-attributes quoted spans to a character so continuation sentences can take
+duration plus an optional parameter reset.  The mapping table pairs every
+row of the tone inventory with its analogical parameter tuple(s) and its
+pitch labels (nuclear accents, phrase accents, boundary tones, downstep,
+opaque intensity variants 1-4); each label is a ``ToneContour`` of its row,
+and ``select_tone`` returns one of them.  Point-of-view tracking attributes
+quoted spans to a character so continuation sentences can take
 downstepped contours.
 """
 
@@ -78,34 +80,137 @@ def ev(pbas=None, rate=None, volm=None, slnc=None) -> ParamEvent:
     return ParamEvent(pbas=pbas, rate=rate, volm=volm, slnc=slnc)
 
 
-#: the contour shapes of the tone inventory; each may carry one of the
-#: opaque intensity variants ``-1`` to ``-4``
-_CONTOUR_SHAPES = frozenset({
-    "H*-L", "H*-H", "H*-L%", "H*-H%", "L-L%", "L*-L%", "H-H*", "H-!H*",
-    "H-!L*", "H*+L%", "H*+L-", "!L+H*%",
-})
-
+# Mapping table ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ToneContour:
-    """A pitch label of the inventory, with the mapping-table row that
-    selected it (None: the first row carrying the label)."""
+    """A pitch label of the inventory: contour ``index`` of the mapping-table
+    row ``row_id``.  Only the table builds contours (``_row``)."""
     label: str
-    row_id: str | None = None
+    row_id: str
+    index: int
 
 
-def contour(label: str, row_id: str | None = None) -> ToneContour:
-    """The ToneContour printed as ``label``; unknown labels raise ValueError."""
-    shape = label[:-2] if label[-2:] in ("-1", "-2", "-3", "-4") else label
-    if shape not in _CONTOUR_SHAPES:
-        raise ValueError(f"unknown contour label {label!r}")
-    return ToneContour(label, row_id)
+def bi_to_params(bi: BreakIndex) -> list[ParamEvent]:
+    silence, reset = BI_REALIZATION[bi]
+    out = [ev(slnc=silence)]
+    if reset:
+        out.append(RSET)
+    return out
+
+
+@dataclass(frozen=True)
+class MappingRow:
+    row_id: str
+    description: str
+    params: tuple[tuple[ParamEvent, ...], ...]   # one tuple per contour
+    contours: tuple[ToneContour, ...]
+    bi: BreakIndex | None = None
+
+    def flat_params(self) -> list[ParamEvent]:
+        out = []
+        for group in self.params:
+            out.extend(group)
+        if self.bi is not None:
+            out.extend(bi_to_params(self.bi))
+        return out
+
+
+def _row(row_id, description, params, labels, bi=None) -> MappingRow:
+    return MappingRow(
+        row_id, description,
+        tuple(tuple(p) for p in params),
+        tuple(ToneContour(lbl, row_id, i) for i, lbl in enumerate(labels)),
+        bi)
+
+
+#: the tone inventory with its analogical parameterization: the only home of
+#: the pitch, rate and volume the rules place.  The two duplicated
+#: subordinate-marker and coordinate-clause descriptions are merged into
+#: single rows (parameters from the first occurrence, the bare downstepped
+#: label kept as an alias).  The last three rows carry no contour label, so
+#: the annotation line does not show them.
+TONE_ROWS: tuple[MappingRow, ...] = (
+    _row("title", "beginning of text, title line",
+         [[ev(pbas=38.0, rate=160, volm=+0.5)]], ["H*-L"]),
+    _row("eog_internal", "end of breath group, sentence internal",
+         [[ev(pbas=38.0, rate=130, volm=+0.3)]], ["H*-L%"], BreakIndex.BI3),
+    _row("up_fg", "sentence start, up move with foreground relevance",
+         [[ev(pbas=44.0, rate=140, volm=+0.3)]], ["H*-H"]),
+    _row("up_fg_parainit", "sentence start, up move with foreground "
+         "relevance after a paragraph boundary",
+         [[ev(pbas=54.0, rate=170, volm=+0.3)]], ["H*-H-1"]),
+    _row("internal_boundary", "sentence-internal breath-group boundary",
+         [[ev(pbas=40.0, rate=140, volm=+0.3)]], ["H*-L%-1"]),
+    _row("head_bi33", "end of breath group at a syntactic head",
+         [[ev(pbas=36.0, rate=110, volm=+0.5)]], ["L-L%"], BreakIndex.BI33),
+    _row("internal_fg", "sentence internal with foreground relevance",
+         [[ev(pbas=40.0, rate=150, volm=+0.5)]], ["H*-L"]),
+    _row("adjunct_fg", "sentence-internal adjunct clause, foreground",
+         [[ev(pbas=50.0, rate=120, volm=+0.5)]], ["H-H*-2"]),
+    _row("adjunct_bg", "sentence-internal adjunct clause, background",
+         [[ev(pbas=40.0, rate=120, volm=+0.5)],
+          [ev(pbas=38.0, rate=130, volm=+0.3)]],
+         ["H-H*-4", "H*-L%-2"], BreakIndex.BI3),
+    _row("ds_exclamative", "direct-speech breath-group boundary, exclamative",
+         [[ev(pbas=54.0, rate=170, volm=+0.3)]], ["H*-H%"],
+         BreakIndex.BI44),
+    _row("sad", "sad affective tone on a phrase or word",
+         [[ev(pbas=36.0, rate=110, volm=-0.2), RSET]], ["L*-L%"]),
+    _row("subordinate_marker", "discourse marker opening a subordinate "
+         "clause, sentence internal (merged duplicate row)",
+         [[ev(pbas=48.0, rate=150, volm=+0.3)],
+          [ev(pbas=44.0, rate=140, volm=+0.3)]],
+         ["H*-H-3", "H-!H*-2"]),
+    _row("coordinate_fg", "coordinate clause with foreground relevance, "
+         "sentence internal (merged duplicate row)",
+         [[ev(pbas=50.0, rate=120, volm=+0.5)],
+          [ev(pbas=44.0, rate=140, volm=+0.3)]],
+         ["H*-H-2", "H-!H*-2"]),
+    _row("ds_elaboration", "direct speech, elaboration or explanation",
+         [[ev(pbas=54.0, rate=170, volm=+0.3)],
+          [ev(pbas=50.0, rate=160, volm=+0.5)]],
+         ["H*-H-1", "H-!H*-1"]),
+    _row("resultative_inf", "declarative with a resultative infinitival",
+         [[ev(slnc=100, pbas=40.0, rate=150, volm=+0.5)],
+          [ev(slnc=100, pbas=38.0, rate=150, volm=+0.5)]],
+         ["H-!L*"]),
+    _row("split_exclamative", "split exclamative",
+         [[ev(pbas=54.0, rate=170, volm=+0.3)],
+          [ev(pbas=36.0, rate=110, volm=-0.2), RSET]],
+         ["H*+L%"]),
+    _row("exhortative", "exhortative frozen expression",
+         [[ev(pbas=57.0, rate=170, volm=+0.5)],
+          [ev(pbas=36.0, rate=170, volm=+0.5)]],
+         ["H*+L-"]),
+    _row("exhortative_tail", "exhortative address-term tail",
+         [[ev(pbas=24.0, rate=130, volm=+0.5)],
+          [ev(pbas=60.0, rate=150, volm=+0.5)]],
+         ["!L+H*%"], BreakIndex.BI23),
+    _row("announce", "reporting colon before a quotation",
+         [[ev(pbas=48.0, rate=130, volm=+0.9)]], []),
+    _row("slowdown_quantifier", "slowdown before a standalone quantifier",
+         [[ev(rate=110, volm=+0.3)]], [], BreakIndex.BI23),
+    _row("slowdown_head", "slowdown over a group-final head and the word "
+         "before it", [[ev(rate=130, volm=+0.5)]], []),
+)
+
+
+@dataclass
+class MappingTable:
+    rows: tuple[MappingRow, ...] = TONE_ROWS
+
+    def __post_init__(self):
+        self._by_id = {r.row_id: r for r in self.rows}
+
+    def row(self, row_id: str) -> MappingRow:
+        return self._by_id[row_id]
+
+
+DEFAULT_TABLE = MappingTable()
 
 
 # Point of view ---------------------------------------------------------------
-
-NARRATOR = "narrator"
-
 
 @dataclass
 class POVSpan:
@@ -113,10 +218,6 @@ class POVSpan:
     start_token: int              # document token index of the opening quote
     end_token: int                # document token index of the closing quote
     sentences: list[int] = field(default_factory=list)
-
-    @property
-    def character(self) -> bool:
-        return self.holder != NARRATOR
 
 
 #: how far from a quote mark (in tokens) its communication verb may stand
@@ -169,9 +270,8 @@ def character_spans_by_sentence(spans: list[POVSpan]) -> dict[int, POVSpan]:
     """Each sentence's first character span."""
     out: dict[int, POVSpan] = {}
     for sp in spans:
-        if sp.character:
-            for s in sp.sentences:
-                out.setdefault(s, sp)
+        for s in sp.sentences:
+            out.setdefault(s, sp)
     return out
 
 
@@ -210,51 +310,38 @@ def assign_break_index(context: BreakContext) -> BreakIndex:
 # Frozen expressions ----------------------------------------------------------
 
 @dataclass
-class FrozenEntry:
-    """A frozen expression.  Its contour and parameters are the mapping-table
-    row named by its role, and those of its address-term tail the row
-    ``<role>_tail``."""
-    pattern: list[str]
-    role: str
-    tail_class: str | None = None        # e.g. address term after the pattern
-
-
-def build_frozen_entries(frozen_table: list[tuple[list[str], str]]) -> list[FrozenEntry]:
-    return [FrozenEntry(pattern, role, lexica.FROZEN_ROLES[role])
-            for pattern, role in frozen_table if role in lexica.FROZEN_ROLES]
-
-
-@dataclass
 class FrozenMatch:
+    role: str                         # the mapping-table row of the pattern
+    pattern_length: int
+    tail_position: int | None         # the address term after the pattern
     length: int                       # tokens covered, address tail included
-    entry: FrozenEntry
-    pattern_positions: list[int]
-    tail_position: int | None
 
 
 def match_frozen(tokens: list[Token], start: int,
-                 entries: list[FrozenEntry]) -> FrozenMatch | None:
-    """Longest frozen-expression match at the current token."""
+                 frozen_table: list[tuple[list[str], str]]) -> FrozenMatch | None:
+    """Longest match at the current token among the ``(pattern, role)``
+    pairs of ``frozen_table``.  A ``lexica.DEAR_TERMS`` address term after
+    the pattern, commas allowed between, is its tail: the row
+    ``<role>_tail``."""
     best: FrozenMatch | None = None
-    for entry in entries:
-        n = len(entry.pattern)
+    for pattern, role in frozen_table:
+        n = len(pattern)
         window = tokens[start:start + n]
         if len(window) < n:
             continue
         if any(t.kind != WORD or t.normalized != w
-               for t, w in zip(window, entry.pattern)):
+               for t, w in zip(window, pattern)):
             continue
         length = n
         tail_pos = None
-        if entry.tail_class == "dear":
-            j = start + n
-            while j < len(tokens) and tokens[j].kind == "comma":
-                j += 1
-            if j < len(tokens) and tokens[j].kind == WORD \
-                    and tokens[j].normalized in lexica.DEAR_TERMS:
-                tail_pos = j
-                length = j - start + 1
-        match = FrozenMatch(length, entry, list(range(start, start + n)), tail_pos)
+        j = start + n
+        while j < len(tokens) and tokens[j].kind == "comma":
+            j += 1
+        if j < len(tokens) and tokens[j].kind == WORD \
+                and tokens[j].normalized in lexica.DEAR_TERMS:
+            tail_pos = j
+            length = j - start + 1
+        match = FrozenMatch(role, n, tail_pos, length)
         if best is None or match.length > best.length:
             best = match
     return best
@@ -309,7 +396,6 @@ class ToneContext:
     relevance: str = "background"
     affect: str = "neutral"
     in_quote: bool = False
-    character_pov: bool = False
     paragraph_initial: bool = False
     after_first_paragraph: bool = False
     quote_final_sentence: bool = False
@@ -317,27 +403,29 @@ class ToneContext:
 
 
 def select_tone(ctx: ToneContext) -> ToneContour:
-    """Decision table mapping a prosodic context to a tone contour.
+    """Decision table mapping a prosodic context to a contour of the
+    mapping table.
 
     Transcribed from the tone inventory for the points where the context
     decides: sad affect, sentence start, sentence-internal foreground and
     group end.  The rules that always place one row name it themselves.
-    The neutral default falls through to H*-L.
+    The neutral default is the title row.
     """
+    row = DEFAULT_TABLE.row
     if ctx.affect == "sad":
-        return contour("L*-L%", row_id="sad")
+        return row("sad").contours[0]
     if ctx.position == "sentence_initial":
         if ctx.move == "up" and ctx.relevance == "foreground":
             if ctx.paragraph_initial and ctx.after_first_paragraph:
-                return contour("H*-H-1", row_id="up_fg_parainit")
-            return contour("H*-H", row_id="up_fg")
-        return contour("H*-L", row_id="default")
+                return row("up_fg_parainit").contours[0]
+            return row("up_fg").contours[0]
+        return row("title").contours[0]
     if ctx.position == "group_final":
-        if ctx.character_pov and ctx.quote_final_sentence and ctx.sentence_final_group:
-            return contour("H*-L%-2", row_id="adjunct_bg")
+        if ctx.in_quote and ctx.quote_final_sentence and ctx.sentence_final_group:
+            return row("adjunct_bg").contours[1]
         if ctx.in_quote and ctx.relevance == "foreground":
-            return contour("H*-L", row_id="internal_fg")
-        return contour("H*-L%", row_id="eog_internal")
+            return row("internal_fg").contours[0]
+        return row("eog_internal").contours[0]
     if ctx.position == "sentence_internal" and ctx.relevance == "foreground":
-        return contour("H-H*-2", row_id="adjunct_fg")
-    return contour("H*-L", row_id="default")
+        return row("adjunct_fg").contours[0]
+    return row("title").contours[0]

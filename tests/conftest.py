@@ -11,6 +11,19 @@ def load(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+#: the contour shapes of the tone inventory; a label may add one of the
+#: opaque intensity variants -1 to -4
+CONTOUR_SHAPES = frozenset({
+    "H*-L", "H*-H", "H*-L%", "H*-H%", "L-L%", "L*-L%", "H-H*", "H-!H*",
+    "H-!L*", "H*+L%", "H*+L-", "!L+H*%",
+})
+
+
+def is_contour_label(label: str) -> bool:
+    shape = label[:-2] if label[-2:] in ("-1", "-2", "-3", "-4") else label
+    return shape in CONTOUR_SHAPES
+
+
 @pytest.fixture(scope="session")
 def config():
     return Config().load_lexica()

@@ -12,6 +12,11 @@ from prosomark.cli import golden_check, run
 from conftest import FIXTURES
 
 
+#: the environment of a child Python that imports this checkout's sources
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def invoke(*args):
     return run(list(args))
 
@@ -20,7 +25,7 @@ def test_help_flag():
     proc = subprocess.run(
         [sys.executable, "-c",
          "from prosomark.cli import run; import sys; sys.exit(run(['--help']))"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0
     assert "prosomark" in proc.stdout
 
@@ -299,7 +304,7 @@ def test_python_m_runs_the_cli(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "prosomark.cli", str(_three_tokens(tmp_path)),
          "--emit", "groups"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0
     assert proc.stdout == "cats run β\n"
 
@@ -310,9 +315,6 @@ DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     # each walkthrough runs against this checkout's sources
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=SRC_ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -5,33 +5,43 @@ import re
 
 import pytest
 
-from prosomark.emit import (DEFAULT_TABLE, MappingError, ProsodicScript,
-                            bi_to_params, format_event, params_to_bi,
-                            params_to_tobi, render_markup, render_tobi,
-                            strip_markup, tone_to_params)
-from prosomark.prosody import BI_REALIZATION, RSET, BreakIndex, contour, ev
+from prosomark.emit import (DEFAULT_TABLE, ProsodicScript, bi_to_params,
+                            format_event, params_to_bi, params_to_tobi,
+                            render_markup, render_tobi, strip_markup,
+                            tone_to_params)
+from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, ToneContext, ev,
+                               select_tone)
+from conftest import is_contour_label
+
+
+def _contour(row_id, i=0):
+    return DEFAULT_TABLE.row(row_id).contours[i]
 
 
 # tone_to_params ---------------------------------------------------------------
 
 def test_title_row():
-    params = tone_to_params(contour("H*-L", row_id="title"))
+    params = tone_to_params(_contour("title"))
     assert params == [ev(pbas=38.0, rate=160, volm=+0.5)]
 
 
+def test_default_tone_is_the_title_row():
+    assert tone_to_params(select_tone(ToneContext())) == \
+        DEFAULT_TABLE.row("title").flat_params()
+
+
 def test_end_of_group_row_includes_break():
-    params = tone_to_params(contour("H*-L%", row_id="eog_internal"))
+    params = tone_to_params(_contour("eog_internal"))
     assert params == [ev(pbas=38.0, rate=130, volm=+0.3), ev(slnc=200), RSET]
+    # only the last contour of a row carries the row's break
+    assert tone_to_params(_contour("adjunct_bg", 0)) == [ev(pbas=40.0, rate=120, volm=+0.5)]
+    assert tone_to_params(_contour("adjunct_bg", 1)) == [
+        ev(pbas=38.0, rate=130, volm=+0.3), ev(slnc=200), RSET]
 
 
 def test_sad_row():
-    params = tone_to_params(contour("L*-L%"))
+    params = tone_to_params(_contour("sad"))
     assert params == [ev(pbas=36.0, rate=110, volm=-0.2), RSET]
-
-
-def test_unmapped_contour_raises():
-    with pytest.raises(MappingError):
-        tone_to_params(contour("H*-L-4"))
 
 
 # params_to_tobi ---------------------------------------------------------------
@@ -186,13 +196,7 @@ def test_tobi_labels_parse_back(fox_result, fable_result):
     bi_labels = {bi.label for bi in BI_REALIZATION}
 
     def parses(token: str) -> bool:
-        if token in bi_labels:
-            return True
-        try:
-            contour(token)
-            return True
-        except ValueError:
-            return False
+        return token in bi_labels or is_contour_label(token)
 
     for res in (fox_result, fable_result):
         tobi = render_tobi(res.doc, res.script)

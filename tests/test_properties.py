@@ -66,17 +66,13 @@ def test_compile_invariants(text):
     rebuilt = reconstruct(tokenized)
     assert text.startswith(rebuilt) and not text[len(rebuilt):].strip()
     assert reconstruct(tokenized, text[len(rebuilt):]) == text
-    if any(t.kind == WORD for t in tokenized):
-        # the document keeps every token (see the xfail below for the others)
-        assert [(t.pre_ws, t.surface) for t in tokens] == \
-            [(t.pre_ws, t.surface) for t in tokenized]
+    # the document keeps every token
+    assert [(t.pre_ws, t.surface) for t in tokens] == \
+        [(t.pre_ws, t.surface) for t in tokenized]
 
     assert _outputs(run_pipeline(text, None, CFG)) == (markup, tobi, groups)
 
 
-
-@pytest.mark.xfail(strict=True, reason="a document without a word loses its "
-                   "tokens: the markup of ':' is empty")
 def test_a_document_without_a_word_keeps_its_tokens():
     assert [t.surface for t in run_pipeline(":", None, CFG).doc.tokens()] == [":"]
 

@@ -15,12 +15,10 @@ from prosomark.docindex import DocIndex
 from prosomark.emit import DEFAULT_TABLE, render_markup, render_tobi
 from prosomark.ingest import split_document, tokenize
 from prosomark.pipeline import ProsodyManager, _Compile, _SentencePlan, run_pipeline
-from conftest import load
+from conftest import is_contour_label, load
 from prosomark.prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
-                               FrozenEntry, ToneContext, ToneContour,
-                               assign_break_index, build_frozen_entries,
-                               contour, ev, match_frozen, select_tone,
-                               track_point_of_view)
+                               ToneContext, assign_break_index, ev,
+                               match_frozen, select_tone, track_point_of_view)
 
 
 # Break indices ---------------------------------------------------------------
@@ -82,13 +80,16 @@ def test_bi_default_enjambed():
 
 # Tone contours ---------------------------------------------------------------
 
-@pytest.mark.parametrize("label", [
-    "H*-L", "H*-H", "H*-L%", "H*-H%", "L-L%", "L*-L%", "H-H*-2", "H-!H*-1",
-    "H-!L*", "H*+L%", "H*+L-", "!L+H*%", "H*-H-1", "H*-H-3", "H*-L%-1",
-    "H*-L%-2",
-])
+@pytest.mark.parametrize("label", sorted(
+    {c.label for row in DEFAULT_TABLE.rows for c in row.contours}))
 def test_contour_label_round_trip(label):
-    assert contour(label).label == label
+    # every label of the table is an inventory shape, and each contour that
+    # carries it is found again at its row and index
+    assert is_contour_label(label)
+    carriers = [c for row in DEFAULT_TABLE.rows for c in row.contours
+                if c.label == label]
+    for c in carriers:
+        assert DEFAULT_TABLE.row(c.row_id).contours[c.index] is c
 
 
 def test_select_tone_examples():
@@ -113,15 +114,13 @@ def test_select_tone_total_over_enum_product():
     affects = ("neutral", "sad", "exclaim", "exhort")
     flags = (False, True)
     count = 0
-    for pos, move, rel, affect, quote, pov in itertools.product(
-            positions, moves, relevances, affects, flags, flags):
+    for pos, move, rel, affect, quote in itertools.product(
+            positions, moves, relevances, affects, flags):
         tone = select_tone(ToneContext(position=pos, move=move, relevance=rel,
-                                       affect=affect, in_quote=quote,
-                                       character_pov=pov))
-        assert isinstance(tone, ToneContour)
-        assert tone.label
+                                       affect=affect, in_quote=quote))
+        assert tone is DEFAULT_TABLE.row(tone.row_id).contours[tone.index]
         count += 1
-    assert count == 4 * 2 * 3 * 4 * 2 * 2
+    assert count == 4 * 2 * 3 * 4 * 2
 
 
 # Point of view ----------------------------------------------------------------
@@ -135,7 +134,8 @@ def test_pov_attributed_quote(config):
     doc = _doc(text, config)
     spans = track_point_of_view(doc, shallow_analyze(doc), config.comm_verbs)
     assert len(spans) == 2
-    assert all(s.character for s in spans)
+    # both quotes take the speaker of "said", not an anonymous one
+    assert all(s.holder != "character:anon" for s in spans)
 
 
 def test_pov_no_quotes_single_narrator(config):
@@ -145,7 +145,7 @@ def test_pov_no_quotes_single_narrator(config):
 
 
 def test_pov_multi_sentence_span(config, fox_result):
-    spans = [s for s in fox_result.pov_spans if s.character]
+    spans = fox_result.pov_spans
     assert len(spans) == 1
     assert spans[0].sentences == [1, 2, 3]
     assert spans[0].holder == "character:fox"
@@ -251,13 +251,13 @@ def test_script_token_order_invariant(fable_result):
 # Frozen expressions ------------------------------------------------------------
 
 def test_frozen_come_on_baby(config):
-    entries = build_frozen_entries(config.frozen_table)
     toks = tokenize("Come on, baby", config.multiwords)
-    m = match_frozen(toks, 0, entries)
+    m = match_frozen(toks, 0, config.frozen_table)
     assert m is not None
-    assert m.length == 4
-    row = DEFAULT_TABLE.row(m.entry.role)
-    tail = DEFAULT_TABLE.row(f"{m.entry.role}_tail")
+    assert (m.role, m.pattern_length, m.tail_position, m.length) == \
+        ("exhortative", 2, 3, 4)
+    row = DEFAULT_TABLE.row(m.role)
+    tail = DEFAULT_TABLE.row(f"{m.role}_tail")
     assert [c.label for c in row.contours + tail.contours] == ["H*+L-", "!L+H*%"]
     assert row.flat_params() + tail.flat_params() == [
         ev(pbas=57.0, rate=170, volm=+0.5),
@@ -269,37 +269,33 @@ def test_frozen_come_on_baby(config):
 
 
 def test_frozen_no_match(config):
-    entries = build_frozen_entries(config.frozen_table)
     toks = tokenize("the cat sat", config.multiwords)
-    assert match_frozen(toks, 0, entries) is None
+    assert match_frozen(toks, 0, config.frozen_table) is None
 
 
 def test_frozen_longest_match_wins(config):
-    entries = [
-        FrozenEntry(["come", "on"], "exhortative"),
-        FrozenEntry(["come", "on", "in"], "exhortative"),
-    ]
+    table = [(["come", "on"], "exhortative"), (["come", "on", "in"], "exhortative")]
     toks = tokenize("come on in", config.multiwords)
 
     def oracle(tokens, start):
         # brute force: all entries whose full pattern matches here; longest wins
         best = None
-        for e in entries:
-            window = [t.normalized for t in tokens[start:start + len(e.pattern)]]
-            if window == e.pattern and (best is None or len(e.pattern) > best):
-                best = len(e.pattern)
+        for pattern, _ in table:
+            window = [t.normalized for t in tokens[start:start + len(pattern)]]
+            if window == pattern and (best is None or len(pattern) > best):
+                best = len(pattern)
         return best
 
-    m = match_frozen(toks, 0, entries)
-    assert m.length == oracle(toks, 0) == 3
+    m = match_frozen(toks, 0, table)
+    assert m.length == m.pattern_length == oracle(toks, 0) == 3
+    assert m.tail_position is None
 
 
 def test_frozen_determinism(config):
-    entries = build_frozen_entries(config.frozen_table)
     toks = tokenize("Come on, baby", config.multiwords)
-    first = match_frozen(toks, 0, entries)
-    second = match_frozen(toks, 0, entries)
-    assert (first.length, first.tail_position) == (second.length, second.tail_position)
+    first = match_frozen(toks, 0, config.frozen_table)
+    second = match_frozen(toks, 0, config.frozen_table)
+    assert first == second
 
 
 # Quantifier slowdowns ----------------------------------------------------------
