@@ -17,8 +17,7 @@ cfg = Config().load_lexica()
 with_pov = run_pipeline(text, sidecar, cfg)
 
 span = with_pov.pov_spans[0]
-print(f"speech attributed to {span.holder}, "
-      f"sentences {span.sentences[0]}..{span.sentences[-1]}")
+print(f"direct speech over sentences {span.sentences[0]}..{span.sentences[-1]}")
 
 print("\n=== with point-of-view tracking (downstep chain)")
 print(render_tobi(with_pov.doc, with_pov.script))

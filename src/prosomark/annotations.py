@@ -505,14 +505,9 @@ def shallow_analyze(doc: Document, relevance_rules=None) -> AnnotationSet:
                   and not is_verby(t.normalized)):
                 boundaries.append(i + 1)
         boundaries.append(len(toks))
-        seen = set()
-        spans = []
-        for a, b in zip(boundaries, boundaries[1:]):
-            if (a, b) in seen or a >= b:
-                continue
-            seen.add((a, b))
-            if any(t.kind == WORD for t in toks[a:b]):
-                spans.append((a, b))
+        # boundaries rise strictly: 0, at most one i + 1 per token, len(toks)
+        spans = [(a, b) for a, b in zip(boundaries, boundaries[1:])
+                 if any(t.kind == WORD for t in toks[a:b])]
         for a, b in spans:
             words = [t.normalized for t in toks[a:b] if t.kind == WORD]
             clause_no += 1

@@ -12,9 +12,18 @@ clauses).  The index describes one compile and is not kept on the
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 
 from .annotations import AnnotationSet, ClauseFeatures, DiscourseNode, innermost_clauses
 from .ingest import QUOTE, Document, Sentence, Token, quote_is_opener
+
+
+@dataclass
+class POVSpan:
+    """One quotation: direct speech, the only point of view the rules read."""
+    start_token: int              # document token index of the opening quote
+    end_token: int                # closing quote, or the paragraph's last token
+    sentences: list[int]          # the sentences holding its tokens
 
 
 class DocIndex:
@@ -52,15 +61,12 @@ class DocIndex:
 
         #: quote depth (0 or 1) after each token
         self.quote_depth = bytearray(n)
-        #: the quotation regions in document order: first and last token
-        #: and the sentences holding them
-        self.region_starts: list[int] = []
-        self.region_ends: list[int] = []
-        self.region_sentences: list[list[int]] = []
+        #: the quotations in document order
+        self.quotations: list[POVSpan] = []
         self._scan_quotes(tokens, diagnostics)
 
     def _scan_quotes(self, tokens: list[Token], diagnostics: list[str] | None):
-        """Quote depth after each token plus the quotation regions.
+        """Quote depth after each token plus the quotations.
 
         A quote mark opens a quotation when it hugs the following word
         (no whitespace between them); nesting deeper than one is not
@@ -82,7 +88,7 @@ class DocIndex:
                 if open_at is None and opener:
                     open_at = t.index
                 elif open_at is not None:
-                    self._add_region(open_at, t.index)
+                    self._add_quotation(open_at, t.index)
                     open_at = None
                 elif diagnostics is not None:
                     diagnostics.append(
@@ -101,13 +107,11 @@ class DocIndex:
         para = self.sentence_of[start].paragraph_index
         end = self.paragraph_last[para].tokens[-1].index
         self.quote_depth[end + 1:stop] = bytes(stop - end - 1)
-        self._add_region(start, end)
+        self._add_quotation(start, end)
 
-    def _add_region(self, start: int, end: int):
-        self.region_starts.append(start)
-        self.region_ends.append(end)
-        self.region_sentences.append(
-            sorted({s.index for s in self.sentence_of[start:end + 1]}))
+    def _add_quotation(self, start: int, end: int):
+        self.quotations.append(POVSpan(
+            start, end, sorted({s.index for s in self.sentence_of[start:end + 1]})))
 
     # -- lookups -------------------------------------------------------------
 
@@ -125,8 +129,8 @@ class DocIndex:
         return self._sentence_clauses.get(sent.index, [])
 
     def quote_sentences(self, token_index: int) -> list[int] | None:
-        """Sentences of the quotation region holding the token, or None."""
-        k = bisect_right(self.region_starts, token_index) - 1
-        if k >= 0 and token_index <= self.region_ends[k]:
-            return self.region_sentences[k]
+        """Sentences of the quotation holding the token, or None."""
+        k = bisect_right(self.quotations, token_index, key=lambda q: q.start_token) - 1
+        if k >= 0 and token_index <= self.quotations[k].end_token:
+            return self.quotations[k].sentences
         return None

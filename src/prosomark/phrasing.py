@@ -152,16 +152,15 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
         if toks[second].normalized.endswith("ly"):
             add(words[2], "adverbial")
 
-    # rule: final locative adjunct of an exclamative/interrogative sentence
-    if sentence.terminal in ("question", "exclamation") and len(words) >= 4:
-        in_quote = any(t.kind == QUOTE for t in toks)
-        if in_quote:
-            for i in reversed(words[:-1]):
-                if toks[i].normalized in _LOCATIVE_PREPS:
-                    tail = [w for w in words if w >= i]
-                    if 2 <= len(tail) <= 3 and i != words[0]:
-                        add(i, "adjunct")
-                    break
+    # rule: final locative adjunct of a quoted exclamative/interrogative sentence
+    if sentence.terminal in ("question", "exclamation") and len(words) >= 4 \
+            and ix.quote_sentences(toks[words[-1]].index) is not None:
+        for i in reversed(words[:-1]):
+            if toks[i].normalized in _LOCATIVE_PREPS:
+                tail = [w for w in words if w >= i]
+                if 2 <= len(tail) <= 3 and i != words[0]:
+                    add(i, "adjunct")
+                break
 
     groups = _build_groups(sentence, boundaries, words)
     groups = _suppress_short(sentence, groups, config)
@@ -238,16 +237,14 @@ def _resplit_long(sentence, groups, max_len) -> list[BreathGroup]:
         if split_at is None:
             out.append(g)
             continue
+        # split_at is a word after the group's first, so both sides hold one
         left_words = [i for i in g.positions() if toks[i].kind == WORD and i < split_at]
         right_words = [i for i in g.positions() if toks[i].kind == WORD and i >= split_at]
-        if left_words and right_words:
-            out.append(BreathGroup((left_words[0], left_words[-1]), trigger=g.trigger))
-            out.extend(_resplit_long(
-                sentence,
-                [BreathGroup((right_words[0], right_words[-1]), trigger="complement")],
-                max_len))
-        else:
-            out.append(g)
+        out.append(BreathGroup((left_words[0], left_words[-1]), trigger=g.trigger))
+        out.extend(_resplit_long(
+            sentence,
+            [BreathGroup((right_words[0], right_words[-1]), trigger="complement")],
+            max_len))
     return out
 
 
@@ -299,8 +296,7 @@ def render_groups(doc, groups_by_sentence) -> str:
                 quote_at_edge = True
         if quote_at_edge:
             lines.append(GROUP_MARK)
+    # a mark is only appended after a group line, so none leads
     while lines and lines[-1] == GROUP_MARK:
         lines.pop()
-    while lines and lines[0] == GROUP_MARK:
-        lines.pop(0)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,11 +1,11 @@
 """The prosody manager: wires ingest, annotations, phrasing and prosody
 into a prosodic script ready for rendering.
 
-Each compile plans its sentences on a fresh ``_Compile``.  A title takes
-the title treatment; every other sentence runs the rules of
-``_SENTENCE_RULES`` in order.  Point-of-view chaining then gives the
-continuation sentences of each character's quotation their downstepped
-contours.
+Each compile plans its sentences on a fresh ``_Compile``, one at a time in
+document order.  A title takes the title treatment; every other sentence
+runs the rules of ``_SENTENCE_RULES`` in order.  A continuation sentence of
+a quotation then chains onto the sentence before it with a downstepped
+contour, and the sentence is emitted.
 """
 
 from __future__ import annotations
@@ -16,17 +16,16 @@ from . import lexica
 from .annotations import (AnnotationSet, check_clause_spans, parse_sidecar,
                           resolve_moves, resolve_relevance, shallow_analyze)
 from .config import Config
-from .docindex import DocIndex
+from .docindex import DocIndex, POVSpan
 from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
                    ProsodicScript, ScriptItem)
 from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
                      Sentence, phon_exception, split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
 from .prosody import (BI_REALIZATION, DEFAULT_TABLE, RSET, BreakContext,
-                      BreakIndex, ParamEvent, POVSpan, PRONOUN_QUANTIFIERS,
+                      BreakIndex, ParamEvent, PRONOUN_QUANTIFIERS,
                       ToneContext, assign_break_index, ev,
-                      mark_quantifier_slowdown, match_frozen, select_tone,
-                      track_point_of_view)
+                      mark_quantifier_slowdown, match_frozen, select_tone)
 
 
 @dataclass
@@ -101,8 +100,7 @@ class ProsodyManager:
         diagnostics = list(ann.warnings)
         ix = DocIndex(doc, ann, diagnostics)
         groups = {s.index: segment(s, ann, cfg, ix) for s in doc.sentences}
-        pov_spans = (track_point_of_view(doc, ann, cfg.comm_verbs, ix)
-                     if cfg.pov_tracking else [])
+        pov_spans = ix.quotations if cfg.pov_tracking else []
         script = _Compile(cfg, doc, ann, ix).build_script(groups, pov_spans)
         return PipelineResult(doc, ann, groups, script, pov_spans, diagnostics)
 
@@ -134,32 +132,32 @@ class _Compile:
         for s in body:
             para_first.setdefault(s.paragraph_index, s.index)
 
-        plans: dict[int, _SentencePlan] = {}
+        # the sentences after the first of each quotation
+        continuations = {si for span in pov_spans for si in span.sentences[1:]}
+
+        prev_plan = None
         for sent in doc.sentences:
             plan = _SentencePlan(
                 sent, groups[sent.index],
                 paragraph_initial=para_first.get(sent.paragraph_index) == sent.index,
                 after_first_para=sent.paragraph_index > first_body_para)
-            plans[sent.index] = plan
             if sent.is_title:
                 self._plan_title(plan)
             elif plan.groups:
                 for rule in _SENTENCE_RULES:
                     rule(self, plan)
+            if sent.index in continuations:
+                self._chain_continuation(plan, prev_plan)
 
-        self._plan_pov_chains(plans, pov_spans)
-
-        prev_para = None
-        for sent in doc.sentences:
-            if prev_para is not None and sent.paragraph_index != prev_para:
+            if prev_plan is not None \
+                    and sent.paragraph_index != prev_plan.sentence.paragraph_index:
                 script.paragraph_break()
-            prev_para = sent.paragraph_index
             script.sentence_start(sent.index)
-            plan = plans.pop(sent.index)  # frees each plan once emitted
             for pos, tok in enumerate(sent.tokens):
                 script.items.extend(plan.prefix.get(pos, ()))
                 script.add_token(tok)
                 script.items.extend(plan.suffix.get(pos, ()))
+            prev_plan = plan
         return script
 
     # -- helpers -------------------------------------------------------------
@@ -545,20 +543,15 @@ class _Compile:
             return
         plan.add_suffix(len(sent.tokens) - 1, self._row_event("announce", glue=GLUE_NONE))
 
-    def _plan_pov_chains(self, plans: dict[int, _SentencePlan], pov_spans):
-        for span in pov_spans:
-            if len(span.sentences) < 2:
-                continue
-            prev_plan = None
-            for si in span.sentences:
-                plan = plans[si]
-                if prev_plan is not None:
-                    first = _first_word(plan.sentence)
-                    if first is not None:
-                        items = [] if prev_plan.end_bi2 else _pause(BreakIndex.BI2)
-                        items.append(self._row_event("ds_elaboration", 1))
-                        plan.prefix[first] = items + plan.prefix.get(first, [])
-                prev_plan = plan
+    def _chain_continuation(self, plan: _SentencePlan, prev_plan: _SentencePlan):
+        """Open a quotation's continuation sentence with the downstepped
+        contour, after a BI-2 unless the sentence before already chained
+        onward.  The items go in front of the ones the rules placed."""
+        first = _first_word(plan.sentence)
+        if first is not None:
+            items = [] if prev_plan.end_bi2 else _pause(BreakIndex.BI2)
+            items.append(self._row_event("ds_elaboration", 1))
+            plan.prefix[first] = items + plan.prefix.get(first, [])
 
 
 #: the per-sentence rules of every body sentence, in the order they run.

@@ -5,19 +5,18 @@ duration plus an optional parameter reset.  The mapping table pairs every
 row of the tone inventory with its analogical parameter tuple(s) and its
 pitch labels (nuclear accents, phrase accents, boundary tones, downstep,
 opaque intensity variants 1-4); each label is a ``ToneContour`` of its row,
-and ``select_tone`` returns one of them.  Point-of-view tracking attributes
-quoted spans to a character so continuation sentences can take
-downstepped contours.
+and ``select_tone`` returns one of them.  The point-of-view spans are the
+quotations of the ``DocIndex``: direct speech, whose continuation sentences
+take downstepped contours.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import chain, takewhile
+from dataclasses import dataclass
 
 from . import lexica
-from .docindex import DocIndex
+from .docindex import DocIndex, POVSpan
 from .ingest import WORD, Document, Token
 
 
@@ -212,71 +211,18 @@ DEFAULT_TABLE = MappingTable()
 
 # Point of view ---------------------------------------------------------------
 
-@dataclass
-class POVSpan:
-    holder: str
-    start_token: int              # document token index of the opening quote
-    end_token: int                # document token index of the closing quote
-    sentences: list[int] = field(default_factory=list)
-
-
-#: how far from a quote mark (in tokens) its communication verb may stand
-ATTRIBUTION_WINDOW = 12
-
-
-def track_point_of_view(doc: Document, ann, comm_verbs: set[str],
-                        index: DocIndex | None = None) -> list[POVSpan]:
-    """Quoted spans attributed to a character via a communication verb.
-
-    The spans are the quotation regions of ``index``, the compile's
-    ``DocIndex`` (without it one is built), which also reports stray marks.
-    The point of view persists across sentences until the closing quote
-    (a quotation left open ends at its opener's paragraph end);
-    unattributed quotes open an anonymous character span.
+def track_point_of_view(doc: Document, ann, index: DocIndex | None = None) -> list[POVSpan]:
+    """The direct-speech spans: the quotations of ``index``, the compile's
+    ``DocIndex`` (without it one is built).  A span persists across
+    sentences until its closing quote; one left open ends at its opener's
+    paragraph end.
     """
-    ix = index if index is not None else DocIndex(doc, ann)
-    tokens = doc.tokens()
-    # doc.tokens() runs without gaps, so a token's list position is its
-    # index less the first one's
-    first = tokens[0].index if tokens else 0
-
-    def attribution(q: int) -> str:
-        # the nearest communication verb after the quote mark at tokens[q],
-        # else the nearest one before it, within the window
-        q_index = tokens[q].index
-        after = takewhile(lambda j: tokens[j].index <= q_index + ATTRIBUTION_WINDOW,
-                          range(q + 1, len(tokens)))
-        before = takewhile(lambda j: tokens[j].index >= q_index - ATTRIBUTION_WINDOW,
-                           range(q - 1, -1, -1))
-        verb = next((j for j in chain(after, before)
-                     if tokens[j].kind == WORD and tokens[j].normalized in comm_verbs),
-                    None)
-        if verb is None:
-            return "character:anon"
-        # the speaker: the nearest content word before the verb
-        for j in range(verb - 1, -1, -1):
-            t = tokens[j]
-            if t.kind == WORD and not lexica.function_word(t.normalized) \
-                    and t.normalized not in comm_verbs:
-                return f"character:{t.normalized}"
-        return "character:anon"
-
-    return [POVSpan(attribution(start - first), start, end, sentences)
-            for start, end, sentences in zip(ix.region_starts, ix.region_ends,
-                                             ix.region_sentences)]
-
-
-def character_spans_by_sentence(spans: list[POVSpan]) -> dict[int, POVSpan]:
-    """Each sentence's first character span."""
-    out: dict[int, POVSpan] = {}
-    for sp in spans:
-        for s in sp.sentences:
-            out.setdefault(s, sp)
-    return out
+    return (index if index is not None else DocIndex(doc, ann)).quotations
 
 
 def span_for_sentence(spans: list[POVSpan], sent_index: int) -> POVSpan | None:
-    return character_spans_by_sentence(spans).get(sent_index)
+    """The first span holding the sentence, or None."""
+    return next((sp for sp in spans if sent_index in sp.sentences), None)
 
 
 # Break indices ---------------------------------------------------------------

@@ -33,12 +33,12 @@ def test_every_corpus_document_keeps_its_bytes():
                     EXPECTED.read_text(encoding="utf-8").splitlines())
     cfg = Config().load_lexica()
     fx = tool.wl.Fixtures.load(data_path("fixtures"))
-    got = {name: tool.digest(tool.run_pipeline(text, sidecar, cfg))
-           for name, text, sidecar in tool.corpus(fx, cfg)}
+    got = {name: tool.digest(tool.run_pipeline(text, sidecar, config))
+           for name, text, sidecar, config in tool.corpus(fx, cfg)}
     moved = sorted(name for name in expected.keys() & got.keys()
                    if expected[name] != got[name])
     assert not moved, f"{len(moved)} documents changed output: {', '.join(moved)}"
     assert got.keys() == expected.keys(), (
         f"missing: {sorted(expected.keys() - got.keys())}, "
         f"new: {sorted(got.keys() - expected.keys())}")
-    assert len(got) == 1922
+    assert len(got) == 1938

@@ -10,7 +10,6 @@ import random
 
 import pytest
 
-from prosomark import lexica
 from prosomark.annotations import AnnotationSet, ClauseFeatures, innermost_clauses
 from prosomark.docindex import DocIndex
 from prosomark.ingest import QUOTE, WORD, split_document, tokenize
@@ -105,38 +104,23 @@ def _ref_quotes(doc):
     return depths, region_of, diags
 
 
-def _ref_pov(doc, comm_verbs):
-    """Quoted spans as (holder, start, end, sentences); a span left open, at
-    the document end or when a mark reopens a later paragraph, ends at its
+def _ref_pov(doc):
+    """Quoted spans as (start, end, sentences); a span left open, at the
+    document end or when a mark reopens a later paragraph, ends at its
     paragraph's last token and holds every sentence up to it."""
     from prosomark.ingest import quote_is_opener
 
     spans = []
     tokens = doc.tokens()
-    open_quote, holder = None, "narrator"
+    open_quote = None
     para_of = {t.index: s.paragraph_index for s in doc.sentences for t in s.tokens}
     sent_of = {t.index: s.index for s in doc.sentences for t in s.tokens}
-
-    def attribution(q_index):
-        verb = None
-        for t in tokens:
-            if t.kind == WORD and t.normalized in comm_verbs \
-                    and abs(t.index - q_index) <= 12:
-                verb = t
-                if t.index > q_index:
-                    break
-        if verb is None:
-            return "character:anon"
-        for t in reversed([t for t in tokens if t.index < verb.index and t.kind == WORD]):
-            if not lexica.function_word(t.normalized) and t.normalized not in comm_verbs:
-                return f"character:{t.normalized}"
-        return "character:anon"
 
     def close_at_paragraph_end():
         para = para_of[open_quote]
         last = max((t.index for t in tokens if para_of[t.index] == para), default=open_quote)
         sents = sorted({sent_of[j] for j in range(open_quote, last + 1) if j in sent_of})
-        spans.append((holder, open_quote, last, sents))
+        spans.append((open_quote, last, sents))
 
     for i, t in enumerate(tokens):
         if t.kind != QUOTE:
@@ -144,15 +128,14 @@ def _ref_pov(doc, comm_verbs):
         if open_quote is not None and quote_is_opener(tokens, i) \
                 and para_of[tokens[i - 1].index] != para_of[t.index]:
             close_at_paragraph_end()
-            open_quote, holder = None, "narrator"
+            open_quote = None
         if open_quote is None:
             if quote_is_opener(tokens, i):
                 open_quote = t.index
-                holder = attribution(t.index)
         else:
             sents = sorted({sent_of[j] for j in range(open_quote, t.index + 1) if j in sent_of})
-            spans.append((holder, open_quote, t.index, sents))
-            open_quote, holder = None, "narrator"
+            spans.append((open_quote, t.index, sents))
+            open_quote = None
     if open_quote is not None:
         close_at_paragraph_end()
     return spans
@@ -267,9 +250,8 @@ def test_quotation_reopened_at_each_paragraph():
     assert diags == []
     marks = [t.index for t in doc.tokens() if t.kind == QUOTE]
     first_end = doc.sentences[2].tokens[-1].index
-    assert list(zip(ix.region_starts, ix.region_ends)) == \
-        [(marks[0], first_end), (marks[1], marks[2])]
-    assert ix.region_sentences == [[1, 2], [3, 4]]
+    assert [(q.start_token, q.end_token, q.sentences) for q in ix.quotations] == \
+        [(marks[0], first_end, [1, 2]), (marks[1], marks[2], [3, 4])]
     assert [ix.quote_depth[t.index] for t in doc.sentences[3].tokens] == [1] * 5
     depths, region_of, ref_diags = _ref_quotes(doc)
     assert ref_diags == []
@@ -286,25 +268,13 @@ def test_later_paragraph_marks_that_do_not_reopen(text, closes_at):
     doc = split_document(tokenize(text, []), text, "off")
     ix = DocIndex(doc, AnnotationSet(), [])
     marks = [t.index for t in doc.tokens() if t.kind == QUOTE]
-    assert list(zip(ix.region_starts, ix.region_ends)) == [(marks[0], marks[closes_at])]
+    assert [(q.start_token, q.end_token) for q in ix.quotations] == \
+        [(marks[0], marks[closes_at])]
 
 
 @pytest.mark.parametrize("seed", [4, 5])
-def test_point_of_view_matches_the_scan(config, seed):
-    verbs = set(config.comm_verbs)
+def test_point_of_view_matches_the_scan(seed):
     for rng, doc, ann in _cases(300, seed):
-        spans = track_point_of_view(doc, ann, verbs)
-        assert [(s.holder, s.start_token, s.end_token, s.sentences) for s in spans] \
-            == _ref_pov(doc, verbs), doc.raw
-
-
-@pytest.mark.parametrize("gap,holder", [(11, "character:crow"), (12, "character:anon")])
-def test_point_of_view_attribution_window(config, gap, holder):
-    # the verb stands gap + 1 tokens before the quote; nothing follows it
-    # within twelve tokens
-    caws = " ".join(["caw"] * 12)
-    text = f'The crow cried {" ".join(["and"] * gap)} "{caws}." The fox said "No."'
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
-    spans = track_point_of_view(doc, AnnotationSet(), config.comm_verbs)
-    assert [s.holder for s in spans] == [holder, "character:fox"]
-    assert [s.holder for s in spans] == [r[0] for r in _ref_pov(doc, config.comm_verbs)]
+        spans = track_point_of_view(doc, ann)
+        assert [(s.start_token, s.end_token, s.sentences) for s in spans] \
+            == _ref_pov(doc), doc.raw

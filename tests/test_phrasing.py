@@ -48,6 +48,21 @@ def test_split_before_clause_coordination(config):
     assert texts == ["some said this", "and some said that"]
 
 
+def test_final_locative_adjunct_of_a_quotation_continuation(config):
+    # the middle sentence holds no quote mark but is direct speech
+    res = run_pipeline('He said: "Look. What a noble bird I see above me! Yes."',
+                       None, config)
+    sent = res.doc.sentences[2]
+    assert group_texts(sent, res.groups[2]) == ["what a noble bird i see", "above me"]
+
+
+def test_stray_quote_mark_is_not_direct_speech(config):
+    # the mark opens no word, so the index ignores it and nothing is quoted
+    res = run_pipeline('" What a bird I see above me!', None, config)
+    assert res.diagnostics == ["unbalanced quotation mark ignored ('\"' in sentence 0)"]
+    assert group_texts(res.doc.sentences[0], res.groups[0]) == ["what a bird i", "see above me"]
+
+
 def test_sentence_initial_adverbial_phrase_split(config):
     text = "Very slowly the mice crept away."
     doc = split_document(tokenize(text, config.multiwords), text, "off")

@@ -13,12 +13,13 @@ from prosomark.annotations import AnnotationSet, shallow_analyze
 from prosomark.config import Config
 from prosomark.docindex import DocIndex
 from prosomark.emit import DEFAULT_TABLE, render_markup, render_tobi
-from prosomark.ingest import split_document, tokenize
+from prosomark.ingest import QUOTE, split_document, tokenize
 from prosomark.pipeline import ProsodyManager, _Compile, _SentencePlan, run_pipeline
 from conftest import is_contour_label, load
 from prosomark.prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
                                ToneContext, assign_break_index, ev,
-                               match_frozen, select_tone, track_point_of_view)
+                               match_frozen, select_tone, span_for_sentence,
+                               track_point_of_view)
 
 
 # Break indices ---------------------------------------------------------------
@@ -132,15 +133,16 @@ def _doc(text, config):
 def test_pov_attributed_quote(config):
     text = '"You will all agree", said he, "that our danger is real".'
     doc = _doc(text, config)
-    spans = track_point_of_view(doc, shallow_analyze(doc), config.comm_verbs)
-    assert len(spans) == 2
-    # both quotes take the speaker of "said", not an anonymous one
-    assert all(s.holder != "character:anon" for s in spans)
+    spans = track_point_of_view(doc, shallow_analyze(doc))
+    # the reporting clause between the two quotations belongs to neither
+    marks = [t.index for t in doc.tokens() if t.kind == QUOTE]
+    assert [(s.start_token, s.end_token) for s in spans] == \
+        [(marks[0], marks[1]), (marks[2], marks[3])]
 
 
 def test_pov_no_quotes_single_narrator(config):
     doc = _doc("The mice had a council.", config)
-    spans = track_point_of_view(doc, shallow_analyze(doc), config.comm_verbs)
+    spans = track_point_of_view(doc, shallow_analyze(doc))
     assert spans == []
 
 
@@ -148,7 +150,15 @@ def test_pov_multi_sentence_span(config, fox_result):
     spans = fox_result.pov_spans
     assert len(spans) == 1
     assert spans[0].sentences == [1, 2, 3]
-    assert spans[0].holder == "character:fox"
+
+
+def test_span_for_sentence(config):
+    # sentence 1 closes the first quotation and opens the second
+    doc = _doc('"Hi. Go," he said, "now. Stay." The cat ran.', config)
+    spans = track_point_of_view(doc, AnnotationSet())
+    assert [s.sentences for s in spans] == [[0, 1], [1, 2]]
+    assert [span_for_sentence(spans, i) for i in range(4)] == \
+        [spans[0], spans[0], spans[1], None]
 
 
 def test_pov_unbalanced_quote_diagnostic(config):

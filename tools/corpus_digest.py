@@ -5,21 +5,23 @@ Usage, from the root of a checkout (standard library only):
     python3 tools/corpus_digest.py > digests.txt
 
 The hash covers a document's markup, ToBI, breath groups and diagnostics,
-compiled with the default configuration by the ``prosomark`` under this
-checkout's ``src/``.  Running the script in two checkouts and comparing the
+compiled with the default configuration (point-of-view tracking off for the
+``+nopov`` documents) by the ``prosomark`` under this checkout's ``src/``.  Running the script in two checkouts and comparing the
 outputs with ``diff`` lists every document whose output differs.
 ``tests/test_corpus_digest.py`` does that against the copy kept in
 ``tests/data/corpus_digest.tsv``; a change that means to move output
 regenerates that file with this script.
 
-The corpus, 1,922 documents:
+The corpus, 1,938 documents:
 
 * ``fixture:<name>`` and ``fixture:<name>+ann`` - both fixtures, without and
   with their sidecars;
 * ``story_shallow:<size>:<seed>`` and ``story_sidecar:<size>:<seed>`` - both
   benchmark story generators at 1k, 4k and 16k tokens, seeds 1-3;
 * ``cli:<i>`` - ``cli_doc(1, i)`` of the benchmark for i = 4..403;
-* ``fuzz:<i>`` - 1,500 texts from ``fuzz_text`` below.
+* ``fuzz:<i>`` - 1,500 texts from ``fuzz_text`` below;
+* ``<name>+nopov`` - both fixtures, without and with their sidecars, and the
+  1k and 4k stories, compiled with point-of-view tracking off.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,22 +61,29 @@ def fuzz_text(rng: random.Random) -> str:
 
 
 def corpus(fx: wl.Fixtures, cfg: Config):
-    """(name, text, sidecar) for every document, in a fixed order."""
-    for name, text, ann in (("belling_cat", fx.fable, fx.fable_ann),
-                            ("fox_crow", fx.fox, fx.fox_ann)):
-        yield f"fixture:{name}", text, None
-        yield f"fixture:{name}+ann", text, ann
-    for label, size in STORY_SIZES:
-        for seed in (1, 2, 3):
-            doc = wl.story_shallow(seed, 0, fx, size)
-            yield f"story_shallow:{label}:{seed}", doc.text, doc.sidecar
-            doc = wl.story_sidecar(seed, 0, fx, cfg.multiwords, size)
-            yield f"story_sidecar:{label}:{seed}", doc.text, doc.sidecar
+    """(name, text, sidecar, config) for every document, in a fixed order."""
+    def documents(sizes):
+        for name, text, ann in (("belling_cat", fx.fable, fx.fable_ann),
+                                ("fox_crow", fx.fox, fx.fox_ann)):
+            yield f"fixture:{name}", text, None
+            yield f"fixture:{name}+ann", text, ann
+        for label, size in sizes:
+            for seed in (1, 2, 3):
+                doc = wl.story_shallow(seed, 0, fx, size)
+                yield f"story_shallow:{label}:{seed}", doc.text, doc.sidecar
+                doc = wl.story_sidecar(seed, 0, fx, cfg.multiwords, size)
+                yield f"story_sidecar:{label}:{seed}", doc.text, doc.sidecar
+
+    for name, text, sidecar in documents(STORY_SIZES):
+        yield name, text, sidecar, cfg
     for i in range(len(wl.GOLDENS), len(wl.GOLDENS) + 400):
-        yield f"cli:{i}", wl.cli_doc(1, i, fx).text, None
+        yield f"cli:{i}", wl.cli_doc(1, i, fx).text, None, cfg
     rng = random.Random(FUZZ_SEED)
     for i in range(FUZZ_COUNT):
-        yield f"fuzz:{i}", fuzz_text(rng), None
+        yield f"fuzz:{i}", fuzz_text(rng), None, cfg
+    nopov = replace(cfg, pov_tracking=False)
+    for name, text, sidecar in documents(STORY_SIZES[:2]):
+        yield f"{name}+nopov", text, sidecar, nopov
 
 
 def digest(result) -> str:
@@ -89,8 +99,8 @@ def digest(result) -> str:
 def main() -> int:
     cfg = Config().load_lexica()
     fx = wl.Fixtures.load(data_path("fixtures"))
-    for name, text, sidecar in corpus(fx, cfg):
-        print(f"{name}\t{digest(run_pipeline(text, sidecar, cfg))}")
+    for name, text, sidecar, config in corpus(fx, cfg):
+        print(f"{name}\t{digest(run_pipeline(text, sidecar, config))}")
     return 0
 
 
