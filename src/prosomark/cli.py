@@ -3,7 +3,9 @@
 Wires the whole pipeline: read text (plus sidecar annotations when given,
 shallow analysis otherwise), write the requested output, and optionally
 compare it against a golden file.  Exit codes: 0 success, 1 usage error,
-2 input parse/integrity error, 3 golden-check mismatch.
+2 input parse/integrity error, 3 golden-check mismatch.  The input, sidecar,
+config and lexicon files are read as UTF-8 with an optional byte-order
+mark; a golden file is compared byte for byte, so a mark there counts.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
 
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = Path(args.input).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"prosomark: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -127,7 +129,7 @@ def run(argv: list[str]) -> int:
     sidecar_text = None
     if args.sidecar:
         try:
-            sidecar_text = Path(args.sidecar).read_text(encoding="utf-8")
+            sidecar_text = Path(args.sidecar).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             print(f"prosomark: cannot read sidecar: {exc}", file=sys.stderr)
             return EXIT_USAGE

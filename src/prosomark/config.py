@@ -79,7 +79,7 @@ def parse_config_file(path: str | Path) -> Config:
     a value its key does not accept raises ``ValueError`` naming
     ``path:line``."""
     cfg = Config()
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -56,7 +56,8 @@ class DocIndex:
             here = []
             for i, t in enumerate(s.tokens):
                 self.sentence_of[t.index] = s
-                here.extend((i, c) for c in starting.get(t.index, ()))
+                if t.index in starting:
+                    here.extend((i, c) for c in starting[t.index])
             self._sentence_clauses[s.index] = here
 
         #: quote depth (0 or 1) after each token

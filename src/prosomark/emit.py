@@ -114,9 +114,6 @@ class ScriptItem:
 class ProsodicScript:
     items: list[ScriptItem] = field(default_factory=list)
 
-    def add_token(self, token: Token):
-        self.items.append(ScriptItem("token", token=token))
-
     def add_event(self, event: ParamEvent, glue: str = GLUE_NONE,
                   tone_label: str | None = None, bi: BreakIndex | None = None):
         self.items.append(ScriptItem("event", event=event, glue=glue,
@@ -219,7 +216,10 @@ def render_tobi(doc: Document, script: ProsodicScript) -> str:
 
     Quote marks are omitted (they carry no prosody of their own); silences
     print as their break index, contoured events as their label, bare
-    resets literally, and unlabeled events not at all.
+    resets literally, and unlabeled events not at all.  A line breaks at
+    the next sentence's first printed token, so the events placed before
+    that token end the line before, as in the published fragment
+    (``fixture_notes.md``).
     """
     lines: list[str] = []
     current: list[str] = []

@@ -10,8 +10,8 @@ original text can be reconstructed byte for byte.
 
 from __future__ import annotations
 
+import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 WORD = "word"
@@ -23,7 +23,8 @@ OTHER_PUNCT = "other_punct"
 TERMINAL_CHARS = {".": "period", "?": "question", "!": "exclamation", ":": "colon"}
 QUOTE_CHARS = {'"', "“", "”"}
 
-_TOKEN_RE = re.compile(r"[^\s\w]|[\w'-]+", re.UNICODE)
+#: one token chunk; the whitespace between chunks is what re.split leaves
+_TOKEN_RE = re.compile(r"([^\s\w]|[\w'-]+)", re.UNICODE)
 
 
 @dataclass
@@ -79,24 +80,16 @@ def phon_exception(token: Token, lexicon: PhonLexicon) -> str | None:
     return lexicon.lookup(token.normalized)
 
 
-def _raw_tokens(text: str):
-    """Yield (pre_whitespace, chunk) pairs covering the text exactly."""
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        yield text[pos:m.start()], m.group(0)
-        pos = m.end()
+#: the kinds of the punctuation chunks that are not ``OTHER_PUNCT``
+_PUNCT_KINDS = {",": COMMA, **dict.fromkeys(TERMINAL_CHARS, TERMINAL),
+                **dict.fromkeys(QUOTE_CHARS, QUOTE)}
 
 
 def _kind_of(chunk: str) -> str:
-    if chunk == ",":
-        return COMMA
-    if chunk in TERMINAL_CHARS:
-        return TERMINAL
-    if chunk in QUOTE_CHARS:
-        return QUOTE
-    if not chunk[0].isalnum() and chunk[0] not in "'-":
-        return OTHER_PUNCT
-    return WORD
+    c = chunk[0]
+    if c.isalnum() or c in "'-":
+        return WORD
+    return _PUNCT_KINDS.get(chunk, OTHER_PUNCT)
 
 
 def tokenize(text: str, multiwords: list[list[str]] | None = None) -> list[Token]:
@@ -107,44 +100,43 @@ def tokenize(text: str, multiwords: list[list[str]] | None = None) -> list[Token
     surface text (inner whitespace included) and gets an underscore-joined
     normalized form.
     """
-    pieces = list(_raw_tokens(text))
-    multiwords = multiwords or []
+    # [pre_ws, chunk, pre_ws, chunk, ..., trailing whitespace]
+    parts = _TOKEN_RE.split(text)
+    pres = parts[0:-1:2]
+    chunks = parts[1::2]
+    kinds = [_kind_of(c) for c in chunks]
+    norms = [c.lower() if k == WORD else c for c, k in zip(chunks, kinds)]
     by_first: dict[str, list[list[str]]] = {}
-    for mw in multiwords:
-        by_first.setdefault(mw[0], []).append(mw)
+    for mw in multiwords or ():
+        by_first.setdefault(mw[0], []).append(list(mw))
     for cands in by_first.values():
         cands.sort(key=len, reverse=True)
 
+    # (first chunk, chunk count) of each merge, in text order
+    merges = []
+    end = 0
+    for i in [i for i, w in enumerate(norms) if w in by_first]:
+        if i < end or kinds[i] != WORD:
+            continue
+        for cand in by_first[norms[i]]:
+            n = len(cand)
+            if norms[i:i + n] == cand and all(k == WORD for k in kinds[i:i + n]):
+                merges.append((i, n))
+                end = i + n
+                break
+
     tokens: list[Token] = []
-    i = 0
-    while i < len(pieces):
-        pre, chunk = pieces[i]
-        kind = _kind_of(chunk)
-        if kind == WORD:
-            low = chunk.lower()
-            match = None
-            for cand in by_first.get(low, []):
-                n = len(cand)
-                if i + n > len(pieces):
-                    continue
-                window = pieces[i:i + n]
-                if all(_kind_of(c) == WORD and c.lower() == w
-                       for (_, c), w in zip(window, cand)):
-                    match = cand
-                    break
-            if match:
-                n = len(match)
-                surface = chunk
-                for pre2, chunk2 in pieces[i + 1:i + n]:
-                    surface += pre2 + chunk2
-                tokens.append(Token(surface, "_".join(match), len(tokens),
-                                    WORD, pre, source_words=n))
-                i += n
-                continue
-            tokens.append(Token(chunk, low, len(tokens), WORD, pre))
-        else:
-            tokens.append(Token(chunk, chunk, len(tokens), kind, pre))
-        i += 1
+    pos = 0
+    for start, n in merges + [(len(chunks), 0)]:
+        tokens += map(Token, chunks[pos:start], norms[pos:start],
+                      range(len(tokens), len(tokens) + start - pos),
+                      kinds[pos:start], pres[pos:start])
+        if n:
+            surface = chunks[start] + "".join(
+                p + c for p, c in zip(pres[start + 1:start + n], chunks[start + 1:start + n]))
+            tokens.append(Token(surface, "_".join(norms[start:start + n]), len(tokens),
+                                WORD, pres[start], source_words=n))
+        pos = start + n
     return tokens
 
 
@@ -182,17 +174,20 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
         doc.paragraph_count = 0
         return doc
 
-    # paragraph index per token, from blank-line offsets in the raw text
-    para_starts = [0]
-    for m in re.finditer(r"\n[ \t]*\n", raw):
-        para_starts.append(m.end())
+    # offset and paragraph index per token, in one walk with the offsets
+    # where the raw text's blank lines end
+    para_ends = [m.end() for m in re.finditer(r"\n[ \t]*\n", raw)] + [math.inf]
     offsets = []
+    para_of = []
+    para = 0
     pos = 0
     for t in tokens:
         pos += len(t.pre_ws)
+        while pos >= para_ends[para]:
+            para += 1
         offsets.append(pos)
+        para_of.append(para)
         pos += len(t.surface)
-    para_of = [bisect_right(para_starts, off) - 1 for off in offsets]
 
     first_line = raw.split("\n", 1)[0]
     want_title = title_mode == "force" or (title_mode == "auto" and _looks_like_title(first_line))

@@ -1,7 +1,8 @@
 """Lexicon files and the small built-in word classes the rules consult.
 
 All shipped lexica are plain UTF-8 text with ``#`` comments, so the
-fixtures can be edited by hand.  Formats:
+fixtures can be edited by hand; a leading byte-order mark is skipped.
+Formats:
 
 * multiword list  - one expression per line, words space-separated
 * phonetic list   - ``word<TAB>phonetic``
@@ -52,7 +53,7 @@ def _lines(path: str | Path) -> tuple[tuple[int, str], ...]:
     if cached is not None and cached[0] == stamp:
         return cached[1]
     lines = []
-    for line_no, raw in enumerate(Path(key).read_text(encoding="utf-8").splitlines(),
+    for line_no, raw in enumerate(Path(key).read_text(encoding="utf-8-sig").splitlines(),
                                   start=1):
         line = raw.split("#", 1)[0].strip()
         if line:

@@ -74,55 +74,44 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
             return
         boundaries[pos] = trigger
 
-    # rule: punctuation first; quote marks always close/open a group
-    for i, t in enumerate(toks[:-1]):
-        if t.kind in (COMMA, OTHER_PUNCT, TERMINAL):
-            j = i + 1
-            while j < len(toks) and toks[j].kind != WORD:
-                j += 1
-            if j < len(toks):
-                add(j, "punct")
-        elif t.kind == QUOTE:
-            j = i + 1
-            while j < len(toks) and toks[j].kind != WORD:
-                j += 1
-            if j < len(toks):
-                add(j, "quote")
+    # rule: punctuation first; quote marks always close/open a group.  The
+    # first mark after a word names the trigger of the next word.
+    trigger = None
+    for i, t in enumerate(toks):
+        if t.kind == WORD:
+            if trigger is not None:
+                add(i, trigger)
+                trigger = None
+        elif trigger is None:
+            trigger = "quote" if t.kind == QUOTE else "punct"
 
-    for i in words:
+    prev_word = None
+    for k, i in enumerate(words):
         n = toks[i].normalized
-        prev_word = None
-        for k in range(i - 1, -1, -1):
-            if toks[k].kind == WORD:
-                prev_word = toks[k]
-                break
         # rule: coordinate structures joining clauses
-        if n in lexica.COORDINATORS and i > words[0]:
+        if n in lexica.COORDINATORS and k:
             if i in clause_starts or (i + 1) in clause_starts:
                 add(i, "coordination")
-            elif (prev_word is not None and prev_word.normalized in affect_words):
+            elif prev_word.normalized in affect_words:
                 add(i, "coordination")
         # rule: subordinate clauses (comparatives share the slot)
-        elif n in lexica.SUBORDINATORS and i > words[0]:
+        elif n in lexica.SUBORDINATORS and k:
             add(i, "comparative" if n in ("as", "than") else "subordinator")
         # rule: infinitival complements (not after a verb)
-        elif n == "to" and i > words[0]:
-            nxt = next((toks[j] for j in range(i + 1, len(toks))
-                        if toks[j].kind == WORD), None)
-            if (nxt is not None and not lexica.function_word(nxt.normalized)
-                    and prev_word is not None
+        elif n == "to" and k:
+            if (k + 1 < len(words)
+                    and not lexica.function_word(toks[words[k + 1]].normalized)
                     and not _is_verbish(prev_word, ix)
                     and prev_word.normalized not in lexica.PREPOSITIONS):
                 add(i, "infinitival")
         # rule: relative clauses after a content noun
-        elif n in lexica.RELATIVE_PRONOUNS and prev_word is not None:
+        elif n in lexica.RELATIVE_PRONOUNS and k:
             if prev_word.normalized in lexica.PREPOSITIONS:
-                k = next((j for j in range(i - 1, -1, -1) if toks[j].kind == WORD), None)
-                kk = next((j for j in range(k - 1, -1, -1) if toks[j].kind == WORD), None) if k else None
-                if kk is not None and not lexica.function_word(toks[kk].normalized):
-                    add(k, "relative")
+                if k >= 2 and not lexica.function_word(toks[words[k - 2]].normalized):
+                    add(words[k - 1], "relative")
             elif not lexica.function_word(prev_word.normalized):
                 add(i, "relative")
+        prev_word = toks[i]
 
     # rule: long subject before its verb phrase
     lead = []
@@ -162,7 +151,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
                     add(i, "adjunct")
                 break
 
-    groups = _build_groups(sentence, boundaries, words)
+    groups = _build_groups(boundaries, words)
     groups = _suppress_short(sentence, groups, config)
     groups = _resplit_long(sentence, groups, max_len)
     for g in groups:
@@ -170,15 +159,12 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
     return groups
 
 
-def _build_groups(sentence, boundaries, words) -> list[BreathGroup]:
-    ordered = sorted(boundaries)
-    groups = []
-    for b, nxt in zip(ordered, ordered[1:] + [None]):
-        span_words = [w for w in words if w >= b and (nxt is None or w < nxt)]
-        if span_words:
-            groups.append(BreathGroup((span_words[0], span_words[-1]),
-                                      trigger=boundaries[b]))
-    return groups
+def _build_groups(boundaries, words) -> list[BreathGroup]:
+    """One group from each boundary to the word before the next, in one
+    pass over the words (every boundary sits on a word)."""
+    firsts = [k for k, w in enumerate(words) if w in boundaries]
+    return [BreathGroup((words[k], words[nxt - 1]), trigger=boundaries[words[k]])
+            for k, nxt in zip(firsts, firsts[1:] + [len(words)])]
 
 
 def _src_len(sentence, group) -> int:

@@ -10,6 +10,7 @@ contour, and the sentence is emitted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from . import lexica
@@ -87,9 +88,10 @@ class ProsodyManager:
         cfg = self.config
         tokens = tokenize(text, cfg.multiwords)
         doc = split_document(tokens, text, cfg.title_mode)
-        for t in tokens:
-            if t.kind == WORD and cfg.phon_lexicon is not None:
-                t.phon_override = phon_exception(t, cfg.phon_lexicon)
+        if cfg.phon_lexicon is not None:
+            for t in tokens:
+                if t.kind == WORD:
+                    t.phon_override = phon_exception(t, cfg.phon_lexicon)
         if ann is None:
             ann = shallow_analyze(doc, cfg.relevance_rules)
         else:
@@ -119,6 +121,8 @@ class _Compile:
         #: match an entry whose text before the first space is its first word
         self.sad_starts = {key.split(" ", 1)[0]
                            for key, tag in config.affect_words.items() if tag == "sad"}
+        #: first words of the frozen patterns: only there can one match
+        self.frozen_starts = {pattern[0] for pattern, _ in config.frozen_table}
         self.contoured: set[int] = set()
         self.final_suppressed: set[int] = set()
         self.fired_preds: set[str] = set()
@@ -153,10 +157,13 @@ class _Compile:
                     and sent.paragraph_index != prev_plan.sentence.paragraph_index:
                 script.paragraph_break()
             script.sentence_start(sent.index)
+            prefix, suffix, items = plan.prefix, plan.suffix, script.items
             for pos, tok in enumerate(sent.tokens):
-                script.items.extend(plan.prefix.get(pos, ()))
-                script.add_token(tok)
-                script.items.extend(plan.suffix.get(pos, ()))
+                if pos in prefix:
+                    items.extend(prefix[pos])
+                items.append(ScriptItem("token", tok))
+                if pos in suffix:
+                    items.extend(suffix[pos])
             prev_plan = plan
         return script
 
@@ -215,15 +222,17 @@ class _Compile:
         self.final_suppressed.add(fc.clause_no)
 
     def _plan_frozen(self, plan: _SentencePlan):
-        table = self.config.frozen_table
-        if not table:
+        starts = self.frozen_starts
+        if not starts:
             return
-        sent = plan.sentence
-        pos = 0
-        while pos < len(sent.tokens):
-            m = match_frozen(sent.tokens, pos, table)
+        toks = plan.sentence.tokens
+        end = 0                       # the first position after the last match
+        for pos in [i for i, t in enumerate(toks)
+                    if t.normalized in starts and t.kind == WORD]:
+            if pos < end:
+                continue
+            m = match_frozen(toks, pos, self.config.frozen_table)
             if m is None:
-                pos += 1
                 continue
             role = m.role
             n_tuples = len(DEFAULT_TABLE.row(role).params)
@@ -237,7 +246,7 @@ class _Compile:
                 plan.add_suffix(t, self._row_event(tail, 1, GLUE_LEFT))
                 plan.add_suffix_bi(t, DEFAULT_TABLE.row(tail).bi)
                 plan.consumed.add(t)
-            pos += m.length
+            end = pos + m.length
 
     def _affect_spans(self, plan) -> list[tuple[int, int]]:
         toks = plan.sentence.tokens
@@ -595,12 +604,25 @@ def _pause(bi: BreakIndex, glue: str = GLUE_RIGHT, before: ScriptItem | None = N
     silence, reset = BI_REALIZATION[bi]
     label = bi if labelled else None
     if before is None:
-        items = [_event(ev(slnc=silence), glue, bi=label)]
+        items = [_event(_silence(silence), glue, bi=label)]
     else:
-        items = [_event(replace(before.event, slnc=silence), glue, before.tone_label, label)]
+        items = [_event(_fused(before.event, silence), glue, before.tone_label, label)]
     if reset:
         items.append(_event(RSET, GLUE_COMPOUND))
     return items
+
+
+# Pause events are frozen and built from table constants only, so each one
+# is built once and shared by every placement.
+@functools.cache
+def _silence(silence: int) -> ParamEvent:
+    return ev(slnc=silence)
+
+
+@functools.cache
+def _fused(event: ParamEvent, silence: int) -> ParamEvent:
+    """``event``'s parameters with the silence in front."""
+    return replace(event, slnc=silence)
 
 
 def run_pipeline(text: str, sidecar_text: str | None, config: Config) -> PipelineResult:

@@ -185,6 +185,34 @@ def test_non_utf8_lexicon_is_usage_error(tmp_path, capsys):
     assert err.startswith(f"prosomark: cannot read lexicon {bad}: ") and err.count("\n") == 1
 
 
+def _compile_with_bom(tmp_path, kind: str | None) -> str:
+    """The fable with its sidecar, a config and an affect lexicon, compiled
+    to markup and ToBI; the file of ``kind`` starts with a UTF-8
+    byte-order mark."""
+    home = tmp_path / str(kind)
+    home.mkdir()
+
+    def write(name, text, file_kind):
+        path = home / name
+        path.write_text(("\ufeff" if file_kind == kind else "") + text, encoding="utf-8")
+        return path
+
+    text = write("in.txt", (FIXTURES / "belling_cat.txt").read_text(encoding="utf-8"), "input")
+    side = write("in.ann", (FIXTURES / "belling_cat.ann").read_text(encoding="utf-8"), "sidecar")
+    # the lexicon's first line is an entry the fable uses
+    affect = write("affect.tsv", "cat\tsad\nsorrow\tsad\n", "lexicon")
+    cfg = write("in.cfg", f"pov_tracking = on\naffect_path = {affect}\n", "config")
+    out = home / "o.txt"
+    assert invoke(str(text), "--sidecar", str(side), "--config", str(cfg),
+                  "--emit", "both", "--out", str(out)) == 0
+    return out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind", ["input", "sidecar", "config", "lexicon"])
+def test_byte_order_mark_is_skipped(tmp_path, kind):
+    assert _compile_with_bom(tmp_path, kind) == _compile_with_bom(tmp_path, None)
+
+
 @pytest.mark.parametrize("name,lines", [
     ("affect_path", "sly\tsad\n\nsad\n"),         # tag without its entry
     ("frozen_path", "# frozen\n\ncome on\n"),    # pattern without its role

@@ -1,9 +1,17 @@
 """Tokenization, document splitting, comma classes, phonetic exceptions."""
 
 import random
+import re
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from prosomark.config import Config
 from prosomark.emit import render_markup
-from prosomark.ingest import (PhonLexicon, classify_comma, phon_exception,
+from prosomark.ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL,
+                              TERMINAL_CHARS, QUOTE_CHARS, WORD, PhonLexicon,
+                              Token, classify_comma, phon_exception,
                               reconstruct, split_document, tokenize)
 from prosomark.pipeline import run_pipeline
 from conftest import load
@@ -48,6 +56,106 @@ def test_round_trip_random_texts(config):
         toks = tokenize(text, config.multiwords)
         trailing = text[len(reconstruct(toks)):]
         assert reconstruct(toks, trailing) == text
+
+
+# The tokenizer as it was before it took its pieces from one re.split: the
+# reference the one-pass tokenizer must agree with token for token.
+
+_REF_TOKEN_RE = re.compile(r"[^\s\w]|[\w'-]+", re.UNICODE)
+
+
+def _ref_raw_tokens(text):
+    pos = 0
+    for m in _REF_TOKEN_RE.finditer(text):
+        yield text[pos:m.start()], m.group(0)
+        pos = m.end()
+
+
+def _ref_kind_of(chunk):
+    if chunk == ",":
+        return COMMA
+    if chunk in TERMINAL_CHARS:
+        return TERMINAL
+    if chunk in QUOTE_CHARS:
+        return QUOTE
+    if not chunk[0].isalnum() and chunk[0] not in "'-":
+        return OTHER_PUNCT
+    return WORD
+
+
+def _ref_tokenize(text, multiwords=None):
+    pieces = list(_ref_raw_tokens(text))
+    by_first = {}
+    for mw in multiwords or []:
+        by_first.setdefault(mw[0], []).append(mw)
+    for cands in by_first.values():
+        cands.sort(key=len, reverse=True)
+    tokens = []
+    i = 0
+    while i < len(pieces):
+        pre, chunk = pieces[i]
+        kind = _ref_kind_of(chunk)
+        if kind == WORD:
+            low = chunk.lower()
+            match = None
+            for cand in by_first.get(low, []):
+                n = len(cand)
+                if i + n > len(pieces):
+                    continue
+                window = pieces[i:i + n]
+                if all(_ref_kind_of(c) == WORD and c.lower() == w
+                       for (_, c), w in zip(window, cand)):
+                    match = cand
+                    break
+            if match:
+                n = len(match)
+                surface = chunk
+                for pre2, chunk2 in pieces[i + 1:i + n]:
+                    surface += pre2 + chunk2
+                tokens.append(Token(surface, "_".join(match), len(tokens),
+                                    WORD, pre, source_words=n))
+                i += n
+                continue
+            tokens.append(Token(chunk, low, len(tokens), WORD, pre))
+        else:
+            tokens.append(Token(chunk, chunk, len(tokens), kind, pre))
+        i += 1
+    return tokens
+
+
+_MULTIWORD_LISTS = {
+    "shipped": Config().load_lexica().multiwords,
+    # entries sharing first words, some a prefix of another, one starting
+    # inside another, one never matching (its "_x" is not a word token)
+    "shared_first_words": [["come", "on"], ["come", "on", "in"], ["come", "now"],
+                           ["by", "this"], ["by", "this", "means"],
+                           ["this", "means"], ["long", "ago"], ["one", "_x"]],
+}
+
+#: multiword phrases split by spaces or newlines, their words and the
+#: separators between them, apostrophes and hyphens, straight and curly
+#: quotes, non-ASCII letters (some change length when lowercased) and
+#: punctuation, weighted by repetition
+_ALPHABET = (["come on in", "come on", "Come  now", "by this means", "by\nthis",
+              "long ago", "LONG\n\nAgo", "got up", "one another", "one _x",
+              "this means"] * 2
+             + ["long", "ago", "got", "up", "by", "this", "means", "one",
+                "another", "come", "on", "in", "now", "Come"] * 2
+             + [" "] * 12 + ["\n", "\n\n", "  ", "\t", " \n "] * 2
+             + ["'", "-", "it's", "well-known", "'tis", "--", "o'er-",
+                '"', "“", "”", "‘", "’", "é", "Éclair", "ß", "İ", "Σ", "ǅ",
+                "ﬁ", "_", "_x", ",", ".", "!", "?", ":", ";", "…", "3"])
+
+_texts = st.lists(st.sampled_from(_ALPHABET), max_size=40).map("".join)
+
+
+@pytest.mark.parametrize("multiwords", ["shipped", "shared_first_words"])
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_texts)
+def test_tokenize_matches_the_reference(multiwords, text):
+    mws = _MULTIWORD_LISTS[multiwords]
+    assert tokenize(text, mws) == _ref_tokenize(text, mws)
 
 
 def test_tokenize_idempotent_on_normalized_word(config):

@@ -1,14 +1,16 @@
 """Break indices, tone selection, point of view, frozen matches."""
 
+import importlib
 import itertools
 import random
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from prosomark import lexica
+from prosomark import lexica, pipeline
 from prosomark.annotations import AnnotationSet, shallow_analyze
 from prosomark.config import Config
 from prosomark.docindex import DocIndex
@@ -306,6 +308,70 @@ def test_frozen_determinism(config):
     first = match_frozen(toks, 0, config.frozen_table)
     second = match_frozen(toks, 0, config.frozen_table)
     assert first == second
+
+
+class _EveryWord:
+    """A set of first words that holds every word."""
+
+    def __contains__(self, word):
+        return True
+
+
+def _counted_compile(monkeypatch, text, config, every_position=False):
+    """The markup and ToBI of a compile, and its ``match_frozen`` calls.
+    With ``every_position`` the frozen rule tries every word of a sentence
+    rather than only the first words of its patterns."""
+    calls = []
+
+    def counted(tokens, start, table):
+        calls.append(start)
+        return match_frozen(tokens, start, table)
+
+    init = _Compile.__init__
+
+    def init_every_position(self, *args):
+        init(self, *args)
+        self.frozen_starts = _EveryWord()
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "match_frozen", counted)
+        if every_position:
+            m.setattr(_Compile, "__init__", init_every_position)
+        res = run_pipeline(text, None, config)
+    return render_markup(res.doc, res.script) + render_tobi(res.doc, res.script), len(calls)
+
+
+def _first_word_count(text, config):
+    starts = {pattern[0] for pattern, _ in config.frozen_table}
+    return sum(1 for t in tokenize(text, config.multiwords)
+               if t.kind == "word" and t.normalized in starts)
+
+
+def test_frozen_prefilter_finds_every_match(monkeypatch):
+    cfg = Config().load_lexica()
+    # two patterns sharing a first word and a one-word pattern
+    cfg.frozen_table = [(["come", "on"], "exhortative"),
+                        (["come", "now"], "exhortative"),
+                        (["hush"], "exhortative")]
+    text = ("Come on, baby. He said come, come now, dear! Come on,, dear. "
+            "Hush, hush, dear. The cat would come on home. Now hush. Come.")
+    fast, fast_calls = _counted_compile(monkeypatch, text, cfg)
+    slow, slow_calls = _counted_compile(monkeypatch, text, cfg, every_position=True)
+    assert fast == slow
+    # the tail after two commas is placed
+    assert "on , , [[pbas 24.000; rate 130; volm +0.5]]dear" in fast
+    assert fast_calls == _first_word_count(text, cfg) == 9
+    assert slow_calls > fast_calls
+
+
+def test_frozen_rule_tries_only_first_words(monkeypatch, config):
+    # the benchmark's story generator
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parent.parent / "bench")
+    wl = importlib.import_module("workloads")
+    fx = wl.Fixtures.load(lexica.data_path("fixtures"))
+    for text in (load("fox_crow.txt"), wl.story_shallow(1, 0, fx, 1000).text):
+        _, calls = _counted_compile(monkeypatch, text, config)
+        assert calls == _first_word_count(text, config)
 
 
 # Quantifier slowdowns ----------------------------------------------------------
