@@ -413,7 +413,8 @@ def derive_moves(clauses: list[ClauseFeatures],
     for i, c in enumerate(ordered):
         mentions = topic_by_clause.get(c.clause_no, [])
         prev_main = stack.main
-        stack = update_topic_stack(stack, mentions)
+        if mentions:
+            stack = update_topic_stack(stack, mentions)
         if i == 0:
             move, attach = "up", (None, c.clause_no)
         elif c.relevance == "foreground" and (
@@ -454,28 +455,22 @@ def is_verby(norm: str) -> bool:
 
 
 def _shallow_tense(words: list[str]) -> str:
-    has = set(words)
-    if has & {"has", "have", "had"}:
-        for i, w in enumerate(words):
-            if w in ("has", "have", "had") and i + 1 < len(words):
-                nxt = words[i + 1]
-                if nxt.endswith("ed") or nxt.endswith("en") or nxt in lexica.IRREGULAR_PASTS:
-                    return "perf"
+    for i, w in enumerate(words):
+        if w in ("has", "have", "had") and i + 1 < len(words):
+            nxt = words[i + 1]
+            if nxt.endswith("ed") or nxt.endswith("en") or nxt in lexica.IRREGULAR_PASTS:
+                return "perf"
     for w in words:
-        if w in lexica.IRREGULAR_PASTS and w not in ("has", "have", "had"):
-            return "past"
-        if w.endswith("ed") and w not in lexica.DETERMINERS:
+        # "had" is the one perfect auxiliary among the irregular pasts
+        if (w in lexica.IRREGULAR_PASTS and w != "had") or w.endswith("ed"):
             return "past"
     return "pres"
 
 
 def _shallow_pred(words: list[str]) -> str:
     content = [w for w in words if not lexica.function_word(w)]
-    for w in words:
-        if w.endswith("ed") or w in lexica.IRREGULAR_PASTS:
-            if w not in ("has", "have", "had") and not lexica.function_word(w):
-                return w
-    return content[-1] if content else (words[-1] if words else "")
+    return next((w for w in content if is_verby(w)),
+                content[-1] if content else (words[-1] if words else ""))
 
 
 def shallow_analyze(doc: Document, relevance_rules=None) -> AnnotationSet:

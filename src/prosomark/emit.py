@@ -114,11 +114,6 @@ class ScriptItem:
 class ProsodicScript:
     items: list[ScriptItem] = field(default_factory=list)
 
-    def add_event(self, event: ParamEvent, glue: str = GLUE_NONE,
-                  tone_label: str | None = None, bi: BreakIndex | None = None):
-        self.items.append(ScriptItem("event", event=event, glue=glue,
-                                     tone_label=tone_label, bi=bi))
-
     def sentence_start(self, index: int):
         self.items.append(ScriptItem("sentence_start", sentence_index=index))
 

@@ -226,14 +226,14 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
         sentences.append(Sentence(list(cur), terminal="none", index=0,
                                   paragraph_index=para_of[cur[0].index]))
 
-    if sentences and want_title and sentences[0].paragraph_index == 0:
+    if want_title and sentences[0].paragraph_index == 0:
         first = sentences[0]
         line_end = len(first_line)
         if all(offsets[t.index] < line_end for t in first.tokens):
             first.is_title = True
 
     doc.sentences = sentences
-    doc.paragraph_count = (max(s.paragraph_index for s in sentences) + 1) if sentences else 0
+    doc.paragraph_count = max(s.paragraph_index for s in sentences) + 1
     return doc
 
 

@@ -187,9 +187,7 @@ class _Compile:
         return node.move if node is not None else "level"
 
     def _pred_position(self, sent, clause) -> int | None:
-        span = self.ix.spans.get(clause.clause_no)
-        if not span:
-            return None
+        span = self.ix.spans[clause.clause_no]
         for i, t in enumerate(sent.tokens):
             if span[0] <= t.index <= span[1] and t.kind == WORD \
                     and t.normalized == clause.pred:
@@ -223,8 +221,6 @@ class _Compile:
 
     def _plan_frozen(self, plan: _SentencePlan):
         starts = self.frozen_starts
-        if not starts:
-            return
         toks = plan.sentence.tokens
         end = 0                       # the first position after the last match
         for pos in [i for i, t in enumerate(toks)
@@ -319,10 +315,9 @@ class _Compile:
         region_sents = ix.quote_sentences(sent.tokens[term_pos].index)
         if region_sents is None:
             return
-        last_word = max((i for i in range(term_pos) if sent.tokens[i].kind == WORD),
-                        default=None)
-        if last_word is None:
-            return
+        # the rules see only sentences with a word, and a sentence ends at
+        # the terminal after its first word
+        last_word = max(i for i in range(term_pos) if sent.tokens[i].kind == WORD)
         # a one-off AnnotationSet lookup rather than the index: the tracer
         # test in bench/test_bench.py expects a compile of the fox fixture
         # to make at least one counted clause lookup

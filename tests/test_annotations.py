@@ -30,6 +30,7 @@ def test_parse_clause_row():
     assert c.relevance == "foreground"
     assert c.tense == "perf"
     assert c.disc_rel == "cause"
+    assert ann.clause(27) is None
 
 
 def test_parse_empty():
@@ -84,6 +85,9 @@ def test_relevance_use_perf_culminated():
 def test_relevance_be_pres_null():
     feats = ClauseFeatures(1, pred="be", change="null", tense="pres")
     assert classify_relevance(feats) == "background"
+    # a ruleset none of whose rows matches leaves the clause in the background
+    assert classify_relevance(feats, [({"change": "culminated"}, "foreground")]) \
+        == "background"
 
 
 def test_relevance_reproduces_propositional_table():
@@ -131,6 +135,7 @@ def test_resolved_relevance_reaches_the_discourse_node(config):
                "DISC\ts_1\t1\tup\tnil-1\n")
     ann = run_pipeline("Cats ran.", sidecar, config).ann
     assert ann.clause(ann.nodes[0].clause_no).relevance == "foreground"
+    assert ann.node(1) is ann.nodes[0] and ann.node(2) is None
 
 
 def test_relevance_depends_only_on_change():
@@ -159,6 +164,15 @@ def test_topic_stack_single_mention_seeds_main():
     stack = update_topic_stack(TopicStack(), [TopicRecord("main", 1, "edge", "id1")])
     assert stack.main == "id1"
     assert stack.secondary is None and stack.potential is None
+
+
+@pytest.mark.parametrize("stack,slots", [
+    (TopicStack(None, "a", "b"), ("a", None, "b")),
+    (TopicStack(None, "b", "a"), ("a", "b", None)),
+], ids=["from_secondary", "from_potential"])
+def test_topic_stack_seeding_main_clears_its_other_slot(stack, slots):
+    new = update_topic_stack(stack, [TopicRecord("main", 1, "cat", "a")])
+    assert (new.main, new.secondary, new.potential) == slots
 
 
 def test_topic_stack_never_repeated_stays_potential():
@@ -193,6 +207,20 @@ def test_derive_moves_discourse_table_rows():
     assert by[31].move == "up"
     assert by[31].attach == (1, 31)
     assert by[38].move == "level"
+
+
+def test_derive_moves_reads_topics_without_disc_lines():
+    # a foreground clause moves up unless all its mentions are the running
+    # main topic; one without mentions moves up
+    clause = ("CLAUSE\t{n}\tmain/prop\texternal\tfactive\tculminated\tforeground"
+              "\tactivity\tran\tpast\tnarration\tobjective\t{n}-{n}\n")
+    topic = "TOPIC\tmain\t{n}\tcat\t{sid}\t3,nil,nil\tanimal\ttheme\n"
+    ann = parse_sidecar("".join(clause.format(n=n) for n in (1, 2, 3, 4))
+                        + topic.format(n=1, sid="id1") + topic.format(n=2, sid="id1")
+                        + topic.format(n=3, sid="id2"))
+    assert not ann.nodes
+    assert [n.move for n in derive_moves(ann.clauses, ann.topics)] == \
+        ["up", "level", "up", "up"]
 
 
 def test_derive_moves_degenerate_document():
@@ -266,6 +294,21 @@ def test_shallow_marker_relations(config):
     assert any(c.disc_rel == "cause" for c in ann.clauses)
 
 
+@pytest.mark.parametrize("text,tense,pred", [
+    ("He has walked home.", "perf", "walked"),
+    ("They had eaten.", "perf", "eaten"),
+    ("She had a cat.", "pres", "cat"),       # "had" alone marks no past
+    ("The cat ran home.", "past", "ran"),
+    ("It was late.", "past", "late"),
+    ("The red cat sat.", "past", "red"),     # any -ed form is verb-like
+    ("The cat sits.", "pres", "sits"),
+    ("It was.", "past", "was"),              # no content word
+])
+def test_shallow_tense_and_predicate(config, text, tense, pred):
+    [clause] = shallow_analyze(_doc(text, config)).clauses
+    assert (clause.tense, clause.pred) == (tense, pred)
+
+
 def test_shallow_boundary_overlap_with_gold(config, fable_result):
     doc = fable_result.doc
     shallow = shallow_analyze(doc)
@@ -298,6 +341,23 @@ def test_non_integer_clause_number_reports_line(line):
     with pytest.raises(SidecarError) as err:
         parse_sidecar(first + line + "\n")
     assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("line,message", [
+    ("CLAUSE\t2\tmain/prop\texternal\tfactive\tnull\tbackground"
+     "\tactivity\trun\tpres\tnarration\tobjective\t3", "bad span '3'"),
+    ("CLAUSE\t2\tmain/prop\texternal\tfactive\tnull\tbackground"
+     "\tactivity\trun\tpres\tnarration\tobjective\t-1-3", "bad span '-1-3'"),
+    ("CLAUSE\t1\tmain/prop\texternal\tfactive\tnull\tbackground"
+     "\tactivity\trun\tpres\tnarration\tobjective\t0-1", "duplicate clause 1"),
+    ("VERB\t1", "unknown record type 'VERB'"),
+], ids=["span_without_dash", "negative_span", "duplicate_clause", "unknown_record"])
+def test_bad_sidecar_line_reports_line(line, message):
+    first = ("CLAUSE\t1\tmain/prop\texternal\tfactive\tnull\tbackground"
+             "\tactivity\trun\tpres\tnarration\tobjective\t0-1\n")
+    with pytest.raises(SidecarError) as err:
+        parse_sidecar(first + line + "\n")
+    assert str(err.value) == f"line 2: {message}"
 
 
 def test_clause_spans_checked_against_token_count():

@@ -124,6 +124,9 @@ def test_golden_check_reports():
     report = golden_check("a value 2 here\n", "a value 3 here\n")
     assert "line 1" in report and "'3'" in report and "'2'" in report
     assert golden_check("x \n", "x\n") != ""  # byte-exact, whitespace counts
+    assert "line 2" in golden_check("same\nx 2\n", "same\nx 3\n")
+    assert golden_check("a\nb\n", "a\n") == "mismatch: produced 2 lines, golden has 1"
+    assert golden_check("a\n", "a") == "mismatch: texts differ in trailing whitespace"
 
 
 _CLAUSE = ("CLAUSE\t{no}\tmain/prop\texternal\tfactive\tnull\tbackground"
@@ -163,12 +166,13 @@ def test_non_integer_clause_number_is_input_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("which", ["input", "sidecar"])
+@pytest.mark.parametrize("which", ["input", "sidecar", "golden file"])
 def test_non_utf8_file_is_usage_error(tmp_path, capsys, which):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"Caf\xe9 \xff\xfe noir.\n")
-    args = [str(bad)] if which == "input" else \
-        [str(_three_tokens(tmp_path)), "--sidecar", str(bad)]
+    args = {"input": [str(bad)],
+            "sidecar": [str(_three_tokens(tmp_path)), "--sidecar", str(bad)],
+            "golden file": [str(_three_tokens(tmp_path)), "--check", str(bad)]}[which]
     assert invoke(*args, "--out", str(tmp_path / "o.txt")) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"prosomark: cannot read {which}:") and err.count("\n") == 1
@@ -235,7 +239,9 @@ def test_single_field_lexicon_line_is_usage_error(tmp_path, capsys, name, lines)
     ("pov_tracking = maybe", "pov_tracking must be one of "
                              "1/true/yes/on/0/false/no/off, not 'maybe'"),
     ("min_len = two", "min_len must be an integer, not 'two'"),
-], ids=["emit_mode", "title_mode", "pov_tracking", "min_len"])
+    ("emit_mode", "expected key = value"),
+    ("colour = red", "unknown key 'colour'"),
+], ids=["emit_mode", "title_mode", "pov_tracking", "min_len", "no_value", "unknown_key"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# a config\n{line}\n")
@@ -252,6 +258,20 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("prosomark: cannot write output: ") and err.count("\n") == 1
     assert not out.parent.exists()
+
+
+def test_out_naming_a_directory_leaves_no_temporary_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert invoke(str(_three_tokens(tmp_path)), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prosomark: cannot write output: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob(".prosomark-*"))
+
+
+def test_output_goes_to_stdout_without_out(tmp_path, capsys):
+    assert invoke(str(_three_tokens(tmp_path)), "--emit", "groups") == 0
+    assert capsys.readouterr().out == "cats run β\n"
 
 
 def test_rewritten_lexicon_is_read_again(tmp_path):

@@ -35,3 +35,12 @@ def test_config_file_booleans(tmp_path, value, expected):
     path.write_text(f"pov_tracking = {value}\nemit_mode = tobi\ntitle_mode = off\n")
     cfg = parse_config_file(path)
     assert (cfg.pov_tracking, cfg.emit_mode, cfg.title_mode) == (expected, "tobi", "off")
+
+
+def test_min_len_above_max_len_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="min_len must not exceed max_len"):
+        Config(min_len=5, max_len=3)
+    path = tmp_path / "c.cfg"
+    path.write_text("min_len = 5\nmax_len = 3\n")
+    with pytest.raises(ValueError, match="min_len must not exceed max_len"):
+        parse_config_file(path)

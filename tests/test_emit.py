@@ -5,12 +5,12 @@ import re
 
 import pytest
 
-from prosomark.emit import (DEFAULT_TABLE, ProsodicScript, bi_to_params,
-                            format_event, params_to_bi, params_to_tobi,
-                            render_markup, render_tobi, strip_markup,
-                            tone_to_params)
-from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, ToneContext, ev,
-                               select_tone)
+from prosomark.emit import (DEFAULT_TABLE, GLUE_COMPOUND, ProsodicScript,
+                            ScriptItem, bi_to_params, format_event, params_to_bi,
+                            params_to_tobi, render_markup, render_tobi,
+                            strip_markup, tone_to_params)
+from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, ParamEvent,
+                               ToneContext, ev, select_tone)
 from conftest import is_contour_label
 
 
@@ -89,6 +89,8 @@ def test_every_fixture_event_comes_from_the_table(fable_result, fox_result,
 def test_unknown_tuple_placeholder():
     out = params_to_tobi([ev(pbas=99.0, rate=999, volm=+9.9)])
     assert out == [("X-?", None)]
+    # a bare reset carries no label of its own
+    assert params_to_tobi([RSET, ev(pbas=99.0)]) == [("X-?", None)]
 
 
 def test_bi_bijection_all_eight():
@@ -100,6 +102,23 @@ def test_bi_bijection_all_eight():
         assert params_to_bi(events) == bi
         seen.add((silence, reset))
     assert len(seen) == 8  # distinct realizations, hence a bijection
+
+
+def test_silences_outside_the_realization_table():
+    # 400 ms is only realized without a reset, so before an unrelated reset
+    # it is still BI-44; a silence of no index, or no leading silence, has none
+    assert params_to_bi([ev(slnc=400), RSET]) == BreakIndex.BI44
+    assert params_to_bi([ev(slnc=77), RSET]) is None
+    assert params_to_bi([ev(slnc=77)]) is None
+    assert params_to_bi([ev(pbas=38.0)]) is None
+    assert params_to_bi([]) is None
+
+
+def test_param_event_fields_are_checked():
+    with pytest.raises(ValueError, match="reset events carry no other fields"):
+        ParamEvent(slnc=100, rset=True)
+    with pytest.raises(ValueError, match="at least one field"):
+        ParamEvent()
 
 
 # Event formatting --------------------------------------------------------------
@@ -166,10 +185,19 @@ def test_markup_silence_reset_pairing(fable_result, fox_result):
 
 
 def test_markup_validation_refuses_bad_script(fable_result):
-    script = ProsodicScript()
-    script.add_event(ev(slnc=200), bi=BreakIndex.BI3)  # missing its reset
+    def silence(ms, bi):
+        return ScriptItem("event", event=ev(slnc=ms), bi=bi)
+
+    reset = ScriptItem("event", event=RSET, glue=GLUE_COMPOUND)
+    script = ProsodicScript([silence(200, BreakIndex.BI3)])  # missing its reset
     with pytest.raises(ValueError):
         render_markup(fable_result.doc, script)
+    assert script.validate() == ["BI-3 silence not followed by a reset"]
+    script = ProsodicScript([silence(100, BreakIndex.BI2), reset])
+    assert script.validate() == ["BI-2 silence must not take a reset"]
+    first, second = fable_result.doc.tokens()[:2]
+    script = ProsodicScript([ScriptItem("token", second), ScriptItem("token", first)])
+    assert script.validate() == ["tokens out of document order"]
 
 
 def test_markup_strip_reproduces_tokens(fable_result):

@@ -217,6 +217,14 @@ def test_comma_appositive(config):
     assert classify_comma(sent, comma) == "appositive"
 
 
+def test_comma_without_a_following_word(config):
+    text = "The cat sat ,"
+    sent = split_document(tokenize(text, config.multiwords), text, "off").sentences[0]
+    assert classify_comma(sent, 3) == "other"
+    with pytest.raises(ValueError, match="non-comma"):
+        classify_comma(sent, 2)
+
+
 def test_comma_total_over_fable(fable_result):
     # every comma receives exactly one class from the closed set
     classes = {"appositive", "vocative", "parenthetical", "other"}

@@ -75,6 +75,7 @@ def test_bi_paragraph_final_only_without_punctuation():
     assert assign_break_index(ctx) == BreakIndex.BI3
     ctx = BreakContext(sentence_final=True, paragraph_final=True)
     assert assign_break_index(ctx) == BreakIndex.BI4
+    assert assign_break_index(BreakContext(sentence_final=True)) == BreakIndex.BI3
 
 
 def test_bi_default_enjambed():
@@ -514,3 +515,65 @@ def test_affect_spans_match_the_window_search():
                 _ref_affect_spans(sent.tokens, plan.consumed, affect), text
             sentences += 1
     assert sentences > 400
+
+
+# Rule planner --------------------------------------------------------------------
+
+def _sidecar(*clauses):
+    """CLAUSE lines for (pred, span, relevance) triples, numbered from 1."""
+    return "".join(
+        f"CLAUSE\t{n}\tmain/prop\texternal\tfactive\tnull\t{rel}\tactivity\t{pred}"
+        f"\tpres\tnarration\tobjective\t{span}\n"
+        for n, (pred, span, rel) in enumerate(clauses, 1))
+
+
+#: one input per cross-rule guard that no corpus document exercises, with
+#: the ToBI output the guard keeps and, in the comment, the output without it
+@pytest.mark.parametrize("text,clauses,affect,tobi", [
+    # affect skips frozen words; without: "H*+L- L*-L% Come [[rset 0]] on"
+    ("Come on, dear.", None, "come\tsad\n",
+     "H*+L- Come on , !L+H*% dear BI-23 .\n"),
+    # connectives skip consumed words; without: "H*-H-1 L-L% but BI-32 why"
+    ('He said, "Run; but why?"', None, None,
+     "H*-H He said , H*-L Run BI-3 ; H*-H-1 but why BI-22 H*-H-1 ? [[rset 0]]\n"),
+    # a head already given a prefix takes no head contour; without:
+    # "H-H*-2 L-L% said BI-33 that"
+    ("He said that it fell.", [("said", "0-4", "background"), ("x", "1-4", "foreground")],
+     None, "He BI-2 H-H*-2 said that it H*-L% fell BI-3 .\n"),
+    # a suppressed quoted final that already has a break is not chained
+    # onward; without: "L-L% but BI-32 BI-2 ."
+    ('"Run; but. Go now," he said.', None, None,
+     "Run ; L-L% but BI-32 . BI-2 H-!H*-1 H*-H\nGo H*-L now BI-3 , he said .\n"),
+    # a group final that already has a break takes no contour; without:
+    # "L-L% H*-L% but BI-32 BI-3"
+    ("He ran; but, she fell.", [("ran", "0-1", "background"), ("fell", "3-6", "background")],
+     None, "He ran ; L-L% but BI-32 , she H*-L% fell BI-3 .\n"),
+    # a comparative group that opens with a pause takes no second one;
+    # without: "BI-2 H-H*-2 BI-2 than"
+    ("The cat ran faster than the dog ran.", None, None,
+     "H*-H The cat ran faster BI-2 H-H*-2 than the dog ran .\n"),
+], ids=["affect_skips_frozen", "connective_skips_consumed", "head_skips_prefixed",
+        "suppressed_final_keeps_its_break", "final_keeps_its_break",
+        "comparative_pause_once"])
+def test_planner_guard_decides(tmp_path, config, text, clauses, affect, tobi):
+    if affect is not None:
+        path = tmp_path / "affect.tsv"
+        path.write_text(affect)
+        config = Config(affect_path=path).load_lexica()
+    res = run_pipeline(text, clauses and _sidecar(*clauses), config)
+    assert render_tobi(res.doc, res.script) == tobi
+
+
+@pytest.mark.parametrize("text,clauses,tobi", [
+    # a sidecar predicate (a lemma here) absent from its span: no head
+    # contour, where "said" gives "He L-L% said BI-33 that"
+    ("He said that it fell.", [("say", "0-4", "background")],
+     "He said that it H*-L% fell BI-3 .\n"),
+    # a quoted exclamative whose clause starts in an earlier sentence opens
+    # at its own first word (the contour ends the line before)
+    ('He said, "Run. Why now?"', [("said", "0-7", "background")],
+     "He said , H*-L% Run BI-2 . H-!H*-1 H*-H-1\nWhy now BI-22 H*-H-1 ? [[rset 0]]\n"),
+], ids=["pred_outside_span", "exclamative_clause_starts_earlier"])
+def test_planner_fallback(config, text, clauses, tobi):
+    res = run_pipeline(text, _sidecar(*clauses), config)
+    assert render_tobi(res.doc, res.script) == tobi
