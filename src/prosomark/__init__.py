@@ -17,7 +17,7 @@ from .ingest import (Document, PhonLexicon, Sentence, Token, classify_comma,
 from .phrasing import BreathGroup, classify_junction, render_groups, segment
 from .pipeline import PipelineResult, ProsodyManager, run_pipeline
 from .prosody import (DEFAULT_TABLE, BreakIndex, MappingTable, ParamEvent,
-                      ToneContour, assign_break_index, match_frozen,
-                      select_tone, track_point_of_view)
+                      ToneContour, match_frozen, select_tone,
+                      track_point_of_view)
 
 __version__ = "0.1.0"

@@ -77,8 +77,9 @@ _MODE_KEYS = {"title_mode": TITLE_MODES, "emit_mode": EMIT_MODES}
 def parse_config_file(path: str | Path) -> Config:
     """A ``Config`` from a config file.  A malformed line, an unknown key or
     a value its key does not accept raises ``ValueError`` naming
-    ``path:line``."""
-    cfg = Config()
+    ``path:line``; values the ``Config`` refuses together (``min_len``
+    above ``max_len``) raise it naming ``path``."""
+    fields: dict[str, object] = {}
     text = Path(path).read_text(encoding="utf-8-sig")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -91,7 +92,7 @@ def parse_config_file(path: str | Path) -> Config:
             raise ValueError(f"{where}: expected key = value")
         if key in _INT_KEYS:
             try:
-                setattr(cfg, key, int(value))
+                fields[key] = int(value)
             except ValueError:
                 raise ValueError(f"{where}: {key} must be an integer, "
                                  f"not {value!r}") from None
@@ -99,17 +100,18 @@ def parse_config_file(path: str | Path) -> Config:
             if value.lower() not in _BOOLS:
                 raise ValueError(f"{where}: {key} must be one of "
                                  f"{'/'.join(_BOOLS)}, not {value!r}")
-            cfg.pov_tracking = _BOOLS[value.lower()]
+            fields[key] = _BOOLS[value.lower()]
         elif key in _PATH_KEYS:
-            setattr(cfg, key, (Path(path).parent / value).resolve()
-                    if not Path(value).is_absolute() else Path(value))
+            fields[key] = (Path(value) if Path(value).is_absolute()
+                           else (Path(path).parent / value).resolve())
         elif key in _MODE_KEYS:
             if value not in _MODE_KEYS[key]:
                 raise ValueError(f"{where}: {key} must be one of "
                                  f"{'/'.join(_MODE_KEYS[key])}, not {value!r}")
-            setattr(cfg, key, value)
+            fields[key] = value
         else:
             raise ValueError(f"{where}: unknown key {key!r}")
-    if cfg.min_len > cfg.max_len:
-        raise ValueError("min_len must not exceed max_len")
-    return cfg
+    try:
+        return Config(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

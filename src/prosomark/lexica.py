@@ -148,6 +148,12 @@ PRONOUNS = {"i", "you", "he", "she", "it", "we", "they", "me", "him", "us",
 
 POSSESSIVES = {"my", "your", "his", "her", "its", "our", "their"}
 
+#: quantifier pronouns stand alone and take the pre-quantifier slowdown with
+#: its closing pause; modifier quantifiers join the following head under the
+#: head slowdown instead
+PRONOUN_QUANTIFIERS = {"nobody", "nothing", "none", "everyone", "everybody",
+                       "anybody", "anything", "someone", "somebody", "no_one"}
+
 COORDINATORS = {"and", "or", "nor"}
 
 #: adversative connectives that stand off prosodically after a strong break

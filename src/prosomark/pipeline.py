@@ -6,6 +6,9 @@ document order.  A title takes the title treatment; every other sentence
 runs the rules of ``_SENTENCE_RULES`` in order.  A continuation sentence of
 a quotation then chains onto the sentence before it with a downstepped
 contour, and the sentence is emitted.
+
+Each rule names the mapping-table row or break index it places; ``prosody``
+supplies the tables, ``select_tone`` and ``match_frozen``.
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
 from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
                      Sentence, phon_exception, split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
-from .prosody import (BI_REALIZATION, DEFAULT_TABLE, RSET, BreakContext,
-                      BreakIndex, ParamEvent, PRONOUN_QUANTIFIERS,
-                      ToneContext, assign_break_index, ev,
-                      mark_quantifier_slowdown, match_frozen, select_tone)
+from .prosody import (BI_REALIZATION, DEFAULT_TABLE, RSET, BreakIndex,
+                      ParamEvent, ToneContext, ev, match_frozen, select_tone)
 
 
 @dataclass
@@ -49,6 +50,9 @@ class _SentencePlan:
                  paragraph_initial: bool, after_first_para: bool):
         self.sentence = sentence
         self.groups = groups
+        #: the position of the sentence's first word (None without one)
+        self.first_word = next((i for i, t in enumerate(sentence.tokens)
+                                if t.kind == WORD), None)
         self.paragraph_initial = paragraph_initial
         self.after_first_para = after_first_para
         self.prefix: dict[int, list[ScriptItem]] = {}
@@ -198,10 +202,9 @@ class _Compile:
 
     def _plan_title(self, plan: _SentencePlan):
         sent = plan.sentence
-        first = _first_word(sent)
-        if first is None:
+        if plan.first_word is None:
             return
-        plan.add_prefix(first, self._row_event("title"))
+        plan.add_prefix(plan.first_word, self._row_event("title"))
         plan.add_suffix(len(sent.tokens) - 1, *_pause(BreakIndex.BI44, GLUE_NONE))
 
     def _plan_initial(self, plan: _SentencePlan):
@@ -212,7 +215,7 @@ class _Compile:
         fc = clauses[0][1]
         if self._move_of(fc) != "up" or fc.relevance != "foreground":
             return
-        plan.add_prefix(_first_word(sent), self._selected(
+        plan.add_prefix(plan.first_word, self._selected(
             position="sentence_initial", move="up", relevance="foreground",
             paragraph_initial=plan.paragraph_initial,
             after_first_paragraph=plan.after_first_para))
@@ -330,7 +333,7 @@ class _Compile:
                     start = i
                     break
         if start is None:
-            start = _first_word(sent)
+            start = plan.first_word
         # the ds_exclamative row is not placed: the exclamative opens with
         # the contour of the paragraph-initial up row
         opening = self._row_event("up_fg_parainit")
@@ -351,7 +354,6 @@ class _Compile:
     def _plan_clauses(self, plan: _SentencePlan):
         sent = plan.sentence
         toks = sent.tokens
-        first = _first_word(sent)
         for start, c in self.ix.clauses_in(sent):
             if c.clause_no in self.contoured or start in plan.consumed:
                 continue
@@ -388,7 +390,7 @@ class _Compile:
                 plan.add_prefix(start, *_pause(BreakIndex.BI2),
                                 self._row_event("internal_fg"))
                 self.contoured.add(c.clause_no)
-            elif c.relevance == "foreground" and start != first:
+            elif c.relevance == "foreground" and start != plan.first_word:
                 plan.add_prefix(start, *_pause(BreakIndex.BI2),
                                 self._selected(position="sentence_internal",
                                                relevance="foreground"))
@@ -453,15 +455,26 @@ class _Compile:
                 plan.add_prefix(i, *_pause(BreakIndex.BI2))
 
     def _plan_quantifiers(self, plan: _SentencePlan):
+        """A standalone quantifier pronoun takes the slowdown_quantifier
+        row, whose break closes it; a modifier quantifier right before its
+        group's final word, the head, takes the slowdown_head row, which
+        covers the pair."""
+        toks = plan.sentence.tokens
+        quantifiers = self.config.quantifiers
         for g in plan.groups:
-            for pos, row_id, covered in mark_quantifier_slowdown(
-                    g, plan.sentence, self.config.quantifiers, plan.consumed):
-                plan.add_prefix(pos, self._row_event(row_id))
-                bi = DEFAULT_TABLE.row(row_id).bi
-                if bi is not None:
-                    plan.add_suffix_bi(pos, bi)
-                else:
-                    plan.consumed.update(covered)
+            # a group is a run of tokens holding a word (phrasing.segment),
+            # so the word before its head is words[-2]
+            words = [i for i in g.positions() if toks[i].kind == WORD]
+            for i in words[:-1]:
+                n = toks[i].normalized
+                if n not in quantifiers or i in plan.consumed:
+                    continue
+                if n in lexica.PRONOUN_QUANTIFIERS:
+                    plan.add_prefix(i, self._row_event("slowdown_quantifier"))
+                    plan.add_suffix_bi(i, DEFAULT_TABLE.row("slowdown_quantifier").bi)
+                elif i == words[-2]:
+                    plan.add_prefix(i, self._row_event("slowdown_head"))
+                    plan.consumed.update((i, words[-1]))
 
     def _plan_group_finals(self, plan: _SentencePlan):
         sent = plan.sentence
@@ -490,7 +503,7 @@ class _Compile:
                     cluster = True
                 elif (owner_pred and not suppressed
                         and not lexica.function_word(t2n)
-                        and t2n not in PRONOUN_QUANTIFIERS
+                        and t2n not in lexica.PRONOUN_QUANTIFIERS
                         and t2 not in plan.consumed):
                     cluster = True
                 if cluster:
@@ -520,12 +533,11 @@ class _Compile:
                     sentence_final_group=sentence_final_group))
                 if continues_in_quote and sentence_final_group:
                     plan.chain_onward(end)
+                elif sentence_final_group and sent.terminal == "none":
+                    # an unpunctuated sentence ends its paragraph
+                    plan.add_suffix_bi(end, BreakIndex.BI4)
                 else:
-                    ctx = BreakContext(
-                        at_punct=sent.terminal != "none" or not sentence_final_group,
-                        sentence_final=sentence_final_group,
-                        paragraph_final=ix.paragraph_last[sent.paragraph_index] is sent)
-                    plan.add_suffix_bi(end, assign_break_index(ctx))
+                    plan.add_suffix_bi(end, BreakIndex.BI3)
             else:
                 nxt = sgroups[gi + 1]
                 if nxt.trigger == "comparative" and not plan.has_prefix(nxt.token_span[0]):
@@ -551,7 +563,7 @@ class _Compile:
         """Open a quotation's continuation sentence with the downstepped
         contour, after a BI-2 unless the sentence before already chained
         onward.  The items go in front of the ones the rules placed."""
-        first = _first_word(plan.sentence)
+        first = plan.first_word
         if first is not None:
             items = [] if prev_plan.end_bi2 else _pause(BreakIndex.BI2)
             items.append(self._row_event("ds_elaboration", 1))
@@ -577,10 +589,6 @@ _SENTENCE_RULES = (
     _Compile._plan_group_finals,   # group-final contours and break indices
     _Compile._plan_announcement,   # pre-quote announcement after a reporting colon
 )
-
-
-def _first_word(sent: Sentence) -> int | None:
-    return next((i for i, t in enumerate(sent.tokens) if t.kind == WORD), None)
 
 
 def _event(event: ParamEvent, glue: str, tone: str | None = None,

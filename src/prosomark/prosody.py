@@ -8,6 +8,11 @@ opaque intensity variants 1-4); each label is a ``ToneContour`` of its row,
 and ``select_tone`` returns one of them.  The point-of-view spans are the
 quotations of the ``DocIndex``: direct speech, whose continuation sentences
 take downstepped contours.
+
+The module holds the tables and two lookups, ``select_tone`` and
+``match_frozen``.  Where a break index or a slowdown goes is a decision of
+the planner's rules (``pipeline``), each of which names its own row or
+index.
 """
 
 from __future__ import annotations
@@ -225,34 +230,6 @@ def span_for_sentence(spans: list[POVSpan], sent_index: int) -> POVSpan | None:
     return next((sp for sp in spans if sent_index in sp.sentences), None)
 
 
-# Break indices ---------------------------------------------------------------
-
-@dataclass
-class BreakContext:
-    """Where an end-stopped breath group ends."""
-    at_punct: bool = False
-    sentence_final: bool = False
-    paragraph_final: bool = False
-
-
-def assign_break_index(context: BreakContext) -> BreakIndex:
-    """Map the end of a breath group to its break index.
-
-    Punctuation outranks paragraph position: the markup gives a punctuated
-    paragraph-final sentence the plain end-of-group index, so the strong
-    paragraph break only fires on punctuation-less sentences.  The rules
-    that place a fixed break (title, head, quantifier, exclamative) name
-    its index themselves.
-    """
-    if context.at_punct:
-        return BreakIndex.BI3
-    if context.sentence_final and context.paragraph_final:
-        return BreakIndex.BI4
-    if context.sentence_final:
-        return BreakIndex.BI3
-    return BreakIndex.BI2
-
-
 # Frozen expressions ----------------------------------------------------------
 
 @dataclass
@@ -291,45 +268,6 @@ def match_frozen(tokens: list[Token], start: int,
         if best is None or match.length > best.length:
             best = match
     return best
-
-
-# Quantifier and head slowdowns ------------------------------------------------
-
-#: quantifier pronouns stand alone and take the pre-quantifier slowdown with
-#: its closing pause; modifier quantifiers join the following head under the
-#: head slowdown instead
-PRONOUN_QUANTIFIERS = {"nobody", "nothing", "none", "everyone", "everybody",
-                       "anybody", "anything", "someone", "somebody", "no_one"}
-
-
-def mark_quantifier_slowdown(group, sentence, quantifiers: set[str],
-                             skip: set[int] | None = None):
-    """Pre-word slowdown adjustments for one group.
-
-    A standalone quantifier pronoun takes the ``slowdown_quantifier`` row,
-    whose break closes it; a modifier quantifier directly before the
-    group-final head takes the ``slowdown_head`` row (which then covers the
-    final pair, so the head position is returned for suppression).  Result:
-    a list of (token position, mapping-table row id, covered positions).
-    Every group holds a word (``phrasing.segment``).
-    """
-    toks = sentence.tokens
-    skip = skip or set()
-    out = []
-    positions = [i for i in group.positions() if toks[i].kind == WORD]
-    final = positions[-1]
-    for i in positions:
-        if i in skip:
-            continue
-        n = toks[i].normalized
-        if n not in quantifiers:
-            continue
-        if n in PRONOUN_QUANTIFIERS and i != final:
-            out.append((i, "slowdown_quantifier", {i}))
-        elif i != final and all(toks[j].kind != WORD or j == final
-                                for j in range(i + 1, final + 1)):
-            out.append((i, "slowdown_head", {i, final}))
-    return out
 
 
 # Tone selection ---------------------------------------------------------------

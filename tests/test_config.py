@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from prosomark.cli import run
 from prosomark.config import Config, parse_config_file
 
 LEXICON_FIELDS = ("multiwords", "frozen_table", "affect_words", "quantifiers", "comm_verbs")
@@ -37,10 +38,17 @@ def test_config_file_booleans(tmp_path, value, expected):
     assert (cfg.pov_tracking, cfg.emit_mode, cfg.title_mode) == (expected, "tobi", "off")
 
 
-def test_min_len_above_max_len_is_rejected(tmp_path):
+def test_min_len_above_max_len_is_rejected(tmp_path, capsys):
     with pytest.raises(ValueError, match="min_len must not exceed max_len"):
         Config(min_len=5, max_len=3)
     path = tmp_path / "c.cfg"
     path.write_text("min_len = 5\nmax_len = 3\n")
-    with pytest.raises(ValueError, match="min_len must not exceed max_len"):
+    with pytest.raises(ValueError) as exc:
         parse_config_file(path)
+    assert str(exc.value) == f"{path}: min_len must not exceed max_len"
+    # the command line reports it on one line that names the file
+    text = tmp_path / "in.txt"
+    text.write_text("Cats run.\n")
+    assert run([str(text), "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"prosomark: config error: {path}: min_len must not exceed max_len\n"

@@ -56,6 +56,11 @@ def test_compile_invariants(text):
         covered = [i for g in result.groups[sent.index]
                    for i in g.positions() if toks[i].kind == WORD]
         assert covered == words, sent.index
+        # an unpunctuated sentence ends its paragraph: the group-final rule
+        # closes it with the paragraph break
+        if sent.terminal == "none" and sent is not result.doc.sentences[-1]:
+            nxt = result.doc.sentences[sent.index + 1]
+            assert nxt.paragraph_index != sent.paragraph_index, sent.index
 
     # phonetic overrides are spoken in place of their surface
     tokens = result.doc.tokens()

@@ -18,17 +18,12 @@ from prosomark.emit import DEFAULT_TABLE, render_markup, render_tobi
 from prosomark.ingest import QUOTE, split_document, tokenize
 from prosomark.pipeline import ProsodyManager, _Compile, _SentencePlan, run_pipeline
 from conftest import is_contour_label, load
-from prosomark.prosody import (BI_REALIZATION, RSET, BreakContext, BreakIndex,
-                               ToneContext, assign_break_index, ev,
-                               match_frozen, select_tone, span_for_sentence,
-                               track_point_of_view)
+from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, ToneContext,
+                               ev, match_frozen, select_tone,
+                               span_for_sentence, track_point_of_view)
 
 
 # Break indices ---------------------------------------------------------------
-
-def test_bi_end_stopped_at_punct():
-    assert assign_break_index(BreakContext(at_punct=True)) == BreakIndex.BI3
-
 
 def _breaks_after(result, word):
     """The break indices of the events right after each token ``word``."""
@@ -69,17 +64,21 @@ def test_bi_quantifier_and_exclamative(fable_result, fox_result):
     assert "me BI-22 H*-H-1 !" in render_tobi(fox_result.doc, fox_result.script)
 
 
-def test_bi_paragraph_final_only_without_punctuation():
-    # punctuation outranks the paragraph boundary
-    ctx = BreakContext(at_punct=True, sentence_final=True, paragraph_final=True)
-    assert assign_break_index(ctx) == BreakIndex.BI3
-    ctx = BreakContext(sentence_final=True, paragraph_final=True)
-    assert assign_break_index(ctx) == BreakIndex.BI4
-    assert assign_break_index(BreakContext(sentence_final=True)) == BreakIndex.BI3
-
-
-def test_bi_default_enjambed():
-    assert assign_break_index(BreakContext()) == BreakIndex.BI2
+@pytest.mark.parametrize("text,tobi", [
+    ("She looks at it\n\nHe looks at her.",
+     "She looks at H*-L% it BI-4\nHe looks at H*-L% her BI-3 .\n"),
+    ("She looks at it.\n\nHe looks at her",
+     "She looks at H*-L% it BI-3 .\nHe looks at H*-L% her BI-4\n"),
+    ("She looks at it; he looks at her\n\nHe looks at it.",
+     "She looks at H*-L% it BI-3 ; he looks at H*-L% her BI-4\n"
+     "He looks at H*-L% it BI-3 .\n"),
+], ids=["unpunctuated_first", "unpunctuated_last", "unpunctuated_two_groups"])
+def test_bi_paragraph_final_only_without_punctuation(text, tobi):
+    # a punctuated sentence closes with BI-3 even at its paragraph's end; an
+    # unpunctuated one, which always ends its paragraph, closes its last
+    # group with BI-4 and any group before with BI-3
+    res = run_pipeline(text, None, Config(title_mode="off").load_lexica())
+    assert render_tobi(res.doc, res.script) == tobi
 
 
 # Tone contours ---------------------------------------------------------------
@@ -342,7 +341,7 @@ def _counted_compile(monkeypatch, text, config, every_position=False):
     return render_markup(res.doc, res.script) + render_tobi(res.doc, res.script), len(calls)
 
 
-def _first_word_count(text, config):
+def _frozen_start_count(text, config):
     starts = {pattern[0] for pattern, _ in config.frozen_table}
     return sum(1 for t in tokenize(text, config.multiwords)
                if t.kind == "word" and t.normalized in starts)
@@ -361,7 +360,7 @@ def test_frozen_prefilter_finds_every_match(monkeypatch):
     assert fast == slow
     # the tail after two commas is placed
     assert "on , , [[pbas 24.000; rate 130; volm +0.5]]dear" in fast
-    assert fast_calls == _first_word_count(text, cfg) == 9
+    assert fast_calls == _frozen_start_count(text, cfg) == 9
     assert slow_calls > fast_calls
 
 
@@ -372,39 +371,10 @@ def test_frozen_rule_tries_only_first_words(monkeypatch, config):
     fx = wl.Fixtures.load(lexica.data_path("fixtures"))
     for text in (load("fox_crow.txt"), wl.story_shallow(1, 0, fx, 1000).text):
         _, calls = _counted_compile(monkeypatch, text, config)
-        assert calls == _first_word_count(text, config)
+        assert calls == _frozen_start_count(text, config)
 
 
 # Quantifier slowdowns ----------------------------------------------------------
-
-def test_mark_quantifier_slowdown_direct(config, fable_result):
-    from prosomark.prosody import mark_quantifier_slowdown
-    doc = fable_result.doc
-    # "and nobody spoke": standalone quantifier pronoun
-    sent = doc.sentences[9]
-    group = next(g for g in fable_result.groups[9]
-                 if any(sent.tokens[i].normalized == "nobody" for i in g.positions()))
-    out = mark_quantifier_slowdown(group, sent, config.quantifiers)
-    assert len(out) == 1
-    pos, row_id, covered = out[0]
-    assert sent.tokens[pos].normalized == "nobody"
-    assert row_id == "slowdown_quantifier" and covered == {pos}
-    assert DEFAULT_TABLE.row(row_id).bi == BreakIndex.BI23
-    # "you will all agree": modifier quantifier before the group-final head
-    sent3 = doc.sentences[3]
-    group3 = next(g for g in fable_result.groups[3]
-                  if any(sent3.tokens[i].normalized == "agree" for i in g.positions()))
-    out3 = mark_quantifier_slowdown(group3, sent3, config.quantifiers)
-    assert len(out3) == 1
-    pos3, row_id3, covered3 = out3[0]
-    assert sent3.tokens[pos3].normalized == "all"
-    assert row_id3 == "slowdown_head" and DEFAULT_TABLE.row(row_id3).bi is None
-    assert [sent3.tokens[i].normalized for i in sorted(covered3)] == ["all", "agree"]
-    # no quantifier, non-final head: nothing
-    sent1 = doc.sentences[1]
-    group1 = fable_result.groups[1][1]   # "the mice had a general council"
-    assert mark_quantifier_slowdown(group1, sent1, config.quantifiers) == []
-
 
 def test_quantifier_slowdown_nobody(fable_result):
     # (rate 110, volm +0.3) before "nobody", then the quantifier-class pause
@@ -422,12 +392,18 @@ def test_quantifier_slowdown_nobody(fable_result):
 
 
 def test_head_slowdown_all_agree(fable_result):
+    # "you will all agree": the modifier quantifier takes the head slowdown,
+    # which covers the group-final head, so "agree" gets no contour and no
+    # break
     script = fable_result.script.items
     for i, item in enumerate(script):
         if item.kind == "token" and item.token.normalized == "all":
             before = script[i - 1]
             assert before.kind == "event"
             assert (before.event.rate, before.event.volm) == (130, +0.5)
+            assert before.tone_label is None and before.bi is None
+            assert script[i + 1].token.normalized == "agree"
+            assert script[i + 2].kind == "token"
             break
     else:
         pytest.fail("all not found")
