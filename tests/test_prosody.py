@@ -376,6 +376,46 @@ def test_frozen_rule_tries_only_first_words(monkeypatch, config):
 
 # Quantifier slowdowns ----------------------------------------------------------
 
+def test_mark_quantifier_slowdown_direct(config, fable_result):
+    # the quantifier rule run alone on one breath group at a time
+    doc = fable_result.doc
+    compile_ = _Compile(config, doc, fable_result.ann,
+                        DocIndex(doc, fable_result.ann))
+
+    def plan_for(si, word):
+        sent = doc.sentences[si]
+        group = next(g for g in fable_result.groups[si]
+                     if any(sent.tokens[i].normalized == word for i in g.positions()))
+        plan = _SentencePlan(sent, [group], False, False)
+        compile_._plan_quantifiers(plan)
+        return sent, plan
+
+    # "and nobody spoke": standalone quantifier pronoun
+    sent, plan = plan_for(9, "nobody")
+    assert len(plan.prefix) == 1
+    [(pos, [item])] = plan.prefix.items()
+    assert sent.tokens[pos].normalized == "nobody"
+    assert (item.event.rate, item.event.volm) == (110, +0.3)
+    assert list(plan.suffix) == [pos] and plan.has_bi_suffix(pos)
+    assert [p.bi for p in plan.suffix[pos] if p.bi is not None] == \
+        [DEFAULT_TABLE.row("slowdown_quantifier").bi]
+    assert DEFAULT_TABLE.row("slowdown_quantifier").bi == BreakIndex.BI23
+    assert plan.consumed == set()
+    # "you will all agree": modifier quantifier before the group-final head
+    sent3, plan3 = plan_for(3, "agree")
+    assert len(plan3.prefix) == 1
+    [(pos3, [item3])] = plan3.prefix.items()
+    assert sent3.tokens[pos3].normalized == "all"
+    assert (item3.event.rate, item3.event.volm) == (130, +0.5)
+    assert plan3.suffix == {} and DEFAULT_TABLE.row("slowdown_head").bi is None
+    assert [sent3.tokens[i].normalized for i in sorted(plan3.consumed)] == ["all", "agree"]
+    # no quantifier, non-final head: nothing
+    sent1 = doc.sentences[1]
+    plan1 = _SentencePlan(sent1, [fable_result.groups[1][1]],   # "the mice had a general council"
+                          False, False)
+    compile_._plan_quantifiers(plan1)
+    assert plan1.prefix == {} and plan1.suffix == {} and plan1.consumed == set()
+
 def test_quantifier_slowdown_nobody(fable_result):
     # (rate 110, volm +0.3) before "nobody", then the quantifier-class pause
     script = fable_result.script.items
