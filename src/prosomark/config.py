@@ -7,14 +7,28 @@ flat ``key = value`` text; command-line flags override it.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from . import lexica
 from .annotations import DEFAULT_RELEVANCE_RULES
 
 TITLE_MODES = ("auto", "force", "off")
 EMIT_MODES = ("markup", "tobi", "both", "groups")
+
+#: (path field, lexicon field, loader) of each lexicon
+_LEXICA = (("multiword_path", "multiwords", lexica.load_multiwords),
+           ("phonetic_path", "phon_lexicon", lexica.load_phon_lexicon),
+           ("frozen_path", "frozen_table", lexica.load_frozen_table),
+           ("affect_path", "affect_words", lexica.load_tagged_words),
+           ("quantifier_path", "quantifiers", lexica.load_word_set),
+           ("comm_verb_path", "comm_verbs", lexica.load_word_set))
+
+#: (loader, path) -> ((path, st_mtime_ns, st_size), lexicon) of its last build
+_BUILT: dict[tuple, tuple] = {}
 
 
 @dataclass
@@ -25,21 +39,21 @@ class Config:
     title_mode: str = "auto"            # auto | force | off
     emit_mode: str = "markup"           # markup | tobi | both | groups
     pov_tracking: bool = True
-    multiword_path: Path = field(default_factory=lambda: lexica.data_path("multiwords.txt"))
-    phonetic_path: Path = field(default_factory=lambda: lexica.data_path("phonetic.tsv"))
-    frozen_path: Path = field(default_factory=lambda: lexica.data_path("frozen.tsv"))
-    affect_path: Path = field(default_factory=lambda: lexica.data_path("affect.tsv"))
-    quantifier_path: Path = field(default_factory=lambda: lexica.data_path("quantifiers.txt"))
-    comm_verb_path: Path = field(default_factory=lambda: lexica.data_path("comm_verbs.txt"))
+    multiword_path: Path = lexica.data_path("multiwords.txt")
+    phonetic_path: Path = lexica.data_path("phonetic.tsv")
+    frozen_path: Path = lexica.data_path("frozen.tsv")
+    affect_path: Path = lexica.data_path("affect.tsv")
+    quantifier_path: Path = lexica.data_path("quantifiers.txt")
+    comm_verb_path: Path = lexica.data_path("comm_verbs.txt")
     relevance_rules: list = field(default_factory=lambda: list(DEFAULT_RELEVANCE_RULES))
 
-    # loaded lexica (filled by load_lexica)
-    multiwords: list[list[str]] = field(default_factory=list)
-    phon_lexicon: object = None
-    frozen_table: list = field(default_factory=list)
-    affect_words: dict[str, str] = field(default_factory=dict)
-    quantifiers: set[str] = field(default_factory=set)
-    comm_verbs: set[str] = field(default_factory=set)
+    # loaded lexica (filled by load_lexica): read-only, shared between configs
+    multiwords: tuple[tuple[str, ...], ...] = ()
+    phon_lexicon: lexica.PhonLexicon = lexica.PhonLexicon()
+    frozen_table: tuple[tuple[tuple[str, ...], str], ...] = ()
+    affect_words: Mapping[str, str] = field(default_factory=lambda: MappingProxyType({}))
+    quantifiers: frozenset[str] = frozenset()
+    comm_verbs: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if self.min_len > self.max_len:
@@ -47,30 +61,33 @@ class Config:
 
     def load_lexica(self) -> "Config":
         """Fill the lexicon fields from their files.  A missing file raises
-        ``FileNotFoundError`` before any is loaded; one that is not UTF-8
-        raises ``ValueError`` naming it."""
-        loads = ((self.multiword_path, "multiwords", lexica.load_multiwords),
-                 (self.phonetic_path, "phon_lexicon", lexica.load_phon_lexicon),
-                 (self.frozen_path, "frozen_table", lexica.load_frozen_table),
-                 (self.affect_path, "affect_words", lexica.load_tagged_words),
-                 (self.quantifier_path, "quantifiers", lexica.load_word_set),
-                 (self.comm_verb_path, "comm_verbs", lexica.load_word_set))
-        for path, _, _ in loads:
-            if not Path(path).exists():
-                raise FileNotFoundError(f"lexicon file not found: {path}")
-        for path, name, load in loads:
+        ``FileNotFoundError`` before any lexicon is built; one that is not
+        UTF-8 raises ``ValueError`` naming it.  Configs share each lexicon:
+        it is built again only when its file's mtime or size has changed
+        since its loader last built it (Python's rule for ``.pyc`` files).
+        One entry is kept per loader and path; a build that raises caches
+        nothing.  Threads that miss together each build an equal lexicon and
+        store it in one dict write, so no lock is needed."""
+        stamps = []
+        for path_field, _, _ in _LEXICA:
+            path = os.fspath(getattr(self, path_field))
             try:
-                setattr(self, name, load(path))
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"cannot read lexicon {path}: {exc}") from exc
+                st = os.stat(path)
+            except FileNotFoundError:
+                raise FileNotFoundError(f"lexicon file not found: {path}") from None
+            stamps.append((path, st.st_mtime_ns, st.st_size))
+        for (_, name, load), stamp in zip(_LEXICA, stamps):
+            hit = _BUILT.get((load, stamp[0]))
+            if hit is None or hit[0] != stamp:
+                hit = _BUILT[load, stamp[0]] = (stamp, load(stamp[0]))
+            setattr(self, name, hit[1])
         return self
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 _INT_KEYS = {"min_len", "max_len", "max_subj"}
-_PATH_KEYS = {"multiword_path", "phonetic_path", "frozen_path", "affect_path",
-              "quantifier_path", "comm_verb_path"}
+_PATH_KEYS = {path for path, _, _ in _LEXICA}
 _MODE_KEYS = {"title_mode": TITLE_MODES, "emit_mode": EMIT_MODES}
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 WORD = "word"
 COMMA = "comma"
@@ -65,11 +67,15 @@ class Document:
         return self.sentences[-1].tokens[-1].index + 1 if self.sentences else 0
 
 
+@dataclass(frozen=True)
 class PhonLexicon:
-    """Case-insensitive word -> phonetic string map."""
+    """Case-insensitive, read-only word -> phonetic string map."""
 
-    def __init__(self, entries: dict[str, str] | None = None):
-        self.entries = {k.lower(): v for k, v in (entries or {}).items()}
+    entries: Mapping[str, str] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(
+            {k.lower(): v for k, v in (self.entries or {}).items()}))
 
     def lookup(self, word: str) -> str | None:
         return self.entries.get(word.lower())
@@ -92,10 +98,10 @@ def _kind_of(chunk: str) -> str:
     return _PUNCT_KINDS.get(chunk, OTHER_PUNCT)
 
 
-def tokenize(text: str, multiwords: list[list[str]] | None = None) -> list[Token]:
+def tokenize(text: str, multiwords: Iterable[Sequence[str]] | None = None) -> list[Token]:
     """Split text into tokens, merging known multiword expressions.
 
-    ``multiwords`` is a list of word sequences (already lowercased); the
+    ``multiwords`` holds word sequences (already lowercased); the
     longest match at each position wins.  A merged token keeps the original
     surface text (inner whitespace included) and gets an underscore-joined
     normalized form.

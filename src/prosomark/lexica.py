@@ -2,7 +2,8 @@
 
 All shipped lexica are plain UTF-8 text with ``#`` comments, so the
 fixtures can be edited by hand; a leading byte-order mark is skipped.
-Formats:
+A loaded lexicon is read-only: tuples, frozensets and read-only mappings,
+which ``Config.load_lexica`` shares between configs.  Formats:
 
 * multiword list  - one expression per line, words space-separated
 * phonetic list   - ``word<TAB>phonetic``
@@ -14,53 +15,32 @@ Formats:
 
 from __future__ import annotations
 
-import functools
 import importlib.resources
-import os
-from collections.abc import Collection
+from collections.abc import Collection, Iterator, Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 from .ingest import PhonLexicon
 
 DATA_PACKAGE = "prosomark.data"
-
-
-@functools.cache
-def _data_dir() -> Path:
-    return Path(str(importlib.resources.files(DATA_PACKAGE)))
+DATA_DIR = Path(str(importlib.resources.files(DATA_PACKAGE)))
 
 
 def data_path(name: str) -> Path:
-    return _data_dir() / name
+    return DATA_DIR / name
 
 
-#: path -> ((st_mtime_ns, st_size), numbered content lines) of the last read
-_LINES: dict[str, tuple[tuple[int, int], tuple[tuple[int, str], ...]]] = {}
-
-
-def _lines(path: str | Path) -> tuple[tuple[int, str], ...]:
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The non-comment lines of a lexicon file, each with its line number.
-
-    A file is read again only when its mtime or size has changed since the
-    last read of the same path (the rule Python uses for ``.pyc`` files);
-    one entry is kept per path.  The lines are a tuple, so no caller can
-    change what the next one gets.
-    """
-    key = os.fspath(path)
-    st = os.stat(key)
-    stamp = (st.st_mtime_ns, st.st_size)
-    cached = _LINES.get(key)
-    if cached is not None and cached[0] == stamp:
-        return cached[1]
-    lines = []
-    for line_no, raw in enumerate(Path(key).read_text(encoding="utf-8-sig").splitlines(),
-                                  start=1):
+    A file that is not UTF-8 raises ``ValueError`` naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read lexicon {path}: {exc}") from exc
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append((line_no, line))
-    out = tuple(lines)
-    _LINES[key] = (stamp, out)
-    return out
+            yield line_no, line
 
 
 #: the tags of the affect lexicon
@@ -71,22 +51,23 @@ AFFECT_TAGS = ("sad", "exclaim", "exhort")
 FROZEN_ROLES = ("exhortative",)
 
 
-def _tagged(path, line_no: int, line: str, tags: Collection[str]) -> tuple[str, str]:
-    """An ``entry<TAB>tag`` line split at its tab, or without one at its
-    last space.  A line with one field, or whose tag is not one of ``tags``,
-    raises ``ValueError`` naming the file and the line."""
-    entry, _, tag = line.partition("\t")
-    if not tag:
-        entry, _, tag = line.rpartition(" ")
-    entry, tag = entry.strip(), tag.strip()
-    if not entry or tag not in tags:
-        raise ValueError(f"{path}:{line_no}: expected entry<TAB>{'|'.join(tags)}, "
-                         f"got {line!r}")
-    return entry, tag
+def _tagged(path: str | Path, tags: Collection[str]) -> Iterator[tuple[str, str]]:
+    """The ``entry<TAB>tag`` lines of a lexicon file, split at the tab or
+    else at the last space.  A line with one field, or whose tag is not one
+    of ``tags``, raises ``ValueError`` naming the file and the line."""
+    for line_no, line in _lines(path):
+        entry, _, tag = line.partition("\t")
+        if not tag:
+            entry, _, tag = line.rpartition(" ")
+        entry, tag = entry.strip(), tag.strip()
+        if not entry or tag not in tags:
+            raise ValueError(f"{path}:{line_no}: expected entry<TAB>{'|'.join(tags)}, "
+                             f"got {line!r}")
+        yield entry, tag
 
 
-def load_multiwords(path: str | Path) -> list[list[str]]:
-    return [line.lower().split() for _, line in _lines(path)]
+def load_multiwords(path: str | Path) -> tuple[tuple[str, ...], ...]:
+    return tuple(tuple(line.lower().split()) for _, line in _lines(path))
 
 
 def load_phon_lexicon(path: str | Path) -> PhonLexicon:
@@ -105,25 +86,18 @@ def load_phon_lexicon(path: str | Path) -> PhonLexicon:
     return PhonLexicon(entries)
 
 
-def load_word_set(path: str | Path) -> set[str]:
-    return {line.lower().replace(" ", "_") for _, line in _lines(path)}
+def load_word_set(path: str | Path) -> frozenset[str]:
+    return frozenset(line.lower().replace(" ", "_") for _, line in _lines(path))
 
 
-def load_tagged_words(path: str | Path) -> dict[str, str]:
+def load_tagged_words(path: str | Path) -> Mapping[str, str]:
     """word -> tag map (affect lexicon); phrases keep internal spaces."""
-    out = {}
-    for n, line in _lines(path):
-        word, tag = _tagged(path, n, line, AFFECT_TAGS)
-        out[word.lower()] = tag
-    return out
+    return MappingProxyType({word.lower(): tag for word, tag in _tagged(path, AFFECT_TAGS)})
 
 
-def load_frozen_table(path: str | Path) -> list[tuple[list[str], str]]:
-    out = []
-    for n, line in _lines(path):
-        pattern, role = _tagged(path, n, line, FROZEN_ROLES)
-        out.append((pattern.lower().split(), role))
-    return out
+def load_frozen_table(path: str | Path) -> tuple[tuple[tuple[str, ...], str], ...]:
+    return tuple((tuple(pattern.lower().split()), role)
+                 for pattern, role in _tagged(path, FROZEN_ROLES))
 
 
 # Built-in word classes -----------------------------------------------------

@@ -28,6 +28,7 @@ _LOCATIVE_PREPS = {"above", "below", "under", "over", "behind", "beside",
                    "near", "beneath"}
 
 _INTENSIFIERS = {"very", "quite", "rather", "so", "too"}
+_ADVERBIAL_RUN = frozenset(lexica.SENTENCE_ADVERBS | _INTENSIFIERS)
 
 
 @dataclass
@@ -129,7 +130,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
         src = toks[first].source_words
         j = words.index(first)
         while (j + 1 < len(words)
-               and toks[words[j + 1]].normalized in (lexica.SENTENCE_ADVERBS | _INTENSIFIERS)):
+               and toks[words[j + 1]].normalized in _ADVERBIAL_RUN):
             j += 1
             run_end = words[j]
             src += toks[run_end].source_words

@@ -92,10 +92,9 @@ class ProsodyManager:
         cfg = self.config
         tokens = tokenize(text, cfg.multiwords)
         doc = split_document(tokens, text, cfg.title_mode)
-        if cfg.phon_lexicon is not None:
-            for t in tokens:
-                if t.kind == WORD:
-                    t.phon_override = phon_exception(t, cfg.phon_lexicon)
+        for t in tokens:
+            if t.kind == WORD:
+                t.phon_override = phon_exception(t, cfg.phon_lexicon)
         if ann is None:
             ann = shallow_analyze(doc, cfg.relevance_rules)
         else:

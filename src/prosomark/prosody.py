@@ -18,6 +18,7 @@ index.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import lexica
@@ -241,7 +242,7 @@ class FrozenMatch:
 
 
 def match_frozen(tokens: list[Token], start: int,
-                 frozen_table: list[tuple[list[str], str]]) -> FrozenMatch | None:
+                 frozen_table: Iterable[tuple[Sequence[str], str]]) -> FrozenMatch | None:
     """Longest match at the current token among the ``(pattern, role)``
     pairs of ``frozen_table``.  A ``lexica.DEAR_TERMS`` address term after
     the pattern, commas allowed between, is its tail: the row

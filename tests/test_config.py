@@ -1,30 +1,95 @@
 """Configuration: lexicon loading and config files."""
 
 import copy
+import dataclasses
+import os
+import re
 
 import pytest
 
+from conftest import load
+from prosomark import render_markup, run_pipeline
 from prosomark.cli import run
-from prosomark.config import Config, parse_config_file
+from prosomark.config import _LEXICA, Config, parse_config_file
 
-LEXICON_FIELDS = ("multiwords", "frozen_table", "affect_words", "quantifiers", "comm_verbs")
+def _fresh_build(cfg):
+    """Each lexicon of ``cfg`` built again from its file, past the cache."""
+    return {name: load_(getattr(cfg, path)) for path, name, load_ in _LEXICA}
 
 
 def test_configs_share_no_lexicon_objects():
+    # no config can change a lexicon another config holds: loaded lexica
+    # are read-only, so each of these edits raises
     first = Config().load_lexica()
-    pristine = {name: copy.deepcopy(getattr(first, name)) for name in LEXICON_FIELDS}
-    first.multiwords.append(["zz", "top"])
-    first.multiwords[0].append("extra")
-    first.frozen_table[0][0].append("extra")
-    first.affect_words["cat"] = "sad"
-    first.quantifiers.add("zz")
-    first.comm_verbs.discard(next(iter(first.comm_verbs)))
-    first.phon_lexicon.entries["cat"] = "kat"
+    edits = [lambda: first.multiwords.append(["zz", "top"]),
+             lambda: first.multiwords[0].append("extra"),
+             lambda: first.frozen_table[0][0].append("extra"),
+             lambda: first.affect_words.__setitem__("cat", "sad"),
+             lambda: first.quantifiers.add("zz"),
+             lambda: first.comm_verbs.discard(next(iter(first.comm_verbs))),
+             lambda: first.phon_lexicon.entries.__setitem__("cat", "kat"),
+             lambda: setattr(first.phon_lexicon, "entries", {"cat": "kat"})]
+    for edit in edits:
+        with pytest.raises((AttributeError, TypeError)):
+            edit()
 
     second = Config().load_lexica()
-    for name in LEXICON_FIELDS:
-        assert getattr(second, name) == pristine[name], name
+    fresh = _fresh_build(second)
+    for _, name, _ in _LEXICA:
+        assert getattr(second, name) == fresh[name], name
     assert "cat" not in second.phon_lexicon.entries
+
+
+def test_loaded_configs_share_lexicon_objects():
+    first, second = Config().load_lexica(), Config().load_lexica()
+    for _, name, _ in _LEXICA:
+        assert getattr(first, name) is getattr(second, name), name
+
+
+def test_rewritten_lexicon_is_built_again(tmp_path):
+    affect = tmp_path / "affect.tsv"
+    affect.write_text("dog\tsad\n")
+    before = Config(affect_path=affect).load_lexica().affect_words
+    assert Config(affect_path=affect).load_lexica().affect_words is before
+    stat = affect.stat()
+    affect.write_text("cat\tsad\nsorrow\tsad\n")
+    os.utime(affect, ns=(stat.st_atime_ns, stat.st_mtime_ns + 5_000_000_000))
+    after = Config(affect_path=affect).load_lexica().affect_words
+    assert after is not before
+    assert (dict(before), dict(after)) == ({"dog": "sad"}, {"cat": "sad", "sorrow": "sad"})
+
+
+def test_failed_lexicon_build_is_not_cached(tmp_path):
+    affect = tmp_path / "affect.tsv"
+    affect.write_text("dog\tsad\ncat\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(affect))}:2: expected entry<TAB>"):
+            Config(affect_path=affect).load_lexica()
+
+
+def test_missing_lexicon_file_builds_nothing(tmp_path):
+    missing = tmp_path / "comm_verbs.txt"
+    cfg = Config(comm_verb_path=missing)
+    with pytest.raises(FileNotFoundError) as exc:
+        cfg.load_lexica()
+    assert str(exc.value) == f"lexicon file not found: {missing}"
+    assert (cfg.multiwords, cfg.quantifiers) == ((), frozenset())
+
+
+def test_replaced_loaded_config_still_compiles():
+    cfg = Config().load_lexica()
+    nopov = dataclasses.replace(cfg, pov_tracking=False)
+    assert nopov.affect_words is cfg.affect_words
+    text, ann = load("fox_crow.txt"), load("fox_crow.ann")
+
+    def markup(config):
+        result = run_pipeline(text, ann, config)
+        return render_markup(result.doc, result.script)
+
+    assert markup(nopov) == markup(Config(pov_tracking=False).load_lexica()) != markup(cfg)
+    # a read-only mapping cannot be copied deeply
+    with pytest.raises(TypeError):
+        copy.deepcopy(cfg)
 
 
 @pytest.mark.parametrize("value,expected", [
