@@ -233,7 +233,10 @@ def render_tobi(doc: Document, script: ProsodicScript) -> str:
                 lines.append(" ".join(current))
                 current = []
                 pending_break = False
-            current.append(_token_text(item.token))
+            # a merged token's inner whitespace prints as one space
+            tok = item.token
+            current.append(_token_text(tok) if tok.phon_override
+                           else " ".join(tok.surface.split()))
         elif item.kind == "event":
             parts = []
             if item.bi is not None:

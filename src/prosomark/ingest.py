@@ -98,13 +98,39 @@ def _kind_of(chunk: str) -> str:
     return _PUNCT_KINDS.get(chunk, OTHER_PUNCT)
 
 
+def phrase_index(pairs: Iterable[tuple[Sequence[str], object]]) -> dict[str, list]:
+    """First word -> the ``(phrase, value)`` pairs whose phrase starts with
+    it, longest phrase first (pairs of one length keep their order)."""
+    index: dict[str, list] = {}
+    for phrase, value in pairs:
+        index.setdefault(phrase[0], []).append((list(phrase), value))
+    for cands in index.values():
+        cands.sort(key=lambda c: len(c[0]), reverse=True)
+    return index
+
+
+def longest_phrase(words: Sequence[str | None], i: int,
+                   index: dict[str, list]) -> tuple[int, object] | None:
+    """``(length, value)`` of the first phrase of ``index`` that the words
+    from ``words[i]`` on spell, or None.  ``words`` holds normalized forms,
+    None for a token that is not a word."""
+    for phrase, value in index.get(words[i], ()):
+        if words[i:i + len(phrase)] == phrase:
+            return len(phrase), value
+    return None
+
+
+#: a blank line: it ends a paragraph, and no multiword spans one
+_BLANK_LINE = re.compile(r"\n[ \t]*\n")
+
+
 def tokenize(text: str, multiwords: Iterable[Sequence[str]] | None = None) -> list[Token]:
     """Split text into tokens, merging known multiword expressions.
 
     ``multiwords`` holds word sequences (already lowercased); the
-    longest match at each position wins.  A merged token keeps the original
-    surface text (inner whitespace included) and gets an underscore-joined
-    normalized form.
+    longest match at each position wins, and no match spans a blank line.
+    A merged token keeps the original surface text (inner whitespace
+    included) and gets an underscore-joined normalized form.
     """
     # [pre_ws, chunk, pre_ws, chunk, ..., trailing whitespace]
     parts = _TOKEN_RE.split(text)
@@ -112,24 +138,20 @@ def tokenize(text: str, multiwords: Iterable[Sequence[str]] | None = None) -> li
     chunks = parts[1::2]
     kinds = [_kind_of(c) for c in chunks]
     norms = [c.lower() if k == WORD else c for c, k in zip(chunks, kinds)]
-    by_first: dict[str, list[list[str]]] = {}
-    for mw in multiwords or ():
-        by_first.setdefault(mw[0], []).append(list(mw))
-    for cands in by_first.values():
-        cands.sort(key=len, reverse=True)
+    words = [n if k == WORD else None for n, k in zip(norms, kinds)]
+    index = phrase_index((mw, None) for mw in multiwords or ())
 
-    # (first chunk, chunk count) of each merge, in text order
+    # (first chunk, chunk count) of each merge, in text order, found one
+    # paragraph at a time
     merges = []
-    end = 0
-    for i in [i for i, w in enumerate(norms) if w in by_first]:
-        if i < end or kinds[i] != WORD:
-            continue
-        for cand in by_first[norms[i]]:
-            n = len(cand)
-            if norms[i:i + n] == cand and all(k == WORD for k in kinds[i:i + n]):
-                merges.append((i, n))
-                end = i + n
-                break
+    bounds = [0] + [k for k, p in enumerate(pres) if "\n" in p and _BLANK_LINE.search(p)]
+    for a, b in zip(bounds, bounds[1:] + [len(chunks)]):
+        para = words[a:b]
+        end = 0
+        for i in [i for i, w in enumerate(para) if w in index]:
+            if i >= end and (m := longest_phrase(para, i, index)):
+                end = i + m[0]
+                merges.append((a + i, m[0]))
 
     tokens: list[Token] = []
     pos = 0
@@ -182,7 +204,7 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
 
     # offset and paragraph index per token, in one walk with the offsets
     # where the raw text's blank lines end
-    para_ends = [m.end() for m in re.finditer(r"\n[ \t]*\n", raw)] + [math.inf]
+    para_ends = [m.end() for m in _BLANK_LINE.finditer(raw)] + [math.inf]
     offsets = []
     para_of = []
     para = 0

@@ -1,14 +1,14 @@
 """Breath-group segmentation.
 
-A breath group is a syntactically and semantically coherent token span read
-in one breath.  Punctuation is followed first, then a cascade of syntactic
-triggers (coordination, subordinators, infinitival complements, relatives,
-long subjects, sentence-initial adverbials, final adjuncts).  Constituent
-length is checked both ways: splits that would create a group shorter than
-``min_len`` source words are suppressed (appositives, parentheticals and
-comma-marked sentence-initial adverbials stay standalone, as the reference
-decomposition shows), and groups longer than ``max_len`` are re-split at
-the strongest internal trigger.
+A breath group is a syntactically and semantically coherent run of a
+sentence's words read in one breath.  Punctuation is followed first, then
+a cascade of syntactic triggers (coordination, subordinators, infinitival
+complements, relatives, long subjects, sentence-initial adverbials, final
+adjuncts).  Constituent length is checked both ways: splits that would
+create a group shorter than ``min_len`` source words are suppressed
+(appositives, parentheticals and comma-marked sentence-initial adverbials
+stay standalone, as the reference decomposition shows), and groups longer
+than ``max_len`` are re-split at the strongest internal trigger.
 """
 
 from __future__ import annotations
@@ -30,19 +30,25 @@ _LOCATIVE_PREPS = {"above", "below", "under", "over", "behind", "beside",
 _INTENSIFIERS = {"very", "quite", "rather", "so", "too"}
 _ADVERBIAL_RUN = frozenset(lexica.SENTENCE_ADVERBS | _INTENSIFIERS)
 
+#: the words a group longer than ``max_len`` is re-split before
+_RESPLIT_AT = frozenset(lexica.COMPLEMENT_OPENERS | lexica.RELATIVE_PRONOUNS
+                        | lexica.SUBORDINATORS | lexica.COORDINATORS)
+
 
 @dataclass
 class BreathGroup:
-    token_span: tuple[int, int]          # sentence-local positions, words only
+    words: list[int]                     # sentence-local positions of its words
     trigger: str = "start"               # rule that opened this group
     junction: str = ENJAMBED
 
+    @property
+    def token_span(self) -> tuple[int, int]:
+        """The positions of the first and the last word."""
+        return self.words[0], self.words[-1]
+
     def positions(self) -> range:
-        return range(self.token_span[0], self.token_span[1] + 1)
-
-
-def _word_positions(sentence: Sentence) -> list[int]:
-    return [i for i, t in enumerate(sentence.tokens) if t.kind == WORD]
+        """Every position from the first word to the last."""
+        return range(self.words[0], self.words[-1] + 1)
 
 
 def _is_verbish(tok, ix: DocIndex) -> bool:
@@ -58,7 +64,7 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
     """
     ix = index if index is not None else DocIndex(Document([sentence]), ann)
     toks = sentence.tokens
-    words = _word_positions(sentence)
+    words = [i for i, t in enumerate(toks) if t.kind == WORD]
     if not words:
         return []
 
@@ -164,13 +170,12 @@ def _build_groups(boundaries, words) -> list[BreathGroup]:
     """One group from each boundary to the word before the next, in one
     pass over the words (every boundary sits on a word)."""
     firsts = [k for k, w in enumerate(words) if w in boundaries]
-    return [BreathGroup((words[k], words[nxt - 1]), trigger=boundaries[words[k]])
+    return [BreathGroup(words[k:nxt], trigger=boundaries[words[k]])
             for k, nxt in zip(firsts, firsts[1:] + [len(words)])]
 
 
 def _src_len(sentence, group) -> int:
-    return sum(sentence.tokens[i].source_words for i in group.positions()
-               if sentence.tokens[i].kind == WORD)
+    return sum(sentence.tokens[i].source_words for i in group.words)
 
 
 def _suppress_short(sentence, groups, config) -> list[BreathGroup]:
@@ -183,25 +188,22 @@ def _suppress_short(sentence, groups, config) -> list[BreathGroup]:
     for g in groups:
         if out and _src_len(sentence, g) < config.min_len:
             # a later group never starts the sentence, so a token precedes it
-            j = g.token_span[0] - 1
+            j = g.words[0] - 1
             if not (g.trigger == "punct" and sentence.tokens[j].kind == COMMA
                     and classify_comma(sentence, j) != "other"):
-                out[-1] = BreathGroup((out[-1].token_span[0], g.token_span[1]),
-                                      trigger=out[-1].trigger)
+                out[-1] = BreathGroup(out[-1].words + g.words, trigger=out[-1].trigger)
                 continue
         out.append(g)
     # forward-merge a short sentence-initial fragment that earned no exception
     if len(out) >= 2:
-        first_tok = sentence.tokens[out[0].token_span[0]]
-        nxt = out[0].token_span[1] + 1
+        first_tok = sentence.tokens[out[0].words[0]]
+        nxt = out[0].words[-1] + 1
         comma_follows = (nxt < len(sentence.tokens)
                          and sentence.tokens[nxt].kind == COMMA)
         adverbial_ok = first_tok.normalized in lexica.SENTENCE_ADVERBS and comma_follows
         if _src_len(sentence, out[0]) < config.min_len and not adverbial_ok \
                 and out[1].trigger not in ("punct", "quote"):
-            merged = BreathGroup((out[0].token_span[0], out[1].token_span[1]),
-                                 trigger="start")
-            out = [merged] + out[2:]
+            out = [BreathGroup(out[0].words + out[1].words)] + out[2:]
     return out
 
 
@@ -212,33 +214,22 @@ def _resplit_long(sentence, groups, max_len) -> list[BreathGroup]:
             out.append(g)
             continue
         toks = sentence.tokens
-        split_at = None
-        for i in g.positions():
-            if toks[i].kind != WORD or i == g.token_span[0]:
-                continue
-            n = toks[i].normalized
-            if n in lexica.COMPLEMENT_OPENERS or n in lexica.RELATIVE_PRONOUNS \
-                    or n in lexica.SUBORDINATORS or n in lexica.COORDINATORS:
-                split_at = i
-                break
-        if split_at is None:
+        # the first opener after the group's first word, so both sides hold one
+        k = next((k for k, i in enumerate(g.words)
+                  if k and toks[i].normalized in _RESPLIT_AT), None)
+        if k is None:
             out.append(g)
             continue
-        # split_at is a word after the group's first, so both sides hold one
-        left_words = [i for i in g.positions() if toks[i].kind == WORD and i < split_at]
-        right_words = [i for i in g.positions() if toks[i].kind == WORD and i >= split_at]
-        out.append(BreathGroup((left_words[0], left_words[-1]), trigger=g.trigger))
+        out.append(BreathGroup(g.words[:k], trigger=g.trigger))
         out.extend(_resplit_long(
-            sentence,
-            [BreathGroup((right_words[0], right_words[-1]), trigger="complement")],
-            max_len))
+            sentence, [BreathGroup(g.words[k:], trigger="complement")], max_len))
     return out
 
 
 def classify_junction(group: BreathGroup, sentence: Sentence) -> str:
     """End-stopped at classified punctuation or sentence end, else enjambed."""
     toks = sentence.tokens
-    j = group.token_span[1] + 1
+    j = group.words[-1] + 1
     while j < len(toks):
         t = toks[j]
         if t.kind == QUOTE:
@@ -272,8 +263,7 @@ def render_groups(doc, groups_by_sentence) -> str:
         if toks and toks[0].kind == QUOTE and lines:
             lines.append(GROUP_MARK)
         for g in groups:
-            text = " ".join(toks[i].normalized for i in g.positions()
-                            if toks[i].kind == WORD)
+            text = " ".join(toks[i].normalized for i in g.words)
             lines.append(f"{text} {GROUP_MARK}")
         tail = [t for t in toks[-3:]]
         kinds = [t.kind for t in tail]

@@ -24,7 +24,8 @@ from .docindex import DocIndex, POVSpan
 from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
                    ProsodicScript, ScriptItem)
 from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
-                     Sentence, phon_exception, split_document, tokenize)
+                     Sentence, longest_phrase, phon_exception, phrase_index,
+                     split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
 from .prosody import (BI_REALIZATION, DEFAULT_TABLE, RSET, BreakIndex,
                       ParamEvent, ToneContext, ev, match_frozen, select_tone)
@@ -44,20 +45,23 @@ class PipelineResult:
 
 
 class _SentencePlan:
-    """The event items the rules place around one sentence's tokens."""
+    """The event items the rules place around one sentence's tokens, and
+    the sentence's clauses already given a contour."""
 
     def __init__(self, sentence: Sentence, groups: list[BreathGroup],
                  paragraph_initial: bool, after_first_para: bool):
         self.sentence = sentence
         self.groups = groups
+        #: the normalized form at each position, None for a non-word
+        self.words = [t.normalized if t.kind == WORD else None for t in sentence.tokens]
         #: the position of the sentence's first word (None without one)
-        self.first_word = next((i for i, t in enumerate(sentence.tokens)
-                                if t.kind == WORD), None)
+        self.first_word = next((i for i, w in enumerate(self.words) if w is not None), None)
         self.paragraph_initial = paragraph_initial
         self.after_first_para = after_first_para
         self.prefix: dict[int, list[ScriptItem]] = {}
         self.suffix: dict[int, list[ScriptItem]] = {}
         self.consumed: set[int] = set()
+        self.contoured: set[int] = set()
         self.end_bi2 = False          # sentence chained onward with BI-2
 
     def add_prefix(self, pos: int, *items: ScriptItem):
@@ -111,22 +115,20 @@ class ProsodyManager:
 
 
 class _Compile:
-    """The rule planner's state for one compile: the clauses already given
-    a contour, the clauses whose group-final contour is suppressed, and the
-    predicates whose head contour has fired, all shared across sentences."""
+    """The rule planner's state for one compile: the phrase indexes of the
+    frozen table and of the sad affect entries, and, shared across
+    sentences, the clauses whose group-final contour is suppressed and the
+    predicates whose head contour has fired."""
 
     def __init__(self, config: Config, doc: Document, ann: AnnotationSet, ix: DocIndex):
         self.config = config
         self.doc = doc
         self.ann = ann
         self.ix = ix
-        #: first words of the sad affect entries: a window of words can only
-        #: match an entry whose text before the first space is its first word
-        self.sad_starts = {key.split(" ", 1)[0]
-                           for key, tag in config.affect_words.items() if tag == "sad"}
-        #: first words of the frozen patterns: only there can one match
-        self.frozen_starts = {pattern[0] for pattern, _ in config.frozen_table}
-        self.contoured: set[int] = set()
+        self.frozen_index = phrase_index(config.frozen_table)
+        self.sad_index = phrase_index((key.split(" "), tag)
+                                      for key, tag in config.affect_words.items()
+                                      if tag == "sad")
         self.final_suppressed: set[int] = set()
         self.fired_preds: set[str] = set()
 
@@ -218,19 +220,14 @@ class _Compile:
             position="sentence_initial", move="up", relevance="foreground",
             paragraph_initial=plan.paragraph_initial,
             after_first_paragraph=plan.after_first_para))
-        self.contoured.add(fc.clause_no)
+        plan.contoured.add(fc.clause_no)
         self.final_suppressed.add(fc.clause_no)
 
     def _plan_frozen(self, plan: _SentencePlan):
-        starts = self.frozen_starts
         toks = plan.sentence.tokens
         end = 0                       # the first position after the last match
-        for pos in [i for i, t in enumerate(toks)
-                    if t.normalized in starts and t.kind == WORD]:
-            if pos < end:
-                continue
-            m = match_frozen(toks, pos, self.config.frozen_table)
-            if m is None:
+        for pos in [i for i, w in enumerate(plan.words) if w in self.frozen_index]:
+            if pos < end or (m := match_frozen(toks, pos, self.frozen_index)) is None:
                 continue
             role = m.role
             n_tuples = len(DEFAULT_TABLE.row(role).params)
@@ -248,28 +245,13 @@ class _Compile:
 
     def _affect_spans(self, plan) -> list[tuple[int, int]]:
         toks = plan.sentence.tokens
-        affect = self.config.affect_words
         hits: list[tuple[int, int]] = []
-        i = 0
-        while i < len(toks):
-            if toks[i].kind != WORD or i in plan.consumed \
-                    or toks[i].normalized not in self.sad_starts:
-                i += 1
-                continue
-            matched = 0
-            for length in (3, 2, 1):
-                window = toks[i:i + length]
-                if len(window) < length or any(t.kind != WORD for t in window):
-                    continue
-                key = " ".join(t.normalized for t in window)
-                if affect.get(key) == "sad":
-                    matched = length
-                    break
-            if matched:
-                hits.append((i, i + matched - 1))
-                i += matched
-            else:
-                i += 1
+        after = 0                     # the first position after the last hit
+        for i in [i for i, w in enumerate(plan.words) if w in self.sad_index]:
+            if i >= after and i not in plan.consumed \
+                    and (m := longest_phrase(plan.words, i, self.sad_index)):
+                after = i + m[0]
+                hits.append((i, after - 1))
         merged: list[list[int]] = []
         for start, end in hits:
             if merged and self._only_connectors(toks, merged[-1][1] + 1, start):
@@ -296,13 +278,11 @@ class _Compile:
             for t in between)
 
     def _plan_affect(self, plan: _SentencePlan):
-        toks = plan.sentence.tokens
         spans = self._affect_spans(plan)
         if plan.paragraph_initial:
             g = plan.groups[0]
-            if all(toks[i].normalized in lexica.SENTENCE_ADVERBS
-                   for i in g.positions() if toks[i].kind == WORD):
-                spans.insert(0, (g.token_span[0], g.token_span[1]))
+            if all(plan.words[i] in lexica.SENTENCE_ADVERBS for i in g.words):
+                spans.insert(0, g.token_span)
         for start, end in spans:
             plan.add_prefix(start, self._selected(affect="sad"))
             plan.add_suffix(end, _event(RSET, GLUE_NONE))
@@ -347,14 +327,14 @@ class _Compile:
                 plan.add_suffix(term_pos, _event(RSET, GLUE_NONE))
         plan.consumed.update(range(start, term_pos + 1))
         if owner is not None:
-            self.contoured.add(owner.clause_no)
+            plan.contoured.add(owner.clause_no)
             self.final_suppressed.add(owner.clause_no)
 
     def _plan_clauses(self, plan: _SentencePlan):
         sent = plan.sentence
         toks = sent.tokens
         for start, c in self.ix.clauses_in(sent):
-            if c.clause_no in self.contoured or start in plan.consumed:
+            if c.clause_no in plan.contoured or start in plan.consumed:
                 continue
             in_quote = self.ix.quote_depth[toks[start].index] > 0
             word = toks[start].normalized
@@ -376,24 +356,24 @@ class _Compile:
                 pred_pos = self._pred_position(sent, c)
                 if pred_pos is not None and pred_pos != start:
                     plan.add_prefix(pred_pos, self._row_event("subordinate_marker"))
-                self.contoured.add(c.clause_no)
+                plan.contoured.add(c.clause_no)
             elif (in_quote and group is not None and group.trigger == "comparative"
                     and start != group.token_span[0]):
                 plan.add_prefix(start, *_pause(BreakIndex.BI2),
                                 self._row_event("ds_elaboration", 1))
-                self.contoured.add(c.clause_no)
+                plan.contoured.add(c.clause_no)
             elif c.disc_rel == "result" and prev is not None \
                     and prev.normalized == "to":
                 # the resultative_inf row is not placed: the clause opens
                 # with the internal foreground contour
                 plan.add_prefix(start, *_pause(BreakIndex.BI2),
                                 self._row_event("internal_fg"))
-                self.contoured.add(c.clause_no)
+                plan.contoured.add(c.clause_no)
             elif c.relevance == "foreground" and start != plan.first_word:
                 plan.add_prefix(start, *_pause(BreakIndex.BI2),
                                 self._selected(position="sentence_internal",
                                                relevance="foreground"))
-                self.contoured.add(c.clause_no)
+                plan.contoured.add(c.clause_no)
                 self.final_suppressed.add(c.clause_no)
 
     def _plan_connectives(self, plan: _SentencePlan):
@@ -412,7 +392,7 @@ class _Compile:
         sent = plan.sentence
         toks = sent.tokens
         for _, c in self.ix.clauses_in(sent):
-            if c.clause_no in self.contoured:
+            if c.clause_no in plan.contoured:
                 continue
             p = self._pred_position(sent, c)
             if p is None or p in plan.consumed or plan.has_prefix(p):
@@ -458,22 +438,18 @@ class _Compile:
         row, whose break closes it; a modifier quantifier right before its
         group's final word, the head, takes the slowdown_head row, which
         covers the pair."""
-        toks = plan.sentence.tokens
         quantifiers = self.config.quantifiers
         for g in plan.groups:
-            # a group is a run of tokens holding a word (phrasing.segment),
-            # so the word before its head is words[-2]
-            words = [i for i in g.positions() if toks[i].kind == WORD]
-            for i in words[:-1]:
-                n = toks[i].normalized
+            for i in g.words[:-1]:
+                n = plan.words[i]
                 if n not in quantifiers or i in plan.consumed:
                     continue
                 if n in lexica.PRONOUN_QUANTIFIERS:
                     plan.add_prefix(i, self._row_event("slowdown_quantifier"))
                     plan.add_suffix_bi(i, DEFAULT_TABLE.row("slowdown_quantifier").bi)
-                elif i == words[-2]:
+                elif i == g.words[-2]:
                     plan.add_prefix(i, self._row_event("slowdown_head"))
-                    plan.consumed.update((i, words[-1]))
+                    plan.consumed.update((i, g.words[-1]))
 
     def _plan_group_finals(self, plan: _SentencePlan):
         sent = plan.sentence
@@ -484,8 +460,7 @@ class _Compile:
         for gi, g in enumerate(sgroups):
             # every group holds a word, and a sentence's last group is
             # end-stopped (phrasing.segment, classify_junction)
-            positions = [i for i in g.positions() if toks[i].kind == WORD]
-            end = positions[-1]
+            end = g.words[-1]
             sentence_final_group = gi == len(sgroups) - 1
             if end in plan.consumed:
                 continue
@@ -494,8 +469,8 @@ class _Compile:
             suppressed = owner_pred and (
                 owner.clause_no in self.final_suppressed or plan.has_prefix(end))
 
-            if len(positions) >= 2:
-                t2 = positions[-2]
+            if len(g.words) >= 2:
+                t2 = g.words[-2]
                 t2n = toks[t2].normalized
                 cluster = False
                 if t2n in lexica.POSSESSIVES and t2 not in plan.consumed:
@@ -510,8 +485,8 @@ class _Compile:
                     continue
 
             if g.junction == END_STOPPED:
-                if gi == 0 and all(toks[i].normalized in lexica.SENTENCE_ADVERBS
-                                   for i in positions):
+                if gi == 0 and all(plan.words[i] in lexica.SENTENCE_ADVERBS
+                                   for i in g.words):
                     continue
                 if suppressed:
                     if continues_in_quote and sentence_final_group \

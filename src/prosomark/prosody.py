@@ -18,12 +18,11 @@ index.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import lexica
 from .docindex import DocIndex, POVSpan
-from .ingest import WORD, Document, Token
+from .ingest import COMMA, WORD, Document, Token, longest_phrase
 
 
 class BreakIndex(enum.Enum):
@@ -241,34 +240,23 @@ class FrozenMatch:
     length: int                       # tokens covered, address tail included
 
 
-def match_frozen(tokens: list[Token], start: int,
-                 frozen_table: Iterable[tuple[Sequence[str], str]]) -> FrozenMatch | None:
-    """Longest match at the current token among the ``(pattern, role)``
-    pairs of ``frozen_table``.  A ``lexica.DEAR_TERMS`` address term after
-    the pattern, commas allowed between, is its tail: the row
-    ``<role>_tail``."""
-    best: FrozenMatch | None = None
-    for pattern, role in frozen_table:
-        n = len(pattern)
-        window = tokens[start:start + n]
-        if len(window) < n:
-            continue
-        if any(t.kind != WORD or t.normalized != w
-               for t, w in zip(window, pattern)):
-            continue
-        length = n
-        tail_pos = None
-        j = start + n
-        while j < len(tokens) and tokens[j].kind == "comma":
-            j += 1
-        if j < len(tokens) and tokens[j].kind == WORD \
-                and tokens[j].normalized in lexica.DEAR_TERMS:
-            tail_pos = j
-            length = j - start + 1
-        match = FrozenMatch(role, n, tail_pos, length)
-        if best is None or match.length > best.length:
-            best = match
-    return best
+def match_frozen(tokens: list[Token], start: int, index: dict[str, list]) -> FrozenMatch | None:
+    """The longest pattern of ``index``, the ``ingest.phrase_index`` of the
+    ``(pattern, role)`` pairs of a frozen table, at the token at ``start``.
+    A ``lexica.DEAR_TERMS`` address term after the pattern, commas allowed
+    between, is its tail: the row ``<role>_tail``."""
+    m = longest_phrase([t.normalized if t.kind == WORD else None
+                        for t in tokens[start:]], 0, index)
+    if m is None:
+        return None
+    n, role = m
+    j = start + n
+    while j < len(tokens) and tokens[j].kind == COMMA:
+        j += 1
+    if j < len(tokens) and tokens[j].kind == WORD \
+            and tokens[j].normalized in lexica.DEAR_TERMS:
+        return FrozenMatch(role, n, j, j - start + 1)
+    return FrozenMatch(role, n, None, n)
 
 
 # Tone selection ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from prosomark.emit import (DEFAULT_TABLE, GLUE_COMPOUND, ProsodicScript,
                             ScriptItem, bi_to_params, format_event, params_to_bi,
                             params_to_tobi, render_markup, render_tobi,
                             strip_markup, tone_to_params)
+from prosomark.pipeline import run_pipeline
 from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, ParamEvent,
                                ToneContext, ev, select_tone)
 from conftest import is_contour_label
@@ -212,6 +213,13 @@ def test_tobi_fox_first_line(fox_result):
     lines = tobi.splitlines()
     assert lines[1] == ("What a noble bird I see BI-3 above me BI-22 "
                         "H*-H-1 ! BI-2 H-!H*-1")
+
+
+def test_tobi_prints_a_merged_token_on_one_line(config):
+    # the markup keeps the surface; ToBI prints its inner whitespace as one space
+    res = run_pipeline("The mice met long\n\tago.", None, config)
+    assert "long\n\tago" in render_markup(res.doc, res.script)
+    assert render_tobi(res.doc, res.script) == "H*-H The mice met H*-L% long ago BI-3 .\n"
 
 
 def test_tobi_empty_document(config):

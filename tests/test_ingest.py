@@ -103,8 +103,10 @@ def _ref_tokenize(text, multiwords=None):
                 if i + n > len(pieces):
                     continue
                 window = pieces[i:i + n]
+                # a merge never spans a blank line
                 if all(_ref_kind_of(c) == WORD and c.lower() == w
-                       for (_, c), w in zip(window, cand)):
+                       for (_, c), w in zip(window, cand)) \
+                        and not any(re.search(r"\n[ \t]*\n", p) for p, _ in window[1:]):
                     match = cand
                     break
             if match:

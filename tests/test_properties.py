@@ -4,8 +4,10 @@ The examples are derandomized and no example database is written, so the
 suite stays deterministic and leaves no files behind.
 """
 
+import re
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from prosomark.annotations import (ASPECTS, CHANGES, DISC_RELS, FACTIVITIES,
@@ -14,7 +16,7 @@ from prosomark.annotations import (ASPECTS, CHANGES, DISC_RELS, FACTIVITIES,
 from prosomark.cli import run
 from prosomark.config import Config
 from prosomark.emit import render_markup, render_tobi, strip_markup
-from prosomark.ingest import WORD, reconstruct, tokenize
+from prosomark.ingest import QUOTE, WORD, reconstruct, tokenize
 from prosomark.pipeline import run_pipeline
 
 CFG = Config().load_lexica()
@@ -27,7 +29,8 @@ def _settings(examples):
 
 #: the marks and words the rules react to, weighted by repetition
 _PIECES = (['"', '"', "“", "”", ",", ",", ".", ".", "!", "?", ":", ";",
-            "\n\n", "come on", "nobody", "said", "baby", "and", "when", "to"]
+            "\n\n", "come on", "nobody", "said", "baby", "and", "when", "to",
+            "long", "ago", "long ago"]
            + [" "] * 8 + ["cat", "fox", "the", "ran", "sadly", "very"] * 2)
 
 texts = st.one_of(
@@ -45,6 +48,9 @@ def _outputs(result):
 
 @_settings(300)
 @given(texts)
+# a multiword never spans a blank line, and prints on one ToBI line
+@example("The cat sat. The mice met long\n\nago the cat ran.")
+@example("The mice met long\nago.")
 def test_compile_invariants(text):
     result = run_pipeline(text, None, CFG)
     markup, tobi, groups = _outputs(result)
@@ -62,8 +68,15 @@ def test_compile_invariants(text):
             nxt = result.doc.sentences[sent.index + 1]
             assert nxt.paragraph_index != sent.paragraph_index, sent.index
 
-    # phonetic overrides are spoken in place of their surface
+    # no token spans a blank line, and each sentence that prints a token
+    # prints one line of ToBI
     tokens = result.doc.tokens()
+    assert not any(re.search(r"\n[ \t]*\n", t.surface) for t in tokens)
+    printing = [s for s in result.doc.sentences if any(t.kind != QUOTE for t in s.tokens)]
+    lines = tobi.split("\n")[:-1]
+    assert len(lines) == len(printing) and all(line.strip() for line in lines)
+
+    # phonetic overrides are spoken in place of their surface
     expected = " ".join(t.phon_override or t.surface for t in tokens)
     assert strip_markup(markup).split() == expected.split()
 

@@ -15,11 +15,11 @@ from prosomark.annotations import AnnotationSet, shallow_analyze
 from prosomark.config import Config
 from prosomark.docindex import DocIndex
 from prosomark.emit import DEFAULT_TABLE, render_markup, render_tobi
-from prosomark.ingest import QUOTE, split_document, tokenize
+from prosomark.ingest import QUOTE, phrase_index, split_document, tokenize
 from prosomark.pipeline import ProsodyManager, _Compile, _SentencePlan, run_pipeline
 from conftest import is_contour_label, load
-from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, ToneContext,
-                               ev, match_frozen, select_tone,
+from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, FrozenMatch,
+                               ToneContext, ev, match_frozen, select_tone,
                                span_for_sentence, track_point_of_view)
 
 
@@ -264,7 +264,7 @@ def test_script_token_order_invariant(fable_result):
 
 def test_frozen_come_on_baby(config):
     toks = tokenize("Come on, baby", config.multiwords)
-    m = match_frozen(toks, 0, config.frozen_table)
+    m = match_frozen(toks, 0, phrase_index(config.frozen_table))
     assert m is not None
     assert (m.role, m.pattern_length, m.tail_position, m.length) == \
         ("exhortative", 2, 3, 4)
@@ -282,7 +282,7 @@ def test_frozen_come_on_baby(config):
 
 def test_frozen_no_match(config):
     toks = tokenize("the cat sat", config.multiwords)
-    assert match_frozen(toks, 0, config.frozen_table) is None
+    assert match_frozen(toks, 0, phrase_index(config.frozen_table)) is None
 
 
 def test_frozen_longest_match_wins(config):
@@ -298,44 +298,75 @@ def test_frozen_longest_match_wins(config):
                 best = len(pattern)
         return best
 
-    m = match_frozen(toks, 0, table)
+    m = match_frozen(toks, 0, phrase_index(table))
     assert m.length == m.pattern_length == oracle(toks, 0) == 3
     assert m.tail_position is None
 
 
+def test_frozen_tie_goes_to_the_longer_pattern(config):
+    # "hey" with its address-term tail and "hey dear" both cover two
+    # tokens: the longer pattern wins, wherever the table lists it
+    for table in ([(("hey",), "exhortative"), (("hey", "dear"), "exhortative")],
+                  [(("hey", "dear"), "exhortative"), (("hey",), "exhortative")]):
+        m = match_frozen(tokenize("hey dear", config.multiwords), 0, phrase_index(table))
+        assert (m.pattern_length, m.tail_position, m.length) == (2, None, 2)
+
+
 def test_frozen_determinism(config):
     toks = tokenize("Come on, baby", config.multiwords)
-    first = match_frozen(toks, 0, config.frozen_table)
-    second = match_frozen(toks, 0, config.frozen_table)
+    first = match_frozen(toks, 0, phrase_index(config.frozen_table))
+    second = match_frozen(toks, 0, phrase_index(config.frozen_table))
     assert first == second
 
 
-class _EveryWord:
-    """A set of first words that holds every word."""
+class _EveryWord(dict):
+    """A phrase index that holds every word as a first word."""
 
     def __contains__(self, word):
         return True
 
 
-def _counted_compile(monkeypatch, text, config, every_position=False):
-    """The markup and ToBI of a compile, and its ``match_frozen`` calls.
-    With ``every_position`` the frozen rule tries every word of a sentence
-    rather than only the first words of its patterns."""
-    calls = []
+def _brute_frozen(table):
+    """``match_frozen`` by brute force over the ``(pattern, role)`` pairs of
+    ``table``: the longest pattern whose words start at the token, then its
+    address-term tail after any commas."""
+    def match(tokens, start, _index):
+        words = [t.normalized if t.kind == "word" else None for t in tokens]
+        hits = [(len(p), role) for p, role in table
+                if words[start:start + len(p)] == list(p)]
+        if not hits:
+            return None
+        n, role = max(hits, key=lambda h: h[0])
+        j = start + n
+        while j < len(tokens) and tokens[j].kind == "comma":
+            j += 1
+        if j < len(tokens) and words[j] in lexica.DEAR_TERMS:
+            return FrozenMatch(role, n, j, j - start + 1)
+        return FrozenMatch(role, n, None, n)
+    return match
 
-    def counted(tokens, start, table):
+
+def _counted_compile(monkeypatch, text, config, brute_force=False):
+    """The markup and ToBI of a compile, and its ``match_frozen`` calls.
+    With ``brute_force`` the frozen rule tries ``_brute_frozen`` at every
+    word of a sentence rather than the phrase index at the first words of
+    its patterns."""
+    calls = []
+    matcher = _brute_frozen(config.frozen_table) if brute_force else match_frozen
+
+    def counted(tokens, start, index):
         calls.append(start)
-        return match_frozen(tokens, start, table)
+        return matcher(tokens, start, index)
 
     init = _Compile.__init__
 
     def init_every_position(self, *args):
         init(self, *args)
-        self.frozen_starts = _EveryWord()
+        self.frozen_index = _EveryWord(self.frozen_index)
 
     with monkeypatch.context() as m:
         m.setattr(pipeline, "match_frozen", counted)
-        if every_position:
+        if brute_force:
             m.setattr(_Compile, "__init__", init_every_position)
         res = run_pipeline(text, None, config)
     return render_markup(res.doc, res.script) + render_tobi(res.doc, res.script), len(calls)
@@ -356,7 +387,7 @@ def test_frozen_prefilter_finds_every_match(monkeypatch):
     text = ("Come on, baby. He said come, come now, dear! Come on,, dear. "
             "Hush, hush, dear. The cat would come on home. Now hush. Come.")
     fast, fast_calls = _counted_compile(monkeypatch, text, cfg)
-    slow, slow_calls = _counted_compile(monkeypatch, text, cfg, every_position=True)
+    slow, slow_calls = _counted_compile(monkeypatch, text, cfg, brute_force=True)
     assert fast == slow
     # the tail after two commas is placed
     assert "on , , [[pbas 24.000; rate 130; volm +0.5]]dear" in fast
@@ -460,7 +491,7 @@ def test_no_slowdown_without_quantifier(config):
 
 def _ref_affect_spans(toks, consumed, affect):
     """The three-window search tried at every word: the reference for the
-    planner's first-word prefilter."""
+    planner's phrase lookup on entries of three words or fewer."""
     hits = []
     i = 0
     while i < len(toks):
@@ -531,6 +562,19 @@ def test_affect_spans_match_the_window_search():
                 _ref_affect_spans(sent.tokens, plan.consumed, affect), text
             sentences += 1
     assert sentences > 400
+
+
+def test_affect_phrase_of_four_words():
+    # an entry longer than the three-word windows of the reference
+    affect = {"out of my mind": "sad", "out": "exclaim"}
+    text = "She went out of my mind and ran."
+    doc = split_document(tokenize(text, []), text, "off")
+    ann = AnnotationSet()
+    compile_ = _Compile(Config(affect_words=affect), doc, ann, DocIndex(doc, ann))
+    sent = doc.sentences[0]
+    plan = _SentencePlan(sent, [], False, False)
+    assert compile_._affect_spans(plan) == [(2, 5)]
+    assert _ref_affect_spans(sent.tokens, set(), affect) == []
 
 
 # Rule planner --------------------------------------------------------------------
