@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import lexica
-from .ingest import COMMA, OTHER_PUNCT, WORD, Document
+from .ingest import COMMA, OTHER_PUNCT, Document
 
 VIEWS = ("external", "internal")
 FACTIVITIES = ("factive", "nonfactive")
@@ -488,38 +488,38 @@ def shallow_analyze(doc: Document, relevance_rules=None) -> AnnotationSet:
             continue
         boundaries = [0]
         toks = sent.tokens
-        for i, t in enumerate(toks[:-1]):
-            nxt = toks[i + 1]
-            if t.kind in (COMMA, OTHER_PUNCT) and nxt.kind == WORD:
+        words = sent.words
+        for i in range(len(toks) - 1):
+            w, nxt = words[i], words[i + 1]
+            if nxt is None:
+                continue
+            if toks[i].kind in (COMMA, OTHER_PUNCT) or nxt in _CLAUSE_OPENERS:
                 boundaries.append(i + 1)
-            elif nxt.kind == WORD and nxt.normalized in _CLAUSE_OPENERS:
-                boundaries.append(i + 1)
-            elif (t.kind == WORD and nxt.kind == WORD and nxt.normalized == "to"
-                  and i + 2 < len(toks) and toks[i + 2].kind == WORD
-                  and not lexica.function_word(toks[i + 2].normalized)
-                  and not is_verby(t.normalized)):
+            elif (w is not None and nxt == "to"
+                  and i + 2 < len(toks) and words[i + 2] is not None
+                  and not lexica.function_word(words[i + 2])
+                  and not is_verby(w)):
                 boundaries.append(i + 1)
         boundaries.append(len(toks))
         # boundaries rise strictly: 0, at most one i + 1 per token, len(toks)
-        spans = [(a, b) for a, b in zip(boundaries, boundaries[1:])
-                 if any(t.kind == WORD for t in toks[a:b])]
-        for a, b in spans:
-            words = [t.normalized for t in toks[a:b] if t.kind == WORD]
+        for a, b in zip(boundaries, boundaries[1:]):
+            at = [i for i in range(a, b) if words[i] is not None]
+            if not at:
+                continue
+            clause_words = [words[i] for i in at]
             clause_no += 1
-            tense = _shallow_tense(words)
-            marker = words[0] if words else ""
+            tense = _shallow_tense(clause_words)
             feats = ClauseFeatures(
                 clause_no=clause_no,
                 func_role=("main", "prop") if a == 0 else ("coord", "prop"),
                 change="culminated" if tense in ("past", "perf") else "null",
                 relevance=None,
-                pred=_shallow_pred(words),
+                pred=_shallow_pred(clause_words),
                 tense=tense,
-                disc_rel=_MARKER_RELS.get(marker, "narration"),
+                disc_rel=_MARKER_RELS.get(clause_words[0], "narration"),
             )
             feats.relevance = classify_relevance(feats, relevance_rules)
             ann.clauses.append(feats)
-            word_idx = [t.index for t in toks[a:b] if t.kind == WORD]
-            ann.clause_spans[clause_no] = (word_idx[0], word_idx[-1])
+            ann.clause_spans[clause_no] = (toks[at[0]].index, toks[at[-1]].index)
     resolve_moves(ann)
     return ann

@@ -35,7 +35,6 @@ class DocIndex:
         tokens = doc.tokens()
         n = doc.token_count()
         self.spans = ann.clause_spans
-        self.span_starts = {span[0] for span in ann.clause_spans.values()}
         self._owner = innermost_clauses(ann, n)
         self._nodes: dict[int, DiscourseNode] = {}
         for node in ann.nodes:

@@ -14,6 +14,8 @@ import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import takewhile
 from types import MappingProxyType
 
 WORD = "word"
@@ -47,6 +49,13 @@ class Sentence:
     is_title: bool = False
     paragraph_index: int = 0
     index: int = 0
+
+    @cached_property
+    def words(self) -> list[str | None]:
+        """The normalized form at each position, None for a non-word.
+        Built on the first read; ``split_document`` finishes a sentence's
+        tokens before anything reads it."""
+        return [t.normalized if t.kind == WORD else None for t in self.tokens]
 
 
 @dataclass
@@ -284,27 +293,21 @@ def classify_comma(sentence: Sentence, index: int) -> str:
 
     These are the classes that keep a short comma group standalone.
     """
-    toks = sentence.tokens
-    if toks[index].kind != COMMA:
+    if sentence.tokens[index].kind != COMMA:
         raise ValueError("classify_comma called on a non-comma token")
-    nxt = next((t for t in toks[index + 1:] if t.kind == WORD), None)
-    prev = next((t for t in reversed(toks[:index]) if t.kind == WORD), None)
+    words = sentence.words
+    nxt = next((w for w in words[index + 1:] if w is not None), None)
+    prev = next((words[i] for i in range(index - 1, -1, -1) if words[i] is not None), None)
 
     if nxt is None:
         return "other"
-    if nxt.normalized in VOCATIVE_WORDS:
+    if nxt in VOCATIVE_WORDS:
         return "vocative"
-    if nxt.normalized in PARENTHETICAL_WORDS:
+    if nxt in PARENTHETICAL_WORDS or prev in PARENTHETICAL_WORDS:
         return "parenthetical"
-    if prev is not None and prev.normalized in PARENTHETICAL_WORDS:
-        return "parenthetical"
-    if nxt.normalized in _DETERMINERS and prev is not None:
+    if nxt in _DETERMINERS and prev is not None:
         # an NP echo with no verb up to the next boundary restates the head
-        after = []
-        for t in toks[index + 1:]:
-            if t.kind != WORD:
-                break
-            after.append(t)
+        after = list(takewhile(lambda w: w is not None, words[index + 1:]))
         if len(after) >= 2 and not _contains_verb(after[:5]):
             return "appositive"
     return "other"
@@ -315,6 +318,5 @@ _VERB_HINTS = {"is", "are", "was", "were", "be", "been", "had", "have", "has",
                "said", "did", "do", "does"}
 
 
-def _contains_verb(tokens: list[Token]) -> bool:
-    return any(t.normalized in _VERB_HINTS or t.normalized.endswith("ed")
-               for t in tokens)
+def _contains_verb(words: list[str]) -> bool:
+    return any(w in _VERB_HINTS or w.endswith("ed") for w in words)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import lexica
 from .annotations import AnnotationSet, is_verby
 from .docindex import DocIndex
-from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document, Sentence,
+from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, Document, Sentence,
                      classify_comma)
 
 END_STOPPED = "end_stopped"
@@ -51,8 +51,8 @@ class BreathGroup:
         return range(self.words[0], self.words[-1] + 1)
 
 
-def _is_verbish(tok, ix: DocIndex) -> bool:
-    return is_verby(tok.normalized) or tok.normalized in ix.verb_preds
+def _is_verbish(word: str, ix: DocIndex) -> bool:
+    return is_verby(word) or word in ix.verb_preds
 
 
 def segment(sentence: Sentence, ann: AnnotationSet, config,
@@ -64,7 +64,8 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
     """
     ix = index if index is not None else DocIndex(Document([sentence]), ann)
     toks = sentence.tokens
-    words = [i for i, t in enumerate(toks) if t.kind == WORD]
+    norms = sentence.words
+    words = [i for i, w in enumerate(norms) if w is not None]
     if not words:
         return []
 
@@ -73,33 +74,32 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
     affect_words = config.affect_words
 
     boundaries: dict[int, str] = {words[0]: "start"}
-    clause_starts = {i for i, t in enumerate(toks) if t.index in ix.span_starts}
+    clause_starts = {start for start, _ in ix.clauses_in(sentence)}
 
     def add(pos: int, trigger: str):
-        # boundaries attach to word tokens; first (strongest) trigger wins
-        if pos in boundaries or toks[pos].kind != WORD:
-            return
-        boundaries[pos] = trigger
+        # every caller passes a word position; first (strongest) trigger wins
+        if pos not in boundaries:
+            boundaries[pos] = trigger
 
     # rule: punctuation first; quote marks always close/open a group.  The
     # first mark after a word names the trigger of the next word.
     trigger = None
-    for i, t in enumerate(toks):
-        if t.kind == WORD:
+    for i, w in enumerate(norms):
+        if w is not None:
             if trigger is not None:
                 add(i, trigger)
                 trigger = None
         elif trigger is None:
-            trigger = "quote" if t.kind == QUOTE else "punct"
+            trigger = "quote" if toks[i].kind == QUOTE else "punct"
 
     prev_word = None
     for k, i in enumerate(words):
-        n = toks[i].normalized
+        n = norms[i]
         # rule: coordinate structures joining clauses
         if n in lexica.COORDINATORS and k:
             if i in clause_starts or (i + 1) in clause_starts:
                 add(i, "coordination")
-            elif prev_word.normalized in affect_words:
+            elif prev_word in affect_words:
                 add(i, "coordination")
         # rule: subordinate clauses (comparatives share the slot)
         elif n in lexica.SUBORDINATORS and k:
@@ -107,23 +107,23 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
         # rule: infinitival complements (not after a verb)
         elif n == "to" and k:
             if (k + 1 < len(words)
-                    and not lexica.function_word(toks[words[k + 1]].normalized)
+                    and not lexica.function_word(norms[words[k + 1]])
                     and not _is_verbish(prev_word, ix)
-                    and prev_word.normalized not in lexica.PREPOSITIONS):
+                    and prev_word not in lexica.PREPOSITIONS):
                 add(i, "infinitival")
         # rule: relative clauses after a content noun
         elif n in lexica.RELATIVE_PRONOUNS and k:
-            if prev_word.normalized in lexica.PREPOSITIONS:
-                if k >= 2 and not lexica.function_word(toks[words[k - 2]].normalized):
+            if prev_word in lexica.PREPOSITIONS:
+                if k >= 2 and not lexica.function_word(norms[words[k - 2]]):
                     add(words[k - 1], "relative")
-            elif not lexica.function_word(prev_word.normalized):
+            elif not lexica.function_word(prev_word):
                 add(i, "relative")
-        prev_word = toks[i]
+        prev_word = n
 
     # rule: long subject before its verb phrase
     lead = []
     for i in words:
-        if _is_verbish(toks[i], ix):
+        if _is_verbish(norms[i], ix):
             if len(lead) >= config.max_subj:
                 add(i, "subject_vp")
             break
@@ -131,28 +131,26 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
 
     # rule: sentence-initial adverbial phrase (no comma after it)
     first = words[0]
-    if toks[first].normalized in lexica.SENTENCE_ADVERBS:
+    if norms[first] in lexica.SENTENCE_ADVERBS:
         run_end = first
         src = toks[first].source_words
-        j = words.index(first)
-        while (j + 1 < len(words)
-               and toks[words[j + 1]].normalized in _ADVERBIAL_RUN):
+        j = 0
+        while j + 1 < len(words) and norms[words[j + 1]] in _ADVERBIAL_RUN:
             j += 1
             run_end = words[j]
             src += toks[run_end].source_words
         comma_follows = run_end + 1 < len(toks) and toks[run_end + 1].kind == COMMA
         if src >= config.min_len and not comma_follows and j + 1 < len(words):
             add(words[j + 1], "adverbial")
-    elif toks[first].normalized in _INTENSIFIERS and len(words) > 2:
-        second = words[1]
-        if toks[second].normalized.endswith("ly"):
+    elif norms[first] in _INTENSIFIERS and len(words) > 2:
+        if norms[words[1]].endswith("ly"):
             add(words[2], "adverbial")
 
     # rule: final locative adjunct of a quoted exclamative/interrogative sentence
     if sentence.terminal in ("question", "exclamation") and len(words) >= 4 \
             and ix.quote_sentences(toks[words[-1]].index) is not None:
         for i in reversed(words[:-1]):
-            if toks[i].normalized in _LOCATIVE_PREPS:
+            if norms[i] in _LOCATIVE_PREPS:
                 tail = [w for w in words if w >= i]
                 if 2 <= len(tail) <= 3 and i != words[0]:
                     add(i, "adjunct")
@@ -196,11 +194,11 @@ def _suppress_short(sentence, groups, config) -> list[BreathGroup]:
         out.append(g)
     # forward-merge a short sentence-initial fragment that earned no exception
     if len(out) >= 2:
-        first_tok = sentence.tokens[out[0].words[0]]
+        first_word = sentence.words[out[0].words[0]]
         nxt = out[0].words[-1] + 1
         comma_follows = (nxt < len(sentence.tokens)
                          and sentence.tokens[nxt].kind == COMMA)
-        adverbial_ok = first_tok.normalized in lexica.SENTENCE_ADVERBS and comma_follows
+        adverbial_ok = first_word in lexica.SENTENCE_ADVERBS and comma_follows
         if _src_len(sentence, out[0]) < config.min_len and not adverbial_ok \
                 and out[1].trigger not in ("punct", "quote"):
             out = [BreathGroup(out[0].words + out[1].words)] + out[2:]
@@ -208,21 +206,19 @@ def _suppress_short(sentence, groups, config) -> list[BreathGroup]:
 
 
 def _resplit_long(sentence, groups, max_len) -> list[BreathGroup]:
+    """Split each group longer than ``max_len`` before its first opener
+    after its first word, so both sides hold a word, peeling off the head
+    while the rest is still too long."""
     out = []
     for g in groups:
-        if _src_len(sentence, g) <= max_len:
-            out.append(g)
-            continue
-        toks = sentence.tokens
-        # the first opener after the group's first word, so both sides hold one
-        k = next((k for k, i in enumerate(g.words)
-                  if k and toks[i].normalized in _RESPLIT_AT), None)
-        if k is None:
-            out.append(g)
-            continue
-        out.append(BreathGroup(g.words[:k], trigger=g.trigger))
-        out.extend(_resplit_long(
-            sentence, [BreathGroup(g.words[k:], trigger="complement")], max_len))
+        while _src_len(sentence, g) > max_len:
+            k = next((k for k, i in enumerate(g.words)
+                      if k and sentence.words[i] in _RESPLIT_AT), None)
+            if k is None:
+                break
+            out.append(BreathGroup(g.words[:k], trigger=g.trigger))
+            g = BreathGroup(g.words[k:], trigger="complement")
+        out.append(g)
     return out
 
 
@@ -263,7 +259,7 @@ def render_groups(doc, groups_by_sentence) -> str:
         if toks and toks[0].kind == QUOTE and lines:
             lines.append(GROUP_MARK)
         for g in groups:
-            text = " ".join(toks[i].normalized for i in g.words)
+            text = " ".join(sent.words[i] for i in g.words)
             lines.append(f"{text} {GROUP_MARK}")
         tail = [t for t in toks[-3:]]
         kinds = [t.kind for t in tail]

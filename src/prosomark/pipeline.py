@@ -52,8 +52,7 @@ class _SentencePlan:
                  paragraph_initial: bool, after_first_para: bool):
         self.sentence = sentence
         self.groups = groups
-        #: the normalized form at each position, None for a non-word
-        self.words = [t.normalized if t.kind == WORD else None for t in sentence.tokens]
+        self.words = sentence.words
         #: the position of the sentence's first word (None without one)
         self.first_word = next((i for i, w in enumerate(self.words) if w is not None), None)
         self.paragraph_initial = paragraph_initial
@@ -192,12 +191,13 @@ class _Compile:
         return node.move if node is not None else "level"
 
     def _pred_position(self, sent, clause) -> int | None:
-        span = self.ix.spans[clause.clause_no]
-        for i, t in enumerate(sent.tokens):
-            if span[0] <= t.index <= span[1] and t.kind == WORD \
-                    and t.normalized == clause.pred:
-                return i
-        return None
+        """The first position of the clause's predicate word, for a clause
+        starting in ``sent``: a sentence's tokens have consecutive indices."""
+        base = sent.tokens[0].index
+        start, end = self.ix.spans[clause.clause_no]
+        words = sent.words
+        return next((i for i in range(start - base, min(end - base + 1, len(words)))
+                     if words[i] == clause.pred), None)
 
     # -- rules ---------------------------------------------------------------
 
@@ -224,10 +224,9 @@ class _Compile:
         self.final_suppressed.add(fc.clause_no)
 
     def _plan_frozen(self, plan: _SentencePlan):
-        toks = plan.sentence.tokens
         end = 0                       # the first position after the last match
         for pos in [i for i, w in enumerate(plan.words) if w in self.frozen_index]:
-            if pos < end or (m := match_frozen(toks, pos, self.frozen_index)) is None:
+            if pos < end or (m := match_frozen(plan.sentence, pos, self.frozen_index)) is None:
                 continue
             role = m.role
             n_tuples = len(DEFAULT_TABLE.row(role).params)
@@ -244,38 +243,36 @@ class _Compile:
             end = pos + m.length
 
     def _affect_spans(self, plan) -> list[tuple[int, int]]:
-        toks = plan.sentence.tokens
+        words = plan.words
         hits: list[tuple[int, int]] = []
         after = 0                     # the first position after the last hit
-        for i in [i for i, w in enumerate(plan.words) if w in self.sad_index]:
+        for i in [i for i, w in enumerate(words) if w in self.sad_index]:
             if i >= after and i not in plan.consumed \
-                    and (m := longest_phrase(plan.words, i, self.sad_index)):
+                    and (m := longest_phrase(words, i, self.sad_index)):
                 after = i + m[0]
                 hits.append((i, after - 1))
         merged: list[list[int]] = []
         for start, end in hits:
-            if merged and self._only_connectors(toks, merged[-1][1] + 1, start):
+            if merged and self._only_connectors(plan, merged[-1][1] + 1, start):
                 merged[-1][1] = end
                 merged[-1][2] += 1
             else:
                 merged.append([start, end, 1])
         out = []
         for start, end, n_hits in merged:
-            while start > 0 and toks[start - 1].kind == WORD \
-                    and toks[start - 1].normalized in lexica.NEGATION_WORDS:
+            while start > 0 and words[start - 1] in lexica.NEGATION_WORDS:
                 start -= 1
-            if n_hits == 1 and end + 1 < len(toks) and toks[end + 1].kind == WORD \
-                    and not lexica.function_word(toks[end + 1].normalized):
+            if n_hits == 1 and end + 1 < len(words) and words[end + 1] is not None \
+                    and not lexica.function_word(words[end + 1]):
                 end += 1
             out.append((start, end))
         return out
 
     @staticmethod
-    def _only_connectors(toks, a, b) -> bool:
-        between = toks[a:b]
-        return bool(between) and all(
-            t.kind == COMMA or (t.kind == WORD and t.normalized in ("and", "or"))
-            for t in between)
+    def _only_connectors(plan, a, b) -> bool:
+        toks, words = plan.sentence.tokens, plan.words
+        return a < b and all(toks[i].kind == COMMA or words[i] in ("and", "or")
+                             for i in range(a, b))
 
     def _plan_affect(self, plan: _SentencePlan):
         spans = self._affect_spans(plan)
@@ -299,20 +296,17 @@ class _Compile:
             return
         # the rules see only sentences with a word, and a sentence ends at
         # the terminal after its first word
-        last_word = max(i for i in range(term_pos) if sent.tokens[i].kind == WORD)
+        last_word = next(i for i in range(term_pos - 1, -1, -1) if plan.words[i] is not None)
         # a one-off AnnotationSet lookup rather than the index: the tracer
         # test in bench/test_bench.py expects a compile of the fox fixture
         # to make at least one counted clause lookup
         owner = self.ann.clause_at(sent.tokens[last_word].index)
-        start = None
-        if owner is not None:
-            span = ix.spans[owner.clause_no]
-            for i, t in enumerate(sent.tokens):
-                if t.index == span[0]:
-                    start = i
-                    break
-        if start is None:
-            start = plan.first_word
+        # the owner's start if it lies in this sentence, whose tokens have
+        # consecutive indices
+        base = sent.tokens[0].index
+        start = plan.first_word
+        if owner is not None and ix.spans[owner.clause_no][0] >= base:
+            start = ix.spans[owner.clause_no][0] - base
         # the ds_exclamative row is not placed: the exclamative opens with
         # the contour of the paragraph-initial up row
         opening = self._row_event("up_fg_parainit")
@@ -333,13 +327,14 @@ class _Compile:
     def _plan_clauses(self, plan: _SentencePlan):
         sent = plan.sentence
         toks = sent.tokens
+        words = plan.words
         for start, c in self.ix.clauses_in(sent):
             if c.clause_no in plan.contoured or start in plan.consumed:
                 continue
             in_quote = self.ix.quote_depth[toks[start].index] > 0
-            word = toks[start].normalized
-            prev = next((toks[i] for i in range(start - 1, -1, -1)
-                         if toks[i].kind == WORD), None)
+            word = words[start]
+            prev = next((words[i] for i in range(start - 1, -1, -1)
+                         if words[i] is not None), None)
             group = next((g for g in plan.groups
                           if g.token_span[0] <= start <= g.token_span[1]), None)
 
@@ -362,8 +357,7 @@ class _Compile:
                 plan.add_prefix(start, *_pause(BreakIndex.BI2),
                                 self._row_event("ds_elaboration", 1))
                 plan.contoured.add(c.clause_no)
-            elif c.disc_rel == "result" and prev is not None \
-                    and prev.normalized == "to":
+            elif c.disc_rel == "result" and prev == "to":
                 # the resultative_inf row is not placed: the clause opens
                 # with the internal foreground contour
                 plan.add_prefix(start, *_pause(BreakIndex.BI2),
@@ -378,28 +372,23 @@ class _Compile:
 
     def _plan_connectives(self, plan: _SentencePlan):
         toks = plan.sentence.tokens
-        for i, t in enumerate(toks):
-            if t.kind != WORD or i in plan.consumed:
+        for i, w in enumerate(plan.words):
+            if w not in lexica.ADVERSATIVE_CONNECTIVES or i in plan.consumed:
                 continue
-            if t.normalized not in lexica.ADVERSATIVE_CONNECTIVES:
-                continue
-            prev = toks[i - 1] if i > 0 else None
-            if prev is not None and prev.kind == OTHER_PUNCT:
+            if i > 0 and toks[i - 1].kind == OTHER_PUNCT:
                 plan.add_prefix(i, self._row_event("head_bi33"))
                 plan.add_suffix_bi(i, BreakIndex.BI32)
 
     def _plan_head_contours(self, plan: _SentencePlan):
         sent = plan.sentence
-        toks = sent.tokens
+        words = plan.words
         for _, c in self.ix.clauses_in(sent):
             if c.clause_no in plan.contoured:
                 continue
             p = self._pred_position(sent, c)
             if p is None or p in plan.consumed or plan.has_prefix(p):
                 continue
-            if p + 1 >= len(toks) or toks[p + 1].kind != WORD:
-                continue
-            nxt = toks[p + 1].normalized
+            nxt = words[p + 1] if p + 1 < len(words) else None
             if nxt in lexica.COMPLEMENT_OPENERS:
                 bi = BreakIndex.BI33      # a dependent follows the head
             elif nxt in lexica.LOOSE_OPENERS:
@@ -411,26 +400,19 @@ class _Compile:
             if c.pred in self.fired_preds:
                 continue  # repeated predicate: prominence follows novelty
             self.fired_preds.add(c.pred)
-            copular = False
-            for j in range(p - 1, -1, -1):
-                if toks[j].kind != WORD:
-                    break
-                copular = toks[j].normalized in lexica.COPULAS
-                break
+            copular = p > 0 and words[p - 1] in lexica.COPULAS
             plan.add_prefix(p, self._row_event("internal_boundary" if copular
                                                else "head_bi33"))
             plan.add_suffix_bi(p, bi)
 
     def _plan_coordination(self, plan: _SentencePlan):
-        toks = plan.sentence.tokens
-        starts = self.ix.span_starts
-        for i, t in enumerate(toks):
-            if t.kind != WORD or t.normalized not in lexica.COORDINATORS:
+        starts = {start for start, _ in self.ix.clauses_in(plan.sentence)}
+        for i, w in enumerate(plan.words):
+            if w not in lexica.COORDINATORS:
                 continue
             if i in plan.consumed or plan.has_prefix(i):
                 continue
-            nxt = toks[i + 1] if i + 1 < len(toks) else None
-            if t.index in starts or (nxt is not None and nxt.index in starts):
+            if i in starts or i + 1 in starts:
                 plan.add_prefix(i, *_pause(BreakIndex.BI2))
 
     def _plan_quantifiers(self, plan: _SentencePlan):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import lexica
 from .docindex import DocIndex, POVSpan
-from .ingest import COMMA, WORD, Document, Token, longest_phrase
+from .ingest import COMMA, Document, Sentence, longest_phrase
 
 
 class BreakIndex(enum.Enum):
@@ -240,21 +240,20 @@ class FrozenMatch:
     length: int                       # tokens covered, address tail included
 
 
-def match_frozen(tokens: list[Token], start: int, index: dict[str, list]) -> FrozenMatch | None:
+def match_frozen(sentence: Sentence, start: int, index: dict[str, list]) -> FrozenMatch | None:
     """The longest pattern of ``index``, the ``ingest.phrase_index`` of the
-    ``(pattern, role)`` pairs of a frozen table, at the token at ``start``.
-    A ``lexica.DEAR_TERMS`` address term after the pattern, commas allowed
-    between, is its tail: the row ``<role>_tail``."""
-    m = longest_phrase([t.normalized if t.kind == WORD else None
-                        for t in tokens[start:]], 0, index)
+    ``(pattern, role)`` pairs of a frozen table, at the sentence's position
+    ``start``.  A ``lexica.DEAR_TERMS`` address term after the pattern,
+    commas allowed between, is its tail: the row ``<role>_tail``."""
+    m = longest_phrase(sentence.words, start, index)
     if m is None:
         return None
     n, role = m
+    tokens = sentence.tokens
     j = start + n
     while j < len(tokens) and tokens[j].kind == COMMA:
         j += 1
-    if j < len(tokens) and tokens[j].kind == WORD \
-            and tokens[j].normalized in lexica.DEAR_TERMS:
+    if j < len(tokens) and sentence.words[j] in lexica.DEAR_TERMS:
         return FrozenMatch(role, n, j, j - start + 1)
     return FrozenMatch(role, n, None, n)
 

@@ -90,6 +90,20 @@ def test_max_len_resplit(config):
         assert n <= config.max_len
 
 
+def test_max_len_resplit_of_a_very_long_sentence(config):
+    # one re-split per repeat: a recursion per split ran out of stack
+    text = "the cat saw this " * 1000 + "dog."
+    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    sent = doc.sentences[0]
+    groups = segment(sent, shallow_analyze(doc), config)
+    assert [w for g in groups for w in g.words] == \
+        [i for i, t in enumerate(sent.tokens) if t.kind == "word"]
+    assert len(groups) == 999
+    assert [g.trigger for g in groups[:2]] == ["start", "complement"]
+    assert [len(g.words) for g in groups[:2]] == [3, 4]
+    assert all(len(g.words) <= config.max_len for g in groups)
+
+
 def test_lowering_max_len_never_merges(config, fable_result):
     tighter = Config().load_lexica()
     tighter.max_len = 6

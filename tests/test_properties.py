@@ -33,11 +33,27 @@ _PIECES = (['"', '"', "“", "”", ",", ",", ".", ".", "!", "?", ":", ";",
             "long", "ago", "long ago"]
            + [" "] * 8 + ["cat", "fox", "the", "ran", "sadly", "very"] * 2)
 
+#: the multiwords and frozen patterns of the lexica, and what may follow
+#: each of their words: the pieces above rarely fall next to each other
+_PHRASES = sorted({tuple(p) for p in CFG.multiwords}
+                  | {tuple(p) for p, _ in CFG.frozen_table})
+_GAPS = (" ", "\n", "\n\n", " \n\t\n", ", ", ". ", '" ')
+
+
+@st.composite
+def _spaced_phrase(draw):
+    """A lexicon phrase with a drawn gap after each of its words."""
+    return "".join(w + draw(st.sampled_from(_GAPS))
+                   for w in draw(st.sampled_from(_PHRASES)))
+
+
 texts = st.one_of(
     st.text(),
     st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
     st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=3)),
              max_size=30).map("".join),
+    st.lists(st.one_of(_spaced_phrase(), st.sampled_from(_PIECES)),
+             max_size=20).map("".join),
 )
 
 
@@ -58,6 +74,9 @@ def test_compile_invariants(text):
 
     for sent in result.doc.sentences:
         toks = sent.tokens
+        # the word list the stages read matches the finished sentence
+        assert sent.words == [t.normalized if t.kind == WORD else None
+                              for t in toks], sent.index
         words = [i for i, t in enumerate(toks) if t.kind == WORD]
         covered = [i for g in result.groups[sent.index]
                    for i in g.positions() if toks[i].kind == WORD]

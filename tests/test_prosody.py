@@ -15,7 +15,7 @@ from prosomark.annotations import AnnotationSet, shallow_analyze
 from prosomark.config import Config
 from prosomark.docindex import DocIndex
 from prosomark.emit import DEFAULT_TABLE, render_markup, render_tobi
-from prosomark.ingest import QUOTE, phrase_index, split_document, tokenize
+from prosomark.ingest import QUOTE, Sentence, phrase_index, split_document, tokenize
 from prosomark.pipeline import ProsodyManager, _Compile, _SentencePlan, run_pipeline
 from conftest import is_contour_label, load
 from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, FrozenMatch,
@@ -263,8 +263,8 @@ def test_script_token_order_invariant(fable_result):
 # Frozen expressions ------------------------------------------------------------
 
 def test_frozen_come_on_baby(config):
-    toks = tokenize("Come on, baby", config.multiwords)
-    m = match_frozen(toks, 0, phrase_index(config.frozen_table))
+    sent = Sentence(tokenize("Come on, baby", config.multiwords))
+    m = match_frozen(sent, 0, phrase_index(config.frozen_table))
     assert m is not None
     assert (m.role, m.pattern_length, m.tail_position, m.length) == \
         ("exhortative", 2, 3, 4)
@@ -281,8 +281,8 @@ def test_frozen_come_on_baby(config):
 
 
 def test_frozen_no_match(config):
-    toks = tokenize("the cat sat", config.multiwords)
-    assert match_frozen(toks, 0, phrase_index(config.frozen_table)) is None
+    sent = Sentence(tokenize("the cat sat", config.multiwords))
+    assert match_frozen(sent, 0, phrase_index(config.frozen_table)) is None
 
 
 def test_frozen_longest_match_wins(config):
@@ -298,7 +298,7 @@ def test_frozen_longest_match_wins(config):
                 best = len(pattern)
         return best
 
-    m = match_frozen(toks, 0, phrase_index(table))
+    m = match_frozen(Sentence(toks), 0, phrase_index(table))
     assert m.length == m.pattern_length == oracle(toks, 0) == 3
     assert m.tail_position is None
 
@@ -308,14 +308,15 @@ def test_frozen_tie_goes_to_the_longer_pattern(config):
     # tokens: the longer pattern wins, wherever the table lists it
     for table in ([(("hey",), "exhortative"), (("hey", "dear"), "exhortative")],
                   [(("hey", "dear"), "exhortative"), (("hey",), "exhortative")]):
-        m = match_frozen(tokenize("hey dear", config.multiwords), 0, phrase_index(table))
+        sent = Sentence(tokenize("hey dear", config.multiwords))
+        m = match_frozen(sent, 0, phrase_index(table))
         assert (m.pattern_length, m.tail_position, m.length) == (2, None, 2)
 
 
 def test_frozen_determinism(config):
-    toks = tokenize("Come on, baby", config.multiwords)
-    first = match_frozen(toks, 0, phrase_index(config.frozen_table))
-    second = match_frozen(toks, 0, phrase_index(config.frozen_table))
+    sent = Sentence(tokenize("Come on, baby", config.multiwords))
+    first = match_frozen(sent, 0, phrase_index(config.frozen_table))
+    second = match_frozen(sent, 0, phrase_index(config.frozen_table))
     assert first == second
 
 
@@ -328,9 +329,10 @@ class _EveryWord(dict):
 
 def _brute_frozen(table):
     """``match_frozen`` by brute force over the ``(pattern, role)`` pairs of
-    ``table``: the longest pattern whose words start at the token, then its
-    address-term tail after any commas."""
-    def match(tokens, start, _index):
+    ``table``: the longest pattern whose words start at the sentence's
+    position, then its address-term tail after any commas."""
+    def match(sentence, start, _index):
+        tokens = sentence.tokens
         words = [t.normalized if t.kind == "word" else None for t in tokens]
         hits = [(len(p), role) for p, role in table
                 if words[start:start + len(p)] == list(p)]
@@ -354,9 +356,9 @@ def _counted_compile(monkeypatch, text, config, brute_force=False):
     calls = []
     matcher = _brute_frozen(config.frozen_table) if brute_force else match_frozen
 
-    def counted(tokens, start, index):
+    def counted(sentence, start, index):
         calls.append(start)
-        return matcher(tokens, start, index)
+        return matcher(sentence, start, index)
 
     init = _Compile.__init__
 
