@@ -6,19 +6,19 @@ realization.  Both directions are exercised below, including the
 diagnostic placeholder for third-party markup with unknown tuples.
 """
 
-from prosomark.emit import (DEFAULT_TABLE, bi_to_params, format_event,
-                            params_to_tobi, tone_to_params)
+from prosomark.emit import (DEFAULT_TABLE, bi_to_params, params_to_tobi,
+                            tone_to_params)
 from prosomark.prosody import BI_REALIZATION, ev
 
 print("=== break indices")
 for bi, (silence, reset) in BI_REALIZATION.items():
-    events = " ".join(format_event(e) for e in bi_to_params(bi))
+    events = " ".join(e.markup for e in bi_to_params(bi))
     print(f"  {bi.label:<6} {events}")
 
 print("\n=== tone rows (label -> parameters -> label)")
 for row in DEFAULT_TABLE.rows:
     labels = " ".join(c.label for c in row.contours)
-    rendered = " ".join(format_event(e) for e in row.flat_params())
+    rendered = " ".join(e.markup for e in row.flat_params())
     back = params_to_tobi(row.flat_params())
     ok = back == [(labels, row.bi.label if row.bi else None)]
     print(f"  {labels:<18} {rendered}")

@@ -56,7 +56,8 @@ class IntegrityError(ValueError):
     """A topic or discourse record references a missing clause."""
 
 
-@dataclass
+# slotted, as are the two records below: a sidecar holds one per clause
+@dataclass(slots=True)
 class ClauseFeatures:
     clause_no: int
     func_role: tuple[str, str] = ("main", "prop")
@@ -71,7 +72,7 @@ class ClauseFeatures:
     subjectivity: str = "objective"
 
 
-@dataclass
+@dataclass(slots=True)
 class TopicRecord:
     topic_type: str
     clause_no: int
@@ -82,7 +83,7 @@ class TopicRecord:
     role: str = "theme"
 
 
-@dataclass
+@dataclass(slots=True)
 class DiscourseNode:
     sent_id: str
     clause_no: int

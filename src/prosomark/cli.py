@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
-import tempfile
 from pathlib import Path
 
 from .annotations import IntegrityError, SidecarError
@@ -86,8 +86,13 @@ def _write_output(text: str, out_path: str | None):
         return
     # never leave a partial file behind: write to a sibling then rename
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".prosomark-")
+    fd, tmp = _new_sibling(directory)
     try:
+        try:
+            # a rewritten output keeps its permission bits, as with `>`
+            os.fchmod(fd, stat.S_IMODE(os.stat(out_path).st_mode))
+        except FileNotFoundError:
+            pass
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
@@ -95,6 +100,18 @@ def _write_output(text: str, out_path: str | None):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _new_sibling(directory: str) -> tuple[int, str]:
+    """A new file of a unique name in ``directory``, open for writing, and
+    its path.  It gets mode 0o666 less the umask, as a file that a shell
+    redirection creates."""
+    while True:
+        path = os.path.join(directory, f".prosomark-{os.urandom(8).hex()}")
+        try:
+            return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), path
+        except FileExistsError:
+            continue
 
 
 def run(argv: list[str]) -> int:

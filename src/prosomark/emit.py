@@ -149,25 +149,8 @@ class ProsodicScript:
         return problems
 
 
-def format_event(e: ParamEvent) -> str:
-    if e.rset:
-        return "[[rset 0]]"
-    parts = []
-    if e.slnc is not None:
-        parts.append(f"slnc {e.slnc}")
-    if e.pbas is not None:
-        parts.append(f"pbas {e.pbas:.3f}")
-    if e.rate is not None:
-        parts.append(f"rate {e.rate}")
-    if e.volm is not None:
-        parts.append(f"volm {e.volm:+.1f}")
-    return "[[" + "; ".join(parts) + "]]"
-
-
-def _token_text(token: Token) -> str:
-    if token.phon_override:
-        return f"[[inpt PHON]]{token.phon_override}[[inpt TEXT]]"
-    return token.surface
+def _phon_text(token: Token) -> str:
+    return f"[[inpt PHON]]{token.phon_override}[[inpt TEXT]]"
 
 
 def render_markup(doc: Document, script: ProsodicScript) -> str:
@@ -177,32 +160,30 @@ def render_markup(doc: Document, script: ProsodicScript) -> str:
         raise ValueError("invalid prosodic script: " + "; ".join(problems))
     blocks: list[str] = []
     pieces: list[str] = []
-    no_space_after = False
-
-    def flush_block():
-        nonlocal pieces, no_space_after
-        if pieces:
-            blocks.append("".join(pieces))
-        pieces = []
-        no_space_after = False
-
-    def emit(text: str, glue: str):
-        nonlocal no_space_after
-        if glue == GLUE_COMPOUND:
-            pieces.append(",")
-        elif pieces and not no_space_after and glue != GLUE_LEFT:
-            pieces.append(" ")
-        pieces.append(text)
-        no_space_after = glue == GLUE_RIGHT
-
+    space = False       # a piece not glued left takes a space before it
     for item in script.items:
-        if item.kind == "paragraph_break":
-            flush_block()
-        elif item.kind == "token":
-            emit(_token_text(item.token), GLUE_NONE)
-        elif item.kind == "event":
-            emit(format_event(item.event), item.glue)
-    flush_block()
+        kind = item.kind
+        if kind == "token":
+            tok = item.token
+            if space:
+                pieces.append(" ")
+            pieces.append(_phon_text(tok) if tok.phon_override else tok.surface)
+            space = True
+        elif kind == "event":
+            glue = item.glue
+            if glue == GLUE_COMPOUND:
+                pieces.append(",")
+            elif space and glue != GLUE_LEFT:
+                pieces.append(" ")
+            pieces.append(item.event.markup)
+            space = glue != GLUE_RIGHT
+        elif kind == "paragraph_break":
+            if pieces:
+                blocks.append("".join(pieces))
+                pieces = []
+            space = False
+    if pieces:
+        blocks.append("".join(pieces))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
@@ -233,9 +214,11 @@ def render_tobi(doc: Document, script: ProsodicScript) -> str:
                 lines.append(" ".join(current))
                 current = []
                 pending_break = False
+            # a token of one source word is one chunk, without whitespace;
             # a merged token's inner whitespace prints as one space
             tok = item.token
-            current.append(_token_text(tok) if tok.phon_override
+            current.append(_phon_text(tok) if tok.phon_override
+                           else tok.surface if tok.source_words == 1
                            else " ".join(tok.surface.split()))
         elif item.kind == "event":
             parts = []

@@ -31,7 +31,8 @@ QUOTE_CHARS = {'"', "“", "”"}
 _TOKEN_RE = re.compile(r"([^\s\w]|[\w'-]+)", re.UNICODE)
 
 
-@dataclass
+# slotted: a document holds one per token
+@dataclass(slots=True)
 class Token:
     surface: str
     normalized: str

@@ -172,8 +172,10 @@ NEGATION_WORDS = {"without", "no", "not", "never"}
 DEAR_TERMS = {"baby", "dear", "darling", "honey", "friend", "friends", "love"}
 
 
+FUNCTION_WORDS = frozenset(DETERMINERS | PREPOSITIONS | AUXILIARIES | PRONOUNS
+                           | COORDINATORS | ADVERSATIVE_CONNECTIVES | SUBORDINATORS
+                           | SUBORDINATE_MARKERS)
+
+
 def function_word(norm: str) -> bool:
-    return (norm in DETERMINERS or norm in PREPOSITIONS or norm in AUXILIARIES
-            or norm in PRONOUNS or norm in COORDINATORS
-            or norm in ADVERSATIVE_CONNECTIVES or norm in SUBORDINATORS
-            or norm in SUBORDINATE_MARKERS)
+    return norm in FUNCTION_WORDS

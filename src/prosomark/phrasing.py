@@ -35,7 +35,8 @@ _RESPLIT_AT = frozenset(lexica.COMPLEMENT_OPENERS | lexica.RELATIVE_PRONOUNS
                         | lexica.SUBORDINATORS | lexica.COORDINATORS)
 
 
-@dataclass
+# slotted: a document holds one per breath group
+@dataclass(slots=True)
 class BreathGroup:
     words: list[int]                     # sentence-local positions of its words
     trigger: str = "start"               # rule that opened this group
@@ -209,16 +210,22 @@ def _resplit_long(sentence, groups, max_len) -> list[BreathGroup]:
     """Split each group longer than ``max_len`` before its first opener
     after its first word, so both sides hold a word, peeling off the head
     while the rest is still too long."""
+    toks, norms = sentence.tokens, sentence.words
     out = []
     for g in groups:
-        while _src_len(sentence, g) > max_len:
-            k = next((k for k, i in enumerate(g.words)
-                      if k and sentence.words[i] in _RESPLIT_AT), None)
+        words = g.words
+        rest = _src_len(sentence, g)      # the source words from ``start`` on
+        start, trigger = 0, g.trigger
+        while rest > max_len:
+            k = next((k for k in range(start + 1, len(words))
+                      if norms[words[k]] in _RESPLIT_AT), None)
             if k is None:
                 break
-            out.append(BreathGroup(g.words[:k], trigger=g.trigger))
-            g = BreathGroup(g.words[k:], trigger="complement")
-        out.append(g)
+            head = words[start:k]
+            out.append(BreathGroup(head, trigger=trigger))
+            rest -= sum(toks[i].source_words for i in head)
+            start, trigger = k, "complement"
+        out.append(BreathGroup(words[start:], trigger=trigger) if start else g)
     return out
 
 

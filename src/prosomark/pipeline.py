@@ -177,9 +177,8 @@ class _Compile:
         """Contour ``i`` of the mapping-table row ``row_id``: the opening
         event of its parameter tuple, labelled with the contour when the row
         has one."""
-        row = DEFAULT_TABLE.row(row_id)
-        label = row.contours[i].label if i < len(row.contours) else None
-        return _event(row.params[i][0], glue, label)
+        event, label = _OPENINGS[row_id, i]
+        return _event(event, glue, label)
 
     def _selected(self, **context) -> ScriptItem:
         """The row event of the contour ``select_tone`` picks for the context."""
@@ -328,15 +327,18 @@ class _Compile:
         sent = plan.sentence
         toks = sent.tokens
         words = plan.words
-        for start, c in self.ix.clauses_in(sent):
+        clauses = self.ix.clauses_in(sent)
+        if not clauses:
+            return
+        group_at = {i: g for g in plan.groups for i in g.positions()}
+        for start, c in clauses:
             if c.clause_no in plan.contoured or start in plan.consumed:
                 continue
             in_quote = self.ix.quote_depth[toks[start].index] > 0
             word = words[start]
             prev = next((words[i] for i in range(start - 1, -1, -1)
                          if words[i] is not None), None)
-            group = next((g for g in plan.groups
-                          if g.token_span[0] <= start <= g.token_span[1]), None)
+            group = group_at.get(start)
 
             if (c.disc_rel == "circumstance" and c.relevance == "foreground"
                     and word in lexica.SUBORDINATE_MARKERS):
@@ -547,9 +549,16 @@ _SENTENCE_RULES = (
 )
 
 
+#: (row, contour index) -> the opening event of the contour's parameter
+#: tuple and the contour's label (None past the row's labels)
+_OPENINGS = {(row.row_id, i): (params[0], row.contours[i].label
+                               if i < len(row.contours) else None)
+             for row in DEFAULT_TABLE.rows for i, params in enumerate(row.params)}
+
+
 def _event(event: ParamEvent, glue: str, tone: str | None = None,
            bi: BreakIndex | None = None) -> ScriptItem:
-    return ScriptItem("event", event=event, glue=glue, tone_label=tone, bi=bi)
+    return ScriptItem("event", None, event, glue, tone, bi)
 
 
 def _pause(bi: BreakIndex, glue: str = GLUE_RIGHT, before: ScriptItem | None = None,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import lexica
 from .docindex import DocIndex, POVSpan
@@ -75,6 +76,24 @@ class ParamEvent:
             raise ValueError("reset events carry no other fields")
         if not self.rset and all(f is None for f in fields):
             raise ValueError("an event carries at least one field")
+
+    @cached_property
+    def markup(self) -> str:
+        """The embedded command, fields in a fixed order, silence first.
+        Formatted on the first read and kept on the event: every event the
+        planner places is a table constant or built once (``pipeline``)."""
+        if self.rset:
+            return "[[rset 0]]"
+        parts = []
+        if self.slnc is not None:
+            parts.append(f"slnc {self.slnc}")
+        if self.pbas is not None:
+            parts.append(f"pbas {self.pbas:.3f}")
+        if self.rate is not None:
+            parts.append(f"rate {self.rate}")
+        if self.volm is not None:
+            parts.append(f"volm {self.volm:+.1f}")
+        return "[[" + "; ".join(parts) + "]]"
 
 
 RSET = ParamEvent(rset=True)

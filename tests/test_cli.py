@@ -269,6 +269,36 @@ def test_out_naming_a_directory_leaves_no_temporary_file(tmp_path, capsys):
     assert not list(tmp_path.glob(".prosomark-*"))
 
 
+def test_out_file_mode_follows_the_umask(tmp_path):
+    # as for `prosomark in.txt > out`: a new output gets mode 0o666 less
+    # the umask, and a rewritten one keeps its mode
+    src = str(_three_tokens(tmp_path))
+    out = tmp_path / "out.txt"
+    old = os.umask(0o027)
+    try:
+        assert invoke(src, "--out", str(out)) == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+        os.umask(0o022)
+        out.chmod(0o604)
+        assert invoke(src, "--out", str(out)) == 0
+        assert out.stat().st_mode & 0o777 == 0o604
+    finally:
+        os.umask(old)
+    assert not list(tmp_path.glob(".prosomark-*"))
+
+
+def test_out_sibling_name_in_use_takes_another(tmp_path, monkeypatch):
+    taken = tmp_path / f".prosomark-{bytes(8).hex()}"
+    taken.write_text("someone else's\n")
+    names = iter([bytes(8), bytes([1] * 8)])
+    monkeypatch.setattr(os, "urandom", lambda n: next(names))
+    out = tmp_path / "out.txt"
+    assert invoke(str(_three_tokens(tmp_path)), "--emit", "groups", "--out", str(out)) == 0
+    assert out.read_text() == "cats run β\n"
+    assert taken.read_text() == "someone else's\n"
+    assert [p.name for p in tmp_path.glob(".prosomark-*")] == [taken.name]
+
+
 def test_output_goes_to_stdout_without_out(tmp_path, capsys):
     assert invoke(str(_three_tokens(tmp_path)), "--emit", "groups") == 0
     assert capsys.readouterr().out == "cats run β\n"

@@ -1,0 +1,63 @@
+"""The cost counter of ``tools/cost_count.py``, run on a module of its own."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MODULE = '''\
+def helper(x):
+    return x + 1
+
+
+def stage(n):
+    total = 0
+    for i in range(n):
+        total = helper(total)
+    return total
+
+
+def failing():
+    raise ValueError("out")
+
+
+def words(n):
+    yield from range(n)
+'''
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counter_counts_lines_and_calls_per_stage(tmp_path):
+    tool = _load("cost_count", ROOT / "tools" / "cost_count.py")
+    path = tmp_path / "tiny.py"
+    path.write_text(MODULE)
+    tiny = _load("tiny", path)
+
+    def run():
+        tiny.stage(3)
+        try:
+            tiny.failing()
+        except ValueError:
+            pass
+        list(tiny.words(2))
+        tiny.helper(0)
+
+    stages = {tiny.stage.__code__: "loop", tiny.failing.__code__: "fail"}
+    counts = tool.count(run, stages, root=tmp_path)
+    # stage: the assignment, 4 loop headers, 3 bodies and the return;
+    # helper: called 3 times from the stage, 1 line each
+    assert counts["loop"] == [9 + 3, 1 + 3]
+    assert counts["fail"] == [1, 1]
+    # the generator: 1 line, and 1 call per resumption; the helper called
+    # after the exception left its stage
+    assert counts["other"] == [1 + 1, 3 + 1]
+    report = tool.report(counts, tokens=4)
+    assert report["total"] == {"lines": 15, "calls": 9,
+                               "lines_per_token": 3.75, "calls_per_token": 2.25}
+    assert list(report["stages"]) == ["fail", "loop", "other"]

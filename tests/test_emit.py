@@ -6,7 +6,7 @@ import re
 import pytest
 
 from prosomark.emit import (DEFAULT_TABLE, GLUE_COMPOUND, ProsodicScript,
-                            ScriptItem, bi_to_params, format_event, params_to_bi,
+                            ScriptItem, bi_to_params, params_to_bi,
                             params_to_tobi, render_markup, render_tobi,
                             strip_markup, tone_to_params)
 from prosomark.pipeline import run_pipeline
@@ -125,26 +125,35 @@ def test_param_event_fields_are_checked():
 # Event formatting --------------------------------------------------------------
 
 def test_format_plain_event():
-    assert format_event(ev(pbas=38.0, rate=160, volm=+0.5)) == \
+    assert ev(pbas=38.0, rate=160, volm=+0.5).markup == \
         "[[pbas 38.000; rate 160; volm +0.5]]"
 
 
 def test_format_negative_volume():
-    assert format_event(ev(pbas=36.0, rate=110, volm=-0.2)) == \
+    assert ev(pbas=36.0, rate=110, volm=-0.2).markup == \
         "[[pbas 36.000; rate 110; volm -0.2]]"
 
 
 def test_format_fused_silence_first():
-    assert format_event(ev(slnc=300, pbas=54.0, rate=170, volm=+0.3)) == \
+    assert ev(slnc=300, pbas=54.0, rate=170, volm=+0.3).markup == \
         "[[slnc 300; pbas 54.000; rate 170; volm +0.3]]"
 
 
 def test_format_rate_only():
-    assert format_event(ev(rate=130, volm=+0.5)) == "[[rate 130; volm +0.5]]"
+    assert ev(rate=130, volm=+0.5).markup == "[[rate 130; volm +0.5]]"
 
 
 def test_format_reset():
-    assert format_event(RSET) == "[[rset 0]]"
+    assert RSET.markup == "[[rset 0]]"
+
+
+def test_event_markup_is_kept_on_the_event():
+    event = ev(pbas=38.0, rate=160, volm=+0.5)
+    assert event.markup is event.markup
+    assert event == ev(pbas=38.0, rate=160, volm=+0.5)
+    assert hash(event) == hash(ev(pbas=38.0, rate=160, volm=+0.5))
+    fused = dataclasses.replace(event, slnc=100)
+    assert fused.markup == "[[slnc 100; pbas 38.000; rate 160; volm +0.5]]"
 
 
 # Renderers ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ outputs with ``diff`` lists every document whose output differs.
 ``tests/data/corpus_digest.tsv``; a change that means to move output
 regenerates that file with this script.
 
-The corpus, 1,938 documents:
+The corpus, 1,946 documents:
 
 * ``fixture:<name>`` and ``fixture:<name>+ann`` - both fixtures, without and
   with their sidecars;
@@ -21,7 +21,9 @@ The corpus, 1,938 documents:
 * ``cli:<i>`` - ``cli_doc(1, i)`` of the benchmark for i = 4..403;
 * ``fuzz:<i>`` - 1,500 texts from ``fuzz_text`` below;
 * ``<name>+nopov`` - both fixtures, without and with their sidecars, and the
-  1k and 4k stories, compiled with point-of-view tracking off.
+  1k and 4k stories, compiled with point-of-view tracking off;
+* ``shape:<name>:<n>`` - one sentence of each of the ``SHAPES``, its
+  repeated piece ``n`` times then its end, for n = 50 and 200.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ FUZZ_WORDS = ("the a cat fox crow mouse bell old sly and but or while if to of "
               "her said cried replied saw ran came nobody every who that is was "
               "very sad alas now then come on dear").split()
 FUZZ_MARKS = (",", ".", "?", "!", ":", '"', '"', "“", "”")
+#: name -> (repeated piece, end): sentences whose length stresses one stage
+SHAPES = {
+    "saw_this": ("the cat saw this ", "dog."),
+    "commas": ("the cat, ", "ran."),
+    "ran_and": ("the cat ran and ", "ran."),
+    "quantifiers": ("all mice and nobody ", "agree."),
+}
+SHAPE_SIZES = (50, 200)
 
 
 def fuzz_text(rng: random.Random) -> str:
@@ -84,6 +94,9 @@ def corpus(fx: wl.Fixtures, cfg: Config):
     nopov = replace(cfg, pov_tracking=False)
     for name, text, sidecar in documents(STORY_SIZES[:2]):
         yield f"{name}+nopov", text, sidecar, nopov
+    for name, (piece, end) in SHAPES.items():
+        for n in SHAPE_SIZES:
+            yield f"shape:{name}:{n}", piece * n + end, None, cfg
 
 
 def digest(result) -> str:
