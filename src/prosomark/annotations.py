@@ -321,11 +321,11 @@ def classify_relevance(feats: ClauseFeatures, ruleset=None) -> str:
     return "background"
 
 
-def resolve_relevance(ann: AnnotationSet, ruleset=None) -> None:
+def resolve_relevance(ann: AnnotationSet) -> None:
     """Fill in relevance wherever the sidecar requested classification."""
     for c in ann.clauses:
         if c.relevance is None:
-            c.relevance = classify_relevance(c, ruleset)
+            c.relevance = classify_relevance(c)
 
 
 # Topic stack ----------------------------------------------------------------
@@ -474,7 +474,7 @@ def _shallow_pred(words: list[str]) -> str:
                 content[-1] if content else (words[-1] if words else ""))
 
 
-def shallow_analyze(doc: Document, relevance_rules=None) -> AnnotationSet:
+def shallow_analyze(doc: Document) -> AnnotationSet:
     """Heuristic stand-in for the deep analysis when no sidecar is given.
 
     Clauses split at terminal punctuation, clause-boundary commas and
@@ -519,7 +519,7 @@ def shallow_analyze(doc: Document, relevance_rules=None) -> AnnotationSet:
                 tense=tense,
                 disc_rel=_MARKER_RELS.get(clause_words[0], "narration"),
             )
-            feats.relevance = classify_relevance(feats, relevance_rules)
+            feats.relevance = classify_relevance(feats)
             ann.clauses.append(feats)
             ann.clause_spans[clause_no] = (toks[at[0]].index, toks[at[-1]].index)
     resolve_moves(ann)

@@ -84,8 +84,10 @@ def _write_output(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
         return
-    # never leave a partial file behind: write to a sibling then rename
-    directory = os.path.dirname(os.path.abspath(out_path)) or "."
+    # never leave a partial file behind: write to a sibling then rename;
+    # a symlink is followed, so its target takes the output, as with `>`
+    out_path = os.path.realpath(out_path)
+    directory = os.path.dirname(out_path)
     fd, tmp = _new_sibling(directory)
     try:
         try:

@@ -14,7 +14,6 @@ from pathlib import Path
 from types import MappingProxyType
 
 from . import lexica
-from .annotations import DEFAULT_RELEVANCE_RULES
 
 TITLE_MODES = ("auto", "force", "off")
 EMIT_MODES = ("markup", "tobi", "both", "groups")
@@ -45,7 +44,6 @@ class Config:
     affect_path: Path = lexica.data_path("affect.tsv")
     quantifier_path: Path = lexica.data_path("quantifiers.txt")
     comm_verb_path: Path = lexica.data_path("comm_verbs.txt")
-    relevance_rules: list = field(default_factory=lambda: list(DEFAULT_RELEVANCE_RULES))
 
     # loaded lexica (filled by load_lexica): read-only, shared between configs
     multiwords: tuple[tuple[str, ...], ...] = ()

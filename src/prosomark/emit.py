@@ -32,6 +32,17 @@ def tone_to_params(c: ToneContour) -> list[ParamEvent]:
 
 UNKNOWN_LABEL = "X-?"
 
+#: (flat events, row) of every table row, longest first, table order kept
+#: among equal lengths: the order ``params_to_tobi`` tries them in
+_ROWS_LONGEST_FIRST = sorted(((row.flat_params(), row) for row in DEFAULT_TABLE.rows),
+                             key=lambda pair: len(pair[0]), reverse=True)
+
+#: (silence ms, a reset follows) -> break index: the inverse of
+#: ``BI_REALIZATION``, where a silence that has no reset of its own also
+#: reads as its index before an unrelated reset
+_BI_OF = {(ms, True): bi for bi, (ms, reset) in BI_REALIZATION.items() if not reset}
+_BI_OF.update((pair, bi) for bi, pair in BI_REALIZATION.items())
+
 
 def params_to_tobi(events: list[ParamEvent]) -> list[tuple[str, str | None]]:
     """Invert a parameter stream to (contour label, break-index label) pairs.
@@ -40,13 +51,11 @@ def params_to_tobi(events: list[ParamEvent]) -> list[tuple[str, str | None]]:
     (silence, reset) pairs as break indices; unknown tuples come back as a
     diagnostic placeholder so third-party markup can still be inspected.
     """
-    ordered = sorted(DEFAULT_TABLE.rows, key=lambda r: len(r.flat_params()), reverse=True)
     out: list[tuple[str, str | None]] = []
     i = 0
     while i < len(events):
         matched = False
-        for row in ordered:
-            flat = row.flat_params()
+        for flat, row in _ROWS_LONGEST_FIRST:
             if events[i:i + len(flat)] == flat:
                 labels = " ".join(c.label for c in row.contours)
                 out.append((labels, row.bi.label if row.bi else None))
@@ -58,7 +67,7 @@ def params_to_tobi(events: list[ParamEvent]) -> list[tuple[str, str | None]]:
         e = events[i]
         if e.slnc is not None and e.pbas is None and e.rate is None and e.volm is None:
             reset = i + 1 < len(events) and events[i + 1].rset
-            bi = _bi_for(e.slnc, reset)
+            bi = _BI_OF.get((e.slnc, reset))
             if bi is not None:
                 out.append(("", bi.label))
                 i += 2 if reset else 1
@@ -71,23 +80,11 @@ def params_to_tobi(events: list[ParamEvent]) -> list[tuple[str, str | None]]:
     return out
 
 
-def _bi_for(silence: int, reset: bool) -> BreakIndex | None:
-    for bi, (ms, rs) in BI_REALIZATION.items():
-        if ms == silence and rs == reset:
-            return bi
-    if reset:
-        # a lone silence that happens to precede an unrelated reset
-        for bi, (ms, rs) in BI_REALIZATION.items():
-            if ms == silence and not rs:
-                return bi
-    return None
-
-
 def params_to_bi(events: list[ParamEvent]) -> BreakIndex | None:
     if not events or events[0].slnc is None:
         return None
     reset = len(events) > 1 and events[1].rset
-    return _bi_for(events[0].slnc, reset)
+    return _BI_OF.get((events[0].slnc, reset))
 
 
 # Prosodic script --------------------------------------------------------------
@@ -227,7 +224,7 @@ def render_tobi(doc: Document, script: ProsodicScript) -> str:
             if item.tone_label:
                 parts.append(item.tone_label)
             if not parts and item.event.rset and item.glue != GLUE_COMPOUND:
-                parts.append("[[rset 0]]")
+                parts.append(item.event.markup)
             current.extend(parts)
     if current:
         lines.append(" ".join(current))

@@ -232,18 +232,23 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
 
     sentences: list[Sentence] = []
     cur: list[Token] = []
+    scanned = 0         # cur[:scanned] holds no word: each token is tested once
 
     def flush(terminal: str):
-        first_word = next((t for t in cur if t.kind == WORD), None)
+        nonlocal scanned
+        first_word = next((cur[k] for k in range(scanned, len(cur))
+                           if cur[k].kind == WORD), None)
         if first_word is None:
             if sentences:
                 sentences[-1].tokens.extend(cur)
                 cur.clear()
+            scanned = len(cur)
             return  # the tokens before the first word open the first sentence
         sent = Sentence(list(cur), terminal=terminal, index=len(sentences),
                         paragraph_index=para_of[first_word.index])
         sentences.append(sent)
         cur.clear()
+        scanned = 0
 
     i = 0
     while i < len(tokens):

@@ -27,8 +27,8 @@ from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
                      Sentence, longest_phrase, phon_exception, phrase_index,
                      split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
-from .prosody import (BI_REALIZATION, DEFAULT_TABLE, RSET, BreakIndex,
-                      ParamEvent, ToneContext, ev, match_frozen, select_tone)
+from .prosody import (BI_EVENTS, DEFAULT_TABLE, RSET, BreakIndex, ParamEvent,
+                      ToneContext, match_frozen, select_tone)
 
 
 @dataclass
@@ -99,10 +99,10 @@ class ProsodyManager:
             if t.kind == WORD:
                 t.phon_override = phon_exception(t, cfg.phon_lexicon)
         if ann is None:
-            ann = shallow_analyze(doc, cfg.relevance_rules)
+            ann = shallow_analyze(doc)
         else:
             check_clause_spans(ann, len(tokens))
-            resolve_relevance(ann, cfg.relevance_rules)
+            resolve_relevance(ann)
             resolve_moves(ann)
 
         diagnostics = list(ann.warnings)
@@ -569,24 +569,19 @@ def _pause(bi: BreakIndex, glue: str = GLUE_RIGHT, before: ScriptItem | None = N
     is fused in front of that event's parameters and keeps its contour
     label; ``labelled=False`` leaves the break index off the annotation.
     """
-    silence, reset = BI_REALIZATION[bi]
+    events = BI_EVENTS[bi]
     label = bi if labelled else None
     if before is None:
-        items = [_event(_silence(silence), glue, bi=label)]
+        items = [_event(events[0], glue, bi=label)]
     else:
-        items = [_event(_fused(before.event, silence), glue, before.tone_label, label)]
-    if reset:
-        items.append(_event(RSET, GLUE_COMPOUND))
+        items = [_event(_fused(before.event, events[0].slnc), glue, before.tone_label, label)]
+    if len(events) > 1:
+        items.append(_event(events[1], GLUE_COMPOUND))
     return items
 
 
-# Pause events are frozen and built from table constants only, so each one
+# A fused event is frozen and built from table constants only, so each one
 # is built once and shared by every placement.
-@functools.cache
-def _silence(silence: int) -> ParamEvent:
-    return ev(slnc=silence)
-
-
 @functools.cache
 def _fused(event: ParamEvent, silence: int) -> ParamEvent:
     """``event``'s parameters with the silence in front."""

@@ -81,7 +81,7 @@ class ParamEvent:
     def markup(self) -> str:
         """The embedded command, fields in a fixed order, silence first.
         Formatted on the first read and kept on the event: every event the
-        planner places is a table constant or built once (``pipeline``)."""
+        planner places is a table constant or a ``pipeline._fused`` event."""
         if self.rset:
             return "[[rset 0]]"
         parts = []
@@ -103,6 +103,13 @@ def ev(pbas=None, rate=None, volm=None, slnc=None) -> ParamEvent:
     return ParamEvent(pbas=pbas, rate=rate, volm=volm, slnc=slnc)
 
 
+#: break index -> its realization as shared events: the silence, then
+#: ``RSET`` if the index has a reset
+BI_EVENTS: dict[BreakIndex, tuple[ParamEvent, ...]] = {
+    bi: (ev(slnc=silence), RSET) if reset else (ev(slnc=silence),)
+    for bi, (silence, reset) in BI_REALIZATION.items()}
+
+
 # Mapping table ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -115,11 +122,7 @@ class ToneContour:
 
 
 def bi_to_params(bi: BreakIndex) -> list[ParamEvent]:
-    silence, reset = BI_REALIZATION[bi]
-    out = [ev(slnc=silence)]
-    if reset:
-        out.append(RSET)
-    return out
+    return list(BI_EVENTS[bi])
 
 
 @dataclass(frozen=True)
@@ -131,11 +134,9 @@ class MappingRow:
     bi: BreakIndex | None = None
 
     def flat_params(self) -> list[ParamEvent]:
-        out = []
-        for group in self.params:
-            out.extend(group)
+        out = [e for group in self.params for e in group]
         if self.bi is not None:
-            out.extend(bi_to_params(self.bi))
+            out.extend(BI_EVENTS[self.bi])
         return out
 
 

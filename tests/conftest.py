@@ -3,6 +3,7 @@ import pytest
 from prosomark.config import Config
 from prosomark.lexica import data_path
 from prosomark.pipeline import run_pipeline
+from prosomark.prosody import BreakIndex
 
 FIXTURES = data_path("fixtures")
 
@@ -22,6 +23,25 @@ CONTOUR_SHAPES = frozenset({
 def is_contour_label(label: str) -> bool:
     shape = label[:-2] if label[-2:] in ("-1", "-2", "-3", "-4") else label
     return shape in CONTOUR_SHAPES
+
+
+#: the break indices that fall only after a breath group's last word
+GROUP_END_BREAKS = frozenset({BreakIndex.BI3, BreakIndex.BI4, BreakIndex.BI22})
+
+
+def breaks_off_group_ends(result) -> list[str]:
+    """The ``GROUP_END_BREAKS`` events of a compile whose nearest token
+    before them is not the last word of a breath group of its sentence."""
+    ends = {s.tokens[g.words[-1]].index
+            for s in result.doc.sentences for g in result.groups[s.index]}
+    off = []
+    last = None                 # the index of the nearest token so far
+    for item in result.script.items:
+        if item.kind == "token":
+            last = item.token.index
+        elif item.kind == "event" and item.bi in GROUP_END_BREAKS and last not in ends:
+            off.append(f"{item.bi.label} after token {last}")
+    return off
 
 
 @pytest.fixture(scope="session")

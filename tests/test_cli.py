@@ -299,6 +299,18 @@ def test_out_sibling_name_in_use_takes_another(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.glob(".prosomark-*")] == [taken.name]
 
 
+def test_out_writes_through_a_symlink(tmp_path):
+    # as for `> link`: the link stays and its target takes the output
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target.name)
+    assert invoke(str(_three_tokens(tmp_path)), "--emit", "groups", "--out", str(link)) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == "cats run β\n"
+    assert not list(tmp_path.glob(".prosomark-*"))
+
+
 def test_output_goes_to_stdout_without_out(tmp_path, capsys):
     assert invoke(str(_three_tokens(tmp_path)), "--emit", "groups") == 0
     assert capsys.readouterr().out == "cats run β\n"

@@ -1,4 +1,5 @@
-"""Byte identity over the corpus of ``tools/corpus_digest.py``.
+"""Byte identity over the corpus of ``tools/corpus_digest.py``, and the
+breaks that close breath groups on every document of it.
 
 ``tests/data/corpus_digest.tsv`` holds one ``name<TAB>sha256`` line per
 document, as the tool prints them.  A change that means to move output
@@ -10,10 +11,15 @@ and names the documents whose hash moved.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from prosomark import Config
 from prosomark.lexica import data_path
+
+from conftest import breaks_off_group_ends
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = Path(__file__).resolve().parent / "data" / "corpus_digest.tsv"
@@ -27,18 +33,53 @@ def _digest_tool():
     return module
 
 
+#: prints ``name hash`` for both fixtures, without and with their sidecars,
+#: and the first 300 ``fuzz:`` documents of the corpus
+_SLICE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import corpus_digest as tool
+cfg = tool.Config().load_lexica()
+fx = tool.wl.Fixtures.load(tool.data_path("fixtures"))
+for name, text, sidecar, config in tool.corpus(fx, cfg):
+    kind, _, i = name.partition(":")
+    if kind == "fuzz" and int(i) >= 300:
+        break
+    if kind in ("fixture", "fuzz"):
+        print(name, tool.digest(tool.run_pipeline(text, sidecar, config)))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # the planner keeps sets of positions and of strings: no output may
+    # follow their iteration order, which the hash seed decides
+    runs = [subprocess.Popen([sys.executable, "-c", _SLICE, str(ROOT / "tools")],
+                             stdout=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("0", "4242")]
+    outs = [run.communicate(timeout=60)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert len(outs[0].splitlines()) == 304
+    assert outs[0] == outs[1]
+
+
 def test_every_corpus_document_keeps_its_bytes():
     tool = _digest_tool()
     expected = dict(line.split("\t") for line in
                     EXPECTED.read_text(encoding="utf-8").splitlines())
     cfg = Config().load_lexica()
     fx = tool.wl.Fixtures.load(data_path("fixtures"))
-    got = {name: tool.digest(tool.run_pipeline(text, sidecar, config))
-           for name, text, sidecar, config in tool.corpus(fx, cfg)}
+    got = {}
+    off_group_ends = []
+    for name, text, sidecar, config in tool.corpus(fx, cfg):
+        result = tool.run_pipeline(text, sidecar, config)
+        got[name] = tool.digest(result)
+        off_group_ends += [f"{name}: {off}" for off in breaks_off_group_ends(result)]
+    assert not off_group_ends, "breaks inside a breath group: " + ", ".join(off_group_ends)
     moved = sorted(name for name in expected.keys() & got.keys()
                    if expected[name] != got[name])
     assert not moved, f"{len(moved)} documents changed output: {', '.join(moved)}"
     assert got.keys() == expected.keys(), (
         f"missing: {sorted(expected.keys() - got.keys())}, "
         f"new: {sorted(got.keys() - expected.keys())}")
-    assert len(got) == 1946
+    assert len(got) == 1948

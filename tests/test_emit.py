@@ -94,6 +94,39 @@ def test_unknown_tuple_placeholder():
     assert params_to_tobi([RSET, ev(pbas=99.0)]) == [("X-?", None)]
 
 
+#: ``params_to_tobi`` over every event of the fixtures' scripts, with their
+#: sidecars.  An ``X-?`` is a lone tuple of a two-tuple row, a silence fused
+#: in front of a row tuple or a ``head_bi33`` tuple closed by BI-32; a row
+#: without labels (``announce``, ``slowdown_head``) reads as ``('', None)``
+BELLING_CAT_PAIRS = [('H*-L', None), ('', 'BI-44'), ('H*-H', None), ('L*-L%', None),
+    ('L-L%', 'BI-33'), ('X-?', None), ('', 'BI-32'), ('', 'BI-2'), ('H*-L', None),
+    ('H*-L%', 'BI-3'), ('H*-L%', 'BI-3'), ('L-L%', 'BI-33'), ('H*-L%', 'BI-3'),
+    ('', 'BI-2'), ('H*-L%', 'BI-3'), ('X-?', None), ('', 'BI-32'), ('', None),
+    ('', 'BI-2'), ('H*-L%', 'BI-3'), ('', 'BI-2'), ('H-H*-2', None),
+    ('H*-L%', 'BI-3'), ('', None), ('H*-L%', 'BI-3'), ('L*-L%', None),
+    ('H*-L%', 'BI-3'), ('', 'BI-2'), ('H-H*-2', None), ('', None),
+    ('H*-L%', 'BI-3'), ('H*-L%', 'BI-3'), ('H*-L%', 'BI-3'), ('L-L%', 'BI-33'),
+    ('', 'BI-2'), ('H-H*-2', None), ('', 'BI-2'), ('H*-L%', 'BI-3'), ('X-?', None),
+    ('H*-L%', 'BI-3'), ('', 'BI-2'), ('L-L%', 'BI-33'), ('H*-L%', 'BI-3'),
+    ('', 'BI-2'), ('H-H*-2', None), ('H*-L%', 'BI-3'), ('', 'BI-2'),
+    ('H-H*-2', None), ('', 'BI-2'), ('H*-L%', 'BI-3'), ('', None), ('', None),
+    ('H*-H-1', None), ('X-?', None), ('', 'BI-2'), ('', 'BI-23'),
+    ('H*-L%', 'BI-3'), ('H*-H-1', None), ('', None), ('H*-L%-1', None),
+    ('', 'BI-32'), ('L*-L%', None)]
+FOX_CROW_PAIRS = [('', None), ('', None), ('', 'BI-3'), ('X-?', None), ('', 'BI-2'),
+    ('X-?', None), ('H*-L%', 'BI-3'), ('H*-L', None), ('X-?', None), ('', 'BI-2'),
+    ('X-?', None), ('', 'BI-2'), ('', 'BI-2'), ('', 'BI-2'), ('X-?', None),
+    ('H*-L', None), ('', 'BI-3'), ('', 'BI-2'), ('H-H*-2', None), ('L*-L%', None),
+    ('H*-L%', 'BI-3')]
+
+
+@pytest.mark.parametrize("name,pairs", [("fable_result", BELLING_CAT_PAIRS),
+                                        ("fox_result", FOX_CROW_PAIRS)])
+def test_whole_script_inverts(request, name, pairs):
+    script = request.getfixturevalue(name).script
+    assert params_to_tobi([it.event for it in script.items if it.kind == "event"]) == pairs
+
+
 def test_bi_bijection_all_eight():
     seen = set()
     for bi, (silence, reset) in BI_REALIZATION.items():

@@ -19,6 +19,8 @@ from prosomark.emit import render_markup, render_tobi, strip_markup
 from prosomark.ingest import QUOTE, WORD, reconstruct, tokenize
 from prosomark.pipeline import run_pipeline
 
+from conftest import breaks_off_group_ends
+
 CFG = Config().load_lexica()
 
 
@@ -71,6 +73,9 @@ def test_compile_invariants(text):
     result = run_pipeline(text, None, CFG)
     markup, tobi, groups = _outputs(result)
     assert result.script.validate() == []
+    # each line of the reading is a breath group: BI-3, BI-4 and BI-22
+    # close one
+    assert breaks_off_group_ends(result) == []
 
     for sent in result.doc.sentences:
         toks = sent.tokens
