@@ -13,6 +13,7 @@ inline.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .ingest import QUOTE, Document, Token
@@ -44,13 +45,15 @@ _BI_OF = {(ms, True): bi for bi, (ms, reset) in BI_REALIZATION.items() if not re
 _BI_OF.update((pair, bi) for bi, pair in BI_REALIZATION.items())
 
 
-def params_to_tobi(events: list[ParamEvent]) -> list[tuple[str, str | None]]:
+def params_to_tobi(events: Sequence[ParamEvent]) -> list[tuple[str, str | None]]:
     """Invert a parameter stream to (contour label, break-index label) pairs.
 
     Greedy longest-sequence matching over the table rows, then bare
     (silence, reset) pairs as break indices; unknown tuples come back as a
     diagnostic placeholder so third-party markup can still be inspected.
+    Any sequence of events reads as the list of them does.
     """
+    events = list(events)               # its slices are compared with rows' lists
     out: list[tuple[str, str | None]] = []
     i = 0
     while i < len(events):

@@ -230,44 +230,38 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
     first_line = raw.split("\n", 1)[0]
     want_title = title_mode == "force" or (title_mode == "auto" and _looks_like_title(first_line))
 
-    sentences: list[Sentence] = []
-    cur: list[Token] = []
-    scanned = 0         # cur[:scanned] holds no word: each token is tested once
-
-    def flush(terminal: str):
-        nonlocal scanned
-        first_word = next((cur[k] for k in range(scanned, len(cur))
-                           if cur[k].kind == WORD), None)
-        if first_word is None:
-            if sentences:
-                sentences[-1].tokens.extend(cur)
-                cur.clear()
-            scanned = len(cur)
-            return  # the tokens before the first word open the first sentence
-        sent = Sentence(list(cur), terminal=terminal, index=len(sentences),
-                        paragraph_index=para_of[first_word.index])
-        sentences.append(sent)
-        cur.clear()
-        scanned = 0
-
-    i = 0
+    # (start, end, terminal) of each run of tokens: a run ends at a
+    # terminal (or at a closing quote right after it) and where the
+    # paragraph changes
+    runs = []
+    start = i = 0
     while i < len(tokens):
-        t = tokens[i]
-        if cur and para_of[t.index] != para_of[cur[-1].index]:
-            flush("none")
-        cur.append(t)
-        if t.kind == TERMINAL:
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            if nxt is not None and nxt.kind == QUOTE \
+        if i > start and para_of[i] != para_of[i - 1]:
+            runs.append((start, i, "none"))
+            start = i
+        if tokens[i].kind == TERMINAL:
+            terminal = TERMINAL_CHARS[tokens[i].surface]
+            if i + 1 < len(tokens) and tokens[i + 1].kind == QUOTE \
                     and not quote_is_opener(tokens, i + 1):
-                cur.append(nxt)
                 i += 1
-            flush(TERMINAL_CHARS[t.surface])
+            runs.append((start, i + 1, terminal))
+            start = i + 1
         i += 1
-    flush("none")
+    runs.append((start, len(tokens), "none"))
+
+    sentences: list[Sentence] = []
+    for start, end, terminal in runs:
+        first_word = next((k for k in range(start, end) if tokens[k].kind == WORD), None)
+        if first_word is not None:
+            # the runs before the first word open the first sentence
+            sentences.append(Sentence(tokens[start if sentences else 0:end],
+                                      terminal=terminal, index=len(sentences),
+                                      paragraph_index=para_of[first_word]))
+        elif sentences:
+            sentences[-1].tokens += tokens[start:end]
     if not sentences:
-        sentences.append(Sentence(list(cur), terminal="none", index=0,
-                                  paragraph_index=para_of[cur[0].index]))
+        sentences.append(Sentence(list(tokens), terminal="none", index=0,
+                                  paragraph_index=para_of[0]))
 
     if want_title and sentences[0].paragraph_index == 0:
         first = sentences[0]
@@ -302,7 +296,7 @@ def classify_comma(sentence: Sentence, index: int) -> str:
     if sentence.tokens[index].kind != COMMA:
         raise ValueError("classify_comma called on a non-comma token")
     words = sentence.words
-    nxt = next((w for w in words[index + 1:] if w is not None), None)
+    nxt = next((words[i] for i in range(index + 1, len(words)) if words[i] is not None), None)
     prev = next((words[i] for i in range(index - 1, -1, -1) if words[i] is not None), None)
 
     if nxt is None:
@@ -313,8 +307,8 @@ def classify_comma(sentence: Sentence, index: int) -> str:
         return "parenthetical"
     if nxt in _DETERMINERS and prev is not None:
         # an NP echo with no verb up to the next boundary restates the head
-        after = list(takewhile(lambda w: w is not None, words[index + 1:]))
-        if len(after) >= 2 and not _contains_verb(after[:5]):
+        after = list(takewhile(lambda w: w is not None, words[index + 1:index + 6]))
+        if len(after) >= 2 and not _contains_verb(after):
             return "appositive"
     return "other"
 

@@ -14,6 +14,7 @@ than ``max_len`` are re-split at the strongest internal trigger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import lexica
 from .annotations import AnnotationSet, is_verby
@@ -70,8 +71,6 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
     if not words:
         return []
 
-    min_len = config.min_len
-    max_len = config.max_len
     affect_words = config.affect_words
 
     boundaries: dict[int, str] = {words[0]: "start"}
@@ -157,76 +156,59 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
                     add(i, "adjunct")
                 break
 
-    groups = _build_groups(boundaries, words)
-    groups = _suppress_short(sentence, groups, config)
-    groups = _resplit_long(sentence, groups, max_len)
+    groups = _groups_from_cuts(sentence, words, boundaries, config)
     for g in groups:
         g.junction = classify_junction(g, sentence)
     return groups
 
 
-def _build_groups(boundaries, words) -> list[BreathGroup]:
-    """One group from each boundary to the word before the next, in one
-    pass over the words (every boundary sits on a word)."""
-    firsts = [k for k, w in enumerate(words) if w in boundaries]
-    return [BreathGroup(words[k:nxt], trigger=boundaries[words[k]])
-            for k, nxt in zip(firsts, firsts[1:] + [len(words)])]
+def _groups_from_cuts(sentence, words, boundaries, config) -> list[BreathGroup]:
+    """The breath groups of ``words``, the sentence's word positions, cut
+    before each position of ``boundaries`` and then checked both ways.
 
-
-def _src_len(sentence, group) -> int:
-    return sum(sentence.tokens[i].source_words for i in group.words)
-
-
-def _suppress_short(sentence, groups, config) -> list[BreathGroup]:
-    """Merge punctuation-created fragments shorter than min_len.
-
-    Appositive and parenthetical comma groups stay standalone, and so does a
-    comma-marked sentence-initial adverbial.
+    A cut is an index into ``words``.  A fragment shorter than ``min_len``
+    source words loses its cut, unless a comma before it marks an
+    appositive, vocative or parenthetical.  A short first fragment then
+    loses the second cut too, unless it is a comma-marked sentence-initial
+    adverbial or the second group opens at punctuation.  A group longer
+    than ``max_len`` gains a cut before each opener after its first word
+    while the rest is still too long.  Each group is built once, at the end.
     """
-    out = []
-    for g in groups:
-        if out and _src_len(sentence, g) < config.min_len:
-            # a later group never starts the sentence, so a token precedes it
-            j = g.words[0] - 1
-            if not (g.trigger == "punct" and sentence.tokens[j].kind == COMMA
-                    and classify_comma(sentence, j) != "other"):
-                out[-1] = BreathGroup(out[-1].words + g.words, trigger=out[-1].trigger)
-                continue
-        out.append(g)
-    # forward-merge a short sentence-initial fragment that earned no exception
-    if len(out) >= 2:
-        first_word = sentence.words[out[0].words[0]]
-        nxt = out[0].words[-1] + 1
-        comma_follows = (nxt < len(sentence.tokens)
-                         and sentence.tokens[nxt].kind == COMMA)
-        adverbial_ok = first_word in lexica.SENTENCE_ADVERBS and comma_follows
-        if _src_len(sentence, out[0]) < config.min_len and not adverbial_ok \
-                and out[1].trigger not in ("punct", "quote"):
-            out = [BreathGroup(out[0].words + out[1].words)] + out[2:]
-    return out
-
-
-def _resplit_long(sentence, groups, max_len) -> list[BreathGroup]:
-    """Split each group longer than ``max_len`` before its first opener
-    after its first word, so both sides hold a word, peeling off the head
-    while the rest is still too long."""
     toks, norms = sentence.tokens, sentence.words
-    out = []
-    for g in groups:
-        words = g.words
-        rest = _src_len(sentence, g)      # the source words from ``start`` on
-        start, trigger = 0, g.trigger
-        while rest > max_len:
-            k = next((k for k in range(start + 1, len(words))
-                      if norms[words[k]] in _RESPLIT_AT), None)
-            if k is None:
+    # src[k]: the source words of words[:k]
+    src = list(accumulate((toks[i].source_words for i in words), initial=0))
+    firsts = [k for k, i in enumerate(words) if i in boundaries] + [len(words)]
+
+    kept = [0]
+    for k, end in zip(firsts[1:-1], firsts[2:]):
+        if src[end] - src[k] < config.min_len:
+            # a later fragment never starts the sentence, so a token precedes it
+            j = words[k] - 1
+            if not (boundaries[words[k]] == "punct" and toks[j].kind == COMMA
+                    and classify_comma(sentence, j) != "other"):
+                continue
+        kept.append(k)
+    kept.append(len(words))
+
+    if len(kept) > 2:
+        second = kept[1]
+        nxt = words[second - 1] + 1
+        comma_follows = nxt < len(toks) and toks[nxt].kind == COMMA
+        adverbial_ok = norms[words[0]] in lexica.SENTENCE_ADVERBS and comma_follows
+        if src[second] < config.min_len and not adverbial_ok \
+                and boundaries[words[second]] not in ("punct", "quote"):
+            del kept[1]
+
+    cuts = []                            # (cut, trigger of its group)
+    for a, b in zip(kept, kept[1:]):
+        cuts.append((a, boundaries[words[a]]))
+        for k in range(a + 1, b):
+            if src[b] - src[cuts[-1][0]] <= config.max_len:
                 break
-            head = words[start:k]
-            out.append(BreathGroup(head, trigger=trigger))
-            rest -= sum(toks[i].source_words for i in head)
-            start, trigger = k, "complement"
-        out.append(BreathGroup(words[start:], trigger=trigger) if start else g)
-    return out
+            if norms[words[k]] in _RESPLIT_AT:
+                cuts.append((k, "complement"))
+    ends = [a for a, _ in cuts[1:]] + [len(words)]
+    return [BreathGroup(words[a:b], trigger=trigger) for (a, trigger), b in zip(cuts, ends)]
 
 
 def classify_junction(group: BreathGroup, sentence: Sentence) -> str:

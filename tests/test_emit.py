@@ -64,6 +64,12 @@ def test_full_table_round_trip():
         assert got == [(labels, row.bi.label if row.bi else None)], row.row_id
 
 
+def test_a_tuple_of_events_inverts_as_a_list_does():
+    for row in DEFAULT_TABLE.rows:
+        flat = row.flat_params()
+        assert params_to_tobi(tuple(flat)) == params_to_tobi(list(flat)), row.row_id
+
+
 def test_every_fixture_event_comes_from_the_table(fable_result, fox_result,
                                                   fox_nopov_result):
     # each event is a row's parameter event, a break index's silence or

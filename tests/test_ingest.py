@@ -227,6 +227,27 @@ def test_comma_without_a_following_word(config):
         classify_comma(sent, 2)
 
 
+def test_comma_classes_read_a_bounded_window(config):
+    # a comma reads at most five words past it: a copy of the rest of the
+    # sentence per comma is quadratic in a run of commas
+    text = "the, " * 400 + "ran."
+    sent = split_document(tokenize(text, config.multiwords), text, "off").sentences[0]
+    sizes = []
+
+    class SliceLog(list):
+        def __getitem__(self, key):
+            got = super().__getitem__(key)
+            if isinstance(key, slice):
+                sizes.append(len(got))
+            return got
+
+    sent.__dict__["words"] = SliceLog(sent.words)
+    commas = [i for i, t in enumerate(sent.tokens) if t.kind == COMMA]
+    assert len(commas) == 400
+    assert {classify_comma(sent, i) for i in commas} == {"other"}
+    assert sizes and max(sizes) <= 5
+
+
 def test_comma_total_over_fable(fable_result):
     # every comma receives exactly one class from the closed set
     classes = {"appositive", "vocative", "parenthetical", "other"}

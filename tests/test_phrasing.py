@@ -5,7 +5,8 @@ import random
 from prosomark.annotations import shallow_analyze
 from prosomark.config import Config
 from prosomark.ingest import split_document, tokenize
-from prosomark.phrasing import END_STOPPED, segment
+from prosomark import phrasing
+from prosomark.phrasing import END_STOPPED, BreathGroup, segment
 from prosomark.pipeline import run_pipeline
 from conftest import load
 
@@ -102,6 +103,29 @@ def test_max_len_resplit_of_a_very_long_sentence(config):
     assert [g.trigger for g in groups[:2]] == ["start", "complement"]
     assert [len(g.words) for g in groups[:2]] == [3, 4]
     assert all(len(g.words) <= config.max_len for g in groups)
+
+
+def test_each_group_is_built_once(config, monkeypatch):
+    # the short_commas shape of tools/corpus_digest.py: every fragment is
+    # one word short of min_len, so all of them merge into one group.  A
+    # group that is built and then merged copies its words again, in C,
+    # where the counter of tools/cost_count.py cannot see it.
+    text = "the, " * 400 + "ran."
+    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    sent = doc.sentences[0]
+    ann = shallow_analyze(doc)
+    built = []
+
+    def recording(*args, **kwargs):
+        group = BreathGroup(*args, **kwargs)
+        built.append(len(group.words))
+        return group
+
+    monkeypatch.setattr(phrasing, "BreathGroup", recording)
+    groups = segment(sent, ann, config)
+    assert [w for g in groups for w in g.words] == \
+        [i for i, w in enumerate(sent.words) if w is not None]
+    assert sum(built) == 401
 
 
 def test_lowering_max_len_never_merges(config, fable_result):
