@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from . import lexica
 from .ingest import COMMA, OTHER_PUNCT, Document
@@ -40,6 +41,15 @@ DISC_RELS = ("narration", "cause", "result", "setting", "circumstance",
 SUBJECTIVITIES = ("objective", "subjective")
 MOVES = ("root", "up", "down", "level")
 TOPIC_TYPES = ("main", "second", "poten")
+
+# each vocabulary as value -> its constant.  A parsed field holds the
+# shared constant, not its line's copy: a long sidecar would otherwise keep
+# one string per field per line
+(_VIEW, _FACTIVITY, _CHANGE, _RELEVANCE, _ASPECT, _TENSE, _DISC_REL,
+ _SUBJECTIVITY, _MOVE, _TOPIC_TYPE) = (
+    {v: v for v in vocabulary}
+    for vocabulary in (VIEWS, FACTIVITIES, CHANGES, RELEVANCES, ASPECTS, TENSES,
+                       DISC_RELS, SUBJECTIVITIES, MOVES, TOPIC_TYPES))
 
 
 class SidecarError(ValueError):
@@ -59,6 +69,7 @@ class IntegrityError(ValueError):
 # slotted, as are the two records below: a sidecar holds one per clause
 @dataclass(slots=True)
 class ClauseFeatures:
+    """The feature vector of one clause (one sidecar CLAUSE line)."""
     clause_no: int
     func_role: tuple[str, str] = ("main", "prop")
     view: str = "external"
@@ -74,6 +85,7 @@ class ClauseFeatures:
 
 @dataclass(slots=True)
 class TopicRecord:
+    """One topic mention of a clause (one sidecar TOPIC line)."""
     topic_type: str
     clause_no: int
     pred: str
@@ -85,6 +97,7 @@ class TopicRecord:
 
 @dataclass(slots=True)
 class DiscourseNode:
+    """The discourse move and attachment of one clause (one DISC line)."""
     sent_id: str
     clause_no: int
     move: str
@@ -93,6 +106,7 @@ class DiscourseNode:
 
 @dataclass
 class TopicStack:
+    """The main, secondary and potential topics, with persistence counts."""
     main: str | None = None
     secondary: str | None = None
     potential: str | None = None
@@ -104,6 +118,7 @@ class TopicStack:
 
 @dataclass
 class AnnotationSet:
+    """A document's clauses with their token spans, topics and discourse nodes."""
     clauses: list[ClauseFeatures] = field(default_factory=list)
     topics: list[TopicRecord] = field(default_factory=list)
     nodes: list[DiscourseNode] = field(default_factory=list)
@@ -144,9 +159,10 @@ def innermost_clauses(ann: AnnotationSet, n_tokens: int) -> list[ClauseFeatures 
 
     A token belongs to the narrowest clause span holding it; among spans of
     equal width the clause listed first wins; a token in no span gets None.
-    One sweep over the positions keeps the spans open at the current one in
-    a heap, so the list costs O(tokens + clauses log clauses) and a span
-    reaching past ``n_tokens`` does not make it longer.
+    One sweep over the span starts keeps the open spans in a heap and fills
+    each run of positions with one owner at once, so the list costs
+    O(tokens + clauses log clauses) and a span reaching past ``n_tokens``
+    does not make it longer.
     """
     spans = []
     for order, c in enumerate(ann.clauses):
@@ -156,15 +172,23 @@ def innermost_clauses(ann: AnnotationSet, n_tokens: int) -> list[ClauseFeatures 
     spans.sort(key=lambda s: s[0])
     owners: list[ClauseFeatures | None] = [None] * n_tokens
     open_spans: list[tuple] = []          # (width, order, end, clause)
-    k = 0
-    for t in range(n_tokens):
-        while k < len(spans) and spans[k][0] <= t:
-            heapq.heappush(open_spans, spans[k][1:])
-            k += 1
-        while open_spans and open_spans[0][2] < t:
-            heapq.heappop(open_spans)
-        if open_spans:
-            owners[t] = open_spans[0][3]
+    t = 0                                 # the first position not yet filled
+    # between two span starts the owner changes only where the narrowest
+    # open span ends
+    for span in spans + [(n_tokens,)]:
+        stop = min(span[0], n_tokens)
+        while open_spans and t < stop:
+            _, _, end, clause = open_spans[0]
+            if end < t:
+                heapq.heappop(open_spans)
+            else:
+                run_end = min(end + 1, stop)
+                owners[t:run_end] = [clause] * (run_end - t)
+                t = run_end
+        if span[0] >= n_tokens:
+            break
+        t = max(t, span[0])
+        heapq.heappush(open_spans, span[1:])
     return owners
 
 
@@ -176,12 +200,8 @@ def check_clause_spans(ann: AnnotationSet, n_tokens: int) -> None:
                                f"within the text's {n_tokens} tokens")
 
 
-def _expect(value: str, allowed: tuple[str, ...], what: str, line_no: int) -> str:
-    if value not in allowed:
-        raise SidecarError(f"unknown {what} {value!r}", line_no)
-    # the shared constant, not this line's copy: a long sidecar would
-    # otherwise keep one string per field per line
-    return allowed[allowed.index(value)]
+def _unknown(what: str, value: str, line_no: int) -> NoReturn:
+    raise SidecarError(f"unknown {what} {value!r}", line_no)
 
 
 def _clause_no(text: str, line_no: int) -> int:
@@ -206,10 +226,12 @@ def parse_sidecar(text: str) -> AnnotationSet:
     ann = AnnotationSet()
     known: set[int] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].rstrip()
+        if not line:
             continue
-        fields = [f for f in line.split("\t") if f != ""]
+        fields = line.split("\t")
+        if "" in fields:
+            fields = [f for f in fields if f]
         if len(fields) == 1:
             fields = line.split()
         tag = fields[0]
@@ -219,18 +241,20 @@ def parse_sidecar(text: str) -> AnnotationSet:
             (_, no, func_role, view, fact, change, rel, aspect, pred, tense,
              disc_rel, subj, span) = fields
             func, _, role = func_role.partition("/")
+            # the fields in ClauseFeatures' order
             feats = ClauseFeatures(
-                clause_no=_clause_no(no, line_no),
-                func_role=(func, role or "prop"),
-                view=_expect(view, VIEWS, "view", line_no),
-                factivity=_expect(fact, FACTIVITIES, "factivity", line_no),
-                change=_expect(change, CHANGES, "change", line_no),
-                relevance=None if rel == "_" else _expect(rel, RELEVANCES, "relevance", line_no),
-                aspect=_expect(aspect, ASPECTS, "aspect", line_no),
-                pred=sys.intern(pred),
-                tense=_expect(tense, TENSES, "tense", line_no),
-                disc_rel=_expect(disc_rel, DISC_RELS, "disc_rel", line_no),
-                subjectivity=_expect(subj, SUBJECTIVITIES, "subjectivity", line_no),
+                _clause_no(no, line_no),
+                (func, role or "prop"),
+                _VIEW.get(view) or _unknown("view", view, line_no),
+                _FACTIVITY.get(fact) or _unknown("factivity", fact, line_no),
+                _CHANGE.get(change) or _unknown("change", change, line_no),
+                None if rel == "_" else (
+                    _RELEVANCE.get(rel) or _unknown("relevance", rel, line_no)),
+                _ASPECT.get(aspect) or _unknown("aspect", aspect, line_no),
+                sys.intern(pred),
+                _TENSE.get(tense) or _unknown("tense", tense, line_no),
+                _DISC_REL.get(disc_rel) or _unknown("disc_rel", disc_rel, line_no),
+                _SUBJECTIVITY.get(subj) or _unknown("subjectivity", subj, line_no),
             )
             if feats.change == "graded" and feats.aspect == "state":
                 raise SidecarError("graded change cannot occur with state aspect", line_no)
@@ -250,7 +274,7 @@ def parse_sidecar(text: str) -> AnnotationSet:
             if len(parts) != 3:
                 raise SidecarError(f"bad morph triple {morph!r}", line_no)
             ann.topics.append(TopicRecord(
-                topic_type=_expect(ttype, TOPIC_TYPES, "topic type", line_no),
+                topic_type=_TOPIC_TYPE.get(ttype) or _unknown("topic type", ttype, line_no),
                 clause_no=_clause_no(no, line_no), pred=pred, semantic_id=sid,
                 morph=parts, inherent=tuple(inherent.split(";")), role=role))
         elif tag == "DISC":
@@ -258,9 +282,9 @@ def parse_sidecar(text: str) -> AnnotationSet:
                 raise SidecarError(f"DISC needs 4 fields, got {len(fields) - 1}", line_no)
             _, sent_id, no, move, span = fields
             ann.nodes.append(DiscourseNode(
-                sent_id=sent_id, clause_no=_clause_no(no, line_no),
-                move=_expect(move, MOVES, "move", line_no),
-                attach=_parse_span(span, line_no)))
+                sent_id, _clause_no(no, line_no),
+                _MOVE.get(move) or _unknown("move", move, line_no),
+                _parse_span(span, line_no)))
         else:
             raise SidecarError(f"unknown record type {tag!r}", line_no)
 

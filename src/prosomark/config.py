@@ -32,6 +32,7 @@ _BUILT: dict[tuple, tuple] = {}
 
 @dataclass
 class Config:
+    """One compile's parameters, lexicon paths and loaded lexica."""
     min_len: int = 2
     max_len: int = 12
     max_subj: int = 4

@@ -52,17 +52,22 @@ class DocIndex:
         self._sentence_clauses: dict[int, list[tuple[int, ClauseFeatures]]] = {}
         for s in doc.sentences:
             self.paragraph_last[s.paragraph_index] = s
-            here = []
-            for i, t in enumerate(s.tokens):
-                self.sentence_of[t.index] = s
-                if t.index in starting:
-                    here.extend((i, c) for c in starting[t.index])
-            self._sentence_clauses[s.index] = here
+            # a sentence's tokens have consecutive indices
+            first = s.tokens[0].index
+            self.sentence_of[first:first + len(s.tokens)] = [s] * len(s.tokens)
+            self._sentence_clauses[s.index] = []
+        # a start on no token of the document files nowhere
+        for start in sorted(starting):
+            s = self.sentence_of[start] if 0 <= start < n else None
+            if s is not None:
+                local = start - s.tokens[0].index
+                self._sentence_clauses[s.index].extend((local, c) for c in starting[start])
 
         #: quote depth (0 or 1) after each token
         self.quote_depth = bytearray(n)
         #: the quotations in document order
         self.quotations: list[POVSpan] = []
+        self._quote_starts: list[int] = []      # their opening quotes
         self._scan_quotes(tokens, diagnostics)
 
     def _scan_quotes(self, tokens: list[Token], diagnostics: list[str] | None):
@@ -110,6 +115,7 @@ class DocIndex:
         self._add_quotation(start, end)
 
     def _add_quotation(self, start: int, end: int):
+        self._quote_starts.append(start)
         self.quotations.append(POVSpan(
             start, end, sorted({s.index for s in self.sentence_of[start:end + 1]})))
 
@@ -130,7 +136,7 @@ class DocIndex:
 
     def quote_sentences(self, token_index: int) -> list[int] | None:
         """Sentences of the quotation holding the token, or None."""
-        k = bisect_right(self.quotations, token_index, key=lambda q: q.start_token) - 1
+        k = bisect_right(self._quote_starts, token_index) - 1
         if k >= 0 and token_index <= self.quotations[k].end_token:
             return self.quotations[k].sentences
         return None

@@ -101,6 +101,7 @@ GLUE_COMPOUND = "compound"  # reset rendered as ,[[rset 0]] after a silence
 # slotted: a script holds one item per token and per event
 @dataclass(slots=True)
 class ScriptItem:
+    """One item of a prosodic script: a token, an event or a boundary marker."""
     kind: str                       # token | event | sentence_start | paragraph_break
     token: Token | None = None
     event: ParamEvent | None = None
@@ -112,6 +113,7 @@ class ScriptItem:
 
 @dataclass
 class ProsodicScript:
+    """The items of a compile in document order, ready for rendering."""
     items: list[ScriptItem] = field(default_factory=list)
 
     def sentence_start(self, index: int):

@@ -10,12 +10,12 @@ original text can be reconstructed byte for byte.
 
 from __future__ import annotations
 
-import math
 import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from types import MappingProxyType
 
 WORD = "word"
@@ -34,6 +34,7 @@ _TOKEN_RE = re.compile(r"([^\s\w]|[\w'-]+)", re.UNICODE)
 # slotted: a document holds one per token
 @dataclass(slots=True)
 class Token:
+    """One token: its surface text, normalized form, document index and kind."""
     surface: str
     normalized: str
     index: int
@@ -45,6 +46,7 @@ class Token:
 
 @dataclass
 class Sentence:
+    """A run of tokens closed by a terminal, with its paragraph and index."""
     tokens: list[Token]
     terminal: str = "none"
     is_title: bool = False
@@ -61,6 +63,7 @@ class Sentence:
 
 @dataclass
 class Document:
+    """A tokenized text: its sentences in order, paragraph count and raw text."""
     sentences: list[Sentence] = field(default_factory=list)
     paragraph_count: int = 0
     raw: str = ""
@@ -96,16 +99,10 @@ def phon_exception(token: Token, lexicon: PhonLexicon) -> str | None:
     return lexicon.lookup(token.normalized)
 
 
-#: the kinds of the punctuation chunks that are not ``OTHER_PUNCT``
+#: the kinds of the punctuation chunks that are not ``OTHER_PUNCT``; a
+#: chunk is a word when its first character is alphanumeric, ``'`` or ``-``
 _PUNCT_KINDS = {",": COMMA, **dict.fromkeys(TERMINAL_CHARS, TERMINAL),
                 **dict.fromkeys(QUOTE_CHARS, QUOTE)}
-
-
-def _kind_of(chunk: str) -> str:
-    c = chunk[0]
-    if c.isalnum() or c in "'-":
-        return WORD
-    return _PUNCT_KINDS.get(chunk, OTHER_PUNCT)
 
 
 def phrase_index(pairs: Iterable[tuple[Sequence[str], object]]) -> dict[str, list]:
@@ -146,7 +143,8 @@ def tokenize(text: str, multiwords: Iterable[Sequence[str]] | None = None) -> li
     parts = _TOKEN_RE.split(text)
     pres = parts[0:-1:2]
     chunks = parts[1::2]
-    kinds = [_kind_of(c) for c in chunks]
+    kinds = [WORD if c[0].isalnum() or c[0] in "'-" else _PUNCT_KINDS.get(c, OTHER_PUNCT)
+             for c in chunks]
     norms = [c.lower() if k == WORD else c for c, k in zip(chunks, kinds)]
     words = [n if k == WORD else None for n, k in zip(norms, kinds)]
     index = phrase_index((mw, None) for mw in multiwords or ())
@@ -212,41 +210,34 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
         doc.paragraph_count = 0
         return doc
 
-    # offset and paragraph index per token, in one walk with the offsets
-    # where the raw text's blank lines end
-    para_ends = [m.end() for m in _BLANK_LINE.finditer(raw)] + [math.inf]
-    offsets = []
-    para_of = []
-    para = 0
-    pos = 0
-    for t in tokens:
-        pos += len(t.pre_ws)
-        while pos >= para_ends[para]:
-            para += 1
-        offsets.append(pos)
-        para_of.append(para)
-        pos += len(t.surface)
+    # the offset of each token, and the first token after each blank line:
+    # a token's paragraph index is the number of blank lines before it
+    offsets = [end - len(t.surface) for t, end in zip(tokens, accumulate(
+        len(t.pre_ws) + len(t.surface) for t in tokens))]
+    cuts = [bisect_left(offsets, m.end()) for m in _BLANK_LINE.finditer(raw)]
 
     first_line = raw.split("\n", 1)[0]
     want_title = title_mode == "force" or (title_mode == "auto" and _looks_like_title(first_line))
 
     # (start, end, terminal) of each run of tokens: a run ends at a
     # terminal (or at a closing quote right after it) and where the
-    # paragraph changes
+    # paragraph changes, so only those positions are visited
+    para_starts = {k for k in cuts if k < len(tokens)}
     runs = []
-    start = i = 0
-    while i < len(tokens):
-        if i > start and para_of[i] != para_of[i - 1]:
+    start = 0
+    for i in sorted(para_starts.union([k for k, t in enumerate(tokens) if t.kind == TERMINAL])):
+        if i < start:
+            continue                  # the closing quote a terminal took
+        if i > start and i in para_starts:
             runs.append((start, i, "none"))
             start = i
         if tokens[i].kind == TERMINAL:
-            terminal = TERMINAL_CHARS[tokens[i].surface]
-            if i + 1 < len(tokens) and tokens[i + 1].kind == QUOTE \
-                    and not quote_is_opener(tokens, i + 1):
-                i += 1
-            runs.append((start, i + 1, terminal))
-            start = i + 1
-        i += 1
+            end = i + 1
+            if end < len(tokens) and tokens[end].kind == QUOTE \
+                    and not quote_is_opener(tokens, end):
+                end += 1
+            runs.append((start, end, TERMINAL_CHARS[tokens[i].surface]))
+            start = end
     runs.append((start, len(tokens), "none"))
 
     sentences: list[Sentence] = []
@@ -256,12 +247,12 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
             # the runs before the first word open the first sentence
             sentences.append(Sentence(tokens[start if sentences else 0:end],
                                       terminal=terminal, index=len(sentences),
-                                      paragraph_index=para_of[first_word]))
+                                      paragraph_index=bisect_right(cuts, first_word)))
         elif sentences:
             sentences[-1].tokens += tokens[start:end]
     if not sentences:
         sentences.append(Sentence(list(tokens), terminal="none", index=0,
-                                  paragraph_index=para_of[0]))
+                                  paragraph_index=bisect_right(cuts, 0)))
 
     if want_title and sentences[0].paragraph_index == 0:
         first = sentences[0]

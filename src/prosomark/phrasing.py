@@ -39,6 +39,7 @@ _RESPLIT_AT = frozenset(lexica.COMPLEMENT_OPENERS | lexica.RELATIVE_PRONOUNS
 # slotted: a document holds one per breath group
 @dataclass(slots=True)
 class BreathGroup:
+    """A run of a sentence's words read in one breath."""
     words: list[int]                     # sentence-local positions of its words
     trigger: str = "start"               # rule that opened this group
     junction: str = ENJAMBED
@@ -83,14 +84,9 @@ def segment(sentence: Sentence, ann: AnnotationSet, config,
 
     # rule: punctuation first; quote marks always close/open a group.  The
     # first mark after a word names the trigger of the next word.
-    trigger = None
-    for i, w in enumerate(norms):
-        if w is not None:
-            if trigger is not None:
-                add(i, trigger)
-                trigger = None
-        elif trigger is None:
-            trigger = "quote" if toks[i].kind == QUOTE else "punct"
+    for a, b in zip(words, words[1:]):
+        if b > a + 1:
+            add(b, "quote" if toks[a + 1].kind == QUOTE else "punct")
 
     prev_word = None
     for k, i in enumerate(words):

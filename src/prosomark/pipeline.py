@@ -3,7 +3,8 @@ into a prosodic script ready for rendering.
 
 Each compile plans its sentences on a fresh ``_Compile``, one at a time in
 document order.  A title takes the title treatment; every other sentence
-runs the rules of ``_SENTENCE_RULES`` in order.  A continuation sentence of
+runs the rules of ``_SENTENCE_RULES`` in order, skipping a rule whose
+trigger words the sentence does not hold.  A continuation sentence of
 a quotation then chains onto the sentence before it with a downstepped
 contour, and the sentence is emitted.
 
@@ -33,6 +34,7 @@ from .prosody import (BI_EVENTS, DEFAULT_TABLE, RSET, BreakIndex, ParamEvent,
 
 @dataclass
 class PipelineResult:
+    """A compile's document, annotations, breath groups, script and notes."""
     doc: Document
     ann: AnnotationSet
     groups: dict[int, list[BreathGroup]]
@@ -95,8 +97,9 @@ class ProsodyManager:
         cfg = self.config
         tokens = tokenize(text, cfg.multiwords)
         doc = split_document(tokens, text, cfg.title_mode)
+        listed = cfg.phon_lexicon.entries
         for t in tokens:
-            if t.kind == WORD:
+            if t.kind == WORD and t.normalized in listed:
                 t.phon_override = phon_exception(t, cfg.phon_lexicon)
         if ann is None:
             ann = shallow_analyze(doc)
@@ -115,9 +118,10 @@ class ProsodyManager:
 
 class _Compile:
     """The rule planner's state for one compile: the phrase indexes of the
-    frozen table and of the sad affect entries, and, shared across
-    sentences, the clauses whose group-final contour is suppressed and the
-    predicates whose head contour has fired."""
+    frozen table and of the sad affect entries, the rules with their
+    trigger words, and, shared across sentences, the clauses whose
+    group-final contour is suppressed and the predicates whose head
+    contour has fired."""
 
     def __init__(self, config: Config, doc: Document, ann: AnnotationSet, ix: DocIndex):
         self.config = config
@@ -130,6 +134,9 @@ class _Compile:
                                       if tag == "sad")
         self.final_suppressed: set[int] = set()
         self.fired_preds: set[str] = set()
+        #: (rule, its trigger words or None) in ``_SENTENCE_RULES``' order
+        self.rules = [(rule, None if triggers is None else frozenset(triggers(self)))
+                      for rule, triggers in _SENTENCE_RULES]
 
     def build_script(self, groups, pov_spans) -> ProsodicScript:
         doc = self.doc
@@ -152,8 +159,10 @@ class _Compile:
             if sent.is_title:
                 self._plan_title(plan)
             elif plan.groups:
-                for rule in _SENTENCE_RULES:
-                    rule(self, plan)
+                held = set(plan.words)
+                for rule, triggers in self.rules:
+                    if triggers is None or not held.isdisjoint(triggers):
+                        rule(self, plan)
             if sent.index in continuations:
                 self._chain_continuation(plan, prev_plan)
 
@@ -531,21 +540,34 @@ class _Compile:
 #: the per-sentence rules of every body sentence, in the order they run.
 #: Each sees the events placed and the tokens consumed by the rules before
 #: it, and the clauses and predicates that rules marked on the compile for
-#: earlier sentences.
+#: earlier sentences.  A rule with triggers, a function of the compile
+#: giving words, places nothing in a sentence that holds none of them, so
+#: it runs only where one occurs; a rule with None runs on every sentence.
 _SENTENCE_RULES = (
-    _Compile._plan_initial,        # sentence-initial contour, up-moving foreground
-    _Compile._plan_frozen,         # frozen pragmatic expressions
-    _Compile._plan_affect,         # affect spans, paragraph-initial fronted adverbial
-    _Compile._plan_exclamative,    # direct-speech exclamative
-    _Compile._plan_clauses,        # subordinate marker, quoted elaboration,
-                                   # comparative continuation, resultative
-                                   # infinitival, foreground clause
-    _Compile._plan_connectives,    # adversative connectives
-    _Compile._plan_head_contours,  # head contours with their closing pauses
-    _Compile._plan_coordination,   # clause-coordination pauses
-    _Compile._plan_quantifiers,    # quantifier slowdowns
-    _Compile._plan_group_finals,   # group-final contours and break indices
-    _Compile._plan_announcement,   # pre-quote announcement after a reporting colon
+    # sentence-initial contour, up-moving foreground
+    (_Compile._plan_initial, None),
+    # frozen pragmatic expressions
+    (_Compile._plan_frozen, lambda c: c.frozen_index),
+    # affect spans, paragraph-initial fronted adverbial
+    (_Compile._plan_affect, lambda c: c.sad_index.keys() | lexica.SENTENCE_ADVERBS),
+    # direct-speech exclamative
+    (_Compile._plan_exclamative, None),
+    # subordinate marker, quoted elaboration, comparative continuation,
+    # resultative infinitival, foreground clause
+    (_Compile._plan_clauses, None),
+    # adversative connectives
+    (_Compile._plan_connectives, lambda c: lexica.ADVERSATIVE_CONNECTIVES),
+    # head contours with their closing pauses, on a predicate before an opener
+    (_Compile._plan_head_contours,
+     lambda c: lexica.COMPLEMENT_OPENERS | lexica.LOOSE_OPENERS),
+    # clause-coordination pauses
+    (_Compile._plan_coordination, lambda c: lexica.COORDINATORS),
+    # quantifier slowdowns
+    (_Compile._plan_quantifiers, lambda c: c.config.quantifiers),
+    # group-final contours and break indices
+    (_Compile._plan_group_finals, None),
+    # pre-quote announcement after a reporting colon
+    (_Compile._plan_announcement, None),
 )
 
 

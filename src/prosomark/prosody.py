@@ -127,6 +127,7 @@ def bi_to_params(bi: BreakIndex) -> list[ParamEvent]:
 
 @dataclass(frozen=True)
 class MappingRow:
+    """A tone-inventory row: its contours, their parameter tuples and its break."""
     row_id: str
     description: str
     params: tuple[tuple[ParamEvent, ...], ...]   # one tuple per contour
@@ -222,6 +223,7 @@ TONE_ROWS: tuple[MappingRow, ...] = (
 
 @dataclass
 class MappingTable:
+    """The mapping-table rows, looked up by row id."""
     rows: tuple[MappingRow, ...] = TONE_ROWS
 
     def __post_init__(self):
@@ -254,6 +256,7 @@ def span_for_sentence(spans: list[POVSpan], sent_index: int) -> POVSpan | None:
 
 @dataclass
 class FrozenMatch:
+    """A frozen pattern matched at one position, with its address tail."""
     role: str                         # the mapping-table row of the pattern
     pattern_length: int
     tail_position: int | None         # the address term after the pattern

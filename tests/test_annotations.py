@@ -6,7 +6,9 @@ import re
 
 import pytest
 
-from prosomark.annotations import (ClauseFeatures, IntegrityError,
+from prosomark.annotations import (ASPECTS, CHANGES, DISC_RELS, FACTIVITIES,
+                                   MOVES, RELEVANCES, SUBJECTIVITIES, TENSES, VIEWS,
+                                   ClauseFeatures, IntegrityError,
                                    SidecarError, TopicRecord, TopicStack,
                                    check_clause_spans, classify_relevance,
                                    derive_moves, fold_topics,
@@ -57,6 +59,19 @@ def test_unknown_enum_rejected():
         parse_sidecar(
             "CLAUSE\t1\tmain/prop\texternal\tfactive\tWRONG\tbackground"
             "\tactivity\trun\tpres\tnarration\tobjective\t0-1\n")
+
+
+def test_parsed_values_are_the_vocabulary_constants():
+    # one shared string per vocabulary value, not one per field per line
+    ann = parse_sidecar(load("belling_cat.ann"))
+    assert len(ann.clauses) == len(ann.nodes) == 35
+    fields = (("view", VIEWS), ("factivity", FACTIVITIES), ("change", CHANGES),
+              ("relevance", RELEVANCES), ("aspect", ASPECTS), ("tense", TENSES),
+              ("disc_rel", DISC_RELS), ("subjectivity", SUBJECTIVITIES))
+    values = [(getattr(c, name), vocabulary) for c in ann.clauses for name, vocabulary in fields]
+    values += [(n.move, MOVES) for n in ann.nodes]
+    assert [v for v, vocabulary in values
+            if not any(v is constant for constant in vocabulary)] == []
 
 
 def test_graded_state_combination_rejected():

@@ -1,5 +1,6 @@
-"""Byte identity over the corpus of ``tools/corpus_digest.py``, and the
-breaks that close breath groups on every document of it.
+"""Byte identity over the corpus of ``tools/corpus_digest.py``, the
+breaks that close breath groups on every document of it, and the
+planner's rule triggers on a slice of it.
 
 ``tests/data/corpus_digest.tsv`` holds one ``name<TAB>sha256`` line per
 document, as the tool prints them.  A change that means to move output
@@ -16,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from prosomark import Config
+from prosomark import Config, pipeline
 from prosomark.lexica import data_path
 
 from conftest import breaks_off_group_ends
@@ -61,6 +62,28 @@ def test_output_does_not_depend_on_the_hash_seed():
     assert [run.returncode for run in runs] == [0, 0]
     assert len(outs[0].splitlines()) == 304
     assert outs[0] == outs[1]
+
+
+def test_rule_triggers_skip_only_rules_that_place_nothing(monkeypatch, config):
+    # a rule skipped for want of a trigger word would have placed nothing:
+    # the same documents compile to the same scripts with every rule run
+    # on every sentence
+    tool = _digest_tool()
+    fx = tool.wl.Fixtures.load(data_path("fixtures"))
+    docs = []
+    for name, text, sidecar, cfg in tool.corpus(fx, config):
+        kind, _, rest = name.partition(":")
+        if (kind == "fixture" and not rest.endswith("+nopov") or kind == "shape"
+                or kind == "fuzz" and int(rest) < 300):
+            docs.append((name, text, sidecar, cfg))
+    assert len(docs) == 4 + 300 + 2 * len(tool.SHAPES)
+    gated = [tool.run_pipeline(text, sidecar, cfg).script.items
+             for _, text, sidecar, cfg in docs]
+    monkeypatch.setattr(pipeline, "_SENTENCE_RULES",
+                        tuple((rule, None) for rule, _ in pipeline._SENTENCE_RULES))
+    moved = [name for (name, text, sidecar, cfg), items in zip(docs, gated)
+             if tool.run_pipeline(text, sidecar, cfg).script.items != items]
+    assert moved == []
 
 
 def test_every_corpus_document_keeps_its_bytes():

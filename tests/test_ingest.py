@@ -288,6 +288,14 @@ def test_phon_exception_case_folding(config):
     assert phon_exception(toks[0], config.phon_lexicon) == folded["hue"] == "hUW"
 
 
+def test_pipeline_sets_phonetic_overrides(config):
+    # the compile's own loop, not a direct phon_exception call: every
+    # listed word in any case, and no other token
+    result = run_pipeline("Hue HUE hue cat.", None, config)
+    assert [(t.surface, t.phon_override) for t in result.doc.tokens()] == [
+        ("Hue", "hUW"), ("HUE", "hUW"), ("hue", "hUW"), ("cat", None), (".", None)]
+
+
 def test_phon_lexicon_is_case_insensitive():
     lex = PhonLexicon({"HUE": "hUW"})
     assert lex.lookup("hue") == "hUW"
