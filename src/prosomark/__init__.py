@@ -12,8 +12,8 @@ from .annotations import (AnnotationSet, ClauseFeatures, DiscourseNode,
 from .config import Config, parse_config_file
 from .emit import (ProsodicScript, params_to_tobi, render_markup, render_tobi,
                    tone_to_params)
-from .ingest import (Document, PhonLexicon, Sentence, Token, classify_comma,
-                     phon_exception, split_document, tokenize)
+from .ingest import (Document, Sentence, Token, classify_comma, split_document,
+                     tokenize)
 from .phrasing import BreathGroup, classify_junction, render_groups, segment
 from .pipeline import PipelineResult, ProsodyManager, run_pipeline
 from .prosody import (DEFAULT_TABLE, BreakIndex, MappingTable, ParamEvent,

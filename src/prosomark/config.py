@@ -48,13 +48,16 @@ class Config:
 
     # loaded lexica (filled by load_lexica): read-only, shared between configs
     multiwords: tuple[tuple[str, ...], ...] = ()
-    phon_lexicon: lexica.PhonLexicon = lexica.PhonLexicon()
+    phon_lexicon: Mapping[str, str] = field(default_factory=lambda: MappingProxyType({}))
     frozen_table: tuple[tuple[tuple[str, ...], str], ...] = ()
     affect_words: Mapping[str, str] = field(default_factory=lambda: MappingProxyType({}))
     quantifiers: frozenset[str] = frozenset()
     comm_verbs: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        for key in _INT_KEYS:
+            if (value := getattr(self, key)) < 0:
+                raise ValueError(f"{key} must not be negative, not {value}")
         if self.min_len > self.max_len:
             raise ValueError("min_len must not exceed max_len")
 
@@ -85,7 +88,7 @@ class Config:
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
-_INT_KEYS = {"min_len", "max_len", "max_subj"}
+_INT_KEYS = ("min_len", "max_len", "max_subj")
 _PATH_KEYS = {path for path, _, _ in _LEXICA}
 _MODE_KEYS = {"title_mode": TITLE_MODES, "emit_mode": EMIT_MODES}
 
@@ -112,6 +115,8 @@ def parse_config_file(path: str | Path) -> Config:
             except ValueError:
                 raise ValueError(f"{where}: {key} must be an integer, "
                                  f"not {value!r}") from None
+            if fields[key] < 0:                 # the Config's check, with the line
+                raise ValueError(f"{where}: {key} must not be negative, not {fields[key]}")
         elif key == "pov_tracking":
             if value.lower() not in _BOOLS:
                 raise ValueError(f"{where}: {key} must be one of "

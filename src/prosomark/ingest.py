@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, takewhile
-from types import MappingProxyType
 
 WORD = "word"
 COMMA = "comma"
@@ -78,25 +77,6 @@ class Document:
         """One past the last token's index: the length of a list indexed by
         token position that covers every token of the document."""
         return self.sentences[-1].tokens[-1].index + 1 if self.sentences else 0
-
-
-@dataclass(frozen=True)
-class PhonLexicon:
-    """Case-insensitive, read-only word -> phonetic string map."""
-
-    entries: Mapping[str, str] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(
-            {k.lower(): v for k, v in (self.entries or {}).items()}))
-
-    def lookup(self, word: str) -> str | None:
-        return self.entries.get(word.lower())
-
-
-def phon_exception(token: Token, lexicon: PhonLexicon) -> str | None:
-    """Phonetic override for a token, if its normalized form is listed."""
-    return lexicon.lookup(token.normalized)
 
 
 #: the kinds of the punctuation chunks that are not ``OTHER_PUNCT``; a

@@ -6,7 +6,7 @@ A loaded lexicon is read-only: tuples, frozensets and read-only mappings,
 which ``Config.load_lexica`` shares between configs.  Formats:
 
 * multiword list  - one expression per line, words space-separated
-* phonetic list   - ``word<TAB>phonetic``
+* phonetic list   - ``word-or-phrase<TAB>phonetic``
 * frozen table    - ``pattern<TAB>role``
 * affect list     - ``word-or-phrase<TAB>{sad|exclaim|exhort}``
 * quantifier list - one word per line
@@ -19,8 +19,6 @@ import importlib.resources
 from collections.abc import Collection, Iterator, Mapping
 from pathlib import Path
 from types import MappingProxyType
-
-from .ingest import PhonLexicon
 
 DATA_PACKAGE = "prosomark.data"
 DATA_DIR = Path(str(importlib.resources.files(DATA_PACKAGE)))
@@ -70,10 +68,11 @@ def load_multiwords(path: str | Path) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(line.lower().split()) for _, line in _lines(path))
 
 
-def load_phon_lexicon(path: str | Path) -> PhonLexicon:
-    """``word<TAB>phonetic`` lines, or without a tab split at the first
-    space.  A line without a phonetic field raises ``ValueError`` naming the
-    file and the line."""
+def load_phon_lexicon(path: str | Path) -> Mapping[str, str]:
+    """word -> phonetic map of ``word<TAB>phonetic`` lines (without a tab,
+    split at the first space), keyed like a token's normalized form: folded,
+    a multiword's words joined with ``_``.  A line without a phonetic field
+    raises ``ValueError`` naming the file and the line."""
     entries = {}
     for n, line in _lines(path):
         word, _, phon = line.partition("\t")
@@ -82,8 +81,8 @@ def load_phon_lexicon(path: str | Path) -> PhonLexicon:
         word, phon = word.strip(), phon.strip()
         if not word or not phon:
             raise ValueError(f"{path}:{n}: expected word<TAB>phonetic, got {line!r}")
-        entries[word] = phon
-    return PhonLexicon(entries)
+        entries["_".join(word.lower().split())] = phon
+    return MappingProxyType(entries)
 
 
 def load_word_set(path: str | Path) -> frozenset[str]:

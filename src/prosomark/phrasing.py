@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import lexica
-from .annotations import AnnotationSet, is_verby
+from .annotations import is_verby
 from .docindex import DocIndex
-from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, Document, Sentence,
-                     classify_comma)
+from .ingest import COMMA, OTHER_PUNCT, QUOTE, TERMINAL, Sentence, classify_comma
 
 END_STOPPED = "end_stopped"
 ENJAMBED = "enjambed"
@@ -58,14 +57,12 @@ def _is_verbish(word: str, ix: DocIndex) -> bool:
     return is_verby(word) or word in ix.verb_preds
 
 
-def segment(sentence: Sentence, ann: AnnotationSet, config,
-            index: DocIndex | None = None) -> list[BreathGroup]:
+def segment(sentence: Sentence, ix: DocIndex, config) -> list[BreathGroup]:
     """Split one sentence into breath groups.
 
-    ``index`` is the compile's ``DocIndex``; without it one is built for
-    this sentence alone.
+    ``ix`` is the compile's ``DocIndex`` over the whole document: the
+    clauses and quotations a sentence's rules read may open before it.
     """
-    ix = index if index is not None else DocIndex(Document([sentence]), ann)
     toks = sentence.tokens
     norms = sentence.words
     words = [i for i, w in enumerate(norms) if w is not None]

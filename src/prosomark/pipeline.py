@@ -25,8 +25,8 @@ from .docindex import DocIndex, POVSpan
 from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
                    ProsodicScript, ScriptItem)
 from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
-                     Sentence, longest_phrase, phon_exception, phrase_index,
-                     split_document, tokenize)
+                     Sentence, longest_phrase, phrase_index, split_document,
+                     tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
 from .prosody import (BI_EVENTS, DEFAULT_TABLE, RSET, BreakIndex, ParamEvent,
                       ToneContext, match_frozen, select_tone)
@@ -97,10 +97,10 @@ class ProsodyManager:
         cfg = self.config
         tokens = tokenize(text, cfg.multiwords)
         doc = split_document(tokens, text, cfg.title_mode)
-        listed = cfg.phon_lexicon.entries
+        listed = cfg.phon_lexicon
         for t in tokens:
             if t.kind == WORD and t.normalized in listed:
-                t.phon_override = phon_exception(t, cfg.phon_lexicon)
+                t.phon_override = listed[t.normalized]
         if ann is None:
             ann = shallow_analyze(doc)
         else:
@@ -110,7 +110,7 @@ class ProsodyManager:
 
         diagnostics = list(ann.warnings)
         ix = DocIndex(doc, ann, diagnostics)
-        groups = {s.index: segment(s, ann, cfg, ix) for s in doc.sentences}
+        groups = {s.index: segment(s, ix, cfg) for s in doc.sentences}
         pov_spans = ix.quotations if cfg.pov_tracking else []
         script = _Compile(cfg, doc, ann, ix).build_script(groups, pov_spans)
         return PipelineResult(doc, ann, groups, script, pov_spans, diagnostics)

@@ -238,13 +238,11 @@ DEFAULT_TABLE = MappingTable()
 
 # Point of view ---------------------------------------------------------------
 
-def track_point_of_view(doc: Document, ann, index: DocIndex | None = None) -> list[POVSpan]:
-    """The direct-speech spans: the quotations of ``index``, the compile's
-    ``DocIndex`` (without it one is built).  A span persists across
-    sentences until its closing quote; one left open ends at its opener's
-    paragraph end.
-    """
-    return (index if index is not None else DocIndex(doc, ann)).quotations
+def track_point_of_view(doc: Document, ann) -> list[POVSpan]:
+    """The direct-speech spans: a ``DocIndex``'s quotations, which a compile
+    reads from its own index.  A span persists across sentences until its
+    closing quote; one left open ends at its opener's paragraph end."""
+    return DocIndex(doc, ann).quotations
 
 
 def span_for_sentence(spans: list[POVSpan], sent_index: int) -> POVSpan | None:

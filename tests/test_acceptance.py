@@ -11,6 +11,7 @@ import time
 
 from prosomark.annotations import classify_relevance, fold_topics, parse_sidecar
 from prosomark.config import Config
+from prosomark.docindex import DocIndex
 from prosomark.emit import (DEFAULT_TABLE, bi_to_params, params_to_bi,
                             params_to_tobi, render_markup, render_tobi,
                             tone_to_params)
@@ -207,9 +208,9 @@ def test_criterion_9_invariant_suite(fable_result, fox_result):
         if rng.random() < 0.2:
             text = '"' + text + '"'
         doc = split_document(tokenize(text, cfg.multiwords), text, "off")
-        ann = shallow_analyze(doc)
+        ix = DocIndex(doc, shallow_analyze(doc))
         for sent in doc.sentences:
-            groups = segment(sent, ann, cfg)
+            groups = segment(sent, ix, cfg)
             words = [i for i, t in enumerate(sent.tokens) if t.kind == "word"]
             covered = []
             for g in groups:

@@ -239,9 +239,11 @@ def test_single_field_lexicon_line_is_usage_error(tmp_path, capsys, name, lines)
     ("pov_tracking = maybe", "pov_tracking must be one of "
                              "1/true/yes/on/0/false/no/off, not 'maybe'"),
     ("min_len = two", "min_len must be an integer, not 'two'"),
+    ("max_subj = -1", "max_subj must not be negative, not -1"),
     ("emit_mode", "expected key = value"),
     ("colour = red", "unknown key 'colour'"),
-], ids=["emit_mode", "title_mode", "pov_tracking", "min_len", "no_value", "unknown_key"])
+], ids=["emit_mode", "title_mode", "pov_tracking", "min_len", "max_subj",
+        "no_value", "unknown_key"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# a config\n{line}\n")

@@ -27,8 +27,7 @@ def test_configs_share_no_lexicon_objects():
              lambda: first.affect_words.__setitem__("cat", "sad"),
              lambda: first.quantifiers.add("zz"),
              lambda: first.comm_verbs.discard(next(iter(first.comm_verbs))),
-             lambda: first.phon_lexicon.entries.__setitem__("cat", "kat"),
-             lambda: setattr(first.phon_lexicon, "entries", {"cat": "kat"})]
+             lambda: first.phon_lexicon.__setitem__("cat", "kat")]
     for edit in edits:
         with pytest.raises((AttributeError, TypeError)):
             edit()
@@ -37,7 +36,7 @@ def test_configs_share_no_lexicon_objects():
     fresh = _fresh_build(second)
     for _, name, _ in _LEXICA:
         assert getattr(second, name) == fresh[name], name
-    assert "cat" not in second.phon_lexicon.entries
+    assert "cat" not in second.phon_lexicon
 
 
 def test_loaded_configs_share_lexicon_objects():
@@ -101,6 +100,13 @@ def test_config_file_booleans(tmp_path, value, expected):
     path.write_text(f"pov_tracking = {value}\nemit_mode = tobi\ntitle_mode = off\n")
     cfg = parse_config_file(path)
     assert (cfg.pov_tracking, cfg.emit_mode, cfg.title_mode) == (expected, "tobi", "off")
+
+
+@pytest.mark.parametrize("key", ["min_len", "max_len", "max_subj"])
+def test_negative_count_is_rejected(key):
+    with pytest.raises(ValueError, match=f"^{key} must not be negative, not -1$"):
+        Config(**{key: -1})
+    assert getattr(Config(**{key: 0, "min_len": 0}), key) == 0
 
 
 def test_min_len_above_max_len_is_rejected(tmp_path, capsys):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from prosomark.config import Config
 from prosomark.emit import render_markup
 from prosomark.ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL,
-                              TERMINAL_CHARS, QUOTE_CHARS, WORD, PhonLexicon,
-                              Token, classify_comma, phon_exception,
-                              reconstruct, split_document, tokenize)
+                              TERMINAL_CHARS, QUOTE_CHARS, WORD, Token,
+                              classify_comma, reconstruct, split_document,
+                              tokenize)
+from prosomark.lexica import load_phon_lexicon
 from prosomark.pipeline import run_pipeline
 from conftest import load
 
@@ -273,30 +274,42 @@ def test_comma_classes_at_gold_boundaries(fable_result):
 
 def test_phon_exception_hue(config):
     toks = tokenize("hue", config.multiwords)
-    assert phon_exception(toks[0], config.phon_lexicon) == "hUW"
+    assert config.phon_lexicon[toks[0].normalized] == "hUW"
 
 
 def test_phon_exception_absent(config):
     toks = tokenize("cat", config.multiwords)
-    assert phon_exception(toks[0], config.phon_lexicon) is None
+    assert toks[0].normalized not in config.phon_lexicon
 
 
 def test_phon_exception_case_folding(config):
-    # oracle: case-folded lookup over the lexicon keys
-    folded = {k.lower(): v for k, v in config.phon_lexicon.entries.items()}
+    # oracle: the lexicon's keys are already case-folded
+    folded = {k.lower(): v for k, v in config.phon_lexicon.items()}
     toks = tokenize("Hue", config.multiwords)
-    assert phon_exception(toks[0], config.phon_lexicon) == folded["hue"] == "hUW"
+    assert dict(config.phon_lexicon) == folded
+    assert config.phon_lexicon[toks[0].normalized] == folded["hue"] == "hUW"
 
 
 def test_pipeline_sets_phonetic_overrides(config):
-    # the compile's own loop, not a direct phon_exception call: every
-    # listed word in any case, and no other token
+    # the compile's own loop: every listed word in any case, and no other
+    # token
     result = run_pipeline("Hue HUE hue cat.", None, config)
     assert [(t.surface, t.phon_override) for t in result.doc.tokens()] == [
         ("Hue", "hUW"), ("HUE", "hUW"), ("hue", "hUW"), ("cat", None), (".", None)]
 
 
-def test_phon_lexicon_is_case_insensitive():
-    lex = PhonLexicon({"HUE": "hUW"})
-    assert lex.lookup("hue") == "hUW"
-    assert lex.lookup("Hue") == "hUW"
+def test_phon_lexicon_is_case_insensitive(tmp_path):
+    path = tmp_path / "phonetic.tsv"
+    path.write_text("HUE\thUW\n")
+    assert load_phon_lexicon(path) == {"hue": "hUW"}
+    result = run_pipeline("Hue.", None, Config(phonetic_path=path).load_lexica())
+    assert result.doc.tokens()[0].phon_override == "hUW"
+
+
+def test_phonetic_entry_of_a_multiword_applies(tmp_path):
+    # the merged token's normalized form joins its words with "_"
+    path = tmp_path / "phonetic.tsv"
+    path.write_text("long ago\tlOng@gO\n")
+    result = run_pipeline("Long ago, hue.", None, Config(phonetic_path=path).load_lexica())
+    assert [(t.surface, t.phon_override) for t in result.doc.tokens()] == [
+        ("Long ago", "lOng@gO"), (",", None), ("hue", None), (".", None)]

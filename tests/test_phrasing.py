@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
+
 from prosomark.annotations import shallow_analyze
 from prosomark.config import Config
+from prosomark.docindex import DocIndex
 from prosomark.ingest import split_document, tokenize
 from prosomark import phrasing
 from prosomark.phrasing import END_STOPPED, BreathGroup, segment
@@ -36,15 +39,14 @@ def test_long_first_sentence_groups(fable_result):
 def test_single_group_sentence(config):
     text = "Mice ran."
     doc = split_document(tokenize(text, config.multiwords), text, "off")
-    groups = segment(doc.sentences[0], shallow_analyze(doc), config)
+    groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
     assert len(groups) == 1
 
 
 def test_split_before_clause_coordination(config):
     text = "Some said this and some said that."
     doc = split_document(tokenize(text, config.multiwords), text, "off")
-    ann = shallow_analyze(doc)
-    groups = segment(doc.sentences[0], ann, config)
+    groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
     texts = group_texts(doc.sentences[0], groups)
     assert texts == ["some said this", "and some said that"]
 
@@ -57,6 +59,23 @@ def test_final_locative_adjunct_of_a_quotation_continuation(config):
     assert group_texts(sent, res.groups[2]) == ["what a noble bird i see", "above me"]
 
 
+QUOTED = 'He said: "The cat ran. Look at the bird under the tree!" Then he left.'
+
+
+@pytest.mark.parametrize("text,sidecar", [
+    ("belling_cat.txt", "belling_cat.ann"), ("belling_cat.txt", None),
+    ("fox_crow.txt", "fox_crow.ann"), ("fox_crow.txt", None), (QUOTED, None),
+], ids=["fable", "fable_shallow", "fox", "fox_shallow", "quoted"])
+def test_segment_with_the_compile_index_gives_its_groups(config, text, sidecar):
+    # QUOTED's second sentence is direct speech only through the quotation
+    # opened in the sentence before it, so an index over that sentence alone
+    # misses its final locative adjunct
+    text = load(text) if text.endswith(".txt") else text
+    res = run_pipeline(text, load(sidecar) if sidecar else None, config)
+    ix = DocIndex(res.doc, res.ann)
+    assert {s.index: segment(s, ix, config) for s in res.doc.sentences} == res.groups
+
+
 def test_stray_quote_mark_is_not_direct_speech(config):
     # the mark opens no word, so the index ignores it and nothing is quoted
     res = run_pipeline('" What a bird I see above me!', None, config)
@@ -67,7 +86,7 @@ def test_stray_quote_mark_is_not_direct_speech(config):
 def test_sentence_initial_adverbial_phrase_split(config):
     text = "Very slowly the mice crept away."
     doc = split_document(tokenize(text, config.multiwords), text, "off")
-    groups = segment(doc.sentences[0], shallow_analyze(doc), config)
+    groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
     texts = group_texts(doc.sentences[0], groups)
     assert texts[0] == "very slowly"
 
@@ -75,7 +94,7 @@ def test_sentence_initial_adverbial_phrase_split(config):
 def test_long_subject_split_before_verb(config):
     text = "The very old grey mouse from the mill said that."
     doc = split_document(tokenize(text, config.multiwords), text, "off")
-    groups = segment(doc.sentences[0], shallow_analyze(doc), config)
+    groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
     texts = group_texts(doc.sentences[0], groups)
     assert any(t.startswith("said") for t in texts[1:])
 
@@ -84,7 +103,7 @@ def test_max_len_resplit(config):
     words = "the cat saw that the dog saw that the bird saw that the mouse ran away now".split()
     text = " ".join(words) + "."
     doc = split_document(tokenize(text, config.multiwords), text, "off")
-    groups = segment(doc.sentences[0], shallow_analyze(doc), config)
+    groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
     for g in groups:
         n = sum(doc.sentences[0].tokens[i].source_words for i in g.positions()
                 if doc.sentences[0].tokens[i].kind == "word")
@@ -96,7 +115,7 @@ def test_max_len_resplit_of_a_very_long_sentence(config):
     text = "the cat saw this " * 1000 + "dog."
     doc = split_document(tokenize(text, config.multiwords), text, "off")
     sent = doc.sentences[0]
-    groups = segment(sent, shallow_analyze(doc), config)
+    groups = segment(sent, DocIndex(doc, shallow_analyze(doc)), config)
     assert [w for g in groups for w in g.words] == \
         [i for i, t in enumerate(sent.tokens) if t.kind == "word"]
     assert len(groups) == 999
@@ -113,7 +132,7 @@ def test_each_group_is_built_once(config, monkeypatch):
     text = "the, " * 400 + "ran."
     doc = split_document(tokenize(text, config.multiwords), text, "off")
     sent = doc.sentences[0]
-    ann = shallow_analyze(doc)
+    ix = DocIndex(doc, shallow_analyze(doc))
     built = []
 
     def recording(*args, **kwargs):
@@ -122,7 +141,7 @@ def test_each_group_is_built_once(config, monkeypatch):
         return group
 
     monkeypatch.setattr(phrasing, "BreathGroup", recording)
-    groups = segment(sent, ann, config)
+    groups = segment(sent, ix, config)
     assert [w for g in groups for w in g.words] == \
         [i for i, w in enumerate(sent.words) if w is not None]
     assert sum(built) == 401
@@ -132,11 +151,12 @@ def test_lowering_max_len_never_merges(config, fable_result):
     tighter = Config().load_lexica()
     tighter.max_len = 6
     doc = fable_result.doc
+    ix = DocIndex(doc, fable_result.ann)
     for sent in doc.sentences:
         if sent.is_title:
             continue
-        wide = segment(sent, fable_result.ann, config)
-        narrow = segment(sent, fable_result.ann, tighter)
+        wide = segment(sent, ix, config)
+        narrow = segment(sent, ix, tighter)
         assert len(narrow) >= len(wide)
         wide_bounds = {g.token_span[0] for g in wide}
         narrow_bounds = {g.token_span[0] for g in narrow}
@@ -166,9 +186,9 @@ def test_partition_property_synthetic(config):
         n = rng.randint(1, 16)
         text = " ".join(rng.choice(vocab) for _ in range(n)) + "."
         doc = split_document(tokenize(text, cfg.multiwords), text, "off")
-        ann = shallow_analyze(doc)
+        ix = DocIndex(doc, shallow_analyze(doc))
         for sent in doc.sentences:
-            groups = segment(sent, ann, cfg)
+            groups = segment(sent, ix, cfg)
             words = [i for i, t in enumerate(sent.tokens) if t.kind == "word"]
             covered = []
             for g in groups:
