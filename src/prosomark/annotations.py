@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass, field
 from typing import NoReturn
 
 from . import lexica
@@ -67,75 +66,71 @@ class IntegrityError(ValueError):
 
 
 # slotted, as are the two records below: a sidecar holds one per clause
-@dataclass(slots=True)
 class ClauseFeatures:
     """The feature vector of one clause (one sidecar CLAUSE line)."""
-    clause_no: int
-    func_role: tuple[str, str] = ("main", "prop")
-    view: str = "external"
-    factivity: str = "factive"
-    change: str = "null"
-    relevance: str | None = "background"
-    aspect: str = "activity"
-    pred: str = ""
-    tense: str = "pres"
-    disc_rel: str = "narration"
-    subjectivity: str = "objective"
+    __slots__ = ("clause_no", "func_role", "view", "factivity", "change", "relevance",
+                 "aspect", "pred", "tense", "disc_rel", "subjectivity")
+
+    def __init__(self, clause_no: int, func_role: tuple[str, str] = ("main", "prop"),
+                 view: str = "external", factivity: str = "factive", change: str = "null",
+                 relevance: str | None = "background", aspect: str = "activity",
+                 pred: str = "", tense: str = "pres", disc_rel: str = "narration",
+                 subjectivity: str = "objective"):
+        self.clause_no, self.func_role, self.view = clause_no, func_role, view
+        self.factivity, self.change, self.relevance = factivity, change, relevance
+        self.aspect, self.pred, self.tense = aspect, pred, tense
+        self.disc_rel, self.subjectivity = disc_rel, subjectivity
 
 
-@dataclass(slots=True)
 class TopicRecord:
     """One topic mention of a clause (one sidecar TOPIC line)."""
-    topic_type: str
-    clause_no: int
-    pred: str
-    semantic_id: str
-    morph: tuple[str, str, str] = ("3", "nil", "nil")
-    inherent: tuple[str, ...] = ()
-    role: str = "theme"
+    __slots__ = ("topic_type", "clause_no", "pred", "semantic_id", "morph", "inherent", "role")
+
+    def __init__(self, topic_type: str, clause_no: int, pred: str, semantic_id: str,
+                 morph: tuple[str, str, str] = ("3", "nil", "nil"),
+                 inherent: tuple[str, ...] = (), role: str = "theme"):
+        self.topic_type, self.clause_no, self.pred = topic_type, clause_no, pred
+        self.semantic_id, self.morph, self.inherent, self.role = semantic_id, morph, inherent, role
 
 
-@dataclass(slots=True)
 class DiscourseNode:
     """The discourse move and attachment of one clause (one DISC line)."""
-    sent_id: str
-    clause_no: int
-    move: str
-    attach: tuple[int | None, int]
+    __slots__ = ("sent_id", "clause_no", "move", "attach")
+
+    def __init__(self, sent_id: str, clause_no: int, move: str, attach: tuple[int | None, int]):
+        self.sent_id, self.clause_no, self.move, self.attach = sent_id, clause_no, move, attach
 
 
-@dataclass
 class TopicStack:
     """The main, secondary and potential topics, with persistence counts."""
-    main: str | None = None
-    secondary: str | None = None
-    potential: str | None = None
-    persistence: dict[str, int] = field(default_factory=dict)
+
+    def __init__(self, main: str | None = None, secondary: str | None = None,
+                 potential: str | None = None, persistence: dict[str, int] | None = None):
+        self.main, self.secondary, self.potential = main, secondary, potential
+        self.persistence = {} if persistence is None else persistence
 
     def slots(self) -> list[str]:
         return [s for s in (self.main, self.secondary, self.potential) if s]
 
 
-@dataclass
 class AnnotationSet:
     """A document's clauses with their token spans, topics and discourse nodes."""
-    clauses: list[ClauseFeatures] = field(default_factory=list)
-    topics: list[TopicRecord] = field(default_factory=list)
-    nodes: list[DiscourseNode] = field(default_factory=list)
-    clause_spans: dict[int, tuple[int, int]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+
+    def __init__(self, clauses: list[ClauseFeatures] | None = None,
+                 topics: list[TopicRecord] | None = None, nodes: list[DiscourseNode] | None = None,
+                 clause_spans: dict[int, tuple[int, int]] | None = None,
+                 warnings: list[str] | None = None):
+        self.clauses = [] if clauses is None else clauses
+        self.topics = [] if topics is None else topics
+        self.nodes = [] if nodes is None else nodes
+        self.clause_spans = {} if clause_spans is None else clause_spans
+        self.warnings = [] if warnings is None else warnings
 
     def clause(self, clause_no: int) -> ClauseFeatures | None:
-        for c in self.clauses:
-            if c.clause_no == clause_no:
-                return c
-        return None
+        return next((c for c in self.clauses if c.clause_no == clause_no), None)
 
     def node(self, clause_no: int) -> DiscourseNode | None:
-        for n in self.nodes:
-            if n.clause_no == clause_no:
-                return n
-        return None
+        return next((n for n in self.nodes if n.clause_no == clause_no), None)
 
     def clause_at(self, token_index: int) -> ClauseFeatures | None:
         """Clause whose span contains the token; smallest span wins.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
@@ -30,36 +29,40 @@ _LEXICA = (("multiword_path", "multiwords", lexica.load_multiwords),
 _BUILT: dict[tuple, tuple] = {}
 
 
-@dataclass
 class Config:
-    """One compile's parameters, lexicon paths and loaded lexica."""
-    min_len: int = 2
-    max_len: int = 12
-    max_subj: int = 4
-    title_mode: str = "auto"            # auto | force | off
-    emit_mode: str = "markup"           # markup | tobi | both | groups
-    pov_tracking: bool = True
-    multiword_path: Path = lexica.data_path("multiwords.txt")
-    phonetic_path: Path = lexica.data_path("phonetic.tsv")
-    frozen_path: Path = lexica.data_path("frozen.tsv")
-    affect_path: Path = lexica.data_path("affect.tsv")
-    quantifier_path: Path = lexica.data_path("quantifiers.txt")
-    comm_verb_path: Path = lexica.data_path("comm_verbs.txt")
+    """One compile's parameters, lexicon paths and loaded lexica.  The
+    lexicon fields, filled by ``load_lexica``, are read-only and shared
+    between configs."""
+    #: the ``(path, st_mtime_ns, st_size)`` of each lexicon file loaded
+    lexicon_stamps: tuple = ()
 
-    # loaded lexica (filled by load_lexica): read-only, shared between configs
-    multiwords: tuple[tuple[str, ...], ...] = ()
-    phon_lexicon: Mapping[str, str] = field(default_factory=lambda: MappingProxyType({}))
-    frozen_table: tuple[tuple[tuple[str, ...], str], ...] = ()
-    affect_words: Mapping[str, str] = field(default_factory=lambda: MappingProxyType({}))
-    quantifiers: frozenset[str] = frozenset()
-    comm_verbs: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        for key in _INT_KEYS:
-            if (value := getattr(self, key)) < 0:
+    def __init__(self, min_len: int = 2, max_len: int = 12, max_subj: int = 4,
+                 title_mode: str = "auto", emit_mode: str = "markup", pov_tracking: bool = True,
+                 multiword_path: Path = lexica.data_path("multiwords.txt"),
+                 phonetic_path: Path = lexica.data_path("phonetic.tsv"),
+                 frozen_path: Path = lexica.data_path("frozen.tsv"),
+                 affect_path: Path = lexica.data_path("affect.tsv"),
+                 quantifier_path: Path = lexica.data_path("quantifiers.txt"),
+                 comm_verb_path: Path = lexica.data_path("comm_verbs.txt"),
+                 multiwords: tuple[tuple[str, ...], ...] = (),
+                 phon_lexicon: Mapping[str, str] = MappingProxyType({}),
+                 frozen_table: tuple[tuple[tuple[str, ...], str], ...] = (),
+                 affect_words: Mapping[str, str] = MappingProxyType({}),
+                 quantifiers: frozenset[str] = frozenset(),
+                 comm_verbs: frozenset[str] = frozenset()):
+        for key, value in zip(_INT_KEYS, (min_len, max_len, max_subj)):
+            if value < 0:
                 raise ValueError(f"{key} must not be negative, not {value}")
-        if self.min_len > self.max_len:
+        if min_len > max_len:
             raise ValueError("min_len must not exceed max_len")
+        self.min_len, self.max_len, self.max_subj = min_len, max_len, max_subj
+        self.title_mode, self.emit_mode, self.pov_tracking = title_mode, emit_mode, pov_tracking
+        self.multiword_path, self.phonetic_path = multiword_path, phonetic_path
+        self.frozen_path, self.affect_path = frozen_path, affect_path
+        self.quantifier_path, self.comm_verb_path = quantifier_path, comm_verb_path
+        self.multiwords, self.phon_lexicon = multiwords, phon_lexicon
+        self.frozen_table, self.affect_words = frozen_table, affect_words
+        self.quantifiers, self.comm_verbs = quantifiers, comm_verbs
 
     def load_lexica(self) -> "Config":
         """Fill the lexicon fields from their files.  A missing file raises
@@ -83,6 +86,7 @@ class Config:
             if hit is None or hit[0] != stamp:
                 hit = _BUILT[load, stamp[0]] = (stamp, load(stamp[0]))
             setattr(self, name, hit[1])
+        self.lexicon_stamps = tuple(stamps)
         return self
 
 

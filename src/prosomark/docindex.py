@@ -12,18 +12,18 @@ clauses).  The index describes one compile and is not kept on the
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .annotations import AnnotationSet, ClauseFeatures, DiscourseNode, innermost_clauses
 from .ingest import QUOTE, Document, Sentence, Token, quote_is_opener
 
 
-@dataclass
 class POVSpan:
     """One quotation: direct speech, the only point of view the rules read."""
-    start_token: int              # document token index of the opening quote
-    end_token: int                # closing quote, or the paragraph's last token
-    sentences: list[int]          # the sentences holding its tokens
+
+    def __init__(self, start_token: int, end_token: int, sentences: list[int]):
+        self.start_token = start_token      # document token index of the opening quote
+        self.end_token = end_token          # closing quote, or the paragraph's last token
+        self.sentences = sentences          # the sentences holding its tokens
 
 
 class DocIndex:

@@ -14,9 +14,8 @@ inline.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
-from .ingest import QUOTE, Document, Token
+from .ingest import QUOTE, Document, Record, Token
 from .prosody import (BI_REALIZATION, DEFAULT_TABLE, BreakIndex, ParamEvent,
                       ToneContour, bi_to_params)
 
@@ -99,22 +98,23 @@ GLUE_COMPOUND = "compound"  # reset rendered as ,[[rset 0]] after a silence
 
 
 # slotted: a script holds one item per token and per event
-@dataclass(slots=True)
-class ScriptItem:
+class ScriptItem(Record):
     """One item of a prosodic script: a token, an event or a boundary marker."""
-    kind: str                       # token | event | sentence_start | paragraph_break
-    token: Token | None = None
-    event: ParamEvent | None = None
-    glue: str = GLUE_NONE
-    tone_label: str | None = None
-    bi: BreakIndex | None = None
-    sentence_index: int | None = None
+    __slots__ = ("kind", "token", "event", "glue", "tone_label", "bi", "sentence_index")
+
+    def __init__(self, kind: str, token: Token | None = None, event: ParamEvent | None = None,
+                 glue: str = GLUE_NONE, tone_label: str | None = None,
+                 bi: BreakIndex | None = None, sentence_index: int | None = None):
+        self.kind = kind            # token | event | sentence_start | paragraph_break
+        self.token, self.event, self.glue = token, event, glue
+        self.tone_label, self.bi, self.sentence_index = tone_label, bi, sentence_index
 
 
-@dataclass
 class ProsodicScript:
     """The items of a compile in document order, ready for rendering."""
-    items: list[ScriptItem] = field(default_factory=list)
+
+    def __init__(self, items: list[ScriptItem] | None = None):
+        self.items = [] if items is None else items
 
     def sentence_start(self, index: int):
         self.items.append(ScriptItem("sentence_start", sentence_index=index))

@@ -13,9 +13,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, takewhile
+from itertools import accumulate, chain, takewhile
 
 WORD = "word"
 COMMA = "comma"
@@ -30,27 +29,37 @@ QUOTE_CHARS = {'"', "“", "”"}
 _TOKEN_RE = re.compile(r"([^\s\w]|[\w'-]+)", re.UNICODE)
 
 
+class Record:
+    """A record equal to one of its class whose fields hold equal values.
+    Its fields are its slots, or its attributes when it has no slots."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return NotImplemented if type(other) is not type(self) else all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__ or vars(self))
+
+
 # slotted: a document holds one per token
-@dataclass(slots=True)
-class Token:
+class Token(Record):
     """One token: its surface text, normalized form, document index and kind."""
-    surface: str
-    normalized: str
-    index: int
-    kind: str
-    pre_ws: str = ""
-    phon_override: str | None = None
-    source_words: int = 1
+    __slots__ = ("surface", "normalized", "index", "kind", "pre_ws", "phon_override",
+                 "source_words")
+
+    def __init__(self, surface: str, normalized: str, index: int, kind: str,
+                 pre_ws: str = "", phon_override: str | None = None, source_words: int = 1):
+        # at most three targets a line: a longer one builds a tuple to unpack
+        self.surface, self.normalized, self.index = surface, normalized, index
+        self.kind, self.pre_ws = kind, pre_ws
+        self.phon_override, self.source_words = phon_override, source_words
 
 
-@dataclass
 class Sentence:
     """A run of tokens closed by a terminal, with its paragraph and index."""
-    tokens: list[Token]
-    terminal: str = "none"
-    is_title: bool = False
-    paragraph_index: int = 0
-    index: int = 0
+
+    def __init__(self, tokens: list[Token], terminal: str = "none", is_title: bool = False,
+                 paragraph_index: int = 0, index: int = 0):
+        self.tokens, self.terminal, self.is_title = tokens, terminal, is_title
+        self.paragraph_index, self.index = paragraph_index, index
 
     @cached_property
     def words(self) -> list[str | None]:
@@ -60,18 +69,16 @@ class Sentence:
         return [t.normalized if t.kind == WORD else None for t in self.tokens]
 
 
-@dataclass
 class Document:
     """A tokenized text: its sentences in order, paragraph count and raw text."""
-    sentences: list[Sentence] = field(default_factory=list)
-    paragraph_count: int = 0
-    raw: str = ""
+
+    def __init__(self, sentences: list[Sentence] | None = None, paragraph_count: int = 0,
+                 raw: str = ""):
+        self.sentences = [] if sentences is None else sentences
+        self.paragraph_count, self.raw = paragraph_count, raw
 
     def tokens(self) -> list[Token]:
-        out = []
-        for s in self.sentences:
-            out.extend(s.tokens)
-        return out
+        return list(chain.from_iterable(s.tokens for s in self.sentences))
 
     def token_count(self) -> int:
         """One past the last token's index: the length of a list indexed by
@@ -185,10 +192,8 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
     when it carries no terminal punctuation (``title_mode='auto'``) or
     unconditionally (``'force'``).
     """
-    doc = Document(raw=raw)
     if not tokens:
-        doc.paragraph_count = 0
-        return doc
+        return Document(raw=raw)
 
     # the offset of each token, and the first token after each blank line:
     # a token's paragraph index is the number of blank lines before it
@@ -240,9 +245,7 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
         if all(offsets[t.index] < line_end for t in first.tokens):
             first.is_title = True
 
-    doc.sentences = sentences
-    doc.paragraph_count = max(s.paragraph_index for s in sentences) + 1
-    return doc
+    return Document(sentences, max(s.paragraph_index for s in sentences) + 1, raw)
 
 
 # Comma classification ------------------------------------------------------

@@ -13,13 +13,12 @@ than ``max_len`` are re-split at the strongest internal trigger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import lexica
 from .annotations import is_verby
 from .docindex import DocIndex
-from .ingest import COMMA, OTHER_PUNCT, QUOTE, TERMINAL, Sentence, classify_comma
+from .ingest import COMMA, OTHER_PUNCT, QUOTE, TERMINAL, Record, Sentence, classify_comma
 
 END_STOPPED = "end_stopped"
 ENJAMBED = "enjambed"
@@ -36,12 +35,13 @@ _RESPLIT_AT = frozenset(lexica.COMPLEMENT_OPENERS | lexica.RELATIVE_PRONOUNS
 
 
 # slotted: a document holds one per breath group
-@dataclass(slots=True)
-class BreathGroup:
-    """A run of a sentence's words read in one breath."""
-    words: list[int]                     # sentence-local positions of its words
-    trigger: str = "start"               # rule that opened this group
-    junction: str = ENJAMBED
+class BreathGroup(Record):
+    """A run of a sentence's words read in one breath: their sentence-local
+    positions, the rule that opened the group and how it ends."""
+    __slots__ = ("words", "trigger", "junction")
+
+    def __init__(self, words: list[int], trigger: str = "start", junction: str = ENJAMBED):
+        self.words, self.trigger, self.junction = words, trigger, junction
 
     @property
     def token_span(self) -> tuple[int, int]:

@@ -15,7 +15,6 @@ supplies the tables, ``select_tone`` and ``match_frozen``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 
 from . import lexica
 from .annotations import (AnnotationSet, check_clause_spans, parse_sidecar,
@@ -32,15 +31,15 @@ from .prosody import (BI_EVENTS, DEFAULT_TABLE, RSET, BreakIndex, ParamEvent,
                       ToneContext, match_frozen, select_tone)
 
 
-@dataclass
 class PipelineResult:
     """A compile's document, annotations, breath groups, script and notes."""
-    doc: Document
-    ann: AnnotationSet
-    groups: dict[int, list[BreathGroup]]
-    script: ProsodicScript
-    pov_spans: list[POVSpan]
-    diagnostics: list[str] = field(default_factory=list)
+
+    def __init__(self, doc: Document, ann: AnnotationSet, groups: dict[int, list[BreathGroup]],
+                 script: ProsodicScript, pov_spans: list[POVSpan],
+                 diagnostics: list[str] | None = None):
+        self.doc, self.ann, self.groups, self.script = doc, ann, groups, script
+        self.pov_spans = pov_spans
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def groups_text(self) -> str:
         return render_groups(self.doc, self.groups)
@@ -117,26 +116,33 @@ class ProsodyManager:
 
 
 class _Compile:
-    """The rule planner's state for one compile: the phrase indexes of the
-    frozen table and of the sad affect entries, the rules with their
-    trigger words, and, shared across sentences, the clauses whose
-    group-final contour is suppressed and the predicates whose head
-    contour has fired."""
+    """The rule planner's state for one compile: the frozen and sad phrase
+    indexes, in the text's merged forms, and the rules with their trigger
+    words, all kept per set of lexicon files (``kept``); and, shared
+    across sentences, the clauses whose group-final contour is suppressed
+    and the predicates whose head contour has fired."""
+    #: lexicon stamps -> (lexica, frozen index, sad index, rules) of a config's last compile
+    kept: dict[tuple, tuple] = {}
 
     def __init__(self, config: Config, doc: Document, ann: AnnotationSet, ix: DocIndex):
-        self.config = config
-        self.doc = doc
-        self.ann = ann
-        self.ix = ix
-        self.frozen_index = phrase_index(config.frozen_table)
-        self.sad_index = phrase_index((key.split(" "), tag)
-                                      for key, tag in config.affect_words.items()
-                                      if tag == "sad")
+        self.config, self.doc, self.ann, self.ix = config, doc, ann, ix
         self.final_suppressed: set[int] = set()
         self.fired_preds: set[str] = set()
+        lexica = config.multiwords, config.frozen_table, config.affect_words, config.quantifiers
+        if (hit := self.kept.get(config.lexicon_stamps)) and hit[0] == lexica:
+            _, self.frozen_index, self.sad_index, self.rules = hit
+            return
+
+        def merged(phrase: str) -> list[str]:
+            return [t.normalized for t in tokenize(phrase, config.multiwords)]
+        self.frozen_index = phrase_index((merged(" ".join(pattern)), role)
+                                         for pattern, role in config.frozen_table)
+        self.sad_index = phrase_index((words, tag) for key, tag in config.affect_words.items()
+                                      if tag == "sad" and (words := merged(key)))
         #: (rule, its trigger words or None) in ``_SENTENCE_RULES``' order
         self.rules = [(rule, None if triggers is None else frozenset(triggers(self)))
                       for rule, triggers in _SENTENCE_RULES]
+        self.kept[config.lexicon_stamps] = lexica, self.frozen_index, self.sad_index, self.rules
 
     def build_script(self, groups, pov_spans) -> ProsodicScript:
         doc = self.doc
@@ -607,7 +613,7 @@ def _pause(bi: BreakIndex, glue: str = GLUE_RIGHT, before: ScriptItem | None = N
 @functools.cache
 def _fused(event: ParamEvent, silence: int) -> ParamEvent:
     """``event``'s parameters with the silence in front."""
-    return replace(event, slnc=silence)
+    return ParamEvent(event.pbas, event.rate, event.volm, silence)
 
 
 def run_pipeline(text: str, sidecar_text: str | None, config: Config) -> PipelineResult:

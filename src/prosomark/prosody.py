@@ -18,12 +18,11 @@ index.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import lexica
 from .docindex import DocIndex, POVSpan
-from .ingest import COMMA, Document, Sentence, longest_phrase
+from .ingest import COMMA, Document, Record, Sentence, longest_phrase
 
 
 class BreakIndex(enum.Enum):
@@ -56,26 +55,35 @@ BI_REALIZATION: dict[BreakIndex, tuple[int, bool]] = {
     BreakIndex.BI44: (400, False),
 }
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a record filled by ``vars``."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class ParamEvent:
-    """One embedded synthesizer instruction.
+    """One embedded synthesizer instruction, immutable, equal by value.
 
     ``pbas`` pitch base, ``rate`` speaking rate, ``volm`` signed volume
     delta, ``slnc`` silence in ms, ``rset`` reset-all.  A reset is always an
     event of its own.
     """
-    pbas: float | None = None
-    rate: int | None = None
-    volm: float | None = None
-    slnc: int | None = None
-    rset: bool = False
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        fields = (self.pbas, self.rate, self.volm, self.slnc)
-        if self.rset and any(f is not None for f in fields):
+    def __init__(self, pbas: float | None = None, rate: int | None = None,
+                 volm: float | None = None, slnc: int | None = None, rset: bool = False):
+        fields = (pbas, rate, volm, slnc)
+        if rset and any(f is not None for f in fields):
             raise ValueError("reset events carry no other fields")
-        if not self.rset and all(f is None for f in fields):
+        if not rset and all(f is None for f in fields):
             raise ValueError("an event carries at least one field")
+        vars(self).update(pbas=pbas, rate=rate, volm=volm, slnc=slnc, rset=rset,
+                          _key=(*fields, rset))
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is ParamEvent else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
 
     @cached_property
     def markup(self) -> str:
@@ -112,27 +120,28 @@ BI_EVENTS: dict[BreakIndex, tuple[ParamEvent, ...]] = {
 
 # Mapping table ---------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ToneContour:
     """A pitch label of the inventory: contour ``index`` of the mapping-table
     row ``row_id``.  Only the table builds contours (``_row``)."""
-    label: str
-    row_id: str
-    index: int
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, label: str, row_id: str, index: int):
+        vars(self).update(label=label, row_id=row_id, index=index)
 
 
 def bi_to_params(bi: BreakIndex) -> list[ParamEvent]:
     return list(BI_EVENTS[bi])
 
 
-@dataclass(frozen=True)
 class MappingRow:
-    """A tone-inventory row: its contours, their parameter tuples and its break."""
-    row_id: str
-    description: str
-    params: tuple[tuple[ParamEvent, ...], ...]   # one tuple per contour
-    contours: tuple[ToneContour, ...]
-    bi: BreakIndex | None = None
+    """A tone-inventory row: its contours, their parameter tuples (one
+    tuple per contour) and its break."""
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, row_id: str, description: str, params: tuple[tuple[ParamEvent, ...], ...],
+                 contours: tuple[ToneContour, ...], bi: BreakIndex | None = None):
+        vars(self).update(row_id=row_id, description=description, params=params,
+                          contours=contours, bi=bi)
 
     def flat_params(self) -> list[ParamEvent]:
         out = [e for group in self.params for e in group]
@@ -221,13 +230,12 @@ TONE_ROWS: tuple[MappingRow, ...] = (
 )
 
 
-@dataclass
 class MappingTable:
     """The mapping-table rows, looked up by row id."""
-    rows: tuple[MappingRow, ...] = TONE_ROWS
 
-    def __post_init__(self):
-        self._by_id = {r.row_id: r for r in self.rows}
+    def __init__(self, rows: tuple[MappingRow, ...] = TONE_ROWS):
+        self.rows = rows
+        self._by_id = {r.row_id: r for r in rows}
 
     def row(self, row_id: str) -> MappingRow:
         return self._by_id[row_id]
@@ -252,13 +260,15 @@ def span_for_sentence(spans: list[POVSpan], sent_index: int) -> POVSpan | None:
 
 # Frozen expressions ----------------------------------------------------------
 
-@dataclass
-class FrozenMatch:
+class FrozenMatch(Record):
     """A frozen pattern matched at one position, with its address tail."""
-    role: str                         # the mapping-table row of the pattern
-    pattern_length: int
-    tail_position: int | None         # the address term after the pattern
-    length: int                       # tokens covered, address tail included
+
+    def __init__(self, role: str, pattern_length: int, tail_position: int | None,
+                 length: int):
+        self.role = role                    # the mapping-table row of the pattern
+        self.pattern_length = pattern_length
+        self.tail_position = tail_position  # the address term after the pattern
+        self.length = length                # tokens covered, address tail included
 
 
 def match_frozen(sentence: Sentence, start: int, index: dict[str, list]) -> FrozenMatch | None:
@@ -281,18 +291,19 @@ def match_frozen(sentence: Sentence, start: int, index: dict[str, list]) -> Froz
 
 # Tone selection ---------------------------------------------------------------
 
-@dataclass
 class ToneContext:
     """Everything select_tone may consult for one decision point."""
-    position: str = "sentence_internal"
-    move: str = "level"
-    relevance: str = "background"
-    affect: str = "neutral"
-    in_quote: bool = False
-    paragraph_initial: bool = False
-    after_first_paragraph: bool = False
-    quote_final_sentence: bool = False
-    sentence_final_group: bool = False
+
+    def __init__(self, position: str = "sentence_internal", move: str = "level",
+                 relevance: str = "background", affect: str = "neutral",
+                 in_quote: bool = False, paragraph_initial: bool = False,
+                 after_first_paragraph: bool = False, quote_final_sentence: bool = False,
+                 sentence_final_group: bool = False):
+        self.position, self.move, self.relevance = position, move, relevance
+        self.affect, self.in_quote, self.paragraph_initial = affect, in_quote, paragraph_initial
+        self.after_first_paragraph = after_first_paragraph
+        self.quote_final_sentence = quote_final_sentence
+        self.sentence_final_group = sentence_final_group
 
 
 def select_tone(ctx: ToneContext) -> ToneContour:

@@ -4,7 +4,7 @@ Each test prints a PASS line so the suite doubles as a checklist when run
 with ``pytest -s tests/test_acceptance.py``.
 """
 
-import dataclasses
+import copy
 import random
 import re
 import time
@@ -91,7 +91,8 @@ def test_criterion_5_relevance_rule():
     assert len(rows) == 18
     hits = 0
     for c in rows:
-        blind = dataclasses.replace(c, relevance=None)
+        blind = copy.copy(c)
+        blind.relevance = None
         hits += classify_relevance(blind) == c.relevance
     assert hits == 18
     report("criterion 5: relevance column reproduced 18/18")

@@ -1,6 +1,6 @@
 """Sidecar parsing, relevance rules, topic stack, moves, shallow analysis."""
 
-import dataclasses
+import copy
 import random
 import re
 
@@ -105,12 +105,19 @@ def test_relevance_be_pres_null():
         == "background"
 
 
+def _blind(c):
+    """A copy of the clause with its relevance unset."""
+    blind = copy.copy(c)
+    blind.relevance = None
+    return blind
+
+
 def test_relevance_reproduces_propositional_table():
     ann = parse_sidecar(EDGE_PROP)
     rows = [c for c in ann.clauses if c.clause_no != 29]  # 29 is synthesized
     assert len(rows) == 18
     for c in rows:
-        blind = dataclasses.replace(c, relevance=None)
+        blind = _blind(c)
         assert classify_relevance(blind) == c.relevance, c.clause_no
 
 
@@ -121,14 +128,14 @@ def test_relevance_discourse_table_overrides():
     exceptions = [c for c in ann.clauses if c.pred in ("come", "stare")]
     assert all(c.relevance == "foreground" for c in exceptions)
     for c in exceptions:
-        blind = dataclasses.replace(c, relevance=None)
+        blind = _blind(c)
         assert classify_relevance(blind) == "background"  # known discrepancy
     override = [({"pred": "come"}, "foreground"),
                 ({"pred": "stare"}, "foreground"),
                 ({"change": "culminated"}, "foreground"),
                 ({}, "background")]
     for c in exceptions:
-        blind = dataclasses.replace(c, relevance=None)
+        blind = _blind(c)
         assert classify_relevance(blind, override) == "foreground"
 
 
@@ -138,7 +145,7 @@ def test_relevance_discourse_table_overrides():
 def test_relevance_discourse_table_with_default_rules():
     ann = parse_sidecar(EDGE_DISC)
     for c in ann.clauses:
-        blind = dataclasses.replace(c, relevance=None)
+        blind = _blind(c)
         assert classify_relevance(blind) == c.relevance
 
 

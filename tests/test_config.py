@@ -1,7 +1,6 @@
 """Configuration: lexicon loading and config files."""
 
 import copy
-import dataclasses
 import os
 import re
 
@@ -77,7 +76,8 @@ def test_missing_lexicon_file_builds_nothing(tmp_path):
 
 def test_replaced_loaded_config_still_compiles():
     cfg = Config().load_lexica()
-    nopov = dataclasses.replace(cfg, pov_tracking=False)
+    nopov = copy.copy(cfg)
+    nopov.pov_tracking = False
     assert nopov.affect_words is cfg.affect_words
     text, ann = load("fox_crow.txt"), load("fox_crow.ann")
 

@@ -95,6 +95,21 @@ def test_contour_label_round_trip(label):
         assert DEFAULT_TABLE.row(c.row_id).contours[c.index] is c
 
 
+@pytest.mark.parametrize("record,field", [
+    (ev(pbas=38.0, rate=160, volm=+0.5), "pbas"),
+    (DEFAULT_TABLE.row("title").contours[0], "label"),
+    (DEFAULT_TABLE.row("eog_internal"), "bi"),
+])
+def test_table_records_are_frozen(record, field):
+    # the mapping table and its events are shared by every compile
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == before
+
+
 def test_select_tone_examples():
     up = select_tone(ToneContext(position="sentence_initial", move="up",
                                  relevance="foreground", paragraph_initial=True,
@@ -318,6 +333,14 @@ def test_frozen_determinism(config):
     first = match_frozen(sent, 0, phrase_index(config.frozen_table))
     second = match_frozen(sent, 0, phrase_index(config.frozen_table))
     assert first == second
+
+
+def test_frozen_pattern_that_is_a_multiword_matches(tmp_path):
+    # tokenize merges the shipped multiword "got up" into one token
+    frozen = tmp_path / "frozen.tsv"
+    frozen.write_text("got up\texhortative\n", encoding="utf-8")
+    res = run_pipeline("Got up, baby.", None, Config(frozen_path=frozen).load_lexica())
+    assert render_tobi(res.doc, res.script) == "H*+L- Got up , !L+H*% baby BI-23 .\n"
 
 
 class _EveryWord(dict):
@@ -564,6 +587,17 @@ def test_affect_spans_match_the_window_search():
                 _ref_affect_spans(sent.tokens, plan.consumed, affect), text
             sentences += 1
     assert sentences > 400
+
+
+def test_affect_phrase_that_is_a_multiword_matches(tmp_path):
+    # tokenize merges the shipped multiword "dead body" into one token
+    affect = tmp_path / "affect.tsv"
+    affect.write_text("dead body\tsad\n", encoding="utf-8")
+    res = run_pipeline("They found the dead body there.", None,
+                       Config(affect_path=affect).load_lexica())
+    assert render_markup(res.doc, res.script) == (
+        "[[pbas 44.000; rate 140; volm +0.3]]They found the "
+        "[[pbas 36.000; rate 110; volm -0.2]]dead body there [[rset 0]] .\n")
 
 
 def test_affect_phrase_of_four_words():

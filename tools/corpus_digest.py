@@ -28,10 +28,10 @@ The corpus, 1,950 documents:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,7 +93,8 @@ def corpus(fx: wl.Fixtures, cfg: Config):
     rng = random.Random(FUZZ_SEED)
     for i in range(FUZZ_COUNT):
         yield f"fuzz:{i}", fuzz_text(rng), None, cfg
-    nopov = replace(cfg, pov_tracking=False)
+    nopov = copy.copy(cfg)
+    nopov.pov_tracking = False
     for name, text, sidecar in documents(STORY_SIZES[:2]):
         yield f"{name}+nopov", text, sidecar, nopov
     for name, (piece, end) in SHAPES.items():
