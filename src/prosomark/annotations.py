@@ -127,10 +127,16 @@ class AnnotationSet:
         self.warnings = [] if warnings is None else warnings
 
     def clause(self, clause_no: int) -> ClauseFeatures | None:
-        return next((c for c in self.clauses if c.clause_no == clause_no), None)
+        for c in self.clauses:
+            if c.clause_no == clause_no:
+                return c
+        return None
 
     def node(self, clause_no: int) -> DiscourseNode | None:
-        return next((n for n in self.nodes if n.clause_no == clause_no), None)
+        for n in self.nodes:
+            if n.clause_no == clause_no:
+                return n
+        return None
 
     def clause_at(self, token_index: int) -> ClauseFeatures | None:
         """Clause whose span contains the token; smallest span wins.

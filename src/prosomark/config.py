@@ -33,9 +33,6 @@ class Config:
     """One compile's parameters, lexicon paths and loaded lexica.  The
     lexicon fields, filled by ``load_lexica``, are read-only and shared
     between configs."""
-    #: the ``(path, st_mtime_ns, st_size)`` of each lexicon file loaded
-    lexicon_stamps: tuple = ()
-
     def __init__(self, min_len: int = 2, max_len: int = 12, max_subj: int = 4,
                  title_mode: str = "auto", emit_mode: str = "markup", pov_tracking: bool = True,
                  multiword_path: Path = lexica.data_path("multiwords.txt"),
@@ -86,7 +83,6 @@ class Config:
             if hit is None or hit[0] != stamp:
                 hit = _BUILT[load, stamp[0]] = (stamp, load(stamp[0]))
             setattr(self, name, hit[1])
-        self.lexicon_stamps = tuple(stamps)
         return self
 
 

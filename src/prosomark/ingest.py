@@ -14,7 +14,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import accumulate, chain, takewhile
+from itertools import accumulate, takewhile
 
 WORD = "word"
 COMMA = "comma"
@@ -78,7 +78,10 @@ class Document:
         self.paragraph_count, self.raw = paragraph_count, raw
 
     def tokens(self) -> list[Token]:
-        return list(chain.from_iterable(s.tokens for s in self.sentences))
+        out = []
+        for s in self.sentences:
+            out.extend(s.tokens)
+        return out
 
     def token_count(self) -> int:
         """One past the last token's index: the length of a list indexed by
@@ -192,8 +195,10 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
     when it carries no terminal punctuation (``title_mode='auto'``) or
     unconditionally (``'force'``).
     """
+    doc = Document(raw=raw)
     if not tokens:
-        return Document(raw=raw)
+        doc.paragraph_count = 0
+        return doc
 
     # the offset of each token, and the first token after each blank line:
     # a token's paragraph index is the number of blank lines before it
@@ -245,7 +250,9 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
         if all(offsets[t.index] < line_end for t in first.tokens):
             first.is_title = True
 
-    return Document(sentences, max(s.paragraph_index for s in sentences) + 1, raw)
+    doc.sentences = sentences
+    doc.paragraph_count = max(s.paragraph_index for s in sentences) + 1
+    return doc
 
 
 # Comma classification ------------------------------------------------------

@@ -116,20 +116,25 @@ class ProsodyManager:
 
 
 class _Compile:
-    """The rule planner's state for one compile: the frozen and sad phrase
-    indexes, in the text's merged forms, and the rules with their trigger
-    words, all kept per set of lexicon files (``kept``); and, shared
+    """The rule planner's state for one compile: the phrase indexes of the
+    frozen table and of the sad affect entries, in the text's merged forms,
+    and the rules with their trigger words, which a compile takes from the
+    last one when its lexica and rules are equal (``kept``); and, shared
     across sentences, the clauses whose group-final contour is suppressed
     and the predicates whose head contour has fired."""
-    #: lexicon stamps -> (lexica, frozen index, sad index, rules) of a config's last compile
-    kept: dict[tuple, tuple] = {}
+    #: (lexica and rules, frozen index, sad index, rules) of the last build
+    kept: tuple = (None, None, None, None)
 
     def __init__(self, config: Config, doc: Document, ann: AnnotationSet, ix: DocIndex):
-        self.config, self.doc, self.ann, self.ix = config, doc, ann, ix
+        self.config = config
+        self.doc = doc
+        self.ann = ann
+        self.ix = ix
         self.final_suppressed: set[int] = set()
         self.fired_preds: set[str] = set()
-        lexica = config.multiwords, config.frozen_table, config.affect_words, config.quantifiers
-        if (hit := self.kept.get(config.lexicon_stamps)) and hit[0] == lexica:
+        inputs = (config.multiwords, config.frozen_table, config.affect_words,
+               config.quantifiers, _SENTENCE_RULES)
+        if (hit := _Compile.kept)[0] == inputs:
             _, self.frozen_index, self.sad_index, self.rules = hit
             return
 
@@ -142,7 +147,7 @@ class _Compile:
         #: (rule, its trigger words or None) in ``_SENTENCE_RULES``' order
         self.rules = [(rule, None if triggers is None else frozenset(triggers(self)))
                       for rule, triggers in _SENTENCE_RULES]
-        self.kept[config.lexicon_stamps] = lexica, self.frozen_index, self.sad_index, self.rules
+        _Compile.kept = inputs, self.frozen_index, self.sad_index, self.rules
 
     def build_script(self, groups, pov_spans) -> ProsodicScript:
         doc = self.doc

