@@ -30,13 +30,18 @@ _TOKEN_RE = re.compile(r"([^\s\w]|[\w'-]+)", re.UNICODE)
 
 
 class Record:
-    """A record equal to one of its class whose fields hold equal values.
-    Its fields are its slots, or its attributes when it has no slots."""
+    """A record equal to one of its class whose fields hold equal values,
+    and shown by them.  Its fields are its slots, or its attributes when it
+    has no slots."""
     __slots__ = ()
 
     def __eq__(self, other):
         return NotImplemented if type(other) is not type(self) else all(
             getattr(self, f) == getattr(other, f) for f in self.__slots__ or vars(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ or vars(self))
+        return f"{type(self).__name__}({fields})"
 
 
 # slotted: a document holds one per token

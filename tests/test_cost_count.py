@@ -1,6 +1,9 @@
-"""The cost counter of ``tools/cost_count.py``, run on a module of its own."""
+"""The cost counter of ``tools/cost_count.py``, run on a module of its own,
+and the counts it wrote to ``BENCH_cost.json``."""
 
 import importlib.util
+import json
+import platform
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,3 +64,17 @@ def test_counter_counts_lines_and_calls_per_stage(tmp_path):
     assert report["total"] == {"lines": 15, "calls": 9,
                                "lines_per_token": 3.75, "calls_per_token": 2.25}
     assert list(report["stages"]) == ["fail", "loop", "other"]
+
+
+def test_bench_cost_file_matches_a_recount():
+    # the 1k stories and the cli_batch slice; the 16k stories take seconds
+    tool = _load("cost_count", ROOT / "tools" / "cost_count.py")
+    saved = json.loads(tool.BENCH_FILE.read_text(encoding="utf-8"))
+    here = platform.python_version()
+    assert saved["python"].split(".")[:2] == here.split(".")[:2], (
+        f"{tool.BENCH_FILE.name} was counted on Python {saved['python']} and this is "
+        f"Python {here}, whose line events differ; recount it here with "
+        "tools/cost_count.py --write before comparing")
+    recount = tool.measure(saved["seed"], sizes=[("1k", 1000)])
+    assert recount == {name: saved["workloads"][name] for name in recount}, (
+        "the counts moved: refresh the file with tools/cost_count.py --write")

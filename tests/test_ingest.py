@@ -8,18 +8,37 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prosomark.config import Config
-from prosomark.emit import render_markup
+from prosomark.emit import GLUE_LEFT, ScriptItem, render_markup
 from prosomark.ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL,
                               TERMINAL_CHARS, QUOTE_CHARS, WORD, Token,
                               classify_comma, reconstruct, split_document,
                               tokenize)
 from prosomark.lexica import load_phon_lexicon
+from prosomark.phrasing import END_STOPPED, BreathGroup
 from prosomark.pipeline import run_pipeline
+from prosomark.prosody import BreakIndex, FrozenMatch
 from conftest import load
 
 
 def words(tokens):
     return [t.normalized for t in tokens if t.kind == "word"]
+
+
+@pytest.mark.parametrize("record,shown", [
+    (Token("long ago", "long_ago", 3, WORD, "\n", "lONg", 2),
+     "Token(surface='long ago', normalized='long_ago', index=3, kind='word', pre_ws='\\n', "
+     "phon_override='lONg', source_words=2)"),
+    (BreathGroup([0, 2], "comma", END_STOPPED),
+     "BreathGroup(words=[0, 2], trigger='comma', junction='end_stopped')"),
+    (ScriptItem("event", None, None, GLUE_LEFT, "H*-L", BreakIndex.BI2, 4),
+     "ScriptItem(kind='event', token=None, event=None, glue='left', tone_label='H*-L', "
+     "bi=<BreakIndex.BI2: '2'>, sentence_index=4)"),
+    (FrozenMatch("exhortative", 2, 3, 5),
+     "FrozenMatch(role='exhortative', pattern_length=2, tail_position=3, length=5)"),
+], ids=["Token", "BreathGroup", "ScriptItem", "FrozenMatch"])
+def test_record_repr_names_the_class_and_every_field(record, shown):
+    # so that a failing == between records shows what differs
+    assert repr(record) == shown
 
 
 def test_multiword_merge_long_ago(config):

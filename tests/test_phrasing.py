@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from prosomark.annotations import shallow_analyze
+from prosomark.annotations import AnnotationSet, ClauseFeatures, shallow_analyze
 from prosomark.config import Config
 from prosomark.docindex import DocIndex
 from prosomark.ingest import split_document, tokenize
@@ -49,6 +49,22 @@ def test_split_before_clause_coordination(config):
     groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
     texts = group_texts(doc.sentences[0], groups)
     assert texts == ["some said this", "and some said that"]
+
+
+@pytest.mark.parametrize("key,noun", [("corpse", "corpse"), ("dead body", "dead body")])
+def test_coordination_after_an_affect_word(tmp_path, key, noun):
+    # one clause over the whole sentence, so only the affect word before
+    # "and" opens a group; "dead body" is a shipped multiword, one token
+    affect = tmp_path / "affect.tsv"
+    affect.write_text(f"{key}\tsad\n", encoding="utf-8")
+    text = f"They saw the {noun} and the cat there."
+    doc = split_document(tokenize(text, Config().load_lexica().multiwords), text, "off")
+    ann = AnnotationSet([ClauseFeatures(1)], clause_spans={1: (0, 8)})
+    sent = doc.sentences[0]
+    groups = segment(sent, DocIndex(doc, ann), Config(affect_path=affect).load_lexica())
+    assert group_texts(sent, groups) == [f"they saw the {noun.replace(' ', '_')}",
+                                         "and the cat there"]
+    assert groups[1].trigger == "coordination"
 
 
 def test_final_locative_adjunct_of_a_quotation_continuation(config):

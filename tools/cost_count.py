@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout (standard library only):
 
-    python3 tools/cost_count.py [--seed N]
+    python3 tools/cost_count.py [--seed N] [--write]
 
 It runs documents of the benchmark's three workloads at seed ``N``
 (default 1), through the benchmark's own runners (``bench/run.py``):
@@ -13,7 +13,10 @@ untraced, so the lexica, the caches and the memoized event text are warm,
 then once under ``CostCounter``: the tracer of ``tools/line_census.py``,
 counting instead of collecting.  It prints one JSON object: per workload,
 the raw input tokens and, per stage and in total, the line events and
-calls with their count per token.
+calls with their count per token.  ``--write`` also writes that object,
+with the Python version it was counted on, to ``BENCH_cost.json`` at the
+root of the checkout, where ``tests/test_cost_count.py`` recounts part of
+it; a change that moves the counts refreshes the file.
 
 A frame counts to the stage of the nearest function of ``stages()`` on
 the stack: tokenize, split, analyze (the sidecar parse or the shallow
@@ -21,7 +24,8 @@ analysis, with relevance and move resolution), docindex, segment, plan or
 render; any other to ``other``.  Calls count frame entries, the
 resumptions of a generator included.  The counts depend on the code and
 the input alone, not on the host's speed or ``PYTHONHASHSEED``, so two
-runs print the same JSON.
+runs print the same JSON.  They do depend on the Python minor version,
+whose compiler places line events differently.
 
 The blind spot: work that runs in C adds no event.  A slice copy,
 ``x in list``, list concatenation, ``sorted``, ``str.join`` or a regular
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -44,6 +49,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tools")]
 
 from line_census import PACKAGE, Tracer  # noqa: E402
 
+BENCH_FILE = ROOT / "BENCH_cost.json"
 OTHER = "other"
 SIZES = (("1k", 1000), ("16k", 16000))
 CLI_DOCS = 40
@@ -117,11 +123,9 @@ def report(counts: dict[str, list[int]], tokens: int) -> dict:
             "total": entry(*map(sum, zip(*counts.values())))}
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="Count line events and calls per stage.")
-    parser.add_argument("--seed", type=int, default=1)
-    seed = parser.parse_args(argv).seed
-
+def measure(seed: int, sizes=SIZES) -> dict:
+    """The counts of the stories of ``sizes`` and of the ``cli_batch``
+    slice at seed ``seed``, keyed ``workload:size``."""
     import prosomark
     import prosomark.cli
     import run as bench
@@ -132,7 +136,7 @@ def main(argv: list[str]) -> int:
     stage_of = stages()
     story = bench.StoryRunner(prosomark, cfg)
     out = {}
-    for label, size in SIZES:
+    for label, size in sizes:
         for name, doc in (("story_shallow", wl.story_shallow(seed, 0, fx, size)),
                           ("story_sidecar",
                            wl.story_sidecar(seed, 0, fx, cfg.multiwords, size))):
@@ -148,10 +152,27 @@ def main(argv: list[str]) -> int:
             codes.extend(cli.execute(cli.prepare(doc)) for doc in docs)
         counts = count(run_cli, stage_of)
     if any(codes):
-        print(f"cost_count: a cli_batch document exited with {max(codes)}", file=sys.stderr)
-        return 1
+        raise RuntimeError(f"a cli_batch document exited with {max(codes)}")
     out[f"cli_batch:0-{CLI_DOCS - 1}"] = report(counts, sum(d.tokens for d in docs))
-    print(json.dumps({"seed": seed, "workloads": out}, indent=1))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Count line events and calls per stage.")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--write", action="store_true",
+                        help=f"also write the counts to {BENCH_FILE.name}")
+    args = parser.parse_args(argv)
+    try:
+        workloads = measure(args.seed)
+    except RuntimeError as exc:
+        print(f"cost_count: {exc}", file=sys.stderr)
+        return 1
+    result = {"seed": args.seed, "workloads": workloads}
+    print(json.dumps(result, indent=1))
+    if args.write:
+        result = {"python": platform.python_version(), **result}
+        BENCH_FILE.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
