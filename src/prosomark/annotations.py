@@ -27,7 +27,7 @@ import sys
 from typing import NoReturn
 
 from . import lexica
-from .ingest import COMMA, OTHER_PUNCT, Document
+from .ingest import COMMA, OTHER_PUNCT, Document, Shown
 
 VIEWS = ("external", "internal")
 FACTIVITIES = ("factive", "nonfactive")
@@ -66,7 +66,7 @@ class IntegrityError(ValueError):
 
 
 # slotted, as are the two records below: a sidecar holds one per clause
-class ClauseFeatures:
+class ClauseFeatures(Shown):
     """The feature vector of one clause (one sidecar CLAUSE line)."""
     __slots__ = ("clause_no", "func_role", "view", "factivity", "change", "relevance",
                  "aspect", "pred", "tense", "disc_rel", "subjectivity")
@@ -82,7 +82,7 @@ class ClauseFeatures:
         self.disc_rel, self.subjectivity = disc_rel, subjectivity
 
 
-class TopicRecord:
+class TopicRecord(Shown):
     """One topic mention of a clause (one sidecar TOPIC line)."""
     __slots__ = ("topic_type", "clause_no", "pred", "semantic_id", "morph", "inherent", "role")
 
@@ -93,7 +93,7 @@ class TopicRecord:
         self.semantic_id, self.morph, self.inherent, self.role = semantic_id, morph, inherent, role
 
 
-class DiscourseNode:
+class DiscourseNode(Shown):
     """The discourse move and attachment of one clause (one DISC line)."""
     __slots__ = ("sent_id", "clause_no", "move", "attach")
 

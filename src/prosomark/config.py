@@ -8,11 +8,11 @@ flat ``key = value`` text; command-line flags override it.
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
 
 from . import lexica
+from .ingest import phrase_index, tokenize
 
 TITLE_MODES = ("auto", "force", "off")
 EMIT_MODES = ("markup", "tobi", "both", "groups")
@@ -25,14 +25,30 @@ _LEXICA = (("multiword_path", "multiwords", lexica.load_multiwords),
            ("quantifier_path", "quantifiers", lexica.load_word_set),
            ("comm_verb_path", "comm_verbs", lexica.load_word_set))
 
-#: (loader, path) -> ((path, st_mtime_ns, st_size), lexicon) of its last build
+#: (build, paths) -> (the files' (path, st_mtime_ns, st_size), what it built)
 _BUILT: dict[tuple, tuple] = {}
 
 
+def _token_forms(multiwords, frozen_table, affect_words) -> tuple:
+    """The frozen table and the affect list in the text's token forms, and
+    the phrase indexes of the frozen patterns and of the sad entries."""
+    def forms(phrase: str) -> tuple[str, ...]:
+        return tuple(t.normalized for t in tokenize(phrase, multiwords))
+    frozen = tuple((forms(" ".join(pattern)), role) for pattern, role in frozen_table)
+    affect = {forms(key): tag for key, tag in affect_words.items()}
+    return (frozen, MappingProxyType({" ".join(k): tag for k, tag in affect.items()}),
+            phrase_index(frozen), phrase_index((k, t) for k, t in affect.items() if t == "sad"))
+
+
 class Config:
-    """One compile's parameters, lexicon paths and loaded lexica.  The
-    lexicon fields, filled by ``load_lexica``, are read-only and shared
-    between configs."""
+    """One compile's parameters, lexicon paths and the read-only lexica that
+    ``load_lexica`` builds from them, empty until then: frozen patterns and
+    affect phrases in the text's token forms (``dead_body``), and the phrase
+    indexes of the frozen and the sad ones."""
+    multiwords = frozen_table = ()
+    phon_lexicon = affect_words = frozen_index = sad_index = MappingProxyType({})
+    quantifiers = comm_verbs = frozenset()
+
     def __init__(self, min_len: int = 2, max_len: int = 12, max_subj: int = 4,
                  title_mode: str = "auto", emit_mode: str = "markup", pov_tracking: bool = True,
                  multiword_path: Path = lexica.data_path("multiwords.txt"),
@@ -40,13 +56,7 @@ class Config:
                  frozen_path: Path = lexica.data_path("frozen.tsv"),
                  affect_path: Path = lexica.data_path("affect.tsv"),
                  quantifier_path: Path = lexica.data_path("quantifiers.txt"),
-                 comm_verb_path: Path = lexica.data_path("comm_verbs.txt"),
-                 multiwords: tuple[tuple[str, ...], ...] = (),
-                 phon_lexicon: Mapping[str, str] = MappingProxyType({}),
-                 frozen_table: tuple[tuple[tuple[str, ...], str], ...] = (),
-                 affect_words: Mapping[str, str] = MappingProxyType({}),
-                 quantifiers: frozenset[str] = frozenset(),
-                 comm_verbs: frozenset[str] = frozenset()):
+                 comm_verb_path: Path = lexica.data_path("comm_verbs.txt")):
         for key, value in zip(_INT_KEYS, (min_len, max_len, max_subj)):
             if value < 0:
                 raise ValueError(f"{key} must not be negative, not {value}")
@@ -57,9 +67,6 @@ class Config:
         self.multiword_path, self.phonetic_path = multiword_path, phonetic_path
         self.frozen_path, self.affect_path = frozen_path, affect_path
         self.quantifier_path, self.comm_verb_path = quantifier_path, comm_verb_path
-        self.multiwords, self.phon_lexicon = multiwords, phon_lexicon
-        self.frozen_table, self.affect_words = frozen_table, affect_words
-        self.quantifiers, self.comm_verbs = quantifiers, comm_verbs
 
     def load_lexica(self) -> "Config":
         """Fill the lexicon fields from their files.  A missing file raises
@@ -67,22 +74,30 @@ class Config:
         UTF-8 raises ``ValueError`` naming it.  Configs share each lexicon:
         it is built again only when its file's mtime or size has changed
         since its loader last built it (Python's rule for ``.pyc`` files).
-        One entry is kept per loader and path; a build that raises caches
+        One entry is kept per build and paths; a build that raises caches
         nothing.  Threads that miss together each build an equal lexicon and
         store it in one dict write, so no lock is needed."""
-        stamps = []
-        for path_field, _, _ in _LEXICA:
+        stamps = {}
+        for path_field, name, _ in _LEXICA:
             path = os.fspath(getattr(self, path_field))
             try:
                 st = os.stat(path)
             except FileNotFoundError:
                 raise FileNotFoundError(f"lexicon file not found: {path}") from None
-            stamps.append((path, st.st_mtime_ns, st.st_size))
-        for (_, name, load), stamp in zip(_LEXICA, stamps):
+            stamps[name] = (path, st.st_mtime_ns, st.st_size)
+        for (_, name, load), stamp in zip(_LEXICA, stamps.values()):
             hit = _BUILT.get((load, stamp[0]))
             if hit is None or hit[0] != stamp:
                 hit = _BUILT[load, stamp[0]] = (stamp, load(stamp[0]))
             setattr(self, name, hit[1])
+        # phrases take token forms again when a multiword, frozen or affect file changes
+        files = (stamps["multiwords"], stamps["frozen_table"], stamps["affect_words"])
+        key = (_token_forms, *[path for path, _, _ in files])
+        hit = _BUILT.get(key)
+        if hit is None or hit[0] != files:
+            hit = _BUILT[key] = (files, _token_forms(self.multiwords, self.frozen_table,
+                                                     self.affect_words))
+        self.frozen_table, self.affect_words, self.frozen_index, self.sad_index = hit[1]
         return self
 
 

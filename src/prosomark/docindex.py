@@ -14,10 +14,10 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .annotations import AnnotationSet, ClauseFeatures, DiscourseNode, innermost_clauses
-from .ingest import QUOTE, Document, Sentence, Token, quote_is_opener
+from .ingest import QUOTE, Document, Sentence, Shown, Token, quote_is_opener
 
 
-class POVSpan:
+class POVSpan(Shown):
     """One quotation: direct speech, the only point of view the rules read."""
 
     def __init__(self, start_token: int, end_token: int, sentences: list[int]):

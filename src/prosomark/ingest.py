@@ -29,19 +29,26 @@ QUOTE_CHARS = {'"', "“", "”"}
 _TOKEN_RE = re.compile(r"([^\s\w]|[\w'-]+)", re.UNICODE)
 
 
-class Record:
-    """A record equal to one of its class whose fields hold equal values,
-    and shown by them.  Its fields are its slots, or its attributes when it
-    has no slots."""
+class Shown:
+    """A value shown by the fields its constructor takes, each held in the
+    attribute of its name: ``Name(field=value, ...)``."""
+    __slots__ = ()
+
+    def __repr__(self):
+        code = type(self).__init__.__code__
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in code.co_varnames[1:code.co_argcount])
+        return f"{type(self).__name__}({fields})"
+
+
+class Record(Shown):
+    """A record equal to one of its class whose fields hold equal values.
+    Its fields are its slots, or its attributes when it has no slots."""
     __slots__ = ()
 
     def __eq__(self, other):
         return NotImplemented if type(other) is not type(self) else all(
             getattr(self, f) == getattr(other, f) for f in self.__slots__ or vars(self))
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ or vars(self))
-        return f"{type(self).__name__}({fields})"
 
 
 # slotted: a document holds one per token
@@ -95,7 +102,8 @@ class Document:
 
 
 #: the kinds of the punctuation chunks that are not ``OTHER_PUNCT``; a
-#: chunk is a word when its first character is alphanumeric, ``'`` or ``-``
+#: chunk is a word when it is longer than one character or alphanumeric,
+#: so a lone ``-`` or ``'`` is punctuation
 _PUNCT_KINDS = {",": COMMA, **dict.fromkeys(TERMINAL_CHARS, TERMINAL),
                 **dict.fromkeys(QUOTE_CHARS, QUOTE)}
 
@@ -138,7 +146,7 @@ def tokenize(text: str, multiwords: Iterable[Sequence[str]] | None = None) -> li
     parts = _TOKEN_RE.split(text)
     pres = parts[0:-1:2]
     chunks = parts[1::2]
-    kinds = [WORD if c[0].isalnum() or c[0] in "'-" else _PUNCT_KINDS.get(c, OTHER_PUNCT)
+    kinds = [WORD if len(c) > 1 or c.isalnum() else _PUNCT_KINDS.get(c, OTHER_PUNCT)
              for c in chunks]
     norms = [c.lower() if k == WORD else c for c, k in zip(chunks, kinds)]
     words = [n if k == WORD else None for n, k in zip(norms, kinds)]

@@ -92,9 +92,7 @@ def segment(sentence: Sentence, ix: DocIndex, config) -> list[BreathGroup]:
         if n in lexica.COORDINATORS and k:
             if i in clause_starts or (i + 1) in clause_starts:
                 add(i, "coordination")
-            # an affect key joins its words with spaces, a merged multiword
-            # token with underscores (``dead body``, ``dead_body``)
-            elif prev_word.replace("_", " ") in affect_words:
+            elif prev_word in affect_words:
                 add(i, "coordination")
         # rule: subordinate clauses (comparatives share the slot)
         elif n in lexica.SUBORDINATORS and k:

@@ -26,8 +26,7 @@ from .docindex import DocIndex, POVSpan
 from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
                    ProsodicScript, ScriptItem)
 from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
-                     Sentence, longest_phrase, phrase_index, split_document,
-                     tokenize)
+                     Sentence, longest_phrase, split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
 from .prosody import (BI_EVENTS, DEFAULT_TABLE, RSET, BreakIndex, ParamEvent,
                       ToneContext, match_frozen, select_tone)
@@ -124,13 +123,10 @@ class ProsodyManager:
 
 class _Compile:
     """The rule planner's state for one compile: the phrase indexes of the
-    frozen table and of the sad affect entries, in the text's merged forms,
-    and the rules with their trigger words, which a compile takes from the
-    last one when its lexica and rules are equal (``kept``); and, shared
-    across sentences, the clauses whose group-final contour is suppressed
-    and the predicates whose head contour has fired."""
-    #: (lexica and rules, frozen index, sad index, rules) of the last build
-    kept: tuple = (None, None, None, None)
+    frozen table and of the sad affect entries, and the rules with their
+    trigger words; and, shared across sentences, the clauses whose
+    group-final contour is suppressed and the predicates whose head contour
+    has fired."""
 
     def __init__(self, config: Config, doc: Document, ann: AnnotationSet, ix: DocIndex):
         self.config = config
@@ -139,22 +135,10 @@ class _Compile:
         self.ix = ix
         self.final_suppressed: set[int] = set()
         self.fired_preds: set[str] = set()
-        inputs = (config.multiwords, config.frozen_table, config.affect_words,
-               config.quantifiers, _SENTENCE_RULES)
-        if (hit := _Compile.kept)[0] == inputs:
-            _, self.frozen_index, self.sad_index, self.rules = hit
-            return
-
-        def merged(phrase: str) -> list[str]:
-            return [t.normalized for t in tokenize(phrase, config.multiwords)]
-        self.frozen_index = phrase_index((merged(" ".join(pattern)), role)
-                                         for pattern, role in config.frozen_table)
-        self.sad_index = phrase_index((words, tag) for key, tag in config.affect_words.items()
-                                      if tag == "sad" and (words := merged(key)))
+        self.frozen_index, self.sad_index = config.frozen_index, config.sad_index
         #: (rule, its trigger words or None) in ``_SENTENCE_RULES``' order
-        self.rules = [(rule, None if triggers is None else frozenset(triggers(self)))
+        self.rules = [(rule, None if triggers is None else triggers(self))
                       for rule, triggers in _SENTENCE_RULES]
-        _Compile.kept = inputs, self.frozen_index, self.sad_index, self.rules
 
     def build_script(self, groups, pov_spans) -> ProsodicScript:
         doc = self.doc
@@ -555,6 +539,8 @@ class _Compile:
             plan.prefix[first] = items + plan.prefix.get(first, [])
 
 
+_OPENER_WORDS = lexica.COMPLEMENT_OPENERS | lexica.LOOSE_OPENERS
+
 #: the per-sentence rules of every body sentence, in the order they run.
 #: Each sees the events placed and the tokens consumed by the rules before
 #: it, and the clauses and predicates that rules marked on the compile for
@@ -576,8 +562,7 @@ _SENTENCE_RULES = (
     # adversative connectives
     (_Compile._plan_connectives, lambda c: lexica.ADVERSATIVE_CONNECTIVES),
     # head contours with their closing pauses, on a predicate before an opener
-    (_Compile._plan_head_contours,
-     lambda c: lexica.COMPLEMENT_OPENERS | lexica.LOOSE_OPENERS),
+    (_Compile._plan_head_contours, lambda c: _OPENER_WORDS),
     # clause-coordination pauses
     (_Compile._plan_coordination, lambda c: lexica.COORDINATORS),
     # quantifier slowdowns

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from . import lexica
 from .docindex import DocIndex, POVSpan
-from .ingest import COMMA, Document, Record, Sentence, longest_phrase
+from .ingest import COMMA, Document, Record, Sentence, Shown, longest_phrase
 
 
 class BreakIndex(enum.Enum):
@@ -60,7 +60,7 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
-class ParamEvent:
+class ParamEvent(Shown):
     """One embedded synthesizer instruction, immutable, equal by value.
 
     ``pbas`` pitch base, ``rate`` speaking rate, ``volm`` signed volume
@@ -120,7 +120,7 @@ BI_EVENTS: dict[BreakIndex, tuple[ParamEvent, ...]] = {
 
 # Mapping table ---------------------------------------------------------------
 
-class ToneContour:
+class ToneContour(Shown):
     """A pitch label of the inventory: contour ``index`` of the mapping-table
     row ``row_id``.  Only the table builds contours (``_row``)."""
     __setattr__ = __delattr__ = _frozen
@@ -133,7 +133,7 @@ def bi_to_params(bi: BreakIndex) -> list[ParamEvent]:
     return list(BI_EVENTS[bi])
 
 
-class MappingRow:
+class MappingRow(Shown):
     """A tone-inventory row: its contours, their parameter tuples (one
     tuple per contour) and its break."""
     __setattr__ = __delattr__ = _frozen

@@ -7,9 +7,10 @@ import re
 import pytest
 
 from conftest import load
-from prosomark import render_markup, run_pipeline
+from prosomark import ingest, pipeline, render_markup, run_pipeline
 from prosomark.cli import run
 from prosomark.config import _LEXICA, Config, parse_config_file
+from prosomark.pipeline import ProsodyManager
 
 def _fresh_build(cfg):
     """Each lexicon of ``cfg`` built again from its file, past the cache."""
@@ -72,6 +73,59 @@ def test_missing_lexicon_file_builds_nothing(tmp_path):
         cfg.load_lexica()
     assert str(exc.value) == f"lexicon file not found: {missing}"
     assert (cfg.multiwords, cfg.quantifiers) == ((), frozenset())
+
+
+def test_lexicon_phrases_load_in_token_forms(tmp_path):
+    # "got up" and "dead body" are shipped multiwords, each one token
+    frozen, affect = tmp_path / "frozen.tsv", tmp_path / "affect.tsv"
+    frozen.write_text("got up\texhortative\n")
+    affect.write_text("dead body\tsad\ncold night\texclaim\n")
+    cfg = Config(frozen_path=frozen, affect_path=affect).load_lexica()
+    assert cfg.frozen_table == ((("got_up",), "exhortative"),)
+    assert dict(cfg.affect_words) == {"dead_body": "sad", "cold night": "exclaim"}
+    assert cfg.frozen_index == {"got_up": [(["got_up"], "exhortative")]}
+    assert cfg.sad_index == {"dead_body": [(["dead_body"], "sad")]}
+
+
+def test_compile_tokenizes_only_the_text(tmp_path, monkeypatch):
+    frozen = tmp_path / "frozen.tsv"
+    frozen.write_text("hush now\texhortative\n")
+    cfg = Config(frozen_path=frozen).load_lexica()
+    ProsodyManager(Config().load_lexica()).process("The cat ran.")
+    calls, indexes = [], []
+
+    def counted(function, log):
+        def wrapper(*args):
+            result = function(*args)
+            log.append(result)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "tokenize", counted(ingest.tokenize, calls))
+    monkeypatch.setattr(ingest, "phrase_index", counted(ingest.phrase_index, indexes))
+    ProsodyManager(cfg).process("Hush now, dear. The cat ran.")
+    assert len(calls) == 1
+    # the one index built is the multiword index of the text's tokenize
+    assert [{value for cands in index.values() for _, value in cands}
+            for index in indexes] == [{None}]
+
+
+def test_rewritten_multiword_file_gives_new_token_forms(tmp_path):
+    multiwords, frozen = tmp_path / "multiwords.txt", tmp_path / "frozen.tsv"
+    multiwords.write_text("got up\n")
+    frozen.write_text("come on\texhortative\n")
+    cfg = Config(multiword_path=multiwords, frozen_path=frozen)
+    assert cfg.load_lexica().frozen_table == ((("come", "on"), "exhortative"),)
+    stat = multiwords.stat()
+    multiwords.write_text("got up\ncome on\n")
+    os.utime(multiwords, ns=(stat.st_atime_ns, stat.st_mtime_ns + 5_000_000_000))
+    assert cfg.load_lexica().frozen_table == ((("come_on",), "exhortative"),)
+
+
+def test_constructor_takes_no_lexicon(config):
+    for _, name, _ in _LEXICA:
+        with pytest.raises(TypeError):
+            Config(**{name: getattr(config, name)})
 
 
 def test_replaced_loaded_config_still_compiles():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from prosomark.annotations import DiscourseNode
 from prosomark.config import Config
-from prosomark.emit import GLUE_LEFT, ScriptItem, render_markup
+from prosomark.docindex import POVSpan
+from prosomark.emit import GLUE_LEFT, GLUE_RIGHT, ScriptItem, render_markup
 from prosomark.ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL,
                               TERMINAL_CHARS, QUOTE_CHARS, WORD, Token,
                               classify_comma, reconstruct, split_document,
@@ -16,12 +18,18 @@ from prosomark.ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL,
 from prosomark.lexica import load_phon_lexicon
 from prosomark.phrasing import END_STOPPED, BreathGroup
 from prosomark.pipeline import run_pipeline
-from prosomark.prosody import BreakIndex, FrozenMatch
+from prosomark.prosody import BreakIndex, FrozenMatch, ParamEvent
 from conftest import load
 
 
 def words(tokens):
     return [t.normalized for t in tokens if t.kind == "word"]
+
+
+def _with_markup(event):
+    """``event`` after its markup is read: the cached text is no field."""
+    assert event.markup
+    return event
 
 
 @pytest.mark.parametrize("record,shown", [
@@ -35,7 +43,14 @@ def words(tokens):
      "bi=<BreakIndex.BI2: '2'>, sentence_index=4)"),
     (FrozenMatch("exhortative", 2, 3, 5),
      "FrozenMatch(role='exhortative', pattern_length=2, tail_position=3, length=5)"),
-], ids=["Token", "BreathGroup", "ScriptItem", "FrozenMatch"])
+    (ScriptItem("event", None, _with_markup(ParamEvent(44.0, 140, 0.3)), GLUE_RIGHT),
+     "ScriptItem(kind='event', token=None, event=ParamEvent(pbas=44.0, rate=140, volm=0.3, "
+     "slnc=None, rset=False), glue='right', tone_label=None, bi=None, sentence_index=None)"),
+    (DiscourseNode("3", 4, "up", (None, 2)),
+     "DiscourseNode(sent_id='3', clause_no=4, move='up', attach=(None, 2))"),
+    (POVSpan(1, 5, [0, 1]), "POVSpan(start_token=1, end_token=5, sentences=[0, 1])"),
+], ids=["Token", "BreathGroup", "ScriptItem", "FrozenMatch", "ScriptItem_event",
+        "DiscourseNode", "POVSpan"])
 def test_record_repr_names_the_class_and_every_field(record, shown):
     # so that a failing == between records shows what differs
     assert repr(record) == shown
@@ -98,7 +113,7 @@ def _ref_kind_of(chunk):
         return TERMINAL
     if chunk in QUOTE_CHARS:
         return QUOTE
-    if not chunk[0].isalnum() and chunk[0] not in "'-":
+    if len(chunk) == 1 and not chunk.isalnum():
         return OTHER_PUNCT
     return WORD
 
@@ -148,7 +163,7 @@ def _ref_tokenize(text, multiwords=None):
 _MULTIWORD_LISTS = {
     "shipped": Config().load_lexica().multiwords,
     # entries sharing first words, some a prefix of another, one starting
-    # inside another, one never matching (its "_x" is not a word token)
+    # inside another, one with a word that starts with an underscore
     "shared_first_words": [["come", "on"], ["come", "on", "in"], ["come", "now"],
                            ["by", "this"], ["by", "this", "means"],
                            ["this", "means"], ["long", "ago"], ["one", "_x"]],
@@ -184,6 +199,16 @@ def test_tokenize_idempotent_on_normalized_word(config):
     once = tokenize("mice", config.multiwords)
     again = tokenize(once[0].normalized, config.multiwords)
     assert [t.normalized for t in again] == [t.normalized for t in once]
+
+
+def test_lone_dash_or_apostrophe_is_punctuation(config):
+    toks = tokenize("'tis -- _b don't o'er- '", config.multiwords)
+    assert [(t.surface, t.kind) for t in toks] == [
+        ("'", OTHER_PUNCT), ("tis", WORD), ("-", OTHER_PUNCT), ("-", OTHER_PUNCT),
+        ("_b", WORD), ("don't", WORD), ("o'er-", WORD), ("'", OTHER_PUNCT)]
+    # the dashes neither join a group nor count toward its length
+    res = run_pipeline("The old cat -- the grey one -- ran away.", None, config)
+    assert res.groups_text() == "the old cat β\nthe grey one β\nran away β\n"
 
 
 def test_title_detected(config):

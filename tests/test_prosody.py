@@ -410,12 +410,11 @@ def _frozen_start_count(text, config):
                if t.kind == "word" and t.normalized in starts)
 
 
-def test_frozen_prefilter_finds_every_match(monkeypatch):
-    cfg = Config().load_lexica()
+def test_frozen_prefilter_finds_every_match(monkeypatch, tmp_path):
     # two patterns sharing a first word and a one-word pattern
-    cfg.frozen_table = [(["come", "on"], "exhortative"),
-                        (["come", "now"], "exhortative"),
-                        (["hush"], "exhortative")]
+    frozen = tmp_path / "frozen.tsv"
+    frozen.write_text("come on\texhortative\ncome now\texhortative\nhush\texhortative\n")
+    cfg = Config(frozen_path=frozen).load_lexica()
     text = ("Come on, baby. He said come, come now, dear! Come on,, dear. "
             "Hush, hush, dear. The cat would come on home. Now hush. Come.")
     fast, fast_calls = _counted_compile(monkeypatch, text, cfg)
@@ -569,7 +568,16 @@ def _ref_affect_spans(toks, consumed, affect):
     return out
 
 
-def test_affect_spans_match_the_window_search():
+def _affect_config(tmp_path, affect):
+    """A loaded config whose affect list holds the entries of ``affect``,
+    without multiwords."""
+    (tmp_path / "affect.tsv").write_text("".join(f"{k}\t{v}\n" for k, v in affect.items()))
+    (tmp_path / "multiwords.txt").write_text("")
+    return Config(affect_path=tmp_path / "affect.tsv",
+                  multiword_path=tmp_path / "multiwords.txt").load_lexica()
+
+
+def test_affect_spans_match_the_window_search(tmp_path):
     # one-word and multiword entries, sad and not, sharing first words
     affect = {"alas": "sad", "sorrow": "sad", "cold": "sad", "cold night": "exclaim",
               "cold night air": "sad", "broken heart": "sad", "broken": "exhort",
@@ -578,7 +586,7 @@ def test_affect_spans_match_the_window_search():
     vocab = ("alas sorrow cold night air broken heart out of luck poor old soul "
              "dear me the cat and or without not never ran sat").split()
     marks = (",", ",", ".", "!", '"', ":")
-    cfg = Config(affect_words=affect)
+    cfg = _affect_config(tmp_path, affect)
     rng = random.Random(515)
     sentences = 0
     for _ in range(400):
@@ -607,13 +615,13 @@ def test_affect_phrase_that_is_a_multiword_matches(tmp_path):
         "[[pbas 36.000; rate 110; volm -0.2]]dead body there [[rset 0]] .\n")
 
 
-def test_affect_phrase_of_four_words():
+def test_affect_phrase_of_four_words(tmp_path):
     # an entry longer than the three-word windows of the reference
     affect = {"out of my mind": "sad", "out": "exclaim"}
     text = "She went out of my mind and ran."
     doc = split_document(tokenize(text, []), text, "off")
     ann = AnnotationSet()
-    compile_ = _Compile(Config(affect_words=affect), doc, ann, DocIndex(doc, ann))
+    compile_ = _Compile(_affect_config(tmp_path, affect), doc, ann, DocIndex(doc, ann))
     sent = doc.sentences[0]
     plan = _SentencePlan(sent, [], False, False)
     assert compile_._affect_spans(plan) == [(2, 5)]
