@@ -41,10 +41,11 @@ def _token_forms(multiwords, frozen_table, affect_words) -> tuple:
 
 
 class Config:
-    """One compile's parameters, lexicon paths and the read-only lexica that
-    ``load_lexica`` builds from them, empty until then: frozen patterns and
-    affect phrases in the text's token forms (``dead_body``), and the phrase
-    indexes of the frozen and the sad ones."""
+    """One compile's parameters and lexicon paths, and what ``load_lexica``
+    builds from the files (empty until then): the read-only lexica, whose
+    frozen patterns and affect phrases are in the text's token forms
+    (``dead_body``), and the phrase indexes of the frozen and the sad
+    phrases, which the rule planner reads."""
     multiwords = frozen_table = ()
     phon_lexicon = affect_words = frozen_index = sad_index = MappingProxyType({})
     quantifiers = comm_verbs = frozenset()

@@ -3,18 +3,22 @@
 import copy
 import os
 import re
+from unittest import mock
 
 import pytest
 
 from conftest import load
+from prosomark import config as config_module
 from prosomark import ingest, pipeline, render_markup, run_pipeline
 from prosomark.cli import run
 from prosomark.config import _LEXICA, Config, parse_config_file
 from prosomark.pipeline import ProsodyManager
 
 def _fresh_build(cfg):
-    """Each lexicon of ``cfg`` built again from its file, past the cache."""
-    return {name: load_(getattr(cfg, path)) for path, name, load_ in _LEXICA}
+    """Each lexicon of ``cfg`` built again from its files, past the cache."""
+    with mock.patch.dict(config_module._BUILT, clear=True):
+        fresh = copy.copy(cfg).load_lexica()
+    return {name: getattr(fresh, name) for _, name, _ in _LEXICA}
 
 
 def test_configs_share_no_lexicon_objects():
