@@ -12,40 +12,63 @@ from pathlib import Path
 from types import MappingProxyType
 
 from . import lexica
-from .ingest import phrase_index, tokenize
+from .ingest import WORD, Shown, phrase_index, tokenize
 
 TITLE_MODES = ("auto", "force", "off")
 EMIT_MODES = ("markup", "tobi", "both", "groups")
 
-#: (path field, lexicon field, loader) of each lexicon
-_LEXICA = (("multiword_path", "multiwords", lexica.load_multiwords),
-           ("phonetic_path", "phon_lexicon", lexica.load_phon_lexicon),
-           ("frozen_path", "frozen_table", lexica.load_frozen_table),
-           ("affect_path", "affect_words", lexica.load_tagged_words),
-           ("quantifier_path", "quantifiers", lexica.load_word_set),
-           ("comm_verb_path", "comm_verbs", lexica.load_word_set))
+#: (path field, lexicon field) of each lexicon file, in ``_build``'s order
+_LEXICA = (("multiword_path", "multiwords"), ("phonetic_path", "phon_lexicon"),
+           ("frozen_path", "frozen_table"), ("affect_path", "affect_words"),
+           ("quantifier_path", "quantifiers"), ("comm_verb_path", "comm_verbs"))
 
-#: (build, paths) -> (the files' (path, st_mtime_ns, st_size), what it built)
-_BUILT: dict[tuple, tuple] = {}
+#: the six lexicon paths -> (their files' (path, st_mtime_ns, st_size),
+#: the lexicon fields ``_build`` built from them)
+_BUILT: dict[tuple[str, ...], tuple] = {}
 
 
-def _token_forms(multiwords, frozen_table, affect_words) -> tuple:
-    """The frozen table and the affect list in the text's token forms, and
-    the phrase indexes of the frozen patterns and of the sad entries."""
-    def forms(phrase: str) -> tuple[str, ...]:
-        return tuple(t.normalized for t in tokenize(phrase, multiwords))
-    frozen = tuple((forms(" ".join(pattern)), role) for pattern, role in frozen_table)
-    affect = {forms(key): tag for key, tag in affect_words.items()}
-    return (frozen, MappingProxyType({" ".join(k): tag for k, tag in affect.items()}),
-            phrase_index(frozen), phrase_index((k, t) for k, t in affect.items() if t == "sad"))
+def _build(multiword_path, phonetic_path, frozen_path, affect_path, quantifier_path,
+           comm_verb_path) -> dict:
+    """The lexicon fields of a config, read from its six files, and the
+    phrase indexes of the frozen and the sad phrases; every phrase takes the
+    text's token forms, ``tokenize``'s with the multiwords.  A phrase with a
+    non-word token, or a phonetic, quantifier or communication-verb entry
+    of more than one token, raises ``ValueError`` naming ``path:line``."""
+    multiwords = tuple(tuple(line.lower().split()) for _, line in lexica.lines(multiword_path))
+
+    def forms(path, line_no, phrase, one_word=False) -> tuple[str, ...]:
+        tokens = tokenize(phrase, multiwords)
+        if any(t.kind != WORD for t in tokens) or one_word and len(tokens) > 1:
+            raise ValueError(f"{path}:{line_no}: expected {'one word' if one_word else 'words'}"
+                             f", got {phrase!r}")
+        return tuple(t.normalized for t in tokens)
+
+    def word_set(path) -> frozenset[str]:
+        return frozenset(forms(path, n, line, True)[0] for n, line in lexica.lines(path))
+
+    def index(pairs) -> MappingProxyType:       # a read-only ``phrase_index``
+        return MappingProxyType({w: tuple(cands) for w, cands in phrase_index(pairs).items()})
+
+    frozen = tuple((forms(frozen_path, n, pattern), role)
+                   for n, pattern, role in lexica.tagged(frozen_path, lexica.FROZEN_ROLES))
+    affect = {forms(affect_path, n, phrase): tag
+              for n, phrase, tag in lexica.tagged(affect_path, lexica.AFFECT_TAGS)}
+    phon = {forms(phonetic_path, n, word, True)[0]: phonetic
+            for n, word, phonetic in lexica.phonetic(phonetic_path)}
+    return {"multiwords": multiwords, "phon_lexicon": MappingProxyType(phon),
+            "frozen_table": frozen,
+            "affect_words": MappingProxyType({" ".join(k): tag for k, tag in affect.items()}),
+            "quantifiers": word_set(quantifier_path), "comm_verbs": word_set(comm_verb_path),
+            "frozen_index": index(frozen),
+            "sad_index": index((k, tag) for k, tag in affect.items() if tag == "sad")}
 
 
-class Config:
+class Config(Shown):
     """One compile's parameters and lexicon paths, and what ``load_lexica``
     builds from the files (empty until then): the read-only lexica, whose
-    frozen patterns and affect phrases are in the text's token forms
-    (``dead_body``), and the phrase indexes of the frozen and the sad
-    phrases, which the rule planner reads."""
+    phrases are in the text's token forms (``dead_body``), and the
+    read-only phrase indexes of the frozen and the sad phrases, which the
+    rule planner reads."""
     multiwords = frozen_table = ()
     phon_lexicon = affect_words = frozen_index = sad_index = MappingProxyType({})
     quantifiers = comm_verbs = frozenset()
@@ -72,40 +95,34 @@ class Config:
     def load_lexica(self) -> "Config":
         """Fill the lexicon fields from their files.  A missing file raises
         ``FileNotFoundError`` before any lexicon is built; one that is not
-        UTF-8 raises ``ValueError`` naming it.  Configs share each lexicon:
-        it is built again only when its file's mtime or size has changed
-        since its loader last built it (Python's rule for ``.pyc`` files).
-        One entry is kept per build and paths; a build that raises caches
-        nothing.  Threads that miss together each build an equal lexicon and
-        store it in one dict write, so no lock is needed."""
-        stamps = {}
-        for path_field, name, _ in _LEXICA:
+        UTF-8, a malformed line or a phrase ``_build`` refuses raises
+        ``ValueError`` naming it.  Configs share the lexica of one set of
+        six paths: they are built again only when a file's mtime or size
+        has changed since they were last built (Python's rule for ``.pyc``
+        files).  A build that raises caches nothing.  Threads that miss
+        together each build equal lexica and store them in one dict write,
+        so no lock is needed."""
+        paths, stamps = [], []
+        for path_field, _ in _LEXICA:
             path = os.fspath(getattr(self, path_field))
             try:
                 st = os.stat(path)
             except FileNotFoundError:
                 raise FileNotFoundError(f"lexicon file not found: {path}") from None
-            stamps[name] = (path, st.st_mtime_ns, st.st_size)
-        for (_, name, load), stamp in zip(_LEXICA, stamps.values()):
-            hit = _BUILT.get((load, stamp[0]))
-            if hit is None or hit[0] != stamp:
-                hit = _BUILT[load, stamp[0]] = (stamp, load(stamp[0]))
-            setattr(self, name, hit[1])
-        # phrases take token forms again when a multiword, frozen or affect file changes
-        files = (stamps["multiwords"], stamps["frozen_table"], stamps["affect_words"])
-        key = (_token_forms, *[path for path, _, _ in files])
+            paths.append(path)
+            stamps.append((path, st.st_mtime_ns, st.st_size))
+        key = tuple(paths)
         hit = _BUILT.get(key)
-        if hit is None or hit[0] != files:
-            hit = _BUILT[key] = (files, _token_forms(self.multiwords, self.frozen_table,
-                                                     self.affect_words))
-        self.frozen_table, self.affect_words, self.frozen_index, self.sad_index = hit[1]
+        if hit is None or hit[0] != stamps:
+            hit = _BUILT[key] = (stamps, _build(*paths))
+        vars(self).update(hit[1])
         return self
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 _INT_KEYS = ("min_len", "max_len", "max_subj")
-_PATH_KEYS = {path for path, _, _ in _LEXICA}
+_PATH_KEYS = {path for path, _ in _LEXICA}
 _MODE_KEYS = {"title_mode": TITLE_MODES, "emit_mode": EMIT_MODES}
 
 

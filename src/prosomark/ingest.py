@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate, takewhile
 
@@ -109,23 +109,23 @@ _PUNCT_KINDS = {",": COMMA, **dict.fromkeys(TERMINAL_CHARS, TERMINAL),
 
 
 def phrase_index(pairs: Iterable[tuple[Sequence[str], object]]) -> dict[str, list]:
-    """First word -> the ``(phrase, value)`` pairs whose phrase starts with
-    it, longest phrase first (pairs of one length keep their order)."""
+    """First word -> the ``(phrase tuple, value)`` pairs whose phrase starts
+    with it, longest phrase first (pairs of one length keep their order)."""
     index: dict[str, list] = {}
     for phrase, value in pairs:
-        index.setdefault(phrase[0], []).append((list(phrase), value))
+        index.setdefault(phrase[0], []).append((tuple(phrase), value))
     for cands in index.values():
         cands.sort(key=lambda c: len(c[0]), reverse=True)
     return index
 
 
 def longest_phrase(words: Sequence[str | None], i: int,
-                   index: dict[str, list]) -> tuple[int, object] | None:
+                   index: Mapping[str, Sequence]) -> tuple[int, object] | None:
     """``(length, value)`` of the first phrase of ``index`` that the words
     from ``words[i]`` on spell, or None.  ``words`` holds normalized forms,
     None for a token that is not a word."""
     for phrase, value in index.get(words[i], ()):
-        if words[i:i + len(phrase)] == phrase:
+        if tuple(words[i:i + len(phrase)]) == phrase:
             return len(phrase), value
     return None
 

@@ -1,12 +1,12 @@
-"""Lexicon files and the small built-in word classes the rules consult.
+"""Lexicon file lines and the small built-in word classes the rules consult.
 
 All shipped lexica are plain UTF-8 text with ``#`` comments, so the
 fixtures can be edited by hand; a leading byte-order mark is skipped.
-A loaded lexicon is read-only: tuples, frozensets and read-only mappings,
-which ``Config.load_lexica`` shares between configs.  Formats:
+This module splits a file's lines, each with its line number, and
+``Config.load_lexica`` builds the lexica from them.  Formats:
 
 * multiword list  - one expression per line, words space-separated
-* phonetic list   - ``word-or-phrase<TAB>phonetic``
+* phonetic list   - ``word<TAB>phonetic`` (a word, or a listed multiword)
 * frozen table    - ``pattern<TAB>role``
 * affect list     - ``word-or-phrase<TAB>{sad|exclaim|exhort}``
 * quantifier list - one word per line
@@ -16,9 +16,8 @@ which ``Config.load_lexica`` shares between configs.  Formats:
 from __future__ import annotations
 
 import importlib.resources
-from collections.abc import Collection, Iterator, Mapping
+from collections.abc import Collection, Iterator
 from pathlib import Path
-from types import MappingProxyType
 
 DATA_PACKAGE = "prosomark.data"
 DATA_DIR = Path(str(importlib.resources.files(DATA_PACKAGE)))
@@ -28,7 +27,7 @@ def data_path(name: str) -> Path:
     return DATA_DIR / name
 
 
-def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+def lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The non-comment lines of a lexicon file, each with its line number.
     A file that is not UTF-8 raises ``ValueError`` naming it."""
     try:
@@ -49,11 +48,12 @@ AFFECT_TAGS = ("sad", "exclaim", "exhort")
 FROZEN_ROLES = ("exhortative",)
 
 
-def _tagged(path: str | Path, tags: Collection[str]) -> Iterator[tuple[str, str]]:
-    """The ``entry<TAB>tag`` lines of a lexicon file, split at the tab or
-    else at the last space.  A line with one field, or whose tag is not one
-    of ``tags``, raises ``ValueError`` naming the file and the line."""
-    for line_no, line in _lines(path):
+def tagged(path: str | Path, tags: Collection[str]) -> Iterator[tuple[int, str, str]]:
+    """``(line number, entry, tag)`` of each ``entry<TAB>tag`` line of a
+    lexicon file, split at the tab or else at the last space.  A line with
+    one field, or whose tag is not one of ``tags``, raises ``ValueError``
+    naming the file and the line."""
+    for line_no, line in lines(path):
         entry, _, tag = line.partition("\t")
         if not tag:
             entry, _, tag = line.rpartition(" ")
@@ -61,42 +61,21 @@ def _tagged(path: str | Path, tags: Collection[str]) -> Iterator[tuple[str, str]
         if not entry or tag not in tags:
             raise ValueError(f"{path}:{line_no}: expected entry<TAB>{'|'.join(tags)}, "
                              f"got {line!r}")
-        yield entry, tag
+        yield line_no, entry, tag
 
 
-def load_multiwords(path: str | Path) -> tuple[tuple[str, ...], ...]:
-    return tuple(tuple(line.lower().split()) for _, line in _lines(path))
-
-
-def load_phon_lexicon(path: str | Path) -> Mapping[str, str]:
-    """word -> phonetic map of ``word<TAB>phonetic`` lines (without a tab,
-    split at the first space), keyed like a token's normalized form: folded,
-    a multiword's words joined with ``_``.  A line without a phonetic field
-    raises ``ValueError`` naming the file and the line."""
-    entries = {}
-    for n, line in _lines(path):
+def phonetic(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """``(line number, word, phonetic)`` of each ``word<TAB>phonetic`` line
+    (without a tab, split at the first space).  A line without a phonetic
+    field raises ``ValueError`` naming the file and the line."""
+    for line_no, line in lines(path):
         word, _, phon = line.partition("\t")
         if not phon:
             word, _, phon = line.partition(" ")
         word, phon = word.strip(), phon.strip()
         if not word or not phon:
-            raise ValueError(f"{path}:{n}: expected word<TAB>phonetic, got {line!r}")
-        entries["_".join(word.lower().split())] = phon
-    return MappingProxyType(entries)
-
-
-def load_word_set(path: str | Path) -> frozenset[str]:
-    return frozenset(line.lower().replace(" ", "_") for _, line in _lines(path))
-
-
-def load_tagged_words(path: str | Path) -> Mapping[str, str]:
-    """word -> tag map (affect lexicon); phrases keep internal spaces."""
-    return MappingProxyType({word.lower(): tag for word, tag in _tagged(path, AFFECT_TAGS)})
-
-
-def load_frozen_table(path: str | Path) -> tuple[tuple[tuple[str, ...], str], ...]:
-    return tuple((tuple(pattern.lower().split()), role)
-                 for pattern, role in _tagged(path, FROZEN_ROLES))
+            raise ValueError(f"{path}:{line_no}: expected word<TAB>phonetic, got {line!r}")
+        yield line_no, word, phon
 
 
 # Built-in word classes -----------------------------------------------------

@@ -18,6 +18,7 @@ index.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from functools import cached_property
 
 from . import lexica
@@ -271,7 +272,7 @@ class FrozenMatch(Record):
         self.length = length                # tokens covered, address tail included
 
 
-def match_frozen(sentence: Sentence, start: int, index: dict[str, list]) -> FrozenMatch | None:
+def match_frozen(sentence: Sentence, start: int, index: Mapping) -> FrozenMatch | None:
     """The longest pattern of ``index``, the ``ingest.phrase_index`` of the
     ``(pattern, role)`` pairs of a frozen table, at the sentence's position
     ``start``.  A ``lexica.DEAR_TERMS`` address term after the pattern,

@@ -221,6 +221,12 @@ def test_byte_order_mark_is_skipped(tmp_path, kind):
     ("affect_path", "sly\tsad\n\nsad\n"),         # tag without its entry
     ("frozen_path", "# frozen\n\ncome on\n"),    # pattern without its role
     ("phonetic_path", "cat\tkat\n\nhue\n"),       # word without its phonetic
+    # entries the text cannot spell: two words that are not a multiword,
+    # or a punctuation token
+    ("quantifier_path", "all\n\na few\n"),
+    ("comm_verb_path", "said\n\ncried out\n"),
+    ("phonetic_path", "hue\thUW\n\nnew york\tnUWyOrk\n"),
+    ("affect_path", "sly\tsad\n\noh no!\tsad\n"),
 ])
 def test_single_field_lexicon_line_is_usage_error(tmp_path, capsys, name, lines):
     bad = tmp_path / "lexicon.tsv"

@@ -1,8 +1,10 @@
 """Configuration: lexicon loading and config files."""
 
 import copy
+import inspect
 import os
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,16 +16,20 @@ from prosomark.cli import run
 from prosomark.config import _LEXICA, Config, parse_config_file
 from prosomark.pipeline import ProsodyManager
 
+#: the fields ``load_lexica`` fills: the lexica and their phrase indexes
+_FIELDS = [name for _, name in _LEXICA] + ["frozen_index", "sad_index"]
+
+
 def _fresh_build(cfg):
-    """Each lexicon of ``cfg`` built again from its files, past the cache."""
+    """Each lexicon field of ``cfg`` built again from its files, past the cache."""
     with mock.patch.dict(config_module._BUILT, clear=True):
         fresh = copy.copy(cfg).load_lexica()
-    return {name: getattr(fresh, name) for _, name, _ in _LEXICA}
+    return {name: getattr(fresh, name) for name in _FIELDS}
 
 
 def test_configs_share_no_lexicon_objects():
     # no config can change a lexicon another config holds: loaded lexica
-    # are read-only, so each of these edits raises
+    # and phrase indexes are read-only, so each of these edits raises
     first = Config().load_lexica()
     edits = [lambda: first.multiwords.append(["zz", "top"]),
              lambda: first.multiwords[0].append("extra"),
@@ -31,21 +37,25 @@ def test_configs_share_no_lexicon_objects():
              lambda: first.affect_words.__setitem__("cat", "sad"),
              lambda: first.quantifiers.add("zz"),
              lambda: first.comm_verbs.discard(next(iter(first.comm_verbs))),
-             lambda: first.phon_lexicon.__setitem__("cat", "kat")]
+             lambda: first.phon_lexicon.__setitem__("cat", "kat"),
+             lambda: first.frozen_index.clear(),
+             lambda: first.frozen_index["come"][0][0].append("extra"),
+             lambda: first.sad_index.__setitem__("cat", ()),
+             lambda: first.sad_index["sly"].append((("cat",), "sad"))]
     for edit in edits:
         with pytest.raises((AttributeError, TypeError)):
             edit()
 
     second = Config().load_lexica()
     fresh = _fresh_build(second)
-    for _, name, _ in _LEXICA:
+    for name in _FIELDS:
         assert getattr(second, name) == fresh[name], name
     assert "cat" not in second.phon_lexicon
 
 
 def test_loaded_configs_share_lexicon_objects():
     first, second = Config().load_lexica(), Config().load_lexica()
-    for _, name, _ in _LEXICA:
+    for name in _FIELDS:
         assert getattr(first, name) is getattr(second, name), name
 
 
@@ -87,8 +97,41 @@ def test_lexicon_phrases_load_in_token_forms(tmp_path):
     cfg = Config(frozen_path=frozen, affect_path=affect).load_lexica()
     assert cfg.frozen_table == ((("got_up",), "exhortative"),)
     assert dict(cfg.affect_words) == {"dead_body": "sad", "cold night": "exclaim"}
-    assert cfg.frozen_index == {"got_up": [(["got_up"], "exhortative")]}
-    assert cfg.sad_index == {"dead_body": [(["dead_body"], "sad")]}
+    assert cfg.frozen_index == {"got_up": ((("got_up",), "exhortative"),)}
+    assert cfg.sad_index == {"dead_body": ((("dead_body",), "sad"),)}
+
+
+@pytest.mark.parametrize("field,entries,expected", [
+    ("quantifier_path", "all\n\na few\n", "one word"),
+    ("comm_verb_path", "said\n\ncried out\n", "one word"),
+    ("phonetic_path", "hue\thUW\n\nnew york\tnUWyOrk\n", "one word"),
+    ("affect_path", "sly\tsad\n\noh no!\tsad\n", "words"),
+])
+def test_lexicon_phrase_the_text_cannot_spell_is_an_error(tmp_path, field, entries, expected):
+    # no token of the text is two words that are not a listed multiword,
+    # and no phrase match spans punctuation: such an entry would never apply
+    path = tmp_path / "lexicon.txt"
+    path.write_text(entries)
+    phrase = entries.splitlines()[2].partition("\t")[0]
+    message = f"{path}:3: expected {expected}, got {phrase!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Config(**{field: path}).load_lexica()
+
+
+def test_one_load_leaves_one_cache_entry():
+    with mock.patch.dict(config_module._BUILT, clear=True):
+        cfg = Config().load_lexica()
+        assert list(config_module._BUILT) == [
+            tuple(os.fspath(getattr(cfg, path)) for path, _ in _LEXICA)]
+
+
+def test_repr_names_the_class_and_every_constructor_field():
+    cfg = Config(max_len=9, emit_mode="tobi", frozen_path=Path("frozen.tsv"))
+    fields = list(inspect.signature(Config).parameters)
+    assert len(fields) == 12
+    assert repr(cfg) == "Config(" + ", ".join(
+        f"{name}={getattr(cfg, name)!r}" for name in fields) + ")"
+    assert "max_len=9, " in repr(cfg) and "frozen_path=PosixPath('frozen.tsv')" in repr(cfg)
 
 
 def test_compile_tokenizes_only_the_text(tmp_path, monkeypatch):
@@ -127,7 +170,7 @@ def test_rewritten_multiword_file_gives_new_token_forms(tmp_path):
 
 
 def test_constructor_takes_no_lexicon(config):
-    for _, name, _ in _LEXICA:
+    for name in _FIELDS:
         with pytest.raises(TypeError):
             Config(**{name: getattr(config, name)})
 

@@ -15,7 +15,6 @@ from prosomark.ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL,
                               TERMINAL_CHARS, QUOTE_CHARS, WORD, Token,
                               classify_comma, reconstruct, split_document,
                               tokenize)
-from prosomark.lexica import load_phon_lexicon
 from prosomark.phrasing import END_STOPPED, BreathGroup
 from prosomark.pipeline import run_pipeline
 from prosomark.prosody import BreakIndex, FrozenMatch, ParamEvent
@@ -345,8 +344,9 @@ def test_pipeline_sets_phonetic_overrides(config):
 def test_phon_lexicon_is_case_insensitive(tmp_path):
     path = tmp_path / "phonetic.tsv"
     path.write_text("HUE\thUW\n")
-    assert load_phon_lexicon(path) == {"hue": "hUW"}
-    result = run_pipeline("Hue.", None, Config(phonetic_path=path).load_lexica())
+    cfg = Config(phonetic_path=path).load_lexica()
+    assert cfg.phon_lexicon == {"hue": "hUW"}
+    result = run_pipeline("Hue.", None, cfg)
     assert result.doc.tokens()[0].phon_override == "hUW"
 
 
