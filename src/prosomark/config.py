@@ -7,6 +7,7 @@ flat ``key = value`` text; command-line flags override it.
 
 from __future__ import annotations
 
+import _thread
 import os
 from pathlib import Path
 from types import MappingProxyType
@@ -23,8 +24,10 @@ _LEXICA = (("multiword_path", "multiwords"), ("phonetic_path", "phon_lexicon"),
            ("quantifier_path", "quantifiers"), ("comm_verb_path", "comm_verbs"))
 
 #: the six lexicon paths -> (their files' (path, st_mtime_ns, st_size),
-#: the lexicon fields ``_build`` built from them)
+#: the lexicon fields ``_build`` built from them), first built first
 _BUILT: dict[tuple[str, ...], tuple] = {}
+_BUILT_LIMIT = 8            # the most sets of paths ``_BUILT`` holds
+_BUILT_LOCK = _thread.allocate_lock()     # makes a store and its eviction one step
 
 
 def _build(multiword_path, phonetic_path, frozen_path, affect_path, quantifier_path,
@@ -97,11 +100,10 @@ class Config(Shown):
         ``FileNotFoundError`` before any lexicon is built; one that is not
         UTF-8, a malformed line or a phrase ``_build`` refuses raises
         ``ValueError`` naming it.  Configs share the lexica of one set of
-        six paths: they are built again only when a file's mtime or size
-        has changed since they were last built (Python's rule for ``.pyc``
-        files).  A build that raises caches nothing.  Threads that miss
-        together each build equal lexica and store them in one dict write,
-        so no lock is needed."""
+        six paths until a file's mtime or size changes (Python's rule for
+        ``.pyc`` files) or the ``_BUILT_LIMIT`` sets built after theirs push
+        them out.  A build that raises caches nothing; threads that miss
+        together each build equal lexica, and the last to store them wins."""
         paths, stamps = [], []
         for path_field, _ in _LEXICA:
             path = os.fspath(getattr(self, path_field))
@@ -114,7 +116,11 @@ class Config(Shown):
         key = tuple(paths)
         hit = _BUILT.get(key)
         if hit is None or hit[0] != stamps:
-            hit = _BUILT[key] = (stamps, _build(*paths))
+            hit = (stamps, _build(*paths))
+            with _BUILT_LOCK:
+                _BUILT[key] = hit
+                if len(_BUILT) > _BUILT_LIMIT:
+                    del _BUILT[next(iter(_BUILT))]
         vars(self).update(hit[1])
         return self
 

@@ -2,11 +2,13 @@
 
 ``tone_to_params`` and ``params_to_tobi`` read and invert the two
 realization tables of ``prosody``: the mapping table and the bijective
-(silence, reset) pairs of the break indices.  ``render_markup`` produces
-the copy-pasteable embedded-command text, bit-exactly:
-``[[pbas NN.000; rate NNN; volm +N.N]]`` with fields in a fixed order
-(silence first when fused), ``[[slnc NNN]]``, ``[[rset 0]]`` and the
-compound ``[[slnc NNN]],[[rset 0]]`` with its literal comma.
+(silence, reset) pairs of the break indices.  A ``ProsodicScript`` holds
+a compile's events alone, each placed by a token of the document; the
+renderers walk the document's tokens and print each event at its place.
+``render_markup`` produces the copy-pasteable embedded-command text,
+bit-exactly: ``[[pbas NN.000; rate NNN; volm +N.N]]`` with fields in a
+fixed order (silence first when fused), ``[[slnc NNN]]``, ``[[rset 0]]``
+and the compound ``[[slnc NNN]],[[rset 0]]`` with its literal comma.
 ``render_tobi`` prints one line per sentence with the symbolic labels
 inline.
 """
@@ -56,29 +58,24 @@ def params_to_tobi(events: Sequence[ParamEvent]) -> list[tuple[str, str | None]]
     out: list[tuple[str, str | None]] = []
     i = 0
     while i < len(events):
-        matched = False
         for flat, row in _ROWS_LONGEST_FIRST:
             if events[i:i + len(flat)] == flat:
                 labels = " ".join(c.label for c in row.contours)
                 out.append((labels, row.bi.label if row.bi else None))
                 i += len(flat)
-                matched = True
                 break
-        if matched:
-            continue
-        e = events[i]
-        if e.slnc is not None and e.pbas is None and e.rate is None and e.volm is None:
-            reset = i + 1 < len(events) and events[i + 1].rset
-            bi = _BI_OF.get((e.slnc, reset))
-            if bi is not None:
-                out.append(("", bi.label))
-                i += 2 if reset else 1
-                continue
-        if e.rset:
+        else:
+            e = events[i]
+            if e.slnc is not None and e.pbas is None and e.rate is None and e.volm is None:
+                reset = i + 1 < len(events) and events[i + 1].rset
+                bi = _BI_OF.get((e.slnc, reset))
+                if bi is not None:
+                    out.append(("", bi.label))
+                    i += 2 if reset else 1
+                    continue
+            if not e.rset:              # a bare reset reads as nothing
+                out.append((UNKNOWN_LABEL, None))
             i += 1
-            continue
-        out.append((UNKNOWN_LABEL, None))
-        i += 1
     return out
 
 
@@ -97,47 +94,37 @@ GLUE_NONE = "none"        # standalone: spaces both sides
 GLUE_COMPOUND = "compound"  # reset rendered as ,[[rset 0]] after a silence
 
 
-# slotted: a script holds one item per token and per event
+# slotted: a script holds one per event
 class ScriptItem(Record):
-    """One item of a prosodic script: a token, an event or a boundary marker."""
-    __slots__ = ("kind", "token", "event", "glue", "tone_label", "bi", "sentence_index")
+    """One event of a prosodic script and its place among the document's
+    tokens: ``at`` is twice the index of the token it sits by, plus one
+    when it follows that token."""
+    __slots__ = ("event", "glue", "tone_label", "bi", "at")
+    kind = "event"      # read by bench/tracer.py, which counts the events
 
-    def __init__(self, kind: str, token: Token | None = None, event: ParamEvent | None = None,
-                 glue: str = GLUE_NONE, tone_label: str | None = None,
-                 bi: BreakIndex | None = None, sentence_index: int | None = None):
-        self.kind = kind            # token | event | sentence_start | paragraph_break
-        self.token, self.event, self.glue = token, event, glue
-        self.tone_label, self.bi, self.sentence_index = tone_label, bi, sentence_index
+    def __init__(self, event: ParamEvent | None, glue: str = GLUE_NONE,
+                 tone_label: str | None = None, bi: BreakIndex | None = None, at: int = 0):
+        self.event, self.glue, self.tone_label = event, glue, tone_label
+        self.bi, self.at = bi, at
 
 
 class ProsodicScript:
-    """The items of a compile in document order, ready for rendering."""
+    """A compile's events in document order, to render with its document."""
 
     def __init__(self, items: list[ScriptItem] | None = None):
         self.items = [] if items is None else items
 
-    def sentence_start(self, index: int):
-        self.items.append(ScriptItem("sentence_start", sentence_index=index))
-
-    def paragraph_break(self):
-        self.items.append(ScriptItem("paragraph_break"))
-
     def validate(self) -> list[str]:
         """Script well-formedness.
 
-        Token order must equal document order, and the silence/reset pairing
+        Events must be in document order, and the silence/reset pairing
         must hold: BI3/BI4/BI23/BI32/BI33 silences take a compound reset,
         BI2/BI22/BI44 silences never do.
         """
+        events = self.items
         problems = []
-        last_index = -1
-        for it in self.items:
-            if it.kind == "token":
-                if it.token.index < last_index:
-                    problems.append("tokens out of document order")
-                    break
-                last_index = it.token.index
-        events = [it for it in self.items if it.kind == "event"]
+        if any(a.at > b.at for a, b in zip(events, events[1:])):
+            problems.append("events out of document order")
         for i, it in enumerate(events):
             if it.bi is None or it.event is None or it.event.slnc is None:
                 continue
@@ -155,38 +142,49 @@ def _phon_text(token: Token) -> str:
     return f"[[inpt PHON]]{token.phon_override}[[inpt TEXT]]"
 
 
+_PAST_THE_END = "invalid prosodic script: an event placed past the document's last token"
+
+
 def render_markup(doc: Document, script: ProsodicScript) -> str:
     """Embedded-command text, one paragraph per block, deterministic."""
     problems = script.validate()
     if problems:
         raise ValueError("invalid prosodic script: " + "; ".join(problems))
-    blocks: list[str] = []
+    events, n, k = script.items, len(script.items), 0     # k: the next event to print
     pieces: list[str] = []
     space = False       # a piece not glued left takes a space before it
-    for item in script.items:
-        kind = item.kind
-        if kind == "token":
-            tok = item.token
-            if space:
-                pieces.append(" ")
-            pieces.append(_phon_text(tok) if tok.phon_override else tok.surface)
-            space = True
-        elif kind == "event":
-            glue = item.glue
+
+    def place(end: int):
+        """Print the events placed up to ``end``."""
+        nonlocal k, space
+        while k < n and events[k].at <= end:
+            glue = events[k].glue
             if glue == GLUE_COMPOUND:
                 pieces.append(",")
             elif space and glue != GLUE_LEFT:
                 pieces.append(" ")
-            pieces.append(item.event.markup)
+            pieces.append(events[k].event.markup)
             space = glue != GLUE_RIGHT
-        elif kind == "paragraph_break":
-            if pieces:
-                blocks.append("".join(pieces))
-                pieces = []
+            k += 1
+
+    paragraph = None
+    for sent in doc.sentences:
+        if pieces and sent.paragraph_index != paragraph:
+            pieces.append("\n\n")             # a blank line between paragraphs
             space = False
-    if pieces:
-        blocks.append("".join(pieces))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+        paragraph = sent.paragraph_index
+        for tok in sent.tokens:
+            # the events before it: the last token's suffixes, its prefixes
+            if k < n and events[k].at <= 2 * tok.index:
+                place(2 * tok.index)
+            if space:
+                pieces.append(" ")
+            pieces.append(_phon_text(tok) if tok.phon_override else tok.surface)
+            space = True
+        place(2 * sent.tokens[-1].index + 1)
+    if k < n:
+        raise ValueError(_PAST_THE_END)
+    return "".join(pieces) + ("\n" if pieces else "")
 
 
 def render_tobi(doc: Document, script: ProsodicScript) -> str:
@@ -199,18 +197,29 @@ def render_tobi(doc: Document, script: ProsodicScript) -> str:
     that token end the line before, as in the published fragment
     (``fixture_notes.md``).
     """
+    events, n, k = script.items, len(script.items), 0     # k: the next event to print
     lines: list[str] = []
     current: list[str] = []
-    pending_break = False
 
-    for item in script.items:
-        if item.kind == "sentence_start":
-            pending_break = bool(current)
-            continue
-        if item.kind == "paragraph_break":
-            continue
-        if item.kind == "token":
-            if item.token.kind == QUOTE:
+    def place(end: int):
+        """Print the labels of the events placed up to ``end``."""
+        nonlocal k
+        while k < n and events[k].at <= end:
+            item = events[k]
+            if item.bi is not None:
+                current.append(item.bi.label)
+            if item.tone_label:
+                current.append(item.tone_label)
+            elif item.bi is None and item.event.rset and item.glue != GLUE_COMPOUND:
+                current.append(item.event.markup)
+            k += 1
+
+    for sent in doc.sentences:
+        pending_break = bool(current)
+        for tok in sent.tokens:
+            if k < n and events[k].at <= 2 * tok.index:
+                place(2 * tok.index)
+            if tok.kind == QUOTE:
                 continue
             if pending_break:
                 lines.append(" ".join(current))
@@ -218,19 +227,12 @@ def render_tobi(doc: Document, script: ProsodicScript) -> str:
                 pending_break = False
             # a token of one source word is one chunk, without whitespace;
             # a merged token's inner whitespace prints as one space
-            tok = item.token
             current.append(_phon_text(tok) if tok.phon_override
                            else tok.surface if tok.source_words == 1
                            else " ".join(tok.surface.split()))
-        elif item.kind == "event":
-            parts = []
-            if item.bi is not None:
-                parts.append(item.bi.label)
-            if item.tone_label:
-                parts.append(item.tone_label)
-            if not parts and item.event.rset and item.glue != GLUE_COMPOUND:
-                parts.append(item.event.markup)
-            current.extend(parts)
+        place(2 * sent.tokens[-1].index + 1)
+    if k < n:
+        raise ValueError(_PAST_THE_END)
     if current:
         lines.append(" ".join(current))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -31,17 +31,13 @@ GROUP_END_BREAKS = frozenset({BreakIndex.BI3, BreakIndex.BI4, BreakIndex.BI22})
 
 def breaks_off_group_ends(result) -> list[str]:
     """The ``GROUP_END_BREAKS`` events of a compile whose nearest token
-    before them is not the last word of a breath group of its sentence."""
+    before them is not the last word of a breath group of its sentence:
+    an event at ``at`` follows the token of index ``(at - 1) // 2``."""
     ends = {s.tokens[g.words[-1]].index
             for s in result.doc.sentences for g in result.groups[s.index]}
-    off = []
-    last = None                 # the index of the nearest token so far
-    for item in result.script.items:
-        if item.kind == "token":
-            last = item.token.index
-        elif item.kind == "event" and item.bi in GROUP_END_BREAKS and last not in ends:
-            off.append(f"{item.bi.label} after token {last}")
-    return off
+    return [f"{item.bi.label} after token {(item.at - 1) // 2}"
+            for item in result.script.items
+            if item.bi in GROUP_END_BREAKS and (item.at - 1) // 2 not in ends]
 
 
 @pytest.fixture(scope="session")

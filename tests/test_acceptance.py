@@ -117,7 +117,7 @@ def test_criterion_7_frozen_expression(config):
     cfg = Config().load_lexica()
     cfg.title_mode = "off"
     res = run_pipeline("Come on, baby", None, cfg)
-    events = [it.event for it in res.script.items if it.kind == "event"]
+    events = [it.event for it in res.script.items]
     from prosomark.prosody import RSET
     assert events == [
         ev(pbas=57.0, rate=170, volm=+0.5),
@@ -127,8 +127,7 @@ def test_criterion_7_frozen_expression(config):
         ev(slnc=100),
         RSET,
     ]
-    labels = [it.tone_label for it in res.script.items
-              if it.kind == "event" and it.tone_label]
+    labels = [it.tone_label for it in res.script.items if it.tone_label]
     assert labels == ["H*+L-", "!L+H*%"]
     report("criterion 7: exhortative five-event sequence exact")
 

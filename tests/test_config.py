@@ -125,6 +125,32 @@ def test_one_load_leaves_one_cache_entry():
             tuple(os.fspath(getattr(cfg, path)) for path, _ in _LEXICA)]
 
 
+def test_cache_keeps_at_most_its_limit_of_lexicon_sets(tmp_path):
+    # a process that loads many distinct sets of paths keeps only the last
+    with mock.patch.dict(config_module._BUILT, clear=True):
+        for i in range(config_module._BUILT_LIMIT + 3):
+            path = tmp_path / f"quantifiers{i}.txt"
+            path.write_text("all\n")
+            cfg = Config(quantifier_path=path).load_lexica()
+            assert len(config_module._BUILT) <= config_module._BUILT_LIMIT
+        assert len(config_module._BUILT) == config_module._BUILT_LIMIT
+        # the oldest went first: the last set loaded is still held
+        assert list(config_module._BUILT)[-1] == tuple(
+            os.fspath(getattr(cfg, path)) for path, _ in _LEXICA)
+        assert cfg.quantifiers == {"all"}
+
+
+def test_one_cli_run_builds_each_lexicon_set_once(tmp_path, monkeypatch):
+    built = []
+    build = config_module._build
+    monkeypatch.setattr(config_module, "_build", lambda *paths: built.append(paths) or build(*paths))
+    text = tmp_path / "in.txt"
+    text.write_text(load("belling_cat.txt"))
+    with mock.patch.dict(config_module._BUILT, clear=True):
+        assert run([str(text), "--emit", "both", "--out", str(tmp_path / "out.txt")]) == 0
+    assert len(built) == 1
+
+
 def test_repr_names_the_class_and_every_constructor_field():
     cfg = Config(max_len=9, emit_mode="tobi", frozen_path=Path("frozen.tsv"))
     fields = list(inspect.signature(Config).parameters)

@@ -81,7 +81,7 @@ def test_every_fixture_event_comes_from_the_table(fable_result, fox_result,
     openings = {(c.label, row.params[i][0])
                 for row in DEFAULT_TABLE.rows for i, c in enumerate(row.contours)}
     for res in (fable_result, fox_result, fox_nopov_result):
-        events = [it for it in res.script.items if it.kind == "event"]
+        events = res.script.items
         assert events
         for it in events:
             assert it.event in row_events | breaks | fused, it.event
@@ -129,7 +129,7 @@ FOX_CROW_PAIRS = [('', None), ('', None), ('', 'BI-3'), ('X-?', None), ('', 'BI-
                                         ("fox_result", FOX_CROW_PAIRS)])
 def test_whole_script_inverts(request, name, pairs):
     script = request.getfixturevalue(name).script
-    assert params_to_tobi([it.event for it in script.items if it.kind == "event"]) == pairs
+    assert params_to_tobi([it.event for it in script.items]) == pairs
 
 
 def test_bi_bijection_all_eight():
@@ -233,19 +233,35 @@ def test_markup_silence_reset_pairing(fable_result, fox_result):
 
 
 def test_markup_validation_refuses_bad_script(fable_result):
-    def silence(ms, bi):
-        return ScriptItem("event", event=ev(slnc=ms), bi=bi)
+    def silence(ms, bi, at=1):
+        return ScriptItem(ev(slnc=ms), bi=bi, at=at)
 
-    reset = ScriptItem("event", event=RSET, glue=GLUE_COMPOUND)
+    reset = ScriptItem(RSET, GLUE_COMPOUND, at=1)
     script = ProsodicScript([silence(200, BreakIndex.BI3)])  # missing its reset
     with pytest.raises(ValueError):
         render_markup(fable_result.doc, script)
     assert script.validate() == ["BI-3 silence not followed by a reset"]
     script = ProsodicScript([silence(100, BreakIndex.BI2), reset])
     assert script.validate() == ["BI-2 silence must not take a reset"]
-    first, second = fable_result.doc.tokens()[:2]
-    script = ProsodicScript([ScriptItem("token", second), ScriptItem("token", first)])
-    assert script.validate() == ["tokens out of document order"]
+    script = ProsodicScript([silence(100, BreakIndex.BI2, at=3),
+                             silence(100, BreakIndex.BI2, at=1)])
+    assert script.validate() == ["events out of document order"]
+    with pytest.raises(ValueError, match="out of document order"):
+        render_markup(fable_result.doc, script)
+
+
+@pytest.mark.parametrize("render,last_piece", [(render_markup, "[[slnc 100]]"),
+                                               (render_tobi, "BI-2")], ids=["markup", "tobi"])
+def test_render_refuses_an_event_past_the_last_token(fable_result, render, last_piece):
+    # an event after the last token's place is refused, not dropped
+    last = 2 * fable_result.doc.tokens()[-1].index + 1
+
+    def script(at):
+        return ProsodicScript([ScriptItem(ev(slnc=100), bi=BreakIndex.BI2, at=at)])
+
+    assert render(fable_result.doc, script(last)).endswith(last_piece + "\n")
+    with pytest.raises(ValueError, match="past the document's last token"):
+        render(fable_result.doc, script(last + 1))
 
 
 def test_markup_strip_reproduces_tokens(fable_result):

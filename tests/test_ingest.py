@@ -37,14 +37,13 @@ def _with_markup(event):
      "phon_override='lONg', source_words=2)"),
     (BreathGroup([0, 2], "comma", END_STOPPED),
      "BreathGroup(words=[0, 2], trigger='comma', junction='end_stopped')"),
-    (ScriptItem("event", None, None, GLUE_LEFT, "H*-L", BreakIndex.BI2, 4),
-     "ScriptItem(kind='event', token=None, event=None, glue='left', tone_label='H*-L', "
-     "bi=<BreakIndex.BI2: '2'>, sentence_index=4)"),
+    (ScriptItem(None, GLUE_LEFT, "H*-L", BreakIndex.BI2, 9),
+     "ScriptItem(event=None, glue='left', tone_label='H*-L', bi=<BreakIndex.BI2: '2'>, at=9)"),
     (FrozenMatch("exhortative", 2, 3, 5),
      "FrozenMatch(role='exhortative', pattern_length=2, tail_position=3, length=5)"),
-    (ScriptItem("event", None, _with_markup(ParamEvent(44.0, 140, 0.3)), GLUE_RIGHT),
-     "ScriptItem(kind='event', token=None, event=ParamEvent(pbas=44.0, rate=140, volm=0.3, "
-     "slnc=None, rset=False), glue='right', tone_label=None, bi=None, sentence_index=None)"),
+    (ScriptItem(_with_markup(ParamEvent(44.0, 140, 0.3)), GLUE_RIGHT),
+     "ScriptItem(event=ParamEvent(pbas=44.0, rate=140, volm=0.3, slnc=None, rset=False), "
+     "glue='right', tone_label=None, bi=None, at=0)"),
     (DiscourseNode("3", 4, "up", (None, 2)),
      "DiscourseNode(sent_id='3', clause_no=4, move='up', attach=(None, 2))"),
     (POVSpan(1, 5, [0, 1]), "POVSpan(start_token=1, end_token=5, sentences=[0, 1])"),

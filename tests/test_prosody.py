@@ -26,16 +26,13 @@ from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, FrozenMatch,
 # Break indices ---------------------------------------------------------------
 
 def _breaks_after(result, word):
-    """The break indices of the events right after each token ``word``."""
-    out, current = [], None
+    """The break indices of the events right after each token ``word``,
+    before the next token: those whose nearest token before them it is."""
+    out = {t.index: [] for t in result.doc.tokens() if t.normalized == word}
     for it in result.script.items:
-        if it.kind == "token":
-            current = [] if it.token.normalized == word else None
-            if current is not None:
-                out.append(current)
-        elif it.kind == "event" and current is not None and it.bi is not None:
-            current.append(it.bi)
-    return out
+        if (it.at - 1) // 2 in out and it.bi is not None:
+            out[(it.at - 1) // 2].append(it.bi)
+    return list(out.values())
 
 
 def test_bi_title(config, fable_result):
@@ -196,12 +193,11 @@ def test_force_closed_pov_covers_every_sentence(config):
     res = run_pipeline('He said "hi. She ran. It fell. Done.', None, config)
     assert [s.sentences for s in res.pov_spans] == [[0, 1, 2, 3]]
     # each continuation sentence opens with the downstepped contour
-    opening, current = {}, None
+    sentence_of = {t.index: s.index for s in res.doc.sentences for t in s.tokens}
+    opening = {}
     for it in res.script.items:
-        if it.kind == "sentence_start":
-            current = it.sentence_index
-        elif it.kind == "event" and it.tone_label and current not in opening:
-            opening[current] = it.tone_label
+        if it.tone_label and sentence_of[it.at // 2] not in opening:
+            opening[sentence_of[it.at // 2]] = it.tone_label
     assert [opening[i] for i in (1, 2, 3)] == ["H-!H*-1"] * 3
 
 
@@ -254,8 +250,7 @@ def test_threads_can_share_one_manager(config):
 
 
 def test_fable_has_no_downstep(fable_result):
-    labels = [it.tone_label for it in fable_result.script.items
-              if it.kind == "event" and it.tone_label]
+    labels = [it.tone_label for it in fable_result.script.items if it.tone_label]
     assert not any("!H" in lbl for lbl in labels)
 
 
@@ -265,8 +260,7 @@ def test_bi0_bi1_representable_never_emitted(fable_result, fox_result):
     assert BreakIndex.BI0 not in BI_REALIZATION
     assert BreakIndex.BI1 not in BI_REALIZATION
     for res in (fable_result, fox_result):
-        emitted = {it.bi for it in res.script.items
-                   if it.kind == "event" and it.bi is not None}
+        emitted = {it.bi for it in res.script.items if it.bi is not None}
         assert BreakIndex.BI0 not in emitted
         assert BreakIndex.BI1 not in emitted
 
@@ -480,41 +474,31 @@ def test_mark_quantifier_slowdown_direct(config, fable_result):
 
 def test_quantifier_slowdown_nobody(fable_result):
     # (rate 110, volm +0.3) before "nobody", then the quantifier-class pause
-    script = fable_result.script.items
-    for i, item in enumerate(script):
-        if item.kind == "token" and item.token.normalized == "nobody":
-            before = script[i - 1]
-            after = script[i + 1]
-            assert before.kind == "event"
-            assert (before.event.rate, before.event.volm) == (110, +0.3)
-            assert after.event.slnc == 100 and after.bi == BreakIndex.BI23
-            break
-    else:
-        pytest.fail("nobody not found")
+    i = next(t.index for t in fable_result.doc.tokens() if t.normalized == "nobody")
+    before = [it for it in fable_result.script.items if it.at == 2 * i]
+    after = [it for it in fable_result.script.items if it.at == 2 * i + 1]
+    assert (before[-1].event.rate, before[-1].event.volm) == (110, +0.3)
+    assert after[0].event.slnc == 100 and after[0].bi == BreakIndex.BI23
 
 
 def test_head_slowdown_all_agree(fable_result):
     # "you will all agree": the modifier quantifier takes the head slowdown,
     # which covers the group-final head, so "agree" gets no contour and no
     # break
-    script = fable_result.script.items
-    for i, item in enumerate(script):
-        if item.kind == "token" and item.token.normalized == "all":
-            before = script[i - 1]
-            assert before.kind == "event"
-            assert (before.event.rate, before.event.volm) == (130, +0.5)
-            assert before.tone_label is None and before.bi is None
-            assert script[i + 1].token.normalized == "agree"
-            assert script[i + 2].kind == "token"
-            break
-    else:
-        pytest.fail("all not found")
+    tokens = fable_result.doc.tokens()
+    i = next(t.index for t in tokens if t.normalized == "all")
+    assert tokens[i + 1].normalized == "agree"
+    before = [it for it in fable_result.script.items if it.at == 2 * i]
+    assert (before[-1].event.rate, before[-1].event.volm) == (130, +0.5)
+    assert before[-1].tone_label is None and before[-1].bi is None
+    # no event between "all" and "agree", nor between "agree" and the next token
+    assert [it for it in fable_result.script.items if 2 * i < it.at <= 2 * i + 4] == []
 
 
 def test_no_slowdown_without_quantifier(config):
     res = run_pipeline("The cat sat down.", None, config)
     rates = [it.event.rate for it in res.script.items
-             if it.kind == "event" and it.event.rate and it.event.pbas is None]
+             if it.event.rate and it.event.pbas is None]
     assert rates == []
 
 
