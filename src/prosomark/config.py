@@ -18,10 +18,9 @@ from .ingest import WORD, Shown, phrase_index, tokenize
 TITLE_MODES = ("auto", "force", "off")
 EMIT_MODES = ("markup", "tobi", "both", "groups")
 
-#: (path field, lexicon field) of each lexicon file, in ``_build``'s order
-_LEXICA = (("multiword_path", "multiwords"), ("phonetic_path", "phon_lexicon"),
-           ("frozen_path", "frozen_table"), ("affect_path", "affect_words"),
-           ("quantifier_path", "quantifiers"), ("comm_verb_path", "comm_verbs"))
+#: the path field of each lexicon file, in ``_build``'s order
+_LEXICA = ("multiword_path", "phonetic_path", "frozen_path", "affect_path", "quantifier_path",
+           "comm_verb_path")
 
 #: the six lexicon paths -> (their files' (path, st_mtime_ns, st_size),
 #: the lexicon fields ``_build`` built from them), first built first
@@ -32,12 +31,14 @@ _BUILT_LOCK = _thread.allocate_lock()     # makes a store and its eviction one s
 
 def _build(multiword_path, phonetic_path, frozen_path, affect_path, quantifier_path,
            comm_verb_path) -> dict:
-    """The lexicon fields of a config, read from its six files, and the
-    phrase indexes of the frozen and the sad phrases; every phrase takes the
-    text's token forms, ``tokenize``'s with the multiwords.  A phrase with a
-    non-word token, or a phonetic, quantifier or communication-verb entry
-    of more than one token, raises ``ValueError`` naming ``path:line``."""
-    multiwords = tuple(tuple(line.lower().split()) for _, line in lexica.lines(multiword_path))
+    """The lexicon fields of a config, read from its six files: the
+    multiwords, the frozen phrases and the sad phrases each as one
+    ``phrase_index``.  Every phrase but a multiword takes the text's token
+    forms, ``tokenize``'s with the multiwords.  A phrase with a non-word
+    token, or a phonetic, quantifier or communication-verb entry of more
+    than one token, raises ``ValueError`` naming ``path:line``."""
+    multiwords = phrase_index((line.lower().split(), None)
+                              for _, line in lexica.lines(multiword_path))
 
     def forms(path, line_no, phrase, one_word=False) -> tuple[str, ...]:
         tokens = tokenize(phrase, multiwords)
@@ -49,31 +50,26 @@ def _build(multiword_path, phonetic_path, frozen_path, affect_path, quantifier_p
     def word_set(path) -> frozenset[str]:
         return frozenset(forms(path, n, line, True)[0] for n, line in lexica.lines(path))
 
-    def index(pairs) -> MappingProxyType:       # a read-only ``phrase_index``
-        return MappingProxyType({w: tuple(cands) for w, cands in phrase_index(pairs).items()})
-
-    frozen = tuple((forms(frozen_path, n, pattern), role)
-                   for n, pattern, role in lexica.tagged(frozen_path, lexica.FROZEN_ROLES))
+    frozen = phrase_index((forms(frozen_path, n, pattern), role)
+                          for n, pattern, role in lexica.tagged(frozen_path, lexica.FROZEN_ROLES))
     affect = {forms(affect_path, n, phrase): tag
               for n, phrase, tag in lexica.tagged(affect_path, lexica.AFFECT_TAGS)}
     phon = {forms(phonetic_path, n, word, True)[0]: phonetic
             for n, word, phonetic in lexica.phonetic(phonetic_path)}
     return {"multiwords": multiwords, "phon_lexicon": MappingProxyType(phon),
-            "frozen_table": frozen,
             "affect_words": MappingProxyType({" ".join(k): tag for k, tag in affect.items()}),
             "quantifiers": word_set(quantifier_path), "comm_verbs": word_set(comm_verb_path),
-            "frozen_index": index(frozen),
-            "sad_index": index((k, tag) for k, tag in affect.items() if tag == "sad")}
+            "frozen_index": frozen,
+            "sad_index": phrase_index((k, tag) for k, tag in affect.items() if tag == "sad")}
 
 
 class Config(Shown):
     """One compile's parameters and lexicon paths, and what ``load_lexica``
     builds from the files (empty until then): the read-only lexica, whose
-    phrases are in the text's token forms (``dead_body``), and the
-    read-only phrase indexes of the frozen and the sad phrases, which the
-    rule planner reads."""
-    multiwords = frozen_table = ()
-    phon_lexicon = affect_words = frozen_index = sad_index = MappingProxyType({})
+    phrases are in the text's token forms (``dead_body``).  The multiwords
+    are the phrase index ``tokenize`` reads, and the frozen and the sad
+    phrases the phrase indexes the rule planner reads."""
+    multiwords = phon_lexicon = affect_words = frozen_index = sad_index = MappingProxyType({})
     quantifiers = comm_verbs = frozenset()
 
     def __init__(self, min_len: int = 2, max_len: int = 12, max_subj: int = 4,
@@ -105,7 +101,7 @@ class Config(Shown):
         them out.  A build that raises caches nothing; threads that miss
         together each build equal lexica, and the last to store them wins."""
         paths, stamps = [], []
-        for path_field, _ in _LEXICA:
+        for path_field in _LEXICA:
             path = os.fspath(getattr(self, path_field))
             try:
                 st = os.stat(path)
@@ -128,7 +124,7 @@ class Config(Shown):
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 _INT_KEYS = ("min_len", "max_len", "max_subj")
-_PATH_KEYS = {path for path, _ in _LEXICA}
+_PATH_KEYS = set(_LEXICA)
 _MODE_KEYS = {"title_mode": TITLE_MODES, "emit_mode": EMIT_MODES}
 
 

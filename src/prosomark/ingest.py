@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate, takewhile
+from types import MappingProxyType
 
 WORD = "word"
 COMMA = "comma"
@@ -66,10 +67,13 @@ class Token(Record):
 
 
 class Sentence:
-    """A run of tokens closed by a terminal, with its paragraph and index."""
+    """A run of tokens closed by a terminal, with its paragraph and index.
+    A sentence holds at least one token: an empty one raises ``ValueError``."""
 
     def __init__(self, tokens: list[Token], terminal: str = "none", is_title: bool = False,
                  paragraph_index: int = 0, index: int = 0):
+        if not tokens:
+            raise ValueError("a sentence holds at least one token")
         self.tokens, self.terminal, self.is_title = tokens, terminal, is_title
         self.paragraph_index, self.index = paragraph_index, index
 
@@ -108,15 +112,15 @@ _PUNCT_KINDS = {",": COMMA, **dict.fromkeys(TERMINAL_CHARS, TERMINAL),
                 **dict.fromkeys(QUOTE_CHARS, QUOTE)}
 
 
-def phrase_index(pairs: Iterable[tuple[Sequence[str], object]]) -> dict[str, list]:
-    """First word -> the ``(phrase tuple, value)`` pairs whose phrase starts
-    with it, longest phrase first (pairs of one length keep their order)."""
+def phrase_index(pairs: Iterable[tuple[Sequence[str], object]]) -> Mapping[str, tuple]:
+    """A read-only map of first word -> the ``(phrase tuple, value)`` pairs
+    whose phrase starts with it, longest phrase first (pairs of one length
+    keep their order)."""
     index: dict[str, list] = {}
     for phrase, value in pairs:
         index.setdefault(phrase[0], []).append((tuple(phrase), value))
-    for cands in index.values():
-        cands.sort(key=lambda c: len(c[0]), reverse=True)
-    return index
+    return MappingProxyType({w: tuple(sorted(cands, key=lambda c: len(c[0]), reverse=True))
+                             for w, cands in index.items()})
 
 
 def longest_phrase(words: Sequence[str | None], i: int,
@@ -134,11 +138,13 @@ def longest_phrase(words: Sequence[str | None], i: int,
 _BLANK_LINE = re.compile(r"\n[ \t]*\n")
 
 
-def tokenize(text: str, multiwords: Iterable[Sequence[str]] | None = None) -> list[Token]:
+def tokenize(text: str, multiwords: Mapping[str, Sequence] = MappingProxyType({})) -> list[Token]:
     """Split text into tokens, merging known multiword expressions.
 
-    ``multiwords`` holds word sequences (already lowercased); the
-    longest match at each position wins, and no match spans a blank line.
+    ``multiwords`` is the ``phrase_index`` of the multiwords, lowercased
+    word sequences, as ``Config.multiwords`` holds it; without it nothing
+    merges.  The longest match at each position wins, and no match spans a
+    blank line.
     A merged token keeps the original surface text (inner whitespace
     included) and gets an underscore-joined normalized form.
     """
@@ -150,7 +156,6 @@ def tokenize(text: str, multiwords: Iterable[Sequence[str]] | None = None) -> li
              for c in chunks]
     norms = [c.lower() if k == WORD else c for c, k in zip(chunks, kinds)]
     words = [n if k == WORD else None for n, k in zip(norms, kinds)]
-    index = phrase_index((mw, None) for mw in multiwords or ())
 
     # (first chunk, chunk count) of each merge, in text order, found one
     # paragraph at a time
@@ -159,8 +164,8 @@ def tokenize(text: str, multiwords: Iterable[Sequence[str]] | None = None) -> li
     for a, b in zip(bounds, bounds[1:] + [len(chunks)]):
         para = words[a:b]
         end = 0
-        for i in [i for i, w in enumerate(para) if w in index]:
-            if i >= end and (m := longest_phrase(para, i, index)):
+        for i in [i for i, w in enumerate(para) if w in multiwords]:
+            if i >= end and (m := longest_phrase(para, i, multiwords)):
                 end = i + m[0]
                 merges.append((a + i, m[0]))
 

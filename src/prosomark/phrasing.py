@@ -89,13 +89,13 @@ def segment(sentence: Sentence, ix: DocIndex, config) -> list[BreathGroup]:
     for k, i in enumerate(words):
         n = norms[i]
         # rule: coordinate structures joining clauses
-        if n in lexica.COORDINATORS and k:
+        if n in lexica.COORDINATORS:
             if i in clause_starts or (i + 1) in clause_starts:
                 add(i, "coordination")
             elif prev_word in affect_words:
                 add(i, "coordination")
         # rule: subordinate clauses (comparatives share the slot)
-        elif n in lexica.SUBORDINATORS and k:
+        elif n in lexica.SUBORDINATORS:
             add(i, "comparative" if n in ("as", "than") else "subordinator")
         # rule: infinitival complements (not after a verb)
         elif n == "to" and k:
@@ -105,7 +105,7 @@ def segment(sentence: Sentence, ix: DocIndex, config) -> list[BreathGroup]:
                     and prev_word not in lexica.PREPOSITIONS):
                 add(i, "infinitival")
         # rule: relative clauses after a content noun
-        elif n in lexica.RELATIVE_PRONOUNS and k:
+        elif n in lexica.RELATIVE_PRONOUNS:
             if prev_word in lexica.PREPOSITIONS:
                 if k >= 2 and not lexica.function_word(norms[words[k - 2]]):
                     add(words[k - 1], "relative")
@@ -238,7 +238,7 @@ def render_groups(doc, groups_by_sentence) -> str:
         if not groups:
             continue
         toks = sent.tokens
-        if toks and toks[0].kind == QUOTE and lines:
+        if toks[0].kind == QUOTE and lines:
             lines.append(GROUP_MARK)
         for g in groups:
             text = " ".join(sent.words[i] for i in g.words)

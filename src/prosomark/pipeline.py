@@ -25,8 +25,8 @@ from .config import Config
 from .docindex import DocIndex, POVSpan
 from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
                    ProsodicScript, ScriptItem)
-from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, WORD, Document,
-                     Sentence, longest_phrase, split_document, tokenize)
+from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, Document, Sentence,
+                     longest_phrase, split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
 from .prosody import (BI_EVENTS, DEFAULT_TABLE, RSET, BreakIndex, ParamEvent,
                       ToneContext, match_frozen, select_tone)
@@ -36,11 +36,9 @@ class PipelineResult:
     """A compile's document, annotations, breath groups, script and notes."""
 
     def __init__(self, doc: Document, ann: AnnotationSet, groups: dict[int, list[BreathGroup]],
-                 script: ProsodicScript, pov_spans: list[POVSpan],
-                 diagnostics: list[str] | None = None):
+                 script: ProsodicScript, pov_spans: list[POVSpan], diagnostics: list[str]):
         self.doc, self.ann, self.groups, self.script = doc, ann, groups, script
-        self.pov_spans = pov_spans
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.pov_spans, self.diagnostics = pov_spans, diagnostics
 
     def groups_text(self) -> str:
         return render_groups(self.doc, self.groups)
@@ -104,7 +102,7 @@ class ProsodyManager:
         doc = split_document(tokens, text, cfg.title_mode)
         listed = cfg.phon_lexicon
         for t in tokens:
-            if t.kind == WORD and t.normalized in listed:
+            if t.normalized in listed:    # each key is one word token (config._build)
                 t.phon_override = listed[t.normalized]
         if ann is None:
             ann = shallow_analyze(doc)
@@ -318,13 +316,13 @@ class _Compile:
         opening = self._row_event("up_fg_parainit")
         if sent.terminal == "question":
             plan.add_prefix(start, opening)
-        for g, nxt in zip(plan.groups, plan.groups[1:]):
-            if g.token_span[1] >= start and nxt.token_span[0] <= last_word:
+        # the sentence's words all precede its terminal: each group ends by last_word
+        for g in plan.groups[:-1]:
+            if g.token_span[1] >= start:
                 plan.add_suffix_bi(g.token_span[1], BreakIndex.BI3)
         plan.add_suffix(last_word, *_pause(BreakIndex.BI22, GLUE_LEFT, before=opening))
-        if self.config.pov_tracking:
-            if region_sents and region_sents[-1] == sent.index:
-                plan.add_suffix(term_pos, ScriptItem(RSET, GLUE_NONE))
+        if self.config.pov_tracking and region_sents[-1] == sent.index:
+            plan.add_suffix(term_pos, ScriptItem(RSET, GLUE_NONE))
         plan.consumed.update(range(start, term_pos + 1))
         if owner is not None:
             plan.contoured.add(owner.clause_no)
@@ -334,11 +332,8 @@ class _Compile:
         sent = plan.sentence
         toks = sent.tokens
         words = plan.words
-        clauses = self.ix.clauses_in(sent)
-        if not clauses:
-            return
         group_at = {i: g for g in plan.groups for i in g.positions()}
-        for start, c in clauses:
+        for start, c in self.ix.clauses_in(sent):
             if c.clause_no in plan.contoured or start in plan.consumed:
                 continue
             in_quote = self.ix.quote_depth[toks[start].index] > 0
@@ -515,7 +510,7 @@ class _Compile:
         # split_document numbers sentences by their position
         sentences = self.doc.sentences
         nxt = sentences[sent.index + 1] if sent.index + 1 < len(sentences) else None
-        if nxt is None or not nxt.tokens or nxt.tokens[0].kind != QUOTE:
+        if nxt is None or nxt.tokens[0].kind != QUOTE:
             return
         clauses = self.ix.clauses_in(sent)
         if not clauses:
@@ -528,11 +523,10 @@ class _Compile:
         """Open a quotation's continuation sentence with the downstepped
         contour, after a BI-2 unless the sentence before already chained
         onward.  The items go in front of the ones the rules placed."""
-        first = plan.first_word
-        if first is not None:
-            items = [] if prev_plan.end_bi2 else _pause(BreakIndex.BI2)
-            items.append(self._row_event("ds_elaboration", 1))
-            plan.prefix[first] = items + plan.prefix.get(first, [])
+        first = plan.first_word   # a quotation opens only on a mark that hugs a word
+        items = [] if prev_plan.end_bi2 else _pause(BreakIndex.BI2)
+        items.append(self._row_event("ds_elaboration", 1))
+        plan.prefix[first] = items + plan.prefix.get(first, [])
 
 
 _OPENER_WORDS = lexica.COMPLEMENT_OPENERS | lexica.LOOSE_OPENERS

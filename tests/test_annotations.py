@@ -289,6 +289,45 @@ def test_disc_attachment_spans_reach_no_output(config, stem):
     assert outputs(moved) == outputs(sidecar)
 
 
+@pytest.mark.parametrize("stem,kept,changed", [
+    ("belling_cat", 0, {
+        3: "You will all agree , said H*-L% he BI-3 , that our chief danger consists in the"
+           " L*-L% sly and treacherous [[rset 0]] manner in which the enemy approaches"
+           " H*-L% us BI-3 . H*-H",
+        4: "Now , if we could receive some signal of her approach , we could easily escape"
+           " from H*-L% her BI-3 .",
+        6: "By this means we should always know H*-H-3 when she was H*-L% about BI-3 , BI-2"
+           " and could easily L-L% retire BI-33 while she was in the H*-L% neighborhood"
+           " BI-3 . H*-H-1",
+        7: "This proposal met with general H*-L% applause BI-3 , until an old mouse BI-2"
+           " H-H*-2 got up BI-2 and H*-L% said BI-3 :"}),
+    ("belling_cat", 1, {
+        9: "The mice looked at one another BI-2 and nobody BI-23 H*-L% spoke BI-3 ."}),
+    ("fox_crow", 0, {0: "The fox said : H*-H"}),
+    ("fox_crow", 1, {}),
+], ids=["belling_cat-no-disc", "belling_cat-first-disc", "fox_crow-no-disc",
+        "fox_crow-first-disc"])
+def test_moves_without_disc_lines(config, stem, kept, changed):
+    # with no DISC line the moves are derived from the clauses and topics;
+    # with some, a clause without one moves level.  ``changed`` is each ToBI
+    # line that differs from the full sidecar's, by its line number.
+    from prosomark.emit import render_tobi
+    from prosomark.pipeline import run_pipeline
+
+    text, sidecar = load(f"{stem}.txt"), load(f"{stem}.ann")
+    disc = [line for line in sidecar.splitlines() if line.startswith("DISC")][:kept]
+    cut = "".join(line + "\n" for line in sidecar.splitlines()
+                  if not line.startswith("DISC") or line in disc)
+
+    def tobi(sidecar_text):
+        res = run_pipeline(text, sidecar_text, config)
+        return render_tobi(res.doc, res.script).splitlines()
+
+    gold, got = tobi(sidecar), tobi(cut)
+    assert len(got) == len(gold)
+    assert {i: line for i, (line, g) in enumerate(zip(got, gold)) if line != g} == changed
+
+
 # Shallow fallback ------------------------------------------------------------
 
 def _doc(text, config, title="off"):

@@ -17,7 +17,8 @@ from prosomark.config import _LEXICA, Config, parse_config_file
 from prosomark.pipeline import ProsodyManager
 
 #: the fields ``load_lexica`` fills: the lexica and their phrase indexes
-_FIELDS = [name for _, name in _LEXICA] + ["frozen_index", "sad_index"]
+_FIELDS = ["multiwords", "phon_lexicon", "affect_words", "quantifiers", "comm_verbs",
+           "frozen_index", "sad_index"]
 
 
 def _fresh_build(cfg):
@@ -31,9 +32,8 @@ def test_configs_share_no_lexicon_objects():
     # no config can change a lexicon another config holds: loaded lexica
     # and phrase indexes are read-only, so each of these edits raises
     first = Config().load_lexica()
-    edits = [lambda: first.multiwords.append(["zz", "top"]),
-             lambda: first.multiwords[0].append("extra"),
-             lambda: first.frozen_table[0][0].append("extra"),
+    edits = [lambda: first.multiwords.__setitem__("zz", ((("zz", "top"), None),)),
+             lambda: first.multiwords["dead"][0][0].append("extra"),
              lambda: first.affect_words.__setitem__("cat", "sad"),
              lambda: first.quantifiers.add("zz"),
              lambda: first.comm_verbs.discard(next(iter(first.comm_verbs))),
@@ -86,7 +86,7 @@ def test_missing_lexicon_file_builds_nothing(tmp_path):
     with pytest.raises(FileNotFoundError) as exc:
         cfg.load_lexica()
     assert str(exc.value) == f"lexicon file not found: {missing}"
-    assert (cfg.multiwords, cfg.quantifiers) == ((), frozenset())
+    assert (cfg.multiwords, cfg.quantifiers) == ({}, frozenset())
 
 
 def test_lexicon_phrases_load_in_token_forms(tmp_path):
@@ -95,7 +95,6 @@ def test_lexicon_phrases_load_in_token_forms(tmp_path):
     frozen.write_text("got up\texhortative\n")
     affect.write_text("dead body\tsad\ncold night\texclaim\n")
     cfg = Config(frozen_path=frozen, affect_path=affect).load_lexica()
-    assert cfg.frozen_table == ((("got_up",), "exhortative"),)
     assert dict(cfg.affect_words) == {"dead_body": "sad", "cold night": "exclaim"}
     assert cfg.frozen_index == {"got_up": ((("got_up",), "exhortative"),)}
     assert cfg.sad_index == {"dead_body": ((("dead_body",), "sad"),)}
@@ -122,7 +121,7 @@ def test_one_load_leaves_one_cache_entry():
     with mock.patch.dict(config_module._BUILT, clear=True):
         cfg = Config().load_lexica()
         assert list(config_module._BUILT) == [
-            tuple(os.fspath(getattr(cfg, path)) for path, _ in _LEXICA)]
+            tuple(os.fspath(getattr(cfg, path)) for path in _LEXICA)]
 
 
 def test_cache_keeps_at_most_its_limit_of_lexicon_sets(tmp_path):
@@ -136,7 +135,7 @@ def test_cache_keeps_at_most_its_limit_of_lexicon_sets(tmp_path):
         assert len(config_module._BUILT) == config_module._BUILT_LIMIT
         # the oldest went first: the last set loaded is still held
         assert list(config_module._BUILT)[-1] == tuple(
-            os.fspath(getattr(cfg, path)) for path, _ in _LEXICA)
+            os.fspath(getattr(cfg, path)) for path in _LEXICA)
         assert cfg.quantifiers == {"all"}
 
 
@@ -178,9 +177,18 @@ def test_compile_tokenizes_only_the_text(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "phrase_index", counted(ingest.phrase_index, indexes))
     ProsodyManager(cfg).process("Hush now, dear. The cat ran.")
     assert len(calls) == 1
-    # the one index built is the multiword index of the text's tokenize
-    assert [{value for cands in index.values() for _, value in cands}
-            for index in indexes] == [{None}]
+    # every phrase index, the multiwords' included, was built with the lexica
+    assert indexes == []
+
+
+def test_a_lexicon_build_makes_each_phrase_index_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(config_module, "phrase_index",
+                        lambda pairs: built.append(ingest.phrase_index(pairs)) or built[-1])
+    with mock.patch.dict(config_module._BUILT, clear=True):
+        cfg = Config().load_lexica()
+    assert len(built) == 3
+    assert all(a is b for a, b in zip(built, (cfg.multiwords, cfg.frozen_index, cfg.sad_index)))
 
 
 def test_rewritten_multiword_file_gives_new_token_forms(tmp_path):
@@ -188,11 +196,11 @@ def test_rewritten_multiword_file_gives_new_token_forms(tmp_path):
     multiwords.write_text("got up\n")
     frozen.write_text("come on\texhortative\n")
     cfg = Config(multiword_path=multiwords, frozen_path=frozen)
-    assert cfg.load_lexica().frozen_table == ((("come", "on"), "exhortative"),)
+    assert cfg.load_lexica().frozen_index == {"come": ((("come", "on"), "exhortative"),)}
     stat = multiwords.stat()
     multiwords.write_text("got up\ncome on\n")
     os.utime(multiwords, ns=(stat.st_atime_ns, stat.st_mtime_ns + 5_000_000_000))
-    assert cfg.load_lexica().frozen_table == ((("come_on",), "exhortative"),)
+    assert cfg.load_lexica().frozen_index == {"come_on": ((("come_on",), "exhortative"),)}
 
 
 def test_constructor_takes_no_lexicon(config):

@@ -183,7 +183,7 @@ def _cases(count, seed):
     rng = random.Random(seed)
     for _ in range(count):
         text = _random_text(rng)
-        tokens = tokenize(text, [])
+        tokens = tokenize(text)
         doc = split_document(tokens, text, "off")
         words = [t.normalized for t in tokens if t.kind == WORD]
         yield rng, doc, _random_ann(rng, len(tokens), words)
@@ -244,7 +244,7 @@ def test_quote_regions_match_the_scan():
 def test_quotation_reopened_at_each_paragraph():
     # a quotation over two paragraphs, the second reopened with a mark
     text = 'He said: "The cat ran. It fell.\n\n"The dog sat. It ran."\n'
-    doc = split_document(tokenize(text, []), text, "off")
+    doc = split_document(tokenize(text), text, "off")
     diags = []
     ix = DocIndex(doc, AnnotationSet(), diags)
     assert diags == []
@@ -265,7 +265,7 @@ def test_quotation_reopened_at_each_paragraph():
     ('He said: "The cat ran.\n\n" The dog sat.', 1),
 ])
 def test_later_paragraph_marks_that_do_not_reopen(text, closes_at):
-    doc = split_document(tokenize(text, []), text, "off")
+    doc = split_document(tokenize(text), text, "off")
     ix = DocIndex(doc, AnnotationSet(), [])
     marks = [t.index for t in doc.tokens() if t.kind == QUOTE]
     assert [(q.start_token, q.end_token) for q in ix.quotations] == \

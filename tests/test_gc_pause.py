@@ -165,3 +165,37 @@ def test_threads_share_the_pause(config, monkeypatch):
         sys.setswitchinterval(interval)
     assert sorted(done) == list(range(6))
     assert gc.isenabled()
+
+
+def _run_inside_a_compile(monkeypatch, config, action):
+    """Compile a text with ``action`` called inside the pause, from the
+    sidecar parse."""
+    parse = pipeline.parse_sidecar
+    monkeypatch.setattr(pipeline, "parse_sidecar", lambda text: action() or parse(text))
+    run_pipeline("The cat ran.", "", config)
+
+
+def test_a_compile_that_ends_inside_another_keeps_the_pause(config, monkeypatch):
+    # only the last compile to end restores the collector
+    inside = []
+
+    def inner_compile():
+        run_pipeline("The dog sat.", None, config)
+        inside.append(gc.isenabled())
+
+    gc.enable()
+    try:
+        _run_inside_a_compile(monkeypatch, config, inner_compile)
+        assert (inside, gc.isenabled()) == ([False], True)
+    finally:
+        gc.enable()
+
+
+def test_a_collector_enabled_during_a_compile_is_disabled_again(config, monkeypatch):
+    # the caller disabled the collector, and finds it disabled afterwards
+    gc.disable()
+    try:
+        _run_inside_a_compile(monkeypatch, config, gc.enable)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -12,9 +12,9 @@ from prosomark.config import Config
 from prosomark.docindex import POVSpan
 from prosomark.emit import GLUE_LEFT, GLUE_RIGHT, ScriptItem, render_markup
 from prosomark.ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL,
-                              TERMINAL_CHARS, QUOTE_CHARS, WORD, Token,
-                              classify_comma, reconstruct, split_document,
-                              tokenize)
+                              TERMINAL_CHARS, QUOTE_CHARS, WORD, Document, Sentence,
+                              Token, classify_comma, phrase_index, reconstruct,
+                              split_document, tokenize)
 from prosomark.phrasing import END_STOPPED, BreathGroup
 from prosomark.pipeline import run_pipeline
 from prosomark.prosody import BreakIndex, FrozenMatch, ParamEvent
@@ -159,7 +159,7 @@ def _ref_tokenize(text, multiwords=None):
 
 
 _MULTIWORD_LISTS = {
-    "shipped": Config().load_lexica().multiwords,
+    "shipped": [p for cands in Config().load_lexica().multiwords.values() for p, _ in cands],
     # entries sharing first words, some a prefix of another, one starting
     # inside another, one with a word that starts with an underscore
     "shared_first_words": [["come", "on"], ["come", "on", "in"], ["come", "now"],
@@ -190,7 +190,7 @@ _texts = st.lists(st.sampled_from(_ALPHABET), max_size=40).map("".join)
 @given(text=_texts)
 def test_tokenize_matches_the_reference(multiwords, text):
     mws = _MULTIWORD_LISTS[multiwords]
-    assert tokenize(text, mws) == _ref_tokenize(text, mws)
+    assert tokenize(text, phrase_index((mw, None) for mw in mws)) == _ref_tokenize(text, mws)
 
 
 def test_tokenize_idempotent_on_normalized_word(config):
@@ -207,6 +207,13 @@ def test_lone_dash_or_apostrophe_is_punctuation(config):
     # the dashes neither join a group nor count toward its length
     res = run_pipeline("The old cat -- the grey one -- ran away.", None, config)
     assert res.groups_text() == "the old cat β\nthe grey one β\nran away β\n"
+
+
+def test_a_sentence_without_tokens_is_refused():
+    # a hand-built document fails where it is built, before any renderer
+    # reads a sentence's last token
+    with pytest.raises(ValueError, match="^a sentence holds at least one token$"):
+        Document([Sentence([])])
 
 
 def test_title_detected(config):

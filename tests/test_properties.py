@@ -37,8 +37,8 @@ _PIECES = (['"', '"', "“", "”", ",", ",", ".", ".", "!", "?", ":", ";",
 
 #: the multiwords and frozen patterns of the lexica, and what may follow
 #: each of their words: the pieces above rarely fall next to each other
-_PHRASES = sorted({tuple(p) for p in CFG.multiwords}
-                  | {tuple(p) for p, _ in CFG.frozen_table})
+_PHRASES = sorted({p for index in (CFG.multiwords, CFG.frozen_index)
+                   for cands in index.values() for p, _ in cands})
 _GAPS = (" ", "\n", "\n\n", " \n\t\n", ", ", ". ", '" ')
 
 

@@ -273,7 +273,7 @@ def test_script_token_order_invariant(fable_result):
 
 def test_frozen_come_on_baby(config):
     sent = Sentence(tokenize("Come on, baby", config.multiwords))
-    m = match_frozen(sent, 0, phrase_index(config.frozen_table))
+    m = match_frozen(sent, 0, config.frozen_index)
     assert m is not None
     assert (m.role, m.pattern_length, m.tail_position, m.length) == \
         ("exhortative", 2, 3, 4)
@@ -291,7 +291,7 @@ def test_frozen_come_on_baby(config):
 
 def test_frozen_no_match(config):
     sent = Sentence(tokenize("the cat sat", config.multiwords))
-    assert match_frozen(sent, 0, phrase_index(config.frozen_table)) is None
+    assert match_frozen(sent, 0, config.frozen_index) is None
 
 
 def test_frozen_longest_match_wins(config):
@@ -324,24 +324,24 @@ def test_frozen_tie_goes_to_the_longer_pattern(config):
 
 def test_frozen_determinism(config):
     sent = Sentence(tokenize("Come on, baby", config.multiwords))
-    first = match_frozen(sent, 0, phrase_index(config.frozen_table))
-    second = match_frozen(sent, 0, phrase_index(config.frozen_table))
+    first = match_frozen(sent, 0, config.frozen_index)
+    second = match_frozen(sent, 0, config.frozen_index)
     assert first == second
 
 
-def test_frozen_pattern_that_is_a_multiword_matches(tmp_path, config):
+def test_frozen_pattern_that_is_a_multiword_matches(tmp_path):
     # tokenize merges the shipped multiword "got up" into one token.  The
-    # match opens with its row's first tuple and places the address tail
-    # as the shipped "come on" does; where the row's second tuple goes on a
-    # merged token is not settled, so the text between is not asserted.
+    # match places its row's first tuple there and the address tail as the
+    # shipped "come on" does.  The row's second tuple is not placed: the
+    # merged token has no second token to carry it, and a second event on
+    # the same token would be overridden before any sound.
     frozen = tmp_path / "frozen.tsv"
     frozen.write_text("got up\texhortative\n", encoding="utf-8")
     res = run_pipeline("Got up, baby.", None, Config(frozen_path=frozen).load_lexica())
-    got = render_markup(res.doc, res.script)
-    res = run_pipeline("Come on, baby.", None, config)
-    shipped = render_markup(res.doc, res.script)
-    assert got.startswith(shipped[:shipped.index("Come")] + "Got up ")
-    assert got.endswith(shipped[shipped.index(" , "):])
+    assert render_markup(res.doc, res.script) == (
+        "[[pbas 57.000; rate 170; volm +0.5]]Got up , "
+        "[[pbas 24.000; rate 130; volm +0.5]]baby"
+        "[[pbas 60.000; rate 150; volm +0.5]][[slnc 100]],[[rset 0]] .\n")
 
 
 class _EveryWord(dict):
@@ -378,7 +378,7 @@ def _counted_compile(monkeypatch, text, config, brute_force=False):
     word of a sentence rather than the phrase index at the first words of
     its patterns."""
     calls = []
-    matcher = _brute_frozen(config.frozen_table) if brute_force else match_frozen
+    matcher = _brute_frozen(_frozen_pairs(config)) if brute_force else match_frozen
 
     def counted(sentence, start, index):
         calls.append(start)
@@ -398,8 +398,13 @@ def _counted_compile(monkeypatch, text, config, brute_force=False):
     return render_markup(res.doc, res.script) + render_tobi(res.doc, res.script), len(calls)
 
 
+def _frozen_pairs(config):
+    """The ``(pattern, role)`` pairs of the config's frozen lexicon."""
+    return [pair for cands in config.frozen_index.values() for pair in cands]
+
+
 def _frozen_start_count(text, config):
-    starts = {pattern[0] for pattern, _ in config.frozen_table}
+    starts = {pattern[0] for pattern, _ in _frozen_pairs(config)}
     return sum(1 for t in tokenize(text, config.multiwords)
                if t.kind == "word" and t.normalized in starts)
 
@@ -576,7 +581,7 @@ def test_affect_spans_match_the_window_search(tmp_path):
     for _ in range(400):
         text = " ".join(rng.choice(vocab) if rng.random() < 0.85 else rng.choice(marks)
                         for _ in range(rng.randint(1, 30)))
-        doc = split_document(tokenize(text, []), text, "off")
+        doc = split_document(tokenize(text), text, "off")
         ann = AnnotationSet()
         compile_ = _Compile(cfg, doc, ann, DocIndex(doc, ann))
         for sent in doc.sentences:
@@ -603,7 +608,7 @@ def test_affect_phrase_of_four_words(tmp_path):
     # an entry longer than the three-word windows of the reference
     affect = {"out of my mind": "sad", "out": "exclaim"}
     text = "She went out of my mind and ran."
-    doc = split_document(tokenize(text, []), text, "off")
+    doc = split_document(tokenize(text), text, "off")
     ann = AnnotationSet()
     compile_ = _Compile(_affect_config(tmp_path, affect), doc, ann, DocIndex(doc, ann))
     sent = doc.sentences[0]
