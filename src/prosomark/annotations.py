@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import sys
-from typing import NoReturn
 
 from . import lexica
 from .ingest import COMMA, OTHER_PUNCT, Document, Shown
@@ -201,7 +200,8 @@ def check_clause_spans(ann: AnnotationSet, n_tokens: int) -> None:
                                f"within the text's {n_tokens} tokens")
 
 
-def _unknown(what: str, value: str, line_no: int) -> NoReturn:
+def _unknown(what: str, value: str, line_no: int):
+    """Raise the error for an unknown field value; it never returns."""
     raise SidecarError(f"unknown {what} {value!r}", line_no)
 
 

@@ -85,6 +85,9 @@ class Config(Shown):
                 raise ValueError(f"{key} must not be negative, not {value}")
         if min_len > max_len:
             raise ValueError("min_len must not exceed max_len")
+        for (key, modes), value in zip(_MODE_KEYS.items(), (title_mode, emit_mode)):
+            if value not in modes:
+                raise ValueError(f"{key} must be one of {'/'.join(modes)}, not {value!r}")
         self.min_len, self.max_len, self.max_subj = min_len, max_len, max_subj
         self.title_mode, self.emit_mode, self.pov_tracking = title_mode, emit_mode, pov_tracking
         self.multiword_path, self.phonetic_path = multiword_path, phonetic_path

@@ -15,12 +15,10 @@ This module splits a file's lines, each with its line number, and
 
 from __future__ import annotations
 
-import importlib.resources
 from collections.abc import Collection, Iterator
 from pathlib import Path
 
-DATA_PACKAGE = "prosomark.data"
-DATA_DIR = Path(str(importlib.resources.files(DATA_PACKAGE)))
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def data_path(name: str) -> Path:

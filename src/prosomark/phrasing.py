@@ -186,7 +186,7 @@ def _groups_from_cuts(sentence, words, boundaries, config) -> list[BreathGroup]:
     if len(kept) > 2:
         second = kept[1]
         nxt = words[second - 1] + 1
-        comma_follows = nxt < len(toks) and toks[nxt].kind == COMMA
+        comma_follows = toks[nxt].kind == COMMA
         adverbial_ok = norms[words[0]] in lexica.SENTENCE_ADVERBS and comma_follows
         if src[second] < config.min_len and not adverbial_ok \
                 and boundaries[words[second]] not in ("punct", "quote"):

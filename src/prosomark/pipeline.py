@@ -29,7 +29,7 @@ from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, Document, Sentence,
                      longest_phrase, split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
 from .prosody import (BI_EVENTS, DEFAULT_TABLE, RSET, BreakIndex, ParamEvent,
-                      ToneContext, match_frozen, select_tone)
+                      match_frozen, select_tone)
 
 
 class PipelineResult:
@@ -46,7 +46,11 @@ class PipelineResult:
 
 class _SentencePlan:
     """The event items the rules place around one sentence's tokens, and
-    the sentence's clauses already given a contour."""
+    the sentence's clauses already given a contour.
+
+    ``placed`` keys each list of items by its sentence-local place, the
+    encoding of ``ScriptItem.at``: ``2*pos`` before the token at ``pos``,
+    ``2*pos + 1`` after it."""
 
     def __init__(self, sentence: Sentence, groups: list[BreathGroup],
                  paragraph_initial: bool, after_first_para: bool):
@@ -57,17 +61,16 @@ class _SentencePlan:
         self.first_word = next((i for i, w in enumerate(self.words) if w is not None), None)
         self.paragraph_initial = paragraph_initial
         self.after_first_para = after_first_para
-        self.prefix: dict[int, list[ScriptItem]] = {}
-        self.suffix: dict[int, list[ScriptItem]] = {}
+        self.placed: dict[int, list[ScriptItem]] = {}
         self.consumed: set[int] = set()
         self.contoured: set[int] = set()
         self.end_bi2 = False          # sentence chained onward with BI-2
 
     def add_prefix(self, pos: int, *items: ScriptItem):
-        self.prefix.setdefault(pos, []).extend(items)
+        self.placed.setdefault(2 * pos, []).extend(items)
 
     def add_suffix(self, pos: int, *items: ScriptItem):
-        self.suffix.setdefault(pos, []).extend(items)
+        self.placed.setdefault(2 * pos + 1, []).extend(items)
 
     def add_suffix_bi(self, pos: int, bi: BreakIndex):
         self.add_suffix(pos, *_pause(bi, GLUE_LEFT))
@@ -78,10 +81,10 @@ class _SentencePlan:
         self.end_bi2 = True
 
     def has_prefix(self, pos: int) -> bool:
-        return pos in self.prefix
+        return 2 * pos in self.placed
 
     def has_bi_suffix(self, pos: int) -> bool:
-        return any(p.bi is not None for p in self.suffix.get(pos, ()))
+        return any(p.bi is not None for p in self.placed.get(2 * pos + 1, ()))
 
 
 class ProsodyManager:
@@ -166,13 +169,11 @@ class _Compile:
             if sent.index in continuations:
                 self._chain_continuation(plan, prev_plan)
 
-            # each event's place: twice its token's index, plus one after it
             items, base = script.items, 2 * sent.tokens[0].index
-            for pos in sorted(plan.prefix.keys() | plan.suffix.keys()):
-                for after, side in enumerate((plan.prefix, plan.suffix)):
-                    for item in side.get(pos, ()):
-                        item.at = base + 2 * pos + after
-                        items.append(item)
+            for place in sorted(plan.placed):
+                for item in plan.placed[place]:
+                    item.at = base + place
+                    items.append(item)
             prev_plan = plan
         return script
 
@@ -187,7 +188,7 @@ class _Compile:
 
     def _selected(self, **context) -> ScriptItem:
         """The row event of the contour ``select_tone`` picks for the context."""
-        c = select_tone(ToneContext(**context))
+        c = select_tone(**context)
         return self._row_event(c.row_id, c.index)
 
     def _move_of(self, clause) -> str:
@@ -526,7 +527,7 @@ class _Compile:
         first = plan.first_word   # a quotation opens only on a mark that hugs a word
         items = [] if prev_plan.end_bi2 else _pause(BreakIndex.BI2)
         items.append(self._row_event("ds_elaboration", 1))
-        plan.prefix[first] = items + plan.prefix.get(first, [])
+        plan.placed[2 * first] = items + plan.placed.get(2 * first, [])
 
 
 _OPENER_WORDS = lexica.COMPLEMENT_OPENERS | lexica.LOOSE_OPENERS

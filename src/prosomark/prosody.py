@@ -292,24 +292,13 @@ def match_frozen(sentence: Sentence, start: int, index: Mapping) -> FrozenMatch 
 
 # Tone selection ---------------------------------------------------------------
 
-class ToneContext:
-    """Everything select_tone may consult for one decision point."""
-
-    def __init__(self, position: str = "sentence_internal", move: str = "level",
-                 relevance: str = "background", affect: str = "neutral",
-                 in_quote: bool = False, paragraph_initial: bool = False,
-                 after_first_paragraph: bool = False, quote_final_sentence: bool = False,
-                 sentence_final_group: bool = False):
-        self.position, self.move, self.relevance = position, move, relevance
-        self.affect, self.in_quote, self.paragraph_initial = affect, in_quote, paragraph_initial
-        self.after_first_paragraph = after_first_paragraph
-        self.quote_final_sentence = quote_final_sentence
-        self.sentence_final_group = sentence_final_group
-
-
-def select_tone(ctx: ToneContext) -> ToneContour:
-    """Decision table mapping a prosodic context to a contour of the
-    mapping table.
+def select_tone(*, position: str = "sentence_internal", move: str = "level",
+                relevance: str = "background", affect: str = "neutral",
+                in_quote: bool = False, paragraph_initial: bool = False,
+                after_first_paragraph: bool = False, quote_final_sentence: bool = False,
+                sentence_final_group: bool = False) -> ToneContour:
+    """Decision table mapping a prosodic context, given as keywords, to a
+    contour of the mapping table.
 
     Transcribed from the tone inventory for the points where the context
     decides: sad affect, sentence start, sentence-internal foreground and
@@ -317,20 +306,20 @@ def select_tone(ctx: ToneContext) -> ToneContour:
     The neutral default is the title row.
     """
     row = DEFAULT_TABLE.row
-    if ctx.affect == "sad":
+    if affect == "sad":
         return row("sad").contours[0]
-    if ctx.position == "sentence_initial":
-        if ctx.move == "up" and ctx.relevance == "foreground":
-            if ctx.paragraph_initial and ctx.after_first_paragraph:
+    if position == "sentence_initial":
+        if move == "up" and relevance == "foreground":
+            if paragraph_initial and after_first_paragraph:
                 return row("up_fg_parainit").contours[0]
             return row("up_fg").contours[0]
         return row("title").contours[0]
-    if ctx.position == "group_final":
-        if ctx.in_quote and ctx.quote_final_sentence and ctx.sentence_final_group:
+    if position == "group_final":
+        if in_quote and quote_final_sentence and sentence_final_group:
             return row("adjunct_bg").contours[1]
-        if ctx.in_quote and ctx.relevance == "foreground":
+        if in_quote and relevance == "foreground":
             return row("internal_fg").contours[0]
         return row("eog_internal").contours[0]
-    if ctx.position == "sentence_internal" and ctx.relevance == "foreground":
+    if position == "sentence_internal" and relevance == "foreground":
         return row("adjunct_fg").contours[0]
     return row("title").contours[0]

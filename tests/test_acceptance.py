@@ -181,14 +181,13 @@ def test_criterion_9_invariant_suite(fable_result, fox_result):
 
     # select_tone totality
     import itertools
-    from prosomark.prosody import ToneContext, select_tone
+    from prosomark.prosody import select_tone
     for pos, move, rel, affect in itertools.product(
             ("sentence_initial", "sentence_internal", "group_final"),
             ("root", "up", "down", "level"),
             ("foreground", "background"),
             ("neutral", "sad", "exclaim", "exhort")):
-        assert select_tone(ToneContext(position=pos, move=move,
-                                       relevance=rel, affect=affect)).label
+        assert select_tone(position=pos, move=move, relevance=rel, affect=affect).label
 
     # 500 random synthetic sentences: partition + deterministic output
     rng = random.Random(31337)

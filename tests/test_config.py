@@ -244,6 +244,17 @@ def test_negative_count_is_rejected(key):
     assert getattr(Config(**{key: 0, "min_len": 0}), key) == 0
 
 
+@pytest.mark.parametrize("key,modes", [("title_mode", "auto/force/off"),
+                                       ("emit_mode", "markup/tobi/both/groups")])
+def test_unknown_mode_is_rejected(key, modes):
+    # a mode outside the choices would compile as none of them: "Force"
+    # flags no title where "force" flags one
+    with pytest.raises(ValueError, match=f"^{key} must be one of {modes}, not 'Force'$"):
+        Config(**{key: "Force"})
+    for mode in modes.split("/"):
+        assert getattr(Config(**{key: mode}), key) == mode
+
+
 def test_min_len_above_max_len_is_rejected(tmp_path, capsys):
     with pytest.raises(ValueError, match="min_len must not exceed max_len"):
         Config(min_len=5, max_len=3)

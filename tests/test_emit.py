@@ -10,7 +10,7 @@ from prosomark.emit import (DEFAULT_TABLE, GLUE_COMPOUND, ProsodicScript,
                             strip_markup, tone_to_params)
 from prosomark.pipeline import run_pipeline
 from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, ParamEvent,
-                               ToneContext, ev, select_tone)
+                               ev, select_tone)
 from conftest import is_contour_label
 
 
@@ -26,7 +26,7 @@ def test_title_row():
 
 
 def test_default_tone_is_the_title_row():
-    assert tone_to_params(select_tone(ToneContext())) == \
+    assert tone_to_params(select_tone()) == \
         DEFAULT_TABLE.row("title").flat_params()
 
 

@@ -19,7 +19,7 @@ from prosomark.ingest import QUOTE, Sentence, phrase_index, split_document, toke
 from prosomark.pipeline import ProsodyManager, _Compile, _SentencePlan, run_pipeline
 from conftest import is_contour_label, load
 from prosomark.prosody import (BI_REALIZATION, RSET, BreakIndex, FrozenMatch,
-                               ToneContext, ev, match_frozen, select_tone,
+                               ev, match_frozen, select_tone,
                                span_for_sentence, track_point_of_view)
 
 
@@ -108,17 +108,14 @@ def test_table_records_are_frozen(record, field):
 
 
 def test_select_tone_examples():
-    up = select_tone(ToneContext(position="sentence_initial", move="up",
-                                 relevance="foreground", paragraph_initial=True,
-                                 after_first_paragraph=True))
+    up = select_tone(position="sentence_initial", move="up", relevance="foreground",
+                     paragraph_initial=True, after_first_paragraph=True)
     assert up.label == "H*-H-1"
-    plain_up = select_tone(ToneContext(position="sentence_initial", move="up",
-                                       relevance="foreground"))
+    plain_up = select_tone(position="sentence_initial", move="up", relevance="foreground")
     assert plain_up.label == "H*-H"
-    sad = select_tone(ToneContext(affect="sad"))
+    sad = select_tone(affect="sad")
     assert sad.label == "L*-L%"
-    default = select_tone(ToneContext(position="sentence_internal",
-                                      move="level", relevance="background"))
+    default = select_tone(position="sentence_internal", move="level", relevance="background")
     assert default.label == "H*-L"
 
 
@@ -131,8 +128,8 @@ def test_select_tone_total_over_enum_product():
     count = 0
     for pos, move, rel, affect, quote in itertools.product(
             positions, moves, relevances, affects, flags):
-        tone = select_tone(ToneContext(position=pos, move=move, relevance=rel,
-                                       affect=affect, in_quote=quote))
+        tone = select_tone(position=pos, move=move, relevance=rel, affect=affect,
+                           in_quote=quote)
         assert tone is DEFAULT_TABLE.row(tone.row_id).contours[tone.index]
         count += 1
     assert count == 4 * 2 * 3 * 4 * 2
@@ -453,29 +450,32 @@ def test_mark_quantifier_slowdown_direct(config, fable_result):
 
     # "and nobody spoke": standalone quantifier pronoun
     sent, plan = plan_for(9, "nobody")
-    assert len(plan.prefix) == 1
-    [(pos, [item])] = plan.prefix.items()
+    # one place before a token and one after it: 2*pos and 2*pos + 1
+    before, after = sorted(plan.placed)
+    pos = before // 2
+    assert (before, after) == (2 * pos, 2 * pos + 1)
+    [item] = plan.placed[before]
     assert sent.tokens[pos].normalized == "nobody"
     assert (item.event.rate, item.event.volm) == (110, +0.3)
-    assert list(plan.suffix) == [pos] and plan.has_bi_suffix(pos)
-    assert [p.bi for p in plan.suffix[pos] if p.bi is not None] == \
+    assert plan.has_bi_suffix(pos)
+    assert [p.bi for p in plan.placed[after] if p.bi is not None] == \
         [DEFAULT_TABLE.row("slowdown_quantifier").bi]
     assert DEFAULT_TABLE.row("slowdown_quantifier").bi == BreakIndex.BI23
     assert plan.consumed == set()
     # "you will all agree": modifier quantifier before the group-final head
     sent3, plan3 = plan_for(3, "agree")
-    assert len(plan3.prefix) == 1
-    [(pos3, [item3])] = plan3.prefix.items()
-    assert sent3.tokens[pos3].normalized == "all"
+    [(before3, [item3])] = plan3.placed.items()
+    pos3 = before3 // 2
+    assert before3 == 2 * pos3 and sent3.tokens[pos3].normalized == "all"
     assert (item3.event.rate, item3.event.volm) == (130, +0.5)
-    assert plan3.suffix == {} and DEFAULT_TABLE.row("slowdown_head").bi is None
+    assert DEFAULT_TABLE.row("slowdown_head").bi is None
     assert [sent3.tokens[i].normalized for i in sorted(plan3.consumed)] == ["all", "agree"]
     # no quantifier, non-final head: nothing
     sent1 = doc.sentences[1]
     plan1 = _SentencePlan(sent1, [fable_result.groups[1][1]],   # "the mice had a general council"
                           False, False)
     compile_._plan_quantifiers(plan1)
-    assert plan1.prefix == {} and plan1.suffix == {} and plan1.consumed == set()
+    assert plan1.placed == {} and plan1.consumed == set()
 
 def test_quantifier_slowdown_nobody(fable_result):
     # (rate 110, volm +0.3) before "nobody", then the quantifier-class pause
@@ -677,3 +677,26 @@ def test_planner_guard_decides(tmp_path, config, text, clauses, affect, tobi):
 def test_planner_fallback(config, text, clauses, tobi):
     res = run_pipeline(text, _sidecar(*clauses), config)
     assert render_tobi(res.doc, res.script) == tobi
+
+
+@pytest.mark.parametrize("text,clauses,markup,tobi", [
+    # the quoted question ends on a word in no clause: it opens at the
+    # sentence's first word, and the group before it closes with BI-3
+    ('He said, "Stop now?"', [("said", "0-2", "background")],
+     '[[pbas 54.000; rate 170; volm +0.3]]He said[[slnc 200]],[[rset 0]] , " Stop '
+     'now[[slnc 300; pbas 54.000; rate 170; volm +0.3]] ? [[rset 0]] "\n',
+     "H*-H-1 He said BI-3 , Stop now BI-22 H*-H-1 ? [[rset 0]]\n"),
+    # the owner clause starts two sentences back: the question opens at its
+    # own first word, and the owner's predicate ending the next sentence
+    # takes no group-final contour
+    ('He said, "Run. Why now?" He said.', [("said", "0-12", "background")],
+     'He said , " [[pbas 38.000; rate 130; volm +0.3]]Run[[slnc 100]] . '
+     '[[pbas 50.000; rate 160; volm +0.5]][[pbas 54.000; rate 170; volm +0.3]]Why '
+     'now[[slnc 300; pbas 54.000; rate 170; volm +0.3]] ? [[rset 0]] " He said .\n',
+     "He said , H*-L% Run BI-2 . H-!H*-1 H*-H-1\nWhy now BI-22 H*-H-1 ? [[rset 0]]\n"
+     "He said .\n"),
+], ids=["no_owner", "owner_starts_earlier"])
+def test_exclamative_owner(config, text, clauses, markup, tobi):
+    res = run_pipeline(text, _sidecar(*clauses), config)
+    assert (render_markup(res.doc, res.script), render_tobi(res.doc, res.script)) == \
+        (markup, tobi)

@@ -9,14 +9,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _loaded_by_setup(modules, *flags) -> str:
+    """Which of ``modules`` a fresh interpreter has loaded after the setup,
+    ``import prosomark`` and ``Config().load_lexica()``."""
+    code = ("import sys, prosomark; prosomark.Config().load_lexica(); "
+            f"print(sorted({set(modules)!r} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     # the records are plain classes, so start-up compiles no generated methods
-    code = ("import sys, prosomark; prosomark.Config().load_lexica(); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _loaded_by_setup({"dataclasses", "inspect"}) == "[]"
+
+
+def test_import_loads_no_typing_or_importlib_resources():
+    # -S: without the site start-up, which may load both itself, only the
+    # setup's own imports count
+    assert _loaded_by_setup({"typing", "importlib.resources"}, "-S") == "[]"
 
 
 def test_import_cost_tool_runs(tmp_path):
