@@ -358,50 +358,34 @@ def resolve_relevance(ann: AnnotationSet) -> None:
 def update_topic_stack(stack: TopicStack, mentions: list[TopicRecord]) -> TopicStack:
     """Fold one clause's topic mentions into the stack.
 
-    The discourse-initial mention seeds the main topic.  A new id enters the
-    potential slot.  A reiterated id becomes persistent (count >= 2) and is
-    promoted: to main when it is now strictly more persistent than the
-    current main topic, otherwise to secondary.  Persistence counts survive
-    slot displacement.  The three slots never hold the same id twice.
+    A mention first counts towards its id's persistence, then claims a slot
+    of (main, secondary, potential): main when main is empty or the id is
+    persistent (count >= 2) and now strictly more persistent than main,
+    otherwise secondary when the id is persistent, otherwise potential.  An
+    id already in the claimed slot or a higher one stays.  Otherwise it
+    leaves its old slot empty and takes the claimed one, and each occupant
+    below moves down one slot until one lands in an empty slot; a topic
+    pushed past potential leaves the stack.  The three slots never hold the
+    same id twice.
     """
-    new = TopicStack(stack.main, stack.secondary, stack.potential,
-                     dict(stack.persistence))
+    slots = [stack.main, stack.secondary, stack.potential]
+    persistence = dict(stack.persistence)
     for m in mentions:
         sid = m.semantic_id
-        new.persistence[sid] = new.persistence.get(sid, 0) + 1
-        count = new.persistence[sid]
-        if new.main is None:
-            new.main = sid
-            if new.secondary == sid:
-                new.secondary = None
-            if new.potential == sid:
-                new.potential = None
-            continue
-        if sid == new.main:
-            continue
-        if count >= 2:
-            main_count = new.persistence.get(new.main, 0)
-            if count > main_count:
-                displaced = new.main
-                new.main = sid
-                if new.secondary == sid:
-                    new.secondary = displaced
-                else:
-                    if new.secondary is not None:
-                        new.potential = new.secondary
-                    new.secondary = displaced
-                if new.potential == sid:
-                    new.potential = None
-            elif sid != new.secondary:
-                if new.secondary is not None and new.secondary != sid:
-                    new.potential = new.secondary
-                new.secondary = sid
-                if new.potential == sid:
-                    new.potential = None
+        count = persistence[sid] = persistence.get(sid, 0) + 1
+        if slots[0] is None or (count >= 2 and count > persistence.get(slots[0], 0)):
+            claim = 0
         else:
-            if sid not in (new.main, new.secondary):
-                new.potential = sid
-    return new
+            claim = 1 if count >= 2 else 2
+        if sid in slots[:claim + 1]:
+            continue
+        if sid in slots:
+            slots[slots.index(sid)] = None
+        for k in range(claim, 3):
+            slots[k], sid = sid, slots[k]
+            if sid is None:
+                break
+    return TopicStack(*slots, persistence)
 
 
 def fold_topics(ann: AnnotationSet) -> dict[int, TopicStack]:

@@ -326,7 +326,6 @@ class _Compile:
             plan.add_suffix(term_pos, ScriptItem(RSET, GLUE_NONE))
         plan.consumed.update(range(start, term_pos + 1))
         if owner is not None:
-            plan.contoured.add(owner.clause_no)
             self.final_suppressed.add(owner.clause_no)
 
     def _plan_clauses(self, plan: _SentencePlan):

@@ -188,12 +188,24 @@ def test_topic_stack_single_mention_seeds_main():
     assert stack.secondary is None and stack.potential is None
 
 
-@pytest.mark.parametrize("stack,slots", [
-    (TopicStack(None, "a", "b"), ("a", None, "b")),
-    (TopicStack(None, "b", "a"), ("a", "b", None)),
-], ids=["from_secondary", "from_potential"])
-def test_topic_stack_seeding_main_clears_its_other_slot(stack, slots):
-    new = update_topic_stack(stack, [TopicRecord("main", 1, "cat", "a")])
+@pytest.mark.parametrize("stack,persistence,slots", [
+    ((None, "a", "b"), {}, ("a", None, "b")),
+    ((None, "b", "a"), {}, ("a", "b", None)),
+    (("m", "a", "p"), {"m": 1, "a": 1}, ("a", "m", "p")),
+    (("m", "s", "a"), {"m": 1, "a": 1}, ("a", "m", "s")),
+    (("m", None, "p"), {"m": 1, "a": 1}, ("a", "m", "p")),
+    (("m", "s", "p"), {"m": 3, "a": 1}, ("m", "a", "s")),
+    (("m", None, "p"), {"m": 3, "a": 1}, ("m", "a", "p")),
+    (("m", "a", "p"), {"m": 3, "a": 1}, ("m", "a", "p")),
+    (("m", "s", "p"), {}, ("m", "s", "a")),
+], ids=["from_secondary", "from_potential", "main_from_secondary_swaps",
+        "main_from_potential_pushes_secondary", "main_keeps_potential",
+        "secondary_pushes_to_potential", "empty_secondary_keeps_potential",
+        "secondary_not_above_main_stays", "first_mention_replaces_potential"])
+def test_topic_stack_seeding_main_clears_its_other_slot(stack, persistence, slots):
+    # one mention of "a" against (main, secondary, potential) and the counts
+    new = update_topic_stack(TopicStack(*stack, dict(persistence)),
+                             [TopicRecord("main", 1, "cat", "a")])
     assert (new.main, new.secondary, new.potential) == slots
 
 

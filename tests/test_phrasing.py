@@ -43,17 +43,29 @@ def test_single_group_sentence(config):
     assert len(groups) == 1
 
 
-def test_split_before_clause_coordination(config):
-    text = "Some said this and some said that."
+@pytest.mark.parametrize("text,spans,texts", [
+    ("Some said this and some said that.", None,
+     ["some said this", "and some said that"]),
+    # the clause opens on the word after the coordinator
+    ("They ran and the cat sat there.", {1: (0, 1), 2: (3, 7)},
+     ["they ran", "and the cat sat there"]),
+], ids=["shallow", "clause_after_the_coordinator"])
+def test_split_before_clause_coordination(config, text, spans, texts):
     doc = split_document(tokenize(text, config.multiwords), text, "off")
-    groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
-    texts = group_texts(doc.sentences[0], groups)
-    assert texts == ["some said this", "and some said that"]
+    ann = (shallow_analyze(doc) if spans is None else
+           AnnotationSet([ClauseFeatures(n) for n in spans], clause_spans=spans))
+    groups = segment(doc.sentences[0], DocIndex(doc, ann), config)
+    assert group_texts(doc.sentences[0], groups) == texts
+    assert groups[1].trigger == "coordination"
 
 
-@pytest.mark.parametrize("key,noun", [("corpse", "corpse"), ("dead body", "dead body")])
-def test_coordination_after_an_affect_word(tmp_path, key, noun):
-    # one clause over the whole sentence, so only the affect word before
+@pytest.mark.parametrize("key,noun,texts", [
+    ("corpse", "corpse", ["they saw the corpse", "and the cat there"]),
+    ("dead body", "dead body", ["they saw the dead_body", "and the cat there"]),
+    ("corpse", "dog", ["they saw the dog and the cat there"]),
+], ids=["corpse-corpse", "dead body-dead body", "not_an_affect_word"])
+def test_coordination_after_an_affect_word(tmp_path, key, noun, texts):
+    # one clause over the whole sentence, so only an affect word before
     # "and" opens a group; "dead body" is a shipped multiword, one token
     affect = tmp_path / "affect.tsv"
     affect.write_text(f"{key}\tsad\n", encoding="utf-8")
@@ -62,9 +74,8 @@ def test_coordination_after_an_affect_word(tmp_path, key, noun):
     ann = AnnotationSet([ClauseFeatures(1)], clause_spans={1: (0, 8)})
     sent = doc.sentences[0]
     groups = segment(sent, DocIndex(doc, ann), Config(affect_path=affect).load_lexica())
-    assert group_texts(sent, groups) == [f"they saw the {noun.replace(' ', '_')}",
-                                         "and the cat there"]
-    assert groups[1].trigger == "coordination"
+    assert group_texts(sent, groups) == texts
+    assert all(g.trigger == "coordination" for g in groups[1:])
 
 
 def test_final_locative_adjunct_of_a_quotation_continuation(config):
