@@ -180,7 +180,7 @@ def run(argv: list[str]) -> int:
 
     if args.check:
         try:
-            golden = Path(args.check).read_text(encoding="utf-8")
+            golden = Path(args.check).read_bytes().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             print(f"prosomark: cannot read golden file: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -7,8 +7,8 @@ flat ``key = value`` text; command-line flags override it.
 
 from __future__ import annotations
 
-import _thread
 import os
+from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 
@@ -21,12 +21,6 @@ EMIT_MODES = ("markup", "tobi", "both", "groups")
 #: the path field of each lexicon file, in ``_build``'s order
 _LEXICA = ("multiword_path", "phonetic_path", "frozen_path", "affect_path", "quantifier_path",
            "comm_verb_path")
-
-#: the six lexicon paths -> (their files' (path, st_mtime_ns, st_size),
-#: the lexicon fields ``_build`` built from them), first built first
-_BUILT: dict[tuple[str, ...], tuple] = {}
-_BUILT_LIMIT = 8            # the most sets of paths ``_BUILT`` holds
-_BUILT_LOCK = _thread.allocate_lock()     # makes a store and its eviction one step
 
 
 def _build(multiword_path, phonetic_path, frozen_path, affect_path, quantifier_path,
@@ -61,6 +55,12 @@ def _build(multiword_path, phonetic_path, frozen_path, affect_path, quantifier_p
             "quantifiers": word_set(quantifier_path), "comm_verbs": word_set(comm_verb_path),
             "frozen_index": frozen,
             "sad_index": phrase_index((k, tag) for k, tag in affect.items() if tag == "sad")}
+
+
+@lru_cache(maxsize=8)
+def _built(stamps: tuple[tuple[str, int, int], ...]) -> dict:
+    """``_build``'s lexica for the six files' ``(path, st_mtime_ns, st_size)``."""
+    return _build(*(path for path, _, _ in stamps))
 
 
 class Config(Shown):
@@ -99,28 +99,19 @@ class Config(Shown):
         ``FileNotFoundError`` before any lexicon is built; one that is not
         UTF-8, a malformed line or a phrase ``_build`` refuses raises
         ``ValueError`` naming it.  Configs share the lexica of one set of
-        six paths until a file's mtime or size changes (Python's rule for
-        ``.pyc`` files) or the ``_BUILT_LIMIT`` sets built after theirs push
-        them out.  A build that raises caches nothing; threads that miss
-        together each build equal lexica, and the last to store them wins."""
-        paths, stamps = [], []
+        six files until a file's mtime or size changes (Python's rule for
+        ``.pyc`` files) or eight other sets are loaded after theirs: the
+        least recently loaded set is dropped first.  A build that raises
+        caches nothing."""
+        stamps = []
         for path_field in _LEXICA:
             path = os.fspath(getattr(self, path_field))
             try:
                 st = os.stat(path)
             except FileNotFoundError:
                 raise FileNotFoundError(f"lexicon file not found: {path}") from None
-            paths.append(path)
             stamps.append((path, st.st_mtime_ns, st.st_size))
-        key = tuple(paths)
-        hit = _BUILT.get(key)
-        if hit is None or hit[0] != stamps:
-            hit = (stamps, _build(*paths))
-            with _BUILT_LOCK:
-                _BUILT[key] = hit
-                if len(_BUILT) > _BUILT_LIMIT:
-                    del _BUILT[next(iter(_BUILT))]
-        vars(self).update(hit[1])
+        vars(self).update(_built(tuple(stamps)))
         return self
 
 

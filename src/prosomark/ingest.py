@@ -11,10 +11,10 @@ original text can be reconstructed byte for byte.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from itertools import accumulate, takewhile
+from itertools import takewhile
 from types import MappingProxyType
 
 WORD = "word"
@@ -134,8 +134,12 @@ def longest_phrase(words: Sequence[str | None], i: int,
     return None
 
 
-#: a blank line: it ends a paragraph, and no multiword spans one
 _BLANK_LINE = re.compile(r"\n[ \t]*\n")
+
+
+def has_blank_line(ws: str) -> bool:
+    """Whether ``ws`` holds a blank line: it parts paragraphs, and no multiword spans one."""
+    return "\n" in ws and _BLANK_LINE.search(ws) is not None
 
 
 def tokenize(text: str, multiwords: Mapping[str, Sequence] = MappingProxyType({})) -> list[Token]:
@@ -160,7 +164,7 @@ def tokenize(text: str, multiwords: Mapping[str, Sequence] = MappingProxyType({}
     # (first chunk, chunk count) of each merge, in text order, found one
     # paragraph at a time
     merges = []
-    bounds = [0] + [k for k, p in enumerate(pres) if "\n" in p and _BLANK_LINE.search(p)]
+    bounds = [0] + [k for k, p in enumerate(pres) if has_blank_line(p)]
     for a, b in zip(bounds, bounds[1:] + [len(chunks)]):
         para = words[a:b]
         end = 0
@@ -207,10 +211,11 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
     terminal is attached to the closing sentence when a quote was opened
     inside it).  Tokens before the first word open the first sentence; a
     later run without a word joins the sentence before it, and a document
-    without a word is one sentence.  Paragraphs follow blank lines in the
-    raw text, and a sentence lies in the paragraph of its first word (of
-    its first token, without one).  The first line is flagged as a title
-    when it carries no terminal punctuation (``title_mode='auto'``) or
+    without a word is one sentence.  A token after a blank line opens a
+    paragraph, so blank lines before the first token or after the last
+    open none; a sentence lies in the paragraph of its first word (of its
+    first token, without one).  The first line is flagged as a title when
+    it carries no terminal punctuation (``title_mode='auto'``) or
     unconditionally (``'force'``).
     """
     doc = Document(raw=raw)
@@ -218,11 +223,8 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
         doc.paragraph_count = 0
         return doc
 
-    # the offset of each token, and the first token after each blank line:
-    # a token's paragraph index is the number of blank lines before it
-    offsets = [end - len(t.surface) for t, end in zip(tokens, accumulate(
-        len(t.pre_ws) + len(t.surface) for t in tokens))]
-    cuts = [bisect_left(offsets, m.end()) for m in _BLANK_LINE.finditer(raw)]
+    # the tokens after a blank line; a token's paragraph is how many lie up to it
+    para_starts = [k for k in range(1, len(tokens)) if has_blank_line(tokens[k].pre_ws)]
 
     first_line = raw.split("\n", 1)[0]
     want_title = title_mode == "force" or (title_mode == "auto" and _looks_like_title(first_line))
@@ -230,13 +232,12 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
     # (start, end, terminal) of each run of tokens: a run ends at a
     # terminal (or at a closing quote right after it) and where the
     # paragraph changes, so only those positions are visited
-    para_starts = {k for k in cuts if k < len(tokens)}
     runs = []
     start = 0
-    for i in sorted(para_starts.union([k for k, t in enumerate(tokens) if t.kind == TERMINAL])):
+    for i in sorted({k for k, t in enumerate(tokens) if t.kind == TERMINAL}.union(para_starts)):
         if i < start:
             continue                  # the closing quote a terminal took
-        if i > start and i in para_starts:
+        if i > start and has_blank_line(tokens[i].pre_ws):
             runs.append((start, i, "none"))
             start = i
         if tokens[i].kind == TERMINAL:
@@ -255,21 +256,19 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
             # the runs before the first word open the first sentence
             sentences.append(Sentence(tokens[start if sentences else 0:end],
                                       terminal=terminal, index=len(sentences),
-                                      paragraph_index=bisect_right(cuts, first_word)))
+                                      paragraph_index=bisect_right(para_starts, first_word)))
         elif sentences:
             sentences[-1].tokens += tokens[start:end]
     if not sentences:
-        sentences.append(Sentence(list(tokens), terminal="none", index=0,
-                                  paragraph_index=bisect_right(cuts, 0)))
+        sentences.append(Sentence(list(tokens), terminal="none", index=0))
 
-    if want_title and sentences[0].paragraph_index == 0:
-        first = sentences[0]
-        line_end = len(first_line)
-        if all(offsets[t.index] < line_end for t in first.tokens):
-            first.is_title = True
+    # a title's last token starts on the first line
+    first = sentences[0]
+    first.is_title = want_title and (
+        len(reconstruct(first.tokens)) - len(first.tokens[-1].surface) < len(first_line))
 
     doc.sentences = sentences
-    doc.paragraph_count = max(s.paragraph_index for s in sentences) + 1
+    doc.paragraph_count = len(para_starts) + 1
     return doc
 
 

@@ -107,7 +107,7 @@ def segment(sentence: Sentence, ix: DocIndex, config) -> list[BreathGroup]:
         # rule: relative clauses after a content noun
         elif n in lexica.RELATIVE_PRONOUNS:
             if prev_word in lexica.PREPOSITIONS:
-                if k >= 2 and not lexica.function_word(norms[words[k - 2]]):
+                if not lexica.function_word(norms[words[k - 2]]):
                     add(words[k - 1], "relative")
             elif not lexica.function_word(prev_word):
                 add(i, "relative")

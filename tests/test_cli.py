@@ -67,6 +67,19 @@ def test_check_mismatch_exits_three(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_check_compares_the_golden_line_ends(tmp_path, capsys):
+    # a golden whose lines end in CRLF holds other bytes than the output
+    lf = FIXTURES / "belling_cat.markup.golden"
+    crlf = tmp_path / "crlf.golden"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    args = [str(FIXTURES / "belling_cat.txt"), "--sidecar", str(FIXTURES / "belling_cat.ann"),
+            "--out", str(tmp_path / "o.txt"), "--check"]
+    assert invoke(*args, str(lf)) == 0
+    notes = capsys.readouterr().err
+    assert invoke(*args, str(crlf)) == 3
+    assert capsys.readouterr().err == notes + "mismatch: texts differ in trailing whitespace\n"
+
+
 def test_missing_input_is_usage_error(tmp_path):
     assert invoke(str(tmp_path / "nope.txt")) == 1
 

@@ -5,7 +5,6 @@ import inspect
 import os
 import re
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -23,9 +22,7 @@ _FIELDS = ["multiwords", "phon_lexicon", "affect_words", "quantifiers", "comm_ve
 
 def _fresh_build(cfg):
     """Each lexicon field of ``cfg`` built again from its files, past the cache."""
-    with mock.patch.dict(config_module._BUILT, clear=True):
-        fresh = copy.copy(cfg).load_lexica()
-    return {name: getattr(fresh, name) for name in _FIELDS}
+    return config_module._build(*(os.fspath(getattr(cfg, path)) for path in _LEXICA))
 
 
 def test_configs_share_no_lexicon_objects():
@@ -118,25 +115,30 @@ def test_lexicon_phrase_the_text_cannot_spell_is_an_error(tmp_path, field, entri
 
 
 def test_one_load_leaves_one_cache_entry():
-    with mock.patch.dict(config_module._BUILT, clear=True):
-        cfg = Config().load_lexica()
-        assert list(config_module._BUILT) == [
-            tuple(os.fspath(getattr(cfg, path)) for path in _LEXICA)]
+    # one build per set of six unchanged files
+    config_module._built.cache_clear()
+    for _ in range(3):
+        Config().load_lexica()
+    info = config_module._built.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 def test_cache_keeps_at_most_its_limit_of_lexicon_sets(tmp_path):
     # a process that loads many distinct sets of paths keeps only the last
-    with mock.patch.dict(config_module._BUILT, clear=True):
-        for i in range(config_module._BUILT_LIMIT + 3):
-            path = tmp_path / f"quantifiers{i}.txt"
-            path.write_text("all\n")
-            cfg = Config(quantifier_path=path).load_lexica()
-            assert len(config_module._BUILT) <= config_module._BUILT_LIMIT
-        assert len(config_module._BUILT) == config_module._BUILT_LIMIT
-        # the oldest went first: the last set loaded is still held
-        assert list(config_module._BUILT)[-1] == tuple(
-            os.fspath(getattr(cfg, path)) for path in _LEXICA)
-        assert cfg.quantifiers == {"all"}
+    config_module._built.cache_clear()
+    info = config_module._built.cache_info
+    paths = [tmp_path / f"quantifiers{i}.txt" for i in range(info().maxsize + 3)]
+    for path in paths:
+        path.write_text("all\n")
+        cfg = Config(quantifier_path=path).load_lexica()
+        assert info().currsize <= info().maxsize
+    assert info().currsize == info().maxsize == 8
+    # the set loaded last is still held, and the least recently loaded went
+    misses = info().misses
+    assert Config(quantifier_path=paths[-1]).load_lexica().quantifiers is cfg.quantifiers
+    assert info().misses == misses
+    assert Config(quantifier_path=paths[0]).load_lexica().quantifiers == {"all"}
+    assert info().misses == misses + 1
 
 
 def test_one_cli_run_builds_each_lexicon_set_once(tmp_path, monkeypatch):
@@ -145,8 +147,8 @@ def test_one_cli_run_builds_each_lexicon_set_once(tmp_path, monkeypatch):
     monkeypatch.setattr(config_module, "_build", lambda *paths: built.append(paths) or build(*paths))
     text = tmp_path / "in.txt"
     text.write_text(load("belling_cat.txt"))
-    with mock.patch.dict(config_module._BUILT, clear=True):
-        assert run([str(text), "--emit", "both", "--out", str(tmp_path / "out.txt")]) == 0
+    config_module._built.cache_clear()
+    assert run([str(text), "--emit", "both", "--out", str(tmp_path / "out.txt")]) == 0
     assert len(built) == 1
 
 
@@ -185,8 +187,8 @@ def test_a_lexicon_build_makes_each_phrase_index_once(monkeypatch):
     built = []
     monkeypatch.setattr(config_module, "phrase_index",
                         lambda pairs: built.append(ingest.phrase_index(pairs)) or built[-1])
-    with mock.patch.dict(config_module._BUILT, clear=True):
-        cfg = Config().load_lexica()
+    config_module._built.cache_clear()
+    cfg = Config().load_lexica()
     assert len(built) == 3
     assert all(a is b for a, b in zip(built, (cfg.multiwords, cfg.frozen_index, cfg.sad_index)))
 

@@ -233,12 +233,17 @@ def test_single_sentence_single_paragraph(config):
 
 
 def test_paragraph_count_matches_blank_line_blocks(config):
-    text = "One ran. Two ran.\n\nThree ran."
-    # one-line oracle: blocks are the non-empty blank-line-separated chunks
-    expected = len([b for b in text.split("\n\n") if b.strip()])
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
-    assert doc.paragraph_count == expected == 2
-    assert [s.paragraph_index for s in doc.sentences] == [0, 0, 1]
+    rows = [("One ran. Two ran.\n\nThree ran.", 2, [0, 0, 1]),
+            # a run of blank lines parts two paragraphs, and leading or
+            # trailing blank lines open none
+            ("The cat ran.\n\n\n\nThe dog sat.\n\nIt ended.", 3, [0, 1, 2]),
+            ("\n\nThe cat ran.\n", 1, [0])]
+    for text, count, indices in rows:
+        # one-line oracle: blocks are the non-empty blank-line-separated chunks
+        expected = len([b for b in re.split(r"\n[ \t]*\n", text) if b.strip()])
+        doc = split_document(tokenize(text, config.multiwords), text, "off")
+        assert doc.paragraph_count == expected == count, text
+        assert [s.paragraph_index for s in doc.sentences] == indices, text
 
 
 def test_tokens_before_the_first_word_open_the_first_sentence(config):

@@ -16,7 +16,7 @@ from prosomark.annotations import (ASPECTS, CHANGES, DISC_RELS, FACTIVITIES,
 from prosomark.cli import run
 from prosomark.config import Config
 from prosomark.emit import render_markup, render_tobi, strip_markup
-from prosomark.ingest import QUOTE, WORD, reconstruct, tokenize
+from prosomark.ingest import QUOTE, WORD, reconstruct, split_document, tokenize
 from prosomark.pipeline import run_pipeline
 
 from conftest import breaks_off_group_ends
@@ -117,6 +117,31 @@ def test_compile_invariants(text):
 
 def test_a_document_without_a_word_keeps_its_tokens():
     assert [t.surface for t in run_pipeline(":", None, CFG).doc.tokens()] == [":"]
+
+
+#: a whitespace run holding 0-3 blank lines
+_line_breaks = st.builds(lambda n, pad: "\n" + (pad + "\n") * n,
+                         st.integers(0, 3), st.sampled_from(("", " ", "\t ")))
+_paragraphs = st.lists(st.one_of(st.sampled_from(("cat", "ran", ".", "!", " ")), _line_breaks),
+                       max_size=24).map("".join)
+
+
+@_settings(300)
+@given(_paragraphs)
+def test_paragraphs_are_the_blocks_that_hold_a_token(text):
+    # the blank-line-separated blocks that hold a token, and each token's block
+    blocks = [n for n in map(len, map(tokenize, re.split(r"\n[ \t]*\n", text))) if n]
+    block_of = [b for b, n in enumerate(blocks) for _ in range(n)]
+    doc = split_document(tokenize(text), text, "off")
+    assert doc.paragraph_count == len(blocks)
+    # a sentence lies in the block of its first word (of its first token,
+    # without one): where every block holds a word, the indices start at 0
+    # and rise by at most 1
+    start = 0
+    for sent in doc.sentences:
+        first = next((k for k, t in enumerate(sent.tokens) if t.kind == WORD), 0)
+        assert sent.paragraph_index == block_of[start + first], sent.index
+        start += len(sent.tokens)
 
 
 # Sidecars through the command line ---------------------------------------------
