@@ -3,8 +3,8 @@
 ``tone_to_params`` and ``params_to_tobi`` read and invert the two
 realization tables of ``prosody``: the mapping table and the bijective
 (silence, reset) pairs of the break indices.  A ``ProsodicScript`` holds
-a compile's events alone, each placed by a token of the document; the
-renderers walk the document's tokens and print each event at its place.
+a compile's events alone, each placed by a token of the document; both
+renderers run one check of it, then print each event by its token.
 ``render_markup`` produces the copy-pasteable embedded-command text,
 bit-exactly: ``[[pbas NN.000; rate NNN; volm +N.N]]`` with fields in a
 fixed order (silence first when fused), ``[[slnc NNN]]``, ``[[rset 0]]``
@@ -16,6 +16,7 @@ inline.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import attrgetter
 
 from .ingest import QUOTE, Document, Record, Token
 from .prosody import (BI_REALIZATION, DEFAULT_TABLE, BreakIndex, ParamEvent,
@@ -102,7 +103,7 @@ class ScriptItem(Record):
     __slots__ = ("event", "glue", "tone_label", "bi", "at")
     kind = "event"      # read by bench/tracer.py, which counts the events
 
-    def __init__(self, event: ParamEvent | None, glue: str = GLUE_NONE,
+    def __init__(self, event: ParamEvent, glue: str = GLUE_NONE,
                  tone_label: str | None = None, bi: BreakIndex | None = None, at: int = 0):
         self.event, self.glue, self.tone_label = event, glue, tone_label
         self.bi, self.at = bi, at
@@ -115,26 +116,23 @@ class ProsodicScript:
         self.items = [] if items is None else items
 
     def validate(self) -> list[str]:
-        """Script well-formedness.
-
-        Events must be in document order, and the silence/reset pairing
-        must hold: BI3/BI4/BI23/BI32/BI33 silences take a compound reset,
-        BI2/BI22/BI44 silences never do.
-        """
+        """Script well-formedness: each item holds an event, in document order;
+        each break index has a realization; BI3/BI4/BI23/BI32/BI33 silences take
+        a compound reset, BI2/BI22/BI44 silences never do."""
         events = self.items
-        problems = []
-        if any(a.at > b.at for a, b in zip(events, events[1:])):
-            problems.append("events out of document order")
-        for i, it in enumerate(events):
-            if it.bi is None or it.event is None or it.event.slnc is None:
-                continue
-            wants_reset = BI_REALIZATION[it.bi][1]
-            has_reset = (i + 1 < len(events) and events[i + 1].event.rset
-                         and events[i + 1].glue == GLUE_COMPOUND)
-            if wants_reset and not has_reset:
-                problems.append(f"{it.bi.label} silence not followed by a reset")
-            if not wants_reset and has_reset:
-                problems.append(f"{it.bi.label} silence must not take a reset")
+        at = list(map(attrgetter("at"), events))
+        problems = [] if at == sorted(at) else ["events out of document order"]
+        for i in [i for i, it in enumerate(events) if it.bi is not None or it.event is None]:
+            it, nxt = events[i], (events[i + 1].event if i + 1 < len(events) else None)
+            if it.event is None:
+                problems.append("an item holds no event")
+            elif (realization := BI_REALIZATION.get(it.bi)) is None:
+                problems.append(f"{it.bi.label} has no realization")
+            elif it.event.slnc is not None:
+                has_reset = nxt is not None and nxt.rset and events[i + 1].glue == GLUE_COMPOUND
+                if has_reset != realization[1]:
+                    rule = "must not take a reset" if has_reset else "not followed by a reset"
+                    problems.append(f"{it.bi.label} silence {rule}")
         return problems
 
 
@@ -142,15 +140,20 @@ def _phon_text(token: Token) -> str:
     return f"[[inpt PHON]]{token.phon_override}[[inpt TEXT]]"
 
 
-_PAST_THE_END = "invalid prosodic script: an event placed past the document's last token"
+def _checked(doc: Document, script: ProsodicScript) -> list[ScriptItem]:
+    """The script's events, once ``validate`` finds no problem and none is
+    placed past the document's last token; ``ValueError`` otherwise."""
+    problems, events = script.validate(), script.items
+    if events and events[-1].at >= 2 * doc.token_count():
+        problems.append("an event placed past the document's last token")
+    if problems:
+        raise ValueError("invalid prosodic script: " + "; ".join(problems))
+    return events
 
 
 def render_markup(doc: Document, script: ProsodicScript) -> str:
     """Embedded-command text, one paragraph per block, deterministic."""
-    problems = script.validate()
-    if problems:
-        raise ValueError("invalid prosodic script: " + "; ".join(problems))
-    events, n, k = script.items, len(script.items), 0     # k: the next event to print
+    events, n, k = _checked(doc, script), len(script.items), 0   # k: the next event to print
     pieces: list[str] = []
     space = False       # a piece not glued left takes a space before it
 
@@ -182,8 +185,6 @@ def render_markup(doc: Document, script: ProsodicScript) -> str:
             pieces.append(_phon_text(tok) if tok.phon_override else tok.surface)
             space = True
         place(2 * sent.tokens[-1].index + 1)
-    if k < n:
-        raise ValueError(_PAST_THE_END)
     return "".join(pieces) + ("\n" if pieces else "")
 
 
@@ -197,7 +198,7 @@ def render_tobi(doc: Document, script: ProsodicScript) -> str:
     that token end the line before, as in the published fragment
     (``fixture_notes.md``).
     """
-    events, n, k = script.items, len(script.items), 0     # k: the next event to print
+    events, n, k = _checked(doc, script), len(script.items), 0   # k: the next event to print
     lines: list[str] = []
     current: list[str] = []
 
@@ -231,8 +232,6 @@ def render_tobi(doc: Document, script: ProsodicScript) -> str:
                            else tok.surface if tok.source_words == 1
                            else " ".join(tok.surface.split()))
         place(2 * sent.tokens[-1].index + 1)
-    if k < n:
-        raise ValueError(_PAST_THE_END)
     if current:
         lines.append(" ".join(current))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -232,22 +232,30 @@ def test_markup_silence_reset_pairing(fable_result, fox_result):
                 assert not reset, m.group(0)
 
 
-def test_markup_validation_refuses_bad_script(fable_result):
+@pytest.mark.parametrize("render", [render_markup, render_tobi], ids=["markup", "tobi"])
+def test_render_refuses_a_bad_script(fable_result, render):
+    # both renderers refuse each malformed script with the same one message,
+    # which names the problem that validate() reports
     def silence(ms, bi, at=1):
         return ScriptItem(ev(slnc=ms), bi=bi, at=at)
 
     reset = ScriptItem(RSET, GLUE_COMPOUND, at=1)
-    script = ProsodicScript([silence(200, BreakIndex.BI3)])  # missing its reset
-    with pytest.raises(ValueError):
-        render_markup(fable_result.doc, script)
-    assert script.validate() == ["BI-3 silence not followed by a reset"]
-    script = ProsodicScript([silence(100, BreakIndex.BI2), reset])
-    assert script.validate() == ["BI-2 silence must not take a reset"]
-    script = ProsodicScript([silence(100, BreakIndex.BI2, at=3),
-                             silence(100, BreakIndex.BI2, at=1)])
-    assert script.validate() == ["events out of document order"]
-    with pytest.raises(ValueError, match="out of document order"):
-        render_markup(fable_result.doc, script)
+    past = 2 * fable_result.doc.tokens()[-1].index + 2
+    for items, problem in [
+            ([silence(100, BreakIndex.BI2, at=3), silence(100, BreakIndex.BI2, at=1)],
+             "events out of document order"),
+            ([silence(200, BreakIndex.BI3)], "BI-3 silence not followed by a reset"),
+            ([silence(100, BreakIndex.BI2), reset], "BI-2 silence must not take a reset"),
+            ([silence(100, BreakIndex.BI1)], "BI-1 has no realization"),
+            ([ScriptItem(None, bi=BreakIndex.BI2, at=1)], "an item holds no event"),
+            ([ScriptItem(None, at=1)], "an item holds no event"),
+            ([silence(100, BreakIndex.BI2, at=past)],
+             "an event placed past the document's last token")]:
+        script = ProsodicScript(items)
+        assert script.validate() == ([] if "past" in problem else [problem])
+        with pytest.raises(ValueError) as refused:
+            render(fable_result.doc, script)
+        assert str(refused.value) == "invalid prosodic script: " + problem
 
 
 @pytest.mark.parametrize("render,last_piece", [(render_markup, "[[slnc 100]]"),

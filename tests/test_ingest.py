@@ -37,8 +37,9 @@ def _with_markup(event):
      "phon_override='lONg', source_words=2)"),
     (BreathGroup([0, 2], "comma", END_STOPPED),
      "BreathGroup(words=[0, 2], trigger='comma', junction='end_stopped')"),
-    (ScriptItem(None, GLUE_LEFT, "H*-L", BreakIndex.BI2, 9),
-     "ScriptItem(event=None, glue='left', tone_label='H*-L', bi=<BreakIndex.BI2: '2'>, at=9)"),
+    (ScriptItem(ParamEvent(slnc=100), GLUE_LEFT, "H*-L", BreakIndex.BI2, 9),
+     "ScriptItem(event=ParamEvent(pbas=None, rate=None, volm=None, slnc=100, rset=False), "
+     "glue='left', tone_label='H*-L', bi=<BreakIndex.BI2: '2'>, at=9)"),
     (FrozenMatch("exhortative", 2, 3, 5),
      "FrozenMatch(role='exhortative', pattern_length=2, tail_position=3, length=5)"),
     (ScriptItem(_with_markup(ParamEvent(44.0, 140, 0.3)), GLUE_RIGHT),
