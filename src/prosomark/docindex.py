@@ -63,15 +63,14 @@ class DocIndex:
                 local = start - s.tokens[0].index
                 self._sentence_clauses[s.index].extend((local, c) for c in starting[start])
 
-        #: quote depth (0 or 1) after each token
-        self.quote_depth = bytearray(n)
         #: the quotations in document order
         self.quotations: list[POVSpan] = []
         self._quote_starts: list[int] = []      # their opening quotes
+        self._open_ends: list[int] = []         # their last token inside the marks
         self._scan_quotes(tokens, diagnostics)
 
     def _scan_quotes(self, tokens: list[Token], diagnostics: list[str] | None):
-        """Quote depth after each token plus the quotations.
+        """The quotations, from a walk over the quote marks.
 
         A quote mark opens a quotation when it hugs the following word
         (no whitespace between them); nesting deeper than one is not
@@ -82,42 +81,39 @@ class DocIndex:
         """
         sentence_of = self.sentence_of
         open_at: int | None = None
-        for i, t in enumerate(tokens):
-            if t.kind == QUOTE:
-                opener = quote_is_opener(tokens, i)
-                if open_at is not None and opener and \
-                        sentence_of[tokens[i - 1].index].paragraph_index \
-                        != sentence_of[t.index].paragraph_index:
-                    self._close_at_paragraph_end(open_at, t.index)
-                    open_at = None
-                if open_at is None and opener:
-                    open_at = t.index
-                elif open_at is not None:
-                    self._add_quotation(open_at, t.index)
-                    open_at = None
-                elif diagnostics is not None:
-                    diagnostics.append(
-                        f"unbalanced quotation mark ignored ({t.surface!r} "
-                        f"in sentence {sentence_of[t.index].index})")
-            if open_at is not None:
-                self.quote_depth[t.index] = 1
+        for i in [i for i, t in enumerate(tokens) if t.kind == QUOTE]:
+            t = tokens[i]
+            opener = quote_is_opener(tokens, i)
+            if open_at is not None and opener and \
+                    sentence_of[tokens[i - 1].index].paragraph_index \
+                    != sentence_of[t.index].paragraph_index:
+                self._close_at_paragraph_end(open_at)
+                open_at = None
+            if open_at is None and opener:
+                open_at = t.index
+            elif open_at is not None:
+                self._add_quotation(open_at, t.index, t.index - 1)
+                open_at = None
+            elif diagnostics is not None:
+                diagnostics.append(
+                    f"unbalanced quotation mark ignored ({t.surface!r} "
+                    f"in sentence {sentence_of[t.index].index})")
         if open_at is not None:
             if diagnostics is not None:
                 diagnostics.append("quotation left open at document end")
-            self._close_at_paragraph_end(open_at, len(self.quote_depth))
+            self._close_at_paragraph_end(open_at)
 
-    def _close_at_paragraph_end(self, start: int, stop: int):
-        """End the quotation opened at ``start`` at its paragraph's last
-        token; the tokens after it, up to ``stop``, are unquoted."""
-        para = self.sentence_of[start].paragraph_index
-        end = self.paragraph_last[para].tokens[-1].index
-        self.quote_depth[end + 1:stop] = bytes(stop - end - 1)
-        self._add_quotation(start, end)
+    def _close_at_paragraph_end(self, start: int):
+        """End the quotation opened at ``start`` at its paragraph's last token."""
+        end = self.paragraph_last[self.sentence_of[start].paragraph_index].tokens[-1].index
+        self._add_quotation(start, end, end)
 
-    def _add_quotation(self, start: int, end: int):
+    def _add_quotation(self, start: int, end: int, open_end: int):
+        # sentences partition the tokens in order: its sentences are a range
         self._quote_starts.append(start)
-        self.quotations.append(POVSpan(
-            start, end, sorted({s.index for s in self.sentence_of[start:end + 1]})))
+        self._open_ends.append(open_end)
+        self.quotations.append(POVSpan(start, end, list(range(
+            self.sentence_of[start].index, self.sentence_of[end].index + 1))))
 
     # -- lookups -------------------------------------------------------------
 
@@ -133,6 +129,12 @@ class DocIndex:
         """(sentence-local start, clause) for each clause starting in the
         sentence, by start position, then in clause-list order."""
         return self._sentence_clauses.get(sent.index, [])
+
+    def quote_open(self, token_index: int) -> bool:
+        """Whether a quotation is open after the token: from its opening mark
+        to the token before its closing mark, or to its paragraph's end."""
+        k = bisect_right(self._quote_starts, token_index) - 1
+        return k >= 0 and token_index <= self._open_ends[k]
 
     def quote_sentences(self, token_index: int) -> list[int] | None:
         """Sentences of the quotation holding the token, or None."""

@@ -122,18 +122,15 @@ def segment(sentence: Sentence, ix: DocIndex, config) -> list[BreathGroup]:
             break
         lead.append(i)
 
-    # rule: sentence-initial adverbial phrase (no comma after it)
+    # rule: sentence-initial adverbial phrase (a comma after it has cut already)
     first = words[0]
     if norms[first] in lexica.SENTENCE_ADVERBS:
-        run_end = first
         src = toks[first].source_words
         j = 0
         while j + 1 < len(words) and norms[words[j + 1]] in _ADVERBIAL_RUN:
             j += 1
-            run_end = words[j]
-            src += toks[run_end].source_words
-        comma_follows = run_end + 1 < len(toks) and toks[run_end + 1].kind == COMMA
-        if src >= config.min_len and not comma_follows and j + 1 < len(words):
+            src += toks[words[j]].source_words
+        if src >= config.min_len and j + 1 < len(words):
             add(words[j + 1], "adverbial")
     elif norms[first] in _INTENSIFIERS and len(words) > 2:
         if norms[words[1]].endswith("ly"):
@@ -145,7 +142,7 @@ def segment(sentence: Sentence, ix: DocIndex, config) -> list[BreathGroup]:
         for i in reversed(words[:-1]):
             if norms[i] in _LOCATIVE_PREPS:
                 tail = [w for w in words if w >= i]
-                if 2 <= len(tail) <= 3 and i != words[0]:
+                if 2 <= len(tail) <= 3:
                     add(i, "adjunct")
                 break
 
@@ -162,8 +159,8 @@ def _groups_from_cuts(sentence, words, boundaries, config) -> list[BreathGroup]:
     A cut is an index into ``words``.  A fragment shorter than ``min_len``
     source words loses its cut, unless a comma before it marks an
     appositive, vocative or parenthetical.  A short first fragment then
-    loses the second cut too, unless it is a comma-marked sentence-initial
-    adverbial or the second group opens at punctuation.  A group longer
+    loses the second cut too, unless the second group opens at punctuation
+    (a comma-marked sentence-initial adverbial among them).  A group longer
     than ``max_len`` gains a cut before each opener after its first word
     while the rest is still too long.  Each group is built once, at the end.
     """
@@ -185,11 +182,7 @@ def _groups_from_cuts(sentence, words, boundaries, config) -> list[BreathGroup]:
 
     if len(kept) > 2:
         second = kept[1]
-        nxt = words[second - 1] + 1
-        comma_follows = toks[nxt].kind == COMMA
-        adverbial_ok = norms[words[0]] in lexica.SENTENCE_ADVERBS and comma_follows
-        if src[second] < config.min_len and not adverbial_ok \
-                and boundaries[words[second]] not in ("punct", "quote"):
+        if src[second] < config.min_len and boundaries[words[second]] not in ("punct", "quote"):
             del kept[1]
 
     cuts = []                            # (cut, trigger of its group)
@@ -243,13 +236,8 @@ def render_groups(doc, groups_by_sentence) -> str:
         for g in groups:
             text = " ".join(sent.words[i] for i in g.words)
             lines.append(f"{text} {GROUP_MARK}")
-        tail = [t for t in toks[-3:]]
-        kinds = [t.kind for t in tail]
-        quote_at_edge = False
-        for a, b in zip(kinds, kinds[1:]):
-            if {a, b} == {QUOTE, TERMINAL}:
-                quote_at_edge = True
-        if quote_at_edge:
+        kinds = [t.kind for t in toks[-3:]]
+        if any({a, b} == {QUOTE, TERMINAL} for a, b in zip(kinds, kinds[1:])):
             lines.append(GROUP_MARK)
     # a mark is only appended after a group line, so none leads
     while lines and lines[-1] == GROUP_MARK:

@@ -336,7 +336,7 @@ class _Compile:
         for start, c in self.ix.clauses_in(sent):
             if c.clause_no in plan.contoured or start in plan.consumed:
                 continue
-            in_quote = self.ix.quote_depth[toks[start].index] > 0
+            in_quote = self.ix.quote_open(toks[start].index)
             word = words[start]
             prev = next((words[i] for i in range(start - 1, -1, -1)
                          if words[i] is not None), None)
@@ -442,7 +442,7 @@ class _Compile:
         toks = sent.tokens
         sgroups = plan.groups
         ix = self.ix
-        continues_in_quote = ix.quote_depth[sent.tokens[-1].index] > 0
+        continues_in_quote = ix.quote_open(sent.tokens[-1].index)
         for gi, g in enumerate(sgroups):
             # every group holds a word, and a sentence's last group is
             # end-stopped (phrasing.segment, classify_junction)

@@ -38,6 +38,8 @@ class BreakIndex(enum.Enum):
     BI33 = "33"
     BI44 = "44"
 
+    __hash__ = object.__hash__      # members are singletons: hash by identity, in C
+
     @property
     def label(self) -> str:
         return f"BI-{self.value}"

@@ -237,7 +237,7 @@ def test_quote_regions_match_the_scan():
         depths, region_of, ref_diags = _ref_quotes(doc)
         assert diags == ref_diags, doc.raw
         for t in doc.tokens():
-            assert ix.quote_depth[t.index] == depths[t.index]
+            assert ix.quote_open(t.index) == depths[t.index]
             assert ix.quote_sentences(t.index) == region_of(t.index), (doc.raw, t.index)
 
 
@@ -252,10 +252,11 @@ def test_quotation_reopened_at_each_paragraph():
     first_end = doc.sentences[2].tokens[-1].index
     assert [(q.start_token, q.end_token, q.sentences) for q in ix.quotations] == \
         [(marks[0], first_end, [1, 2]), (marks[1], marks[2], [3, 4])]
-    assert [ix.quote_depth[t.index] for t in doc.sentences[3].tokens] == [1] * 5
+    assert [ix.quote_open(t.index) for t in doc.sentences[3].tokens] == [True] * 5
     depths, region_of, ref_diags = _ref_quotes(doc)
     assert ref_diags == []
-    assert all(ix.quote_sentences(t.index) == region_of(t.index) for t in doc.tokens())
+    assert all(ix.quote_open(t.index) == depths[t.index]
+               and ix.quote_sentences(t.index) == region_of(t.index) for t in doc.tokens())
 
 
 @pytest.mark.parametrize("text,closes_at", [

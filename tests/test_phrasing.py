@@ -78,12 +78,24 @@ def test_coordination_after_an_affect_word(tmp_path, key, noun, texts):
     assert all(g.trigger == "coordination" for g in groups[1:])
 
 
-def test_final_locative_adjunct_of_a_quotation_continuation(config):
+@pytest.mark.parametrize("text,index,min_len,texts", [
+    ('"What a noble bird I see above me?"', 0, 2, ["what a noble bird i see", "above me"]),
     # the middle sentence holds no quote mark but is direct speech
-    res = run_pipeline('He said: "Look. What a noble bird I see above me! Yes."',
-                       None, config)
-    sent = res.doc.sentences[2]
-    assert group_texts(sent, res.groups[2]) == ["what a noble bird i see", "above me"]
+    ('He said: "Look. What a noble bird I see above me! Yes."', 2, 2,
+     ["what a noble bird i see", "above me"]),
+    # only a question or an exclamation
+    ('"The bird sat above me."', 0, 2, ["the bird sat above me"]),
+    # of four words or more
+    ('"Birds above me!"', 0, 1, ["birds above me"]),
+    # whose adjunct is two or three words long
+    ('"Look at the bird under the old tree!"', 0, 2, ["look at the bird under the old tree"]),
+    # opens at its last locative preposition only
+    ('"It hovered over above me!"', 0, 1, ["it hovered over", "above me"]),
+], ids=["question", "continuation", "statement", "three_words", "long_adjunct",
+        "two_prepositions"])
+def test_final_locative_adjunct_of_a_quoted_sentence(text, index, min_len, texts):
+    res = run_pipeline(text, None, Config(min_len=min_len).load_lexica())
+    assert group_texts(res.doc.sentences[index], res.groups[index]) == texts
 
 
 QUOTED = 'He said: "The cat ran. Look at the bird under the tree!" Then he left.'
@@ -110,12 +122,19 @@ def test_stray_quote_mark_is_not_direct_speech(config):
     assert group_texts(res.doc.sentences[0], res.groups[0]) == ["what a bird i", "see above me"]
 
 
-def test_sentence_initial_adverbial_phrase_split(config):
-    text = "Very slowly the mice crept away."
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
-    groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
-    texts = group_texts(doc.sentences[0], groups)
-    assert texts[0] == "very slowly"
+@pytest.mark.parametrize("text,min_len,texts", [
+    ("Very slowly the mice crept away.", 2, ["very slowly", "the mice crept away"]),
+    # "at last" is one token of two source words: the run reaches min_len
+    ("Then at last we ran far away.", 3, ["then at_last", "we ran far away"]),
+    # the run "now then" goes on past the comma and stays short of min_len,
+    # so only the comma cuts
+    ("Now, then the cat ran away.", 3, ["now", "then the cat ran away"]),
+], ids=["very_slowly", "run_of_source_words", "short_run"])
+def test_sentence_initial_adverbial_phrase_split(text, min_len, texts):
+    cfg = Config(min_len=min_len).load_lexica()
+    doc = split_document(tokenize(text, cfg.multiwords), text, "off")
+    groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), cfg)
+    assert group_texts(doc.sentences[0], groups) == texts
 
 
 def test_long_subject_split_before_verb(config):

@@ -12,7 +12,7 @@ outputs with ``diff`` lists every document whose output differs.
 ``tests/data/corpus_digest.tsv``; a change that means to move output
 regenerates that file with this script.
 
-The corpus, 1,952 documents:
+The corpus, 1,954 documents:
 
 * ``fixture:<name>`` and ``fixture:<name>+ann`` - both fixtures, without and
   with their sidecars;
@@ -57,6 +57,7 @@ SHAPES = {
     "wordless": (". , ; ", ""),
     "short_commas": ("the, ", "ran."),
     "dashes": ("the cat -- ", "ran."),
+    "quotes": ('"the cat," ', "ran."),
 }
 SHAPE_SIZES = (50, 200)
 
