@@ -117,8 +117,8 @@ class ProsodicScript:
 
     def validate(self) -> list[str]:
         """Script well-formedness: each item holds an event, in document order;
-        each break index has a realization; BI3/BI4/BI23/BI32/BI33 silences take
-        a compound reset, BI2/BI22/BI44 silences never do."""
+        each break index has a realization, and its silence takes a compound
+        reset exactly when its realization holds one."""
         events = self.items
         at = list(map(attrgetter("at"), events))
         problems = [] if at == sorted(at) else ["events out of document order"]
@@ -126,11 +126,11 @@ class ProsodicScript:
             it, nxt = events[i], (events[i + 1].event if i + 1 < len(events) else None)
             if it.event is None:
                 problems.append("an item holds no event")
-            elif (realization := BI_REALIZATION.get(it.bi)) is None:
+            elif not it.bi.events:
                 problems.append(f"{it.bi.label} has no realization")
             elif it.event.slnc is not None:
                 has_reset = nxt is not None and nxt.rset and events[i + 1].glue == GLUE_COMPOUND
-                if has_reset != realization[1]:
+                if has_reset != (len(it.bi.events) == 2):
                     rule = "must not take a reset" if has_reset else "not followed by a reset"
                     problems.append(f"{it.bi.label} silence {rule}")
         return problems

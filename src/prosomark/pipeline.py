@@ -28,8 +28,7 @@ from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
 from .ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL, Document, Sentence,
                      longest_phrase, split_document, tokenize)
 from .phrasing import END_STOPPED, BreathGroup, render_groups, segment
-from .prosody import (BI_EVENTS, DEFAULT_TABLE, RSET, BreakIndex, ParamEvent,
-                      match_frozen, select_tone)
+from .prosody import DEFAULT_TABLE, RSET, BreakIndex, ParamEvent, match_frozen, select_tone
 
 
 class PipelineResult:
@@ -579,7 +578,7 @@ def _pause(bi: BreakIndex, glue: str = GLUE_RIGHT, before: ScriptItem | None = N
     is fused in front of that event's parameters and keeps its contour
     label; ``labelled=False`` leaves the break index off the annotation.
     """
-    events = BI_EVENTS[bi]
+    events = bi.events
     label = bi if labelled else None
     if before is None:
         items = [ScriptItem(events[0], glue, bi=label)]

@@ -26,38 +26,6 @@ from .docindex import DocIndex, POVSpan
 from .ingest import COMMA, Document, Record, Sentence, Shown, longest_phrase
 
 
-class BreakIndex(enum.Enum):
-    BI0 = "0"
-    BI1 = "1"
-    BI2 = "2"
-    BI3 = "3"
-    BI4 = "4"
-    BI22 = "22"
-    BI23 = "23"
-    BI32 = "32"
-    BI33 = "33"
-    BI44 = "44"
-
-    __hash__ = object.__hash__      # members are singletons: hash by identity, in C
-
-    @property
-    def label(self) -> str:
-        return f"BI-{self.value}"
-
-
-#: break index -> (silence ms, reset follows).  BI0/BI1 have no realization
-#: and are never emitted by the pipeline.
-BI_REALIZATION: dict[BreakIndex, tuple[int, bool]] = {
-    BreakIndex.BI4: (300, True),
-    BreakIndex.BI3: (200, True),
-    BreakIndex.BI2: (100, False),
-    BreakIndex.BI32: (30, True),
-    BreakIndex.BI33: (50, True),
-    BreakIndex.BI23: (100, True),
-    BreakIndex.BI22: (300, False),
-    BreakIndex.BI44: (400, False),
-}
-
 def _frozen(self, name, *value):
     """``__setattr__`` and ``__delattr__`` of a record filled by ``vars``."""
     raise AttributeError(f"cannot assign to field {name!r}")
@@ -114,11 +82,34 @@ def ev(pbas=None, rate=None, volm=None, slnc=None) -> ParamEvent:
     return ParamEvent(pbas=pbas, rate=rate, volm=volm, slnc=slnc)
 
 
-#: break index -> its realization as shared events: the silence, then
-#: ``RSET`` if the index has a reset
-BI_EVENTS: dict[BreakIndex, tuple[ParamEvent, ...]] = {
-    bi: (ev(slnc=silence), RSET) if reset else (ev(slnc=silence),)
-    for bi, (silence, reset) in BI_REALIZATION.items()}
+class BreakIndex(enum.Enum):
+    """A break index, declared with its realization: its code, its silence
+    in ms (None: no realization, never emitted) and whether a reset follows.
+    ``events`` is the realization as shared events, the silence and then
+    ``RSET`` if the index has a reset; ``label`` is its annotation."""
+    BI4 = "4", 300, True
+    BI3 = "3", 200, True
+    BI2 = "2", 100, False
+    BI32 = "32", 30, True
+    BI33 = "33", 50, True
+    BI23 = "23", 100, True
+    BI22 = "22", 300, False
+    BI44 = "44", 400, False
+    BI0 = "0", None, False
+    BI1 = "1", None, False
+
+    def __new__(cls, code: str, silence: int | None, reset: bool):
+        member = object.__new__(cls)
+        member._value_, member.label = code, f"BI-{code}"
+        member.events = (() if silence is None else (ev(slnc=silence), RSET) if reset
+                         else (ev(slnc=silence),))
+        return member
+
+
+#: break index -> (silence ms, reset follows), for the indices with a
+#: realization
+BI_REALIZATION: dict[BreakIndex, tuple[int, bool]] = {
+    bi: (bi.events[0].slnc, len(bi.events) == 2) for bi in BreakIndex if bi.events}
 
 
 # Mapping table ---------------------------------------------------------------
@@ -133,7 +124,7 @@ class ToneContour(Shown):
 
 
 def bi_to_params(bi: BreakIndex) -> list[ParamEvent]:
-    return list(BI_EVENTS[bi])
+    return list(bi.events)
 
 
 class MappingRow(Shown):
@@ -149,7 +140,7 @@ class MappingRow(Shown):
     def flat_params(self) -> list[ParamEvent]:
         out = [e for group in self.params for e in group]
         if self.bi is not None:
-            out.extend(BI_EVENTS[self.bi])
+            out.extend(self.bi.events)
         return out
 
 

@@ -1,6 +1,8 @@
 """Mapping table conversions and the two renderers."""
 
+import enum
 import re
+import sys
 
 import pytest
 
@@ -284,6 +286,23 @@ def test_tobi_fox_first_line(fox_result):
     lines = tobi.splitlines()
     assert lines[1] == ("What a noble bird I see BI-3 above me BI-22 "
                         "H*-H-1 ! BI-2 H-!H*-1")
+
+
+def test_tobi_makes_no_call_into_enum(fox_result):
+    # each printed break index reads its label off the member
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == enum.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        tobi = render_tobi(fox_result.doc, fox_result.script)
+    finally:
+        sys.setprofile(None)
+    assert "BI-3" in tobi
+    assert calls == []
 
 
 def test_tobi_prints_a_merged_token_on_one_line(config):

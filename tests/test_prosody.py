@@ -620,18 +620,20 @@ def test_affect_phrase_of_four_words(tmp_path):
 # Rule planner --------------------------------------------------------------------
 
 def _sidecar(*clauses):
-    """CLAUSE lines for (pred, span, relevance) triples, numbered from 1."""
+    """CLAUSE lines for (pred, span, relevance[, disc_rel]) tuples, numbered
+    from 1; the discourse relation defaults to narration."""
     return "".join(
         f"CLAUSE\t{n}\tmain/prop\texternal\tfactive\tnull\t{rel}\tactivity\t{pred}"
-        f"\tpres\tnarration\tobjective\t{span}\n"
-        for n, (pred, span, rel) in enumerate(clauses, 1))
+        f"\tpres\t{(disc or ['narration'])[0]}\tobjective\t{span}\n"
+        for n, (pred, span, rel, *disc) in enumerate(clauses, 1))
 
 
-#: one input per cross-rule guard that no corpus document exercises, with
-#: the ToBI output the guard keeps and, in the comment, the output without it
-@pytest.mark.parametrize("text,clauses,affect,tobi", [
+#: one input per rule condition or cross-rule guard that no corpus document
+#: exercises, with the ToBI output it keeps and, in the comment, the output
+#: without it; ``lexica`` replaces shipped lexicon files by name
+@pytest.mark.parametrize("text,clauses,lexica,tobi", [
     # affect skips frozen words; without: "H*+L- L*-L% Come [[rset 0]] on"
-    ("Come on, dear.", None, "come\tsad\n",
+    ("Come on, dear.", None, {"affect": "come\tsad\n"},
      "H*+L- Come on , !L+H*% dear BI-23 .\n"),
     # connectives skip consumed words; without: "H*-H-1 L-L% but BI-32 why"
     ('He said, "Run; but why?"', None, None,
@@ -652,14 +654,89 @@ def _sidecar(*clauses):
     # without: "BI-2 H-H*-2 BI-2 than"
     ("The cat ran faster than the dog ran.", None, None,
      "H*-H The cat ran faster BI-2 H-H*-2 than the dog ran .\n"),
+    # _plan_clauses: only a circumstance clause takes the marker contour;
+    # without: "He ran H*-H-3 when it H*-L% fell BI-3 ."
+    ("He ran when it fell.", [("ran", "0-1", "background"), ("fell", "2-4", "foreground")],
+     None, "He ran BI-2 H-H*-2 when it fell .\n"),
+    # an elaboration outside quotes takes no contour of its own; without:
+    # "H*-L and she H*-H-3 fell ."
+    ("He ran, and she fell.",
+     [("ran", "0-1", "background"), ("fell", "3-5", "background", "elaboration")],
+     None, "He H*-L% ran BI-3 , BI-2 and she H*-L% fell BI-3 .\n"),
+    # a quoted elaboration opening at its predicate takes one contour there;
+    # without: "H*-L H*-H-3 sing"
+    ('He said, "Birds fly and sing loudly."',
+     [("said", "0-1", "background"), ("fly", "4-5", "background"),
+      ("sing", "7-8", "background", "elaboration")],
+     None, "He H*-L% said BI-3 , Birds fly BI-2 and H*-L sing H*-L% loudly BI-3 .\n"),
+    # a comparative group outside quotes takes no continuation contour;
+    # without: "than BI-2 H-!H*-1 the dog ran"
+    ("The cat ran faster than the dog ran.",
+     [("ran", "0-3", "background"), ("ran", "5-7", "background")],
+     None, "The cat ran faster BI-2 than the dog ran .\n"),
+    # a quoted clause opening on its quote mark lies in no group; reading
+    # the group's trigger there raises AttributeError
+    ('"Run," he said.', [("run", "0-1", "background"), ("said", "4-5", "background")],
+     None, "H*-L% Run BI-3 , he H*-L% said BI-3 .\n"),
+    # a result clause after another word than "to" is not a resultative
+    # infinitival; without: "He ran BI-2 H*-L so she"
+    ("He ran so she fell.",
+     [("ran", "0-1", "background"), ("fell", "2-4", "background", "result")],
+     None, "He ran so she H*-L% fell BI-3 .\n"),
+    # a quoted comparative clause, once contoured, takes no head contour;
+    # without: "the dog L-L% wanted BI-32 to"
+    ('He said, "The cat ran faster than the dog wanted to go."',
+     [("said", "0-1", "background"), ("ran", "4-7", "background"),
+      ("wanted", "9-13", "background")],
+     None, "He H*-L% said BI-3 , The cat ran faster BI-2 than BI-2 H-!H*-1 the dog "
+     "wanted to H*-L% go BI-3 .\n"),
+    # so does a resultative infinitival; without: "quickly L-L% say BI-33 that"
+    ("He wanted to quickly say that it fell.",
+     [("wanted", "0-1", "background"), ("say", "3-7", "background", "result")],
+     None, "He L-L% wanted BI-32 to BI-2 H*-L quickly say that it H*-L% fell BI-3 .\n"),
+    # the rules skip a sentence without a word; running them raises TypeError
+    (". .", [("x", "0-1", "foreground")], None, ". .\n"),
+    # _plan_frozen: the address tail is consumed, so affect skips it;
+    # without: "!L+H*% L*-L% dear BI-23 [[rset 0]] ."
+    ("Come on, dear.", None, {"affect": "dear\tsad\n"},
+     "H*+L- Come on , !L+H*% dear BI-23 .\n"),
+    # a match's own words start no second match; without:
+    # "H*+L- Come H*+L- on !L+H*% dear"
+    ("Come on dear, sit.", None, {"frozen": "come on\texhortative\non dear\texhortative\n"},
+     "H*+L- Come on !L+H*% dear BI-23 , H*-L% sit BI-3 .\n"),
+    # _affect_spans: a hit's words start no second hit; without:
+    # "The L*-L% cold L*-L% night air [[rset 0]] froze [[rset 0]] ."
+    ("The cold night air froze.", None, {"affect": "cold night\tsad\nnight air\tsad\n"},
+     "The L*-L% cold night air [[rset 0]] H*-L% froze BI-3 .\n"),
+    # _plan_connectives: a sentence-initial connective has no token before
+    # it, not the sentence's last; without: "H*-H L-L%\nBut BI-32 she"
+    ("He ran.\nBut she fell --", None, None, "H*-H He ran . H*-H\nBut she fell - -\n"),
+    # _plan_head_contours: a sentence-initial head has no copula before it;
+    # without: "H*-L%-1\nThink BI-33"
+    ("He ran.\nThink that he was", [("ran", "0-1", "background"), ("think", "3-6", "background")],
+     None, "He H*-L% ran BI-3 . L-L%\nThink BI-33 that he H*-L% was BI-4\n"),
+    # _plan_coordination: "and" inside one clause takes no pause; without:
+    # "He sat BI-2 and"
+    ("He sat and ate.", [("sat", "0-3", "background")], None,
+     "He sat and H*-L% ate BI-3 .\n"),
+    # "and" right before a clause's start takes one; without: "He sat and she"
+    ("He sat and she ate.", [("sat", "0-1", "background"), ("ate", "3-4", "background")],
+     None, "He sat BI-2 and she H*-L% ate BI-3 .\n"),
 ], ids=["affect_skips_frozen", "connective_skips_consumed", "head_skips_prefixed",
         "suppressed_final_keeps_its_break", "final_keeps_its_break",
-        "comparative_pause_once"])
-def test_planner_guard_decides(tmp_path, config, text, clauses, affect, tobi):
-    if affect is not None:
-        path = tmp_path / "affect.tsv"
-        path.write_text(affect)
-        config = Config(affect_path=path).load_lexica()
+        "comparative_pause_once", "marker_needs_circumstance", "elaboration_needs_a_quote",
+        "elaboration_opens_at_its_pred", "comparative_needs_a_quote",
+        "clause_on_a_quote_mark", "resultative_needs_to", "comparative_takes_no_head",
+        "resultative_takes_no_head", "no_word_no_rules", "frozen_tail_consumed",
+        "frozen_match_not_restarted", "affect_hit_not_restarted",
+        "connective_first_in_sentence", "head_first_in_sentence",
+        "and_inside_a_clause", "and_before_a_clause"])
+def test_planner_guard_decides(tmp_path, config, text, clauses, lexica, tobi):
+    if lexica:
+        for name, entries in lexica.items():
+            (tmp_path / f"{name}.tsv").write_text(entries)
+        config = Config(**{f"{name}_path": tmp_path / f"{name}.tsv"
+                           for name in lexica}).load_lexica()
     res = run_pipeline(text, clauses and _sidecar(*clauses), config)
     assert render_tobi(res.doc, res.script) == tobi
 
@@ -673,7 +750,15 @@ def test_planner_guard_decides(tmp_path, config, text, clauses, affect, tobi):
     # at its own first word (the contour ends the line before)
     ('He said, "Run. Why now?"', [("said", "0-7", "background")],
      "He said , H*-L% Run BI-2 . H-!H*-1 H*-H-1\nWhy now BI-22 H*-H-1 ? [[rset 0]]\n"),
-], ids=["pred_outside_span", "exclamative_clause_starts_earlier"])
+    # a quoted elaboration whose predicate lies past its sentence takes no
+    # marker contour; placing one raises TypeError
+    ('He said, "They ran and we sang. Go."',
+     [("said", "0-1", "background"), ("ran", "4-5", "background"),
+      ("go", "6-10", "background", "elaboration")],
+     "He H*-L% said BI-3 , They ran H*-L and we H*-L% sang BI-2 . H-!H*-1 H*-L%-2\n"
+     "Go BI-3 .\n"),
+], ids=["pred_outside_span", "exclamative_clause_starts_earlier",
+        "elaboration_pred_outside_sentence"])
 def test_planner_fallback(config, text, clauses, tobi):
     res = run_pipeline(text, _sidecar(*clauses), config)
     assert render_tobi(res.doc, res.script) == tobi
