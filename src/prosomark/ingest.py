@@ -3,9 +3,9 @@
 Tokenization separates punctuation, merges known multiwords into single
 tokens (surface text is preserved, the normalized form joins the source
 words with underscores), splits sentences at terminal punctuation and
-paragraphs at blank lines, and flags a punctuation-less first line as the
-title.  Every token remembers the whitespace that preceded it so the
-original text can be reconstructed byte for byte.
+paragraphs at blank lines, and makes a first sentence that ends on the
+first line without terminal punctuation the title.  Every token keeps
+the whitespace before it, so the text can be rebuilt byte for byte.
 """
 
 from __future__ import annotations
@@ -193,11 +193,6 @@ def reconstruct(tokens: list[Token], trailing_ws: str = "") -> str:
     return "".join(t.pre_ws + t.surface for t in tokens) + trailing_ws
 
 
-def _looks_like_title(line: str) -> bool:
-    stripped = line.strip().rstrip("".join(QUOTE_CHARS))
-    return bool(stripped) and stripped[-1] not in TERMINAL_CHARS
-
-
 def quote_is_opener(tokens: list[Token], i: int) -> bool:
     """A quote mark opens a quotation when it hugs the following word."""
     nxt = tokens[i + 1] if i + 1 < len(tokens) else None
@@ -214,20 +209,16 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
     without a word is one sentence.  A token after a blank line opens a
     paragraph, so blank lines before the first token or after the last
     open none; a sentence lies in the paragraph of its first word (of its
-    first token, without one).  The first line is flagged as a title when
-    it carries no terminal punctuation (``title_mode='auto'``) or
-    unconditionally (``'force'``).
+    first token, without one).  The first sentence is the title when its
+    last token starts on the first line and it ends without terminal
+    punctuation (``title_mode='auto'``; ``'force'`` drops the second test).
     """
     doc = Document(raw=raw)
     if not tokens:
-        doc.paragraph_count = 0
         return doc
 
     # the tokens after a blank line; a token's paragraph is how many lie up to it
     para_starts = [k for k in range(1, len(tokens)) if has_blank_line(tokens[k].pre_ws)]
-
-    first_line = raw.split("\n", 1)[0]
-    want_title = title_mode == "force" or (title_mode == "auto" and _looks_like_title(first_line))
 
     # (start, end, terminal) of each run of tokens: a run ends at a
     # terminal (or at a closing quote right after it) and where the
@@ -235,8 +226,6 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
     runs = []
     start = 0
     for i in sorted({k for k, t in enumerate(tokens) if t.kind == TERMINAL}.union(para_starts)):
-        if i < start:
-            continue                  # the closing quote a terminal took
         if i > start and has_blank_line(tokens[i].pre_ws):
             runs.append((start, i, "none"))
             start = i
@@ -264,8 +253,8 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
 
     # a title's last token starts on the first line
     first = sentences[0]
-    first.is_title = want_title and (
-        len(reconstruct(first.tokens)) - len(first.tokens[-1].surface) < len(first_line))
+    first.is_title = (title_mode == "force" or title_mode == "auto" and first.terminal == "none") \
+        and "\n" not in reconstruct(first.tokens[:-1]) + first.tokens[-1].pre_ws
 
     doc.sentences = sentences
     doc.paragraph_count = len(para_starts) + 1

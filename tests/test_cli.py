@@ -374,6 +374,15 @@ def test_title_flag_does_not_carry_over(tmp_path):
     assert tobi() == plain
 
 
+def test_a_first_sentence_with_a_terminal_is_no_title(tmp_path):
+    # the first line ends without one, but the first sentence does not
+    text = tmp_path / "in.txt"
+    text.write_text("He ran. But she fell --\n")
+    out = tmp_path / "o.txt"
+    assert invoke(str(text), "--emit", "tobi", "--out", str(out)) == 0
+    assert not out.read_text(encoding="utf-8").startswith("H*-L")
+
+
 def test_threads_can_share_the_parser_and_lexicon_cache(tmp_path):
     # the affect lexicon's copy is new to the cache, so the threads fill it
     affect = tmp_path / "affect.tsv"

@@ -201,6 +201,7 @@ def test_innermost_clause_matches_the_scan():
         ix = DocIndex(doc, ann)
         for t in doc.tokens():
             assert ix.clause_at(t.index) is _ref_clause_at(ann, t.index)
+            assert ann.clause_at(t.index) is _ref_clause_at(ann, t.index)
 
 
 def test_innermost_clause_ties_and_gaps():

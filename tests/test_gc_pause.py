@@ -40,7 +40,7 @@ def _property_texts() -> list[str]:
     """Edge cases, and texts drawn (seeded) from the pieces and lexicon
     phrases of ``test_properties.texts``."""
     rng = random.Random(9)
-    texts = ["", ":", '" :', 'He said "hi.', "The mice met long\n\nago the cat ran."]
+    texts = ["", ":", '" :', "?\n?", 'He said "hi.', "The mice met long\n\nago the cat ran."]
     texts += ["".join(rng.choices(_PIECES, k=40)) for _ in range(4)]
     texts += ["".join(w + rng.choice(_GAPS) for p in rng.choices(_PHRASES, k=8) for w in p)
               for _ in range(2)]

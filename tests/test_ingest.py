@@ -260,19 +260,33 @@ def test_tokens_before_the_first_word_open_the_first_sentence(config):
 
 
 def test_title_force_and_off(config):
-    text = "A plain sentence here.\n\nMore text follows."
-    toks = tokenize(text, config.multiwords)
-    assert not split_document(toks, text, "auto").sentences[0].is_title
-    assert split_document(tokenize(text, config.multiwords), text,
-                          "force").sentences[0].is_title
+    # (text, title under auto, title under force): the title is the first
+    # sentence when its last token starts on the first line and, under
+    # auto, it ends without terminal punctuation
+    rows = [("A plain sentence here.\n\nMore text follows.", False, True),
+            ("He ran. But she fell --", False, True),
+            ("Chapter one: the fox\n\nIt ran.", False, True),
+            # the last token, a multiword, starts on the first line
+            ("The tale of long\nago\n\nThey ran.", True, True),
+            ("Long\nago the mice met\n\nThey ran.", False, False)]
+    for text, auto, force in rows:
+        titles = [split_document(tokenize(text, config.multiwords), text, mode)
+                  .sentences[0].is_title for mode in ("auto", "force", "off")]
+        assert titles == [auto, force, False], text
 
 
 def test_comma_appositive(config):
-    text = "they could outwit their common enemy, the cat."
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
-    sent = doc.sentences[0]
-    comma = next(i for i, t in enumerate(sent.tokens) if t.kind == "comma")
-    assert classify_comma(sent, comma) == "appositive"
+    # (text, the class of each comma): an NP echo needs a word before the
+    # comma and no verb after it, and a parenthetical word on either side
+    # of the comma comes first
+    rows = [("they could outwit their common enemy, the cat.", ["appositive"]),
+            ("The cat, however, ran.", ["parenthetical", "parenthetical"]),
+            (", the dog and the cat ran.", ["other"]),
+            ("They saw the cat, the dog was there.", ["other"])]
+    for text, classes in rows:
+        sent = split_document(tokenize(text, config.multiwords), text, "off").sentences[0]
+        assert [classify_comma(sent, i) for i, t in enumerate(sent.tokens)
+                if t.kind == COMMA] == classes, text
 
 
 def test_comma_without_a_following_word(config):
@@ -281,6 +295,10 @@ def test_comma_without_a_following_word(config):
     assert classify_comma(sent, 3) == "other"
     with pytest.raises(ValueError, match="non-comma"):
         classify_comma(sent, 2)
+    # not even a parenthetical word before it makes such a comma parenthetical
+    text = "The cat ran, however,"
+    sent = split_document(tokenize(text, config.multiwords), text, "off").sentences[0]
+    assert classify_comma(sent, 5) == "other"
 
 
 def test_comma_classes_read_a_bounded_window(config):

@@ -86,6 +86,8 @@ def test_compile_invariants(text):
         covered = [i for g in result.groups[sent.index]
                    for i in g.positions() if toks[i].kind == WORD]
         assert covered == words, sent.index
+        # a title ends without terminal punctuation
+        assert not sent.is_title or sent.terminal == "none", sent.index
         # an unpunctuated sentence ends its paragraph: the group-final rule
         # closes it with the paragraph break
         if sent.terminal == "none" and sent is not result.doc.sentences[-1]:
