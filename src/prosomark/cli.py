@@ -58,26 +58,25 @@ def golden_check(produced: str, golden: str) -> str:
     """Byte comparison; on mismatch, a positional report with a token diff."""
     if produced == golden:
         return ""
-    p_lines = produced.splitlines()
-    g_lines = golden.splitlines()
-    for ln, (p, g) in enumerate(zip(p_lines, g_lines), start=1):
-        if p == g:
+    p_lines, g_lines = produced.splitlines(keepends=True), golden.splitlines(keepends=True)
+    for ln, (p_line, g_line) in enumerate(zip(p_lines, g_lines), start=1):
+        if p_line == g_line:
             continue
+        p, g = p_line.splitlines()[0], g_line.splitlines()[0]
+        if p == g:
+            return (f"mismatch at line {ln}: line ends differ\n"
+                    f"expected: {g_line[len(g):]!r}\nactual:   {p_line[len(p):]!r}")
         col = next((i for i, (a, b) in enumerate(zip(p, g), start=1) if a != b),
                    min(len(p), len(g)) + 1)
-        p_toks = p.split()
-        g_toks = g.split()
-        tok = next(((a, b) for a, b in zip(p_toks, g_toks) if a != b),
-                   (p_toks[-1] if p_toks else "", g_toks[-1] if g_toks else ""))
+        # without a differing word, the differing character ('' past the end)
+        tok = next(((a, b) for a, b in zip(p.split(), g.split()) if a != b),
+                   (p[col - 1:col], g[col - 1:col]))
         return (f"mismatch at line {ln}, column {col}\n"
                 f"expected: {tok[1]!r}\n"
                 f"actual:   {tok[0]!r}\n"
                 f"expected line: {g}\n"
                 f"actual line:   {p}")
-    if len(p_lines) != len(g_lines):
-        return (f"mismatch: produced {len(p_lines)} lines, "
-                f"golden has {len(g_lines)}")
-    return "mismatch: texts differ in trailing whitespace"
+    return f"mismatch: produced {len(p_lines)} lines, golden has {len(g_lines)}"
 
 
 def _write_output(text: str, out_path: str | None):

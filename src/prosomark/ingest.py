@@ -1,11 +1,12 @@
-"""Raw text to a tokenized document.
+"""Raw text to tokens, and tokens to a document.
 
-Tokenization separates punctuation, merges known multiwords into single
+Tokenization separates punctuation and merges known multiwords into single
 tokens (surface text is preserved, the normalized form joins the source
-words with underscores), splits sentences at terminal punctuation and
-paragraphs at blank lines, and makes a first sentence that ends on the
-first line without terminal punctuation the title.  Every token keeps
-the whitespace before it, so the text can be rebuilt byte for byte.
+words with underscores).  Every token keeps the whitespace before it, so
+the text can be rebuilt byte for byte.  A document is built from the
+tokens alone: its sentences, split at terminal punctuation, and its
+paragraph count, split at blank lines; a first sentence that ends on the
+first line without terminal punctuation is the title.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cached_property
 from itertools import takewhile
 from types import MappingProxyType
 
@@ -67,8 +67,10 @@ class Token(Record):
 
 
 class Sentence:
-    """A run of tokens closed by a terminal, with its paragraph and index.
-    A sentence holds at least one token: an empty one raises ``ValueError``."""
+    """A run of tokens closed by a terminal, with its paragraph and index,
+    and ``words``: the normalized form at each position, None for a
+    non-word.  A sentence holds at least one token: an empty one raises
+    ``ValueError``."""
 
     def __init__(self, tokens: list[Token], terminal: str = "none", is_title: bool = False,
                  paragraph_index: int = 0, index: int = 0):
@@ -76,22 +78,15 @@ class Sentence:
             raise ValueError("a sentence holds at least one token")
         self.tokens, self.terminal, self.is_title = tokens, terminal, is_title
         self.paragraph_index, self.index = paragraph_index, index
-
-    @cached_property
-    def words(self) -> list[str | None]:
-        """The normalized form at each position, None for a non-word.
-        Built on the first read; ``split_document`` finishes a sentence's
-        tokens before anything reads it."""
-        return [t.normalized if t.kind == WORD else None for t in self.tokens]
+        self.words = [t.normalized if t.kind == WORD else None for t in tokens]
 
 
 class Document:
-    """A tokenized text: its sentences in order, paragraph count and raw text."""
+    """A tokenized text: its sentences in order and its paragraph count."""
 
-    def __init__(self, sentences: list[Sentence] | None = None, paragraph_count: int = 0,
-                 raw: str = ""):
+    def __init__(self, sentences: list[Sentence] | None = None, paragraph_count: int = 0):
         self.sentences = [] if sentences is None else sentences
-        self.paragraph_count, self.raw = paragraph_count, raw
+        self.paragraph_count = paragraph_count
 
     def tokens(self) -> list[Token]:
         out = []
@@ -199,23 +194,23 @@ def quote_is_opener(tokens: list[Token], i: int) -> bool:
     return nxt is not None and nxt.kind == WORD and nxt.pre_ws == ""
 
 
-def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> Document:
-    """Group tokens into sentences and paragraphs.
+def split_document(tokens: list[Token], title_mode: str = "auto") -> Document:
+    """Group tokens into sentences and paragraphs, from the tokens alone.
 
     Sentences end at terminal punctuation (a quote mark directly after the
     terminal is attached to the closing sentence when a quote was opened
     inside it).  Tokens before the first word open the first sentence; a
-    later run without a word joins the sentence before it, and a document
-    without a word is one sentence.  A token after a blank line opens a
-    paragraph, so blank lines before the first token or after the last
-    open none; a sentence lies in the paragraph of its first word (of its
-    first token, without one).  The first sentence is the title when its
-    last token starts on the first line and it ends without terminal
-    punctuation (``title_mode='auto'``; ``'force'`` drops the second test).
+    later run without a word joins the sentence before it, which keeps its
+    terminal, and a document without a word is one sentence.  A token after
+    a blank line opens a paragraph, so blank lines before the first token
+    or after the last open none; a sentence lies in the paragraph of its
+    first word (of its first token, without one).  The first sentence is
+    the title when its last token starts on the first line and it ends
+    without terminal punctuation (``title_mode='auto'``; ``'force'`` drops
+    the second test).
     """
-    doc = Document(raw=raw)
     if not tokens:
-        return doc
+        return Document()
 
     # the tokens after a blank line; a token's paragraph is how many lie up to it
     para_starts = [k for k in range(1, len(tokens)) if has_blank_line(tokens[k].pre_ws)]
@@ -238,27 +233,25 @@ def split_document(tokens: list[Token], raw: str, title_mode: str = "auto") -> D
             start = end
     runs.append((start, len(tokens), "none"))
 
-    sentences: list[Sentence] = []
+    # (start, terminal, first word) of each run with a word: it opens a
+    # sentence that lasts up to the next one, so the runs without a word
+    # join the sentence before them (the first, before any)
+    heads = []
     for start, end, terminal in runs:
         first_word = next((k for k in range(start, end) if tokens[k].kind == WORD), None)
         if first_word is not None:
-            # the runs before the first word open the first sentence
-            sentences.append(Sentence(tokens[start if sentences else 0:end],
-                                      terminal=terminal, index=len(sentences),
-                                      paragraph_index=bisect_right(para_starts, first_word)))
-        elif sentences:
-            sentences[-1].tokens += tokens[start:end]
-    if not sentences:
-        sentences.append(Sentence(list(tokens), terminal="none", index=0))
+            heads.append((start, terminal, first_word))
+    heads = heads or [(0, "none", 0)]
+    bounds = [0] + [start for start, _, _ in heads[1:]] + [len(tokens)]
+    sentences = [Sentence(tokens[a:b], terminal, index=i,
+                          paragraph_index=bisect_right(para_starts, w))
+                 for i, ((_, terminal, w), a, b) in enumerate(zip(heads, bounds, bounds[1:]))]
 
     # a title's last token starts on the first line
     first = sentences[0]
     first.is_title = (title_mode == "force" or title_mode == "auto" and first.terminal == "none") \
         and "\n" not in reconstruct(first.tokens[:-1]) + first.tokens[-1].pre_ws
-
-    doc.sentences = sentences
-    doc.paragraph_count = len(para_starts) + 1
-    return doc
+    return Document(sentences, len(para_starts) + 1)
 
 
 # Comma classification ------------------------------------------------------

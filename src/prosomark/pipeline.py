@@ -101,7 +101,7 @@ class ProsodyManager:
     def process(self, text: str, ann: AnnotationSet | None = None) -> PipelineResult:
         cfg = self.config
         tokens = tokenize(text, cfg.multiwords)
-        doc = split_document(tokens, text, cfg.title_mode)
+        doc = split_document(tokens, cfg.title_mode)
         listed = cfg.phon_lexicon
         for t in tokens:
             if t.normalized in listed:    # each key is one word token (config._build)

@@ -206,7 +206,7 @@ def test_criterion_9_invariant_suite(fable_result, fox_result):
         text = " ".join(body).replace(" ,", ",") + rng.choice([".", "?", "!"])
         if rng.random() < 0.2:
             text = '"' + text + '"'
-        doc = split_document(tokenize(text, cfg.multiwords), text, "off")
+        doc = split_document(tokenize(text, cfg.multiwords), "off")
         ix = DocIndex(doc, shallow_analyze(doc))
         for sent in doc.sentences:
             groups = segment(sent, ix, cfg)

@@ -343,7 +343,7 @@ def test_moves_without_disc_lines(config, stem, kept, changed):
 # Shallow fallback ------------------------------------------------------------
 
 def _doc(text, config, title="off"):
-    return split_document(tokenize(text, config.multiwords), text, title)
+    return split_document(tokenize(text, config.multiwords), title)
 
 
 def test_shallow_two_clause_sentence(config):

@@ -77,7 +77,8 @@ def test_check_compares_the_golden_line_ends(tmp_path, capsys):
     assert invoke(*args, str(lf)) == 0
     notes = capsys.readouterr().err
     assert invoke(*args, str(crlf)) == 3
-    assert capsys.readouterr().err == notes + "mismatch: texts differ in trailing whitespace\n"
+    assert capsys.readouterr().err == \
+        notes + "mismatch at line 1: line ends differ\nexpected: '\\r\\n'\nactual:   '\\n'\n"
 
 
 def test_missing_input_is_usage_error(tmp_path):
@@ -136,10 +137,18 @@ def test_golden_check_reports():
     assert golden_check("same\n", "same\n") == ""
     report = golden_check("a value 2 here\n", "a value 3 here\n")
     assert "line 1" in report and "'3'" in report and "'2'" in report
-    assert golden_check("x \n", "x\n") != ""  # byte-exact, whitespace counts
     assert "line 2" in golden_check("same\nx 2\n", "same\nx 3\n")
     assert golden_check("a\nb\n", "a\n") == "mismatch: produced 2 lines, golden has 1"
-    assert golden_check("a\n", "a") == "mismatch: texts differ in trailing whitespace"
+    # (produced, golden, report): byte-exact, so whitespace and line ends
+    # count; a differing line end is named with both ends, and a line
+    # whose words all match shows the differing character
+    rows = [("a\n", "a", "mismatch at line 1: line ends differ\nexpected: ''\nactual:   '\\n'"),
+            ("a b\n", "a b\r\n",
+             "mismatch at line 1: line ends differ\nexpected: '\\r\\n'\nactual:   '\\n'"),
+            ("x \n", "x\n", "mismatch at line 1, column 2\nexpected: ''\nactual:   ' '\n"
+                            "expected line: x\nactual line:   x ")]
+    for produced, golden, report in rows:
+        assert golden_check(produced, golden) == report, (produced, golden)
 
 
 _CLAUSE = ("CLAUSE\t{no}\tmain/prop\texternal\tfactive\tnull\tbackground"

@@ -184,20 +184,20 @@ def _cases(count, seed):
     for _ in range(count):
         text = _random_text(rng)
         tokens = tokenize(text)
-        doc = split_document(tokens, text, "off")
+        doc = split_document(tokens, "off")
         words = [t.normalized for t in tokens if t.kind == WORD]
-        yield rng, doc, _random_ann(rng, len(tokens), words)
+        yield rng, text, doc, _random_ann(rng, len(tokens), words)
 
 
 # Tests --------------------------------------------------------------------------------
 
 def test_innermost_clause_matches_the_scan():
-    for rng, doc, ann in _cases(400, 1):
-        n = len(doc.raw) // 2 + 3
+    for rng, text, doc, ann in _cases(400, 1):
+        n = len(text) // 2 + 3
         owners = innermost_clauses(ann, n)
         assert len(owners) == n
         for t in range(n):
-            assert owners[t] is _ref_clause_at(ann, t), (doc.raw, t)
+            assert owners[t] is _ref_clause_at(ann, t), (text, t)
         ix = DocIndex(doc, ann)
         for t in doc.tokens():
             assert ix.clause_at(t.index) is _ref_clause_at(ann, t.index)
@@ -221,7 +221,7 @@ def test_huge_span_does_not_size_the_index():
 
 
 def test_clauses_per_sentence_keep_their_order():
-    for rng, doc, ann in _cases(300, 2):
+    for rng, text, doc, ann in _cases(300, 2):
         ix = DocIndex(doc, ann)
         for sent in doc.sentences:
             expected = _ref_clauses_in(sent, ann)
@@ -232,20 +232,20 @@ def test_clauses_per_sentence_keep_their_order():
 
 
 def test_quote_regions_match_the_scan():
-    for rng, doc, ann in _cases(400, 3):
+    for rng, text, doc, ann in _cases(400, 3):
         diags = []
         ix = DocIndex(doc, ann, diags)
         depths, region_of, ref_diags = _ref_quotes(doc)
-        assert diags == ref_diags, doc.raw
+        assert diags == ref_diags, text
         for t in doc.tokens():
             assert ix.quote_open(t.index) == depths[t.index]
-            assert ix.quote_sentences(t.index) == region_of(t.index), (doc.raw, t.index)
+            assert ix.quote_sentences(t.index) == region_of(t.index), (text, t.index)
 
 
 def test_quotation_reopened_at_each_paragraph():
     # a quotation over two paragraphs, the second reopened with a mark
     text = 'He said: "The cat ran. It fell.\n\n"The dog sat. It ran."\n'
-    doc = split_document(tokenize(text), text, "off")
+    doc = split_document(tokenize(text), "off")
     diags = []
     ix = DocIndex(doc, AnnotationSet(), diags)
     assert diags == []
@@ -267,7 +267,7 @@ def test_quotation_reopened_at_each_paragraph():
     ('He said: "The cat ran.\n\n" The dog sat.', 1),
 ])
 def test_later_paragraph_marks_that_do_not_reopen(text, closes_at):
-    doc = split_document(tokenize(text), text, "off")
+    doc = split_document(tokenize(text), "off")
     ix = DocIndex(doc, AnnotationSet(), [])
     marks = [t.index for t in doc.tokens() if t.kind == QUOTE]
     assert [(q.start_token, q.end_token) for q in ix.quotations] == \
@@ -276,7 +276,7 @@ def test_later_paragraph_marks_that_do_not_reopen(text, closes_at):
 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_point_of_view_matches_the_scan(seed):
-    for rng, doc, ann in _cases(300, seed):
+    for rng, text, doc, ann in _cases(300, seed):
         spans = track_point_of_view(doc, ann)
         assert [(s.start_token, s.end_token, s.sentences) for s in spans] \
-            == _ref_pov(doc), doc.raw
+            == _ref_pov(doc), text

@@ -219,7 +219,7 @@ def test_a_sentence_without_tokens_is_refused():
 
 def test_title_detected(config):
     text = load("belling_cat.txt")
-    doc = split_document(tokenize(text, config.multiwords), text)
+    doc = split_document(tokenize(text, config.multiwords))
     assert doc.sentences[0].is_title
     assert doc.sentences[0].paragraph_index == 0
     assert not any(s.is_title for s in doc.sentences[1:])
@@ -228,7 +228,7 @@ def test_title_detected(config):
 
 def test_single_sentence_single_paragraph(config):
     text = "Mice ran."
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    doc = split_document(tokenize(text, config.multiwords), "off")
     assert len(doc.sentences) == 1
     assert doc.paragraph_count == 1
 
@@ -242,7 +242,7 @@ def test_paragraph_count_matches_blank_line_blocks(config):
     for text, count, indices in rows:
         # one-line oracle: blocks are the non-empty blank-line-separated chunks
         expected = len([b for b in re.split(r"\n[ \t]*\n", text) if b.strip()])
-        doc = split_document(tokenize(text, config.multiwords), text, "off")
+        doc = split_document(tokenize(text, config.multiwords), "off")
         assert doc.paragraph_count == expected == count, text
         assert [s.paragraph_index for s in doc.sentences] == indices, text
 
@@ -254,9 +254,25 @@ def test_tokens_before_the_first_word_open_the_first_sentence(config):
     assert reconstruct(res.doc.tokens()) == text
     # the sentence lies in its first word's paragraph
     text = ". \n\nHello there."
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    doc = split_document(tokenize(text, config.multiwords), "off")
     assert [(s.paragraph_index, len(s.tokens)) for s in doc.sentences] == [(1, 4)]
     assert reconstruct(doc.tokens()) == text
+
+
+def test_runs_without_a_word_join_the_sentence_before(config):
+    # (text, (surfaces, terminal, paragraph) per sentence, paragraph count):
+    # a run without a word, in a paragraph of its own or not, joins the
+    # sentence before it, which keeps its terminal
+    rows = [("He ran! . She sat.",
+             [("He ran ! .", "exclamation", 0), ("She sat .", "period", 0)], 1),
+            ("He ran.\n\n--\n\nShe sat.",
+             [("He ran . - -", "period", 0), ("She sat .", "period", 2)], 3)]
+    for text, sentences, count in rows:
+        doc = split_document(tokenize(text, config.multiwords), "off")
+        assert [(" ".join(t.surface for t in s.tokens), s.terminal, s.paragraph_index)
+                for s in doc.sentences] == sentences, text
+        assert doc.paragraph_count == count, text
+        assert reconstruct(doc.tokens()) == text
 
 
 def test_title_force_and_off(config):
@@ -270,7 +286,7 @@ def test_title_force_and_off(config):
             ("The tale of long\nago\n\nThey ran.", True, True),
             ("Long\nago the mice met\n\nThey ran.", False, False)]
     for text, auto, force in rows:
-        titles = [split_document(tokenize(text, config.multiwords), text, mode)
+        titles = [split_document(tokenize(text, config.multiwords), mode)
                   .sentences[0].is_title for mode in ("auto", "force", "off")]
         assert titles == [auto, force, False], text
 
@@ -284,20 +300,20 @@ def test_comma_appositive(config):
             (", the dog and the cat ran.", ["other"]),
             ("They saw the cat, the dog was there.", ["other"])]
     for text, classes in rows:
-        sent = split_document(tokenize(text, config.multiwords), text, "off").sentences[0]
+        sent = split_document(tokenize(text, config.multiwords), "off").sentences[0]
         assert [classify_comma(sent, i) for i, t in enumerate(sent.tokens)
                 if t.kind == COMMA] == classes, text
 
 
 def test_comma_without_a_following_word(config):
     text = "The cat sat ,"
-    sent = split_document(tokenize(text, config.multiwords), text, "off").sentences[0]
+    sent = split_document(tokenize(text, config.multiwords), "off").sentences[0]
     assert classify_comma(sent, 3) == "other"
     with pytest.raises(ValueError, match="non-comma"):
         classify_comma(sent, 2)
     # not even a parenthetical word before it makes such a comma parenthetical
     text = "The cat ran, however,"
-    sent = split_document(tokenize(text, config.multiwords), text, "off").sentences[0]
+    sent = split_document(tokenize(text, config.multiwords), "off").sentences[0]
     assert classify_comma(sent, 5) == "other"
 
 
@@ -305,7 +321,7 @@ def test_comma_classes_read_a_bounded_window(config):
     # a comma reads at most five words past it: a copy of the rest of the
     # sentence per comma is quadratic in a run of commas
     text = "the, " * 400 + "ran."
-    sent = split_document(tokenize(text, config.multiwords), text, "off").sentences[0]
+    sent = split_document(tokenize(text, config.multiwords), "off").sentences[0]
     sizes = []
 
     class SliceLog(list):

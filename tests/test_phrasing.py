@@ -38,7 +38,7 @@ def test_long_first_sentence_groups(fable_result):
 
 def test_single_group_sentence(config):
     text = "Mice ran."
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    doc = split_document(tokenize(text, config.multiwords), "off")
     groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
     assert len(groups) == 1
 
@@ -51,7 +51,7 @@ def test_single_group_sentence(config):
      ["they ran", "and the cat sat there"]),
 ], ids=["shallow", "clause_after_the_coordinator"])
 def test_split_before_clause_coordination(config, text, spans, texts):
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    doc = split_document(tokenize(text, config.multiwords), "off")
     ann = (shallow_analyze(doc) if spans is None else
            AnnotationSet([ClauseFeatures(n) for n in spans], clause_spans=spans))
     groups = segment(doc.sentences[0], DocIndex(doc, ann), config)
@@ -70,7 +70,7 @@ def test_coordination_after_an_affect_word(tmp_path, key, noun, texts):
     affect = tmp_path / "affect.tsv"
     affect.write_text(f"{key}\tsad\n", encoding="utf-8")
     text = f"They saw the {noun} and the cat there."
-    doc = split_document(tokenize(text, Config().load_lexica().multiwords), text, "off")
+    doc = split_document(tokenize(text, Config().load_lexica().multiwords), "off")
     ann = AnnotationSet([ClauseFeatures(1)], clause_spans={1: (0, 8)})
     sent = doc.sentences[0]
     groups = segment(sent, DocIndex(doc, ann), Config(affect_path=affect).load_lexica())
@@ -132,14 +132,14 @@ def test_stray_quote_mark_is_not_direct_speech(config):
 ], ids=["very_slowly", "run_of_source_words", "short_run"])
 def test_sentence_initial_adverbial_phrase_split(text, min_len, texts):
     cfg = Config(min_len=min_len).load_lexica()
-    doc = split_document(tokenize(text, cfg.multiwords), text, "off")
+    doc = split_document(tokenize(text, cfg.multiwords), "off")
     groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), cfg)
     assert group_texts(doc.sentences[0], groups) == texts
 
 
 def test_long_subject_split_before_verb(config):
     text = "The very old grey mouse from the mill said that."
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    doc = split_document(tokenize(text, config.multiwords), "off")
     groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
     texts = group_texts(doc.sentences[0], groups)
     assert any(t.startswith("said") for t in texts[1:])
@@ -148,7 +148,7 @@ def test_long_subject_split_before_verb(config):
 def test_max_len_resplit(config):
     words = "the cat saw that the dog saw that the bird saw that the mouse ran away now".split()
     text = " ".join(words) + "."
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    doc = split_document(tokenize(text, config.multiwords), "off")
     groups = segment(doc.sentences[0], DocIndex(doc, shallow_analyze(doc)), config)
     for g in groups:
         n = sum(doc.sentences[0].tokens[i].source_words for i in g.positions()
@@ -159,7 +159,7 @@ def test_max_len_resplit(config):
 def test_max_len_resplit_of_a_very_long_sentence(config):
     # one re-split per repeat: a recursion per split ran out of stack
     text = "the cat saw this " * 1000 + "dog."
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    doc = split_document(tokenize(text, config.multiwords), "off")
     sent = doc.sentences[0]
     groups = segment(sent, DocIndex(doc, shallow_analyze(doc)), config)
     assert [w for g in groups for w in g.words] == \
@@ -176,7 +176,7 @@ def test_each_group_is_built_once(config, monkeypatch):
     # group that is built and then merged copies its words again, in C,
     # where the counter of tools/cost_count.py cannot see it.
     text = "the, " * 400 + "ran."
-    doc = split_document(tokenize(text, config.multiwords), text, "off")
+    doc = split_document(tokenize(text, config.multiwords), "off")
     sent = doc.sentences[0]
     ix = DocIndex(doc, shallow_analyze(doc))
     built = []
@@ -231,7 +231,7 @@ def test_partition_property_synthetic(config):
     for _ in range(150):
         n = rng.randint(1, 16)
         text = " ".join(rng.choice(vocab) for _ in range(n)) + "."
-        doc = split_document(tokenize(text, cfg.multiwords), text, "off")
+        doc = split_document(tokenize(text, cfg.multiwords), "off")
         ix = DocIndex(doc, shallow_analyze(doc))
         for sent in doc.sentences:
             groups = segment(sent, ix, cfg)

@@ -134,7 +134,7 @@ def test_paragraphs_are_the_blocks_that_hold_a_token(text):
     # the blank-line-separated blocks that hold a token, and each token's block
     blocks = [n for n in map(len, map(tokenize, re.split(r"\n[ \t]*\n", text))) if n]
     block_of = [b for b, n in enumerate(blocks) for _ in range(n)]
-    doc = split_document(tokenize(text), text, "off")
+    doc = split_document(tokenize(text), "off")
     assert doc.paragraph_count == len(blocks)
     # a sentence lies in the block of its first word (of its first token,
     # without one): where every block holds a word, the indices start at 0

@@ -138,7 +138,7 @@ def test_select_tone_total_over_enum_product():
 # Point of view ----------------------------------------------------------------
 
 def _doc(text, config):
-    return split_document(tokenize(text, config.multiwords), text, "off")
+    return split_document(tokenize(text, config.multiwords), "off")
 
 
 def test_pov_attributed_quote(config):
@@ -581,7 +581,7 @@ def test_affect_spans_match_the_window_search(tmp_path):
     for _ in range(400):
         text = " ".join(rng.choice(vocab) if rng.random() < 0.85 else rng.choice(marks)
                         for _ in range(rng.randint(1, 30)))
-        doc = split_document(tokenize(text), text, "off")
+        doc = split_document(tokenize(text), "off")
         ann = AnnotationSet()
         compile_ = _Compile(cfg, doc, ann, DocIndex(doc, ann))
         for sent in doc.sentences:
@@ -608,7 +608,7 @@ def test_affect_phrase_of_four_words(tmp_path):
     # an entry longer than the three-word windows of the reference
     affect = {"out of my mind": "sad", "out": "exclaim"}
     text = "She went out of my mind and ran."
-    doc = split_document(tokenize(text), text, "off")
+    doc = split_document(tokenize(text), "off")
     ann = AnnotationSet()
     compile_ = _Compile(_affect_config(tmp_path, affect), doc, ann, DocIndex(doc, ann))
     sent = doc.sentences[0]
