@@ -14,9 +14,10 @@ Sidecar format (tab-separated, ``#`` comments):
     TOPIC  <type> <clause_no> <pred> <id> <per>,<gen>,<num> <feat;...> <role>
     DISC   <sent_id> <clause_no> <move> <from>-<to>
 
-A ``_`` relevance asks for classification; omitting all DISC lines asks for
-move derivation.  A DISC attachment span (clause numbers, ``nil`` for no
-origin) is kept and written back by ``render_sidecar`` but not checked: no
+A ``_`` relevance asks for classification and a sidecar without DISC lines for
+derived moves.  ``resolved`` fills both in the set a compile reads, leaving the
+given set and its clauses as they are.  A DISC attachment span (clause numbers,
+``nil`` for no origin) is written back by ``render_sidecar`` but not checked: no
 rule reads it, so it may name clauses past the last one.
 """
 
@@ -346,13 +347,6 @@ def classify_relevance(feats: ClauseFeatures, ruleset=None) -> str:
     return "background"
 
 
-def resolve_relevance(ann: AnnotationSet) -> None:
-    """Fill in relevance wherever the sidecar requested classification."""
-    for c in ann.clauses:
-        if c.relevance is None:
-            c.relevance = classify_relevance(c)
-
-
 # Topic stack ----------------------------------------------------------------
 
 def update_topic_stack(stack: TopicStack, mentions: list[TopicRecord]) -> TopicStack:
@@ -441,9 +435,17 @@ def derive_moves(clauses: list[ClauseFeatures],
     return nodes
 
 
-def resolve_moves(ann: AnnotationSet) -> None:
-    if not ann.nodes and ann.clauses:
-        ann.nodes = derive_moves(ann.clauses, ann.topics)
+def resolved(ann: AnnotationSet) -> AnnotationSet:
+    """The set a compile reads: ``ann`` itself when nothing is missing, else a
+    new set sharing its topics, spans and warnings, with a classified copy of
+    each ``_`` clause.  Neither ``ann`` nor its clauses change."""
+    if not ann.clauses or ann.nodes and all(c.relevance is not None for c in ann.clauses):
+        return ann
+    clauses = [c if c.relevance is not None else ClauseFeatures(  # the fields in order
+        c.clause_no, c.func_role, c.view, c.factivity, c.change, classify_relevance(c),
+        c.aspect, c.pred, c.tense, c.disc_rel, c.subjectivity) for c in ann.clauses]
+    return AnnotationSet(clauses, ann.topics, ann.nodes or derive_moves(clauses, ann.topics),
+                         ann.clause_spans, ann.warnings)
 
 
 # Shallow fallback analyzer --------------------------------------------------
@@ -531,5 +533,4 @@ def shallow_analyze(doc: Document) -> AnnotationSet:
             feats.relevance = classify_relevance(feats)
             ann.clauses.append(feats)
             ann.clause_spans[clause_no] = (toks[at[0]].index, toks[at[-1]].index)
-    resolve_moves(ann)
-    return ann
+    return resolved(ann)

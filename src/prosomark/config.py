@@ -125,10 +125,13 @@ _MODE_KEYS = {"title_mode": TITLE_MODES, "emit_mode": EMIT_MODES}
 def parse_config_file(path: str | Path) -> Config:
     """A ``Config`` from a config file.  A malformed line, an unknown key or
     a value its key does not accept raises ``ValueError`` naming
-    ``path:line``; values the ``Config`` refuses together (``min_len``
-    above ``max_len``) raise it naming ``path``."""
+    ``path:line``; a file that is not UTF-8, or values the ``Config`` refuses
+    together (``min_len`` above ``max_len``), raise it naming ``path``."""
     fields: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8-sig")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -20,7 +20,7 @@ import gc
 
 from . import lexica
 from .annotations import (AnnotationSet, check_clause_spans, parse_sidecar,
-                          resolve_moves, resolve_relevance, shallow_analyze)
+                          resolved, shallow_analyze)
 from .config import Config
 from .docindex import DocIndex, POVSpan
 from .emit import (GLUE_COMPOUND, GLUE_LEFT, GLUE_NONE, GLUE_RIGHT,
@@ -87,13 +87,12 @@ class _SentencePlan:
 
 
 class ProsodyManager:
-    """Compiles documents with one configuration.  It keeps no state
-    between compiles, so threads may share one manager.
+    """Compiles documents with one configuration.  It keeps no state between
+    compiles and changes nothing it is given, so threads may share a manager.
 
-    ``process`` leaves the cyclic garbage collector as it is.
-    ``run_pipeline`` pauses it around the sidecar parse and ``process``,
-    since a compile makes no reference cycles; threads may share that
-    pause too (see ``run_pipeline``)."""
+    ``process`` leaves the cyclic garbage collector as it is.  ``run_pipeline``
+    pauses it around the sidecar parse and ``process``, since a compile makes
+    no reference cycles; threads may share that pause too (see ``run_pipeline``)."""
 
     def __init__(self, config: Config):
         self.config = config
@@ -110,8 +109,7 @@ class ProsodyManager:
             ann = shallow_analyze(doc)
         else:
             check_clause_spans(ann, len(tokens))
-            resolve_relevance(ann)
-            resolve_moves(ann)
+            ann = resolved(ann)
 
         diagnostics = list(ann.warnings)
         ix = DocIndex(doc, ann, diagnostics)

@@ -14,7 +14,9 @@ from prosomark.annotations import (ASPECTS, CHANGES, DISC_RELS, FACTIVITIES,
                                    derive_moves, fold_topics,
                                    parse_sidecar, render_sidecar, shallow_analyze,
                                    update_topic_stack)
+from prosomark.emit import render_markup
 from prosomark.ingest import split_document, tokenize
+from prosomark.pipeline import ProsodyManager
 from conftest import load
 
 
@@ -158,6 +160,71 @@ def test_resolved_relevance_reaches_the_discourse_node(config):
     ann = run_pipeline("Cats ran.", sidecar, config).ann
     assert ann.clause(ann.nodes[0].clause_no).relevance == "foreground"
     assert ann.node(1) is ann.nodes[0] and ann.node(2) is None
+
+
+#: three sentences, with three ``_`` clauses and no DISC lines
+PROBE_TEXT = "The cat ran home. The dog slept. The bird sang loudly.\n"
+PROBE_SIDECAR = "".join(
+    f"CLAUSE\t{no}\tmain/prop\texternal\tfactive\t{change}\t_\tactivity"
+    f"\t{pred}\tpast\tnarration\tobjective\t{span}\n"
+    for no, change, pred, span in ((1, "null", "ran", "0-4"),
+                                   (2, "culminated", "slept", "5-8"),
+                                   (3, "null", "sang", "9-13")))
+PROBE_TOPICS = ("TOPIC\tmain\t1\tcat\ta\t3,nil,sing\tanimate\tagent\n"
+                "TOPIC\tmain\t3\tbird\tb\t3,nil,sing\tanimate\tagent\n")
+
+
+def _compile(text, ann, config):
+    result = ProsodyManager(config).process(text, ann)
+    return render_markup(result.doc, result.script)
+
+
+@pytest.mark.parametrize("topics", ["", PROBE_TOPICS], ids=["clauses", "topics"])
+def test_a_compile_changes_nothing_in_the_set_it_is_given(monkeypatch, config, topics):
+    ann = parse_sidecar(PROBE_SIDECAR + topics)
+    before = render_sidecar(ann)
+    slots = [[getattr(c, f) for f in c.__slots__] for c in ann.clauses]
+    given = {id(ann)} | {id(c) for c in ann.clauses}
+
+    def guarded(cls):
+        def setattr_(self, name, value):
+            assert id(self) not in given, f"a compile set {type(self).__name__}.{name}"
+            original(self, name, value)
+        original = cls.__setattr__
+        monkeypatch.setattr(cls, "__setattr__", setattr_)
+    guarded(type(ann))
+    guarded(ClauseFeatures)
+    _compile(PROBE_TEXT, ann, config)
+    monkeypatch.undo()
+    assert render_sidecar(ann) == before
+    assert [[getattr(c, f) for f in c.__slots__] for c in ann.clauses] == slots
+    assert ann.nodes == [] and all(c.relevance is None for c in ann.clauses)
+
+
+def test_an_edited_set_compiles_as_a_fresh_parse_of_it(config):
+    ann = parse_sidecar(PROBE_SIDECAR)
+    first = _compile(PROBE_TEXT, ann, config)
+    ann.clauses[2].change = "culminated"
+    again = _compile(PROBE_TEXT, ann, config)
+    assert again == _compile(PROBE_TEXT, parse_sidecar(render_sidecar(ann)), config)
+    assert again != first
+    assert "[[pbas 44.000; rate 140; volm +0.3]]The bird" in again
+
+
+def test_one_set_compiled_under_two_configs_matches_two_fresh_parses(config):
+    # the fox's sidecar with every relevance asked for and no DISC lines
+    text = load("fox_crow.txt")
+    sidecar = "".join(
+        re.sub(r"\t(?:foreground|background)\t", "\t_\t", line)
+        for line in load("fox_crow.ann").splitlines(keepends=True)
+        if not line.startswith("DISC"))
+    nopov = copy.copy(config)
+    nopov.pov_tracking = False
+    ann = parse_sidecar(sidecar)
+    shared = [_compile(text, ann, cfg) for cfg in (config, nopov)]
+    fresh = [_compile(text, parse_sidecar(sidecar), cfg) for cfg in (config, nopov)]
+    assert shared == fresh
+    assert shared[0] != shared[1]
 
 
 def test_relevance_depends_only_on_change():

@@ -282,6 +282,18 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+def test_config_file_not_utf8_is_usage_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"min_len = 3\n\xff\n")
+    out = tmp_path / "o.txt"
+    assert invoke(str(_three_tokens(tmp_path)), "--config", str(cfg),
+                  "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"prosomark: config error: {cfg}: not UTF-8: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "o.txt"
     assert invoke(str(_three_tokens(tmp_path)), "--out", str(out)) == 1

@@ -53,17 +53,45 @@ def test_counter_counts_lines_and_calls_per_stage(tmp_path):
 
     stages = {tiny.stage.__code__: "loop", tiny.failing.__code__: "fail"}
     counts = tool.count(run, stages, root=tmp_path)
-    # stage: the assignment, 4 loop headers, 3 bodies and the return;
-    # helper: called 3 times from the stage, 1 line each
-    assert counts["loop"] == [9 + 3, 1 + 3]
-    assert counts["fail"] == [1, 1]
-    # the generator: 1 line, and 1 call per resumption; the helper called
-    # after the exception left its stage
-    assert counts["other"] == [1 + 1, 3 + 1]
+    # the instructions of Python 3.11: stage: 2 for the assignment, 5 for
+    # the loop's iterator, 8 per pass, 1 for the loop's end and 2 for the
+    # return; helper: called 3 times from the stage, 4 instructions each
+    assert counts["loop"] == [2 + 5 + 3 * 8 + 1 + 2 + 3 * 4, 1 + 3]
+    assert counts["fail"] == [5, 1]
+    # the generator: 8, 3 and 5 instructions in its 3 resumptions, 1 call
+    # each; the helper called after the exception left its stage
+    assert counts["other"] == [8 + 3 + 5 + 4, 3 + 1]
     report = tool.report(counts, tokens=4)
-    assert report["total"] == {"lines": 15, "calls": 9,
-                               "lines_per_token": 3.75, "calls_per_token": 2.25}
+    assert report["total"] == {"ops": 71, "calls": 9,
+                               "ops_per_token": 17.75, "calls_per_token": 2.25}
     assert list(report["stages"]) == ["fail", "loop", "other"]
+
+
+LAYOUTS = '''\
+def one_line(xs):
+    return [x * 2 for x in xs if x % 3]
+
+
+def three_lines(xs):
+    return [x * 2
+            for x in xs
+            if x % 3]
+'''
+
+
+def test_counter_counts_the_same_work_alike_on_one_line_or_three(tmp_path):
+    # a line event fires each time evaluation moves to another line, so
+    # the three-line comprehension would send more of them per item
+    tool = _load("cost_count", ROOT / "tools" / "cost_count.py")
+    path = tmp_path / "layouts.py"
+    path.write_text(LAYOUTS)
+    layouts = _load("layouts", path)
+    items = list(range(30))
+    stages = {layouts.one_line.__code__: "one", layouts.three_lines.__code__: "three"}
+    counts = tool.count(lambda: (layouts.one_line(items), layouts.three_lines(items)),
+                        stages, root=tmp_path)
+    assert counts["one"] == counts["three"]
+    assert counts["one"][0] > len(items)
 
 
 def test_bench_cost_file_matches_a_recount():

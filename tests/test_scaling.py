@@ -2,8 +2,8 @@
 
 Each shape of ``tools/corpus_digest.py`` is one sentence: a piece repeated
 ``n`` times, then an end.  It is compiled and rendered three ways under the
-counter of ``tools/cost_count.py`` at n = 100 and n = 400, and its line
-events in ``src/prosomark`` per token may rise by at most 10%.  A stage
+counter of ``tools/cost_count.py`` at n = 100 and n = 400, and its
+instructions in ``src/prosomark`` per token may rise by at most 10%.  A stage
 that rescans the sentence or its groups for each word rises by half or
 more.  The counter cannot see loops that run in C (see its docstring).
 """
@@ -30,7 +30,7 @@ COST = _load("cost_count")
 SHAPES = _load("corpus_digest").SHAPES
 
 
-def _lines_per_token(text: str) -> float:
+def _ops_per_token(text: str) -> float:
     tokens = []
 
     def compile_and_render():
@@ -41,11 +41,11 @@ def _lines_per_token(text: str) -> float:
         tokens.append(res.doc.token_count())
 
     counts = COST.count(compile_and_render, {})
-    return sum(lines for lines, _ in counts.values()) / tokens[-1]
+    return sum(ops for ops, _ in counts.values()) / tokens[-1]
 
 
 @pytest.mark.parametrize("piece,end", SHAPES.values(), ids=SHAPES.keys())
 def test_line_events_per_token_stay_flat(piece, end):
-    small = _lines_per_token(piece * 100 + end)
-    large = _lines_per_token(piece * 400 + end)
-    assert large / small <= 1.10, f"{small:.1f} -> {large:.1f} line events per token"
+    small = _ops_per_token(piece * 100 + end)
+    large = _ops_per_token(piece * 400 + end)
+    assert large / small <= 1.10, f"{small:.1f} -> {large:.1f} instructions per token"

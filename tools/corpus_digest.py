@@ -12,7 +12,7 @@ outputs with ``diff`` lists every document whose output differs.
 ``tests/data/corpus_digest.tsv``; a change that means to move output
 regenerates that file with this script.
 
-The corpus, 1,954 documents:
+The corpus, 2,554 documents:
 
 * ``fixture:<name>`` and ``fixture:<name>+ann`` - both fixtures, without and
   with their sidecars;
@@ -23,7 +23,9 @@ The corpus, 1,954 documents:
 * ``<name>+nopov`` - both fixtures, without and with their sidecars, and the
   1k and 4k stories, compiled with point-of-view tracking off;
 * ``shape:<name>:<n>`` - one sentence of each of the ``SHAPES``, its
-  repeated piece ``n`` times then its end, for n = 50 and 200.
+  repeated piece ``n`` times then its end, for n = 50 and 200;
+* ``sidecar:<i>`` - 600 texts from ``fuzz_text``, each with a random valid
+  sidecar from ``fuzz_sidecar`` below.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads as wl  # noqa: E402
-from prosomark import Config, render_markup, render_tobi, run_pipeline  # noqa: E402
+from prosomark import (Config, render_markup, render_tobi, run_pipeline,  # noqa: E402
+                       tokenize)
+from prosomark import annotations as an  # noqa: E402
 from prosomark.lexica import data_path  # noqa: E402
 
 STORY_SIZES = (("1k", 1000), ("4k", 4000), ("16k", 16000))
@@ -60,6 +64,10 @@ SHAPES = {
     "quotes": ('"the cat," ', "ran."),
 }
 SHAPE_SIZES = (50, 200)
+SIDECAR_SEED = 36
+SIDECAR_COUNT = 600
+#: topic id -> its predicate
+SIDECAR_TOPICS = {"a": "cat", "b": "fox", "c": "crow", "d": "mouse"}
 
 
 def fuzz_text(rng: random.Random) -> str:
@@ -72,6 +80,37 @@ def fuzz_text(rng: random.Random) -> str:
                  if r < 0.95 else "\n\n")
         parts.append(("" if rng.random() < 0.3 else " ") + piece)
     return "".join(parts).lstrip(" ")
+
+
+def fuzz_sidecar(rng: random.Random, n_tokens: int) -> str:
+    """A valid sidecar for a text of ``n_tokens`` tokens: 1-8 clauses, each
+    spanning at most 30 of the text's tokens, relevance foreground,
+    background or ``_``, 0-2 TOPIC lines per clause over the ids of
+    ``SIDECAR_TOPICS``, and DISC lines in about 30% of sidecars."""
+    lines = []
+    count = rng.randint(1, 8)
+    for no in range(1, count + 1):
+        frm = rng.randrange(n_tokens)
+        to = rng.randrange(frm, min(n_tokens, frm + 30))
+        aspect = rng.choice(an.ASPECTS)
+        change = rng.choice([c for c in an.CHANGES if not (c == "graded" and aspect == "state")])
+        lines.append("\t".join([
+            "CLAUSE", str(no), rng.choice(("main", "coord", "sub", "xcomp", "adjunct")) + "/prop",
+            rng.choice(an.VIEWS), rng.choice(an.FACTIVITIES), change,
+            rng.choice(an.RELEVANCES + ("_",)), aspect, rng.choice(FUZZ_WORDS),
+            rng.choice(an.TENSES), rng.choice(an.DISC_RELS), rng.choice(an.SUBJECTIVITIES),
+            f"{frm}-{to}"]))
+        for _ in range(rng.randint(0, 2)):
+            sid = rng.choice(sorted(SIDECAR_TOPICS))
+            lines.append("\t".join([
+                "TOPIC", rng.choice(an.TOPIC_TYPES), str(no), SIDECAR_TOPICS[sid], sid,
+                "3,nil,sing", "animate", rng.choice(("agent", "theme"))]))
+    if rng.random() < 0.3:
+        for no in range(1, count + 1):
+            origin = rng.choice(["nil"] + [str(k) for k in range(1, no)])
+            lines.append("\t".join(["DISC", f"s_{no}", str(no), rng.choice(an.MOVES),
+                                     f"{origin}-{no}"]))
+    return "\n".join(lines) + "\n"
 
 
 def corpus(fx: wl.Fixtures, cfg: Config):
@@ -102,6 +141,12 @@ def corpus(fx: wl.Fixtures, cfg: Config):
     for name, (piece, end) in SHAPES.items():
         for n in SHAPE_SIZES:
             yield f"shape:{name}:{n}", piece * n + end, None, cfg
+    rng = random.Random(SIDECAR_SEED)
+    for i in range(SIDECAR_COUNT):
+        text = fuzz_text(rng)
+        while not (tokens := tokenize(text, cfg.multiwords)):
+            text = fuzz_text(rng)
+        yield f"sidecar:{i}", text, fuzz_sidecar(rng, len(tokens)), cfg
 
 
 def digest(result) -> str:

@@ -1,4 +1,4 @@
-"""Count the work of a compile: line events and calls in ``src/prosomark``.
+"""Count the work of a compile: instructions and calls in ``src/prosomark``.
 
 Usage, from the root of a checkout (standard library only):
 
@@ -12,27 +12,31 @@ of ``cli_batch`` through ``prosomark.cli.run``.  Each document runs once
 untraced, so the lexica, the caches and the memoized event text are warm,
 then once under ``CostCounter``: the tracer of ``tools/line_census.py``,
 counting instead of collecting.  It prints one JSON object: per workload,
-the raw input tokens and, per stage and in total, the line events and
-calls with their count per token.  ``--write`` also writes that object,
-with the Python version it was counted on, to ``BENCH_cost.json`` at the
-root of the checkout, where ``tests/test_cost_count.py`` recounts part of
-it; a change that moves the counts refreshes the file.
+the raw input tokens and, per stage and in total, the instructions
+(``ops``) and calls with their count per token.  ``--write`` also writes
+that object, with the Python version it was counted on, to
+``BENCH_cost.json`` at the root of the checkout, where
+``tests/test_cost_count.py`` recounts part of it; a change that moves the
+counts refreshes the file.
 
 A frame counts to the stage of the nearest function of ``stages()`` on
 the stack: tokenize, split, analyze (the sidecar parse or the shallow
-analysis, with relevance and move resolution), docindex, segment, plan or
-render; any other to ``other``.  Calls count frame entries, the
-resumptions of a generator included.  The counts depend on the code and
-the input alone, not on the host's speed or ``PYTHONHASHSEED``, so two
-runs print the same JSON.  They do depend on the Python minor version,
-whose compiler places line events differently.
+analysis, and ``resolved``), docindex, segment, plan or render; any other
+to ``other``.  Calls count frame entries, the resumptions of a generator
+included.  An instruction is one bytecode instruction run in a traced
+frame (an ``opcode`` trace event).  Unlike line events, which fire each
+time evaluation moves to another line, the count does not depend on how
+the code is laid out over lines.  The counts depend on the code and the
+input alone, not on the host's speed or ``PYTHONHASHSEED``, so two runs
+print the same JSON.  They do depend on the Python minor version, whose
+compiler emits different instructions.
 
-The blind spot: work that runs in C adds no event.  A slice copy,
-``x in list``, list concatenation, ``sorted``, ``str.join`` or a regular
-expression costs time in proportion to its input and counts as one line
-event.  So a count per token that stays flat as documents grow does not
-prove linear time, and a count is no speed: the benchmark's wall-clock
-pairs stay the measure of that.
+The blind spot: work that runs in C adds no instruction of its own.  A
+slice copy, ``x in list``, list concatenation, ``sorted``, ``str.join`` or a
+regular expression costs time in proportion to its input and counts as
+the one instruction that calls it.  So a count per token that stays flat
+as documents grow does not prove linear time, and a count is no speed:
+the benchmark's wall-clock pairs stay the measure of that.
 """
 
 from __future__ import annotations
@@ -56,12 +60,13 @@ CLI_DOCS = 40
 
 
 class CostCounter(Tracer):
-    """Line events and calls of the frames under ``root``, per stage.
+    """Instructions and calls of the frames under ``root``, per stage.
 
     ``stages`` maps a code object to the stage that its frames, and the
     frames they call, count to; the frames called outside every such frame
     count to ``other``.  ``counts`` maps a stage to its
-    ``[line events, calls]``."""
+    ``[instructions, calls]``.  An instruction is one ``opcode`` trace
+    event, which each frame sends once ``f_trace_opcodes`` is set on it."""
 
     def __init__(self, root: Path, stages: dict):
         super().__init__(root)
@@ -70,6 +75,7 @@ class CostCounter(Tracer):
         self._stack = [OTHER]
 
     def local(self, frame):
+        frame.f_trace_opcodes = True
         stage = self.stages.get(frame.f_code, self._stack[-1])
         self._stack.append(stage)
         local = self._local.get(stage)
@@ -78,7 +84,7 @@ class CostCounter(Tracer):
             stack = self._stack
 
             def local(frame, event, arg):
-                if event == "line":
+                if event == "opcode":
                     count[0] += 1
                 elif event == "return":   # also sent when an exception leaves
                     stack.pop()
@@ -95,8 +101,7 @@ def stages() -> dict:
         "tokenize": (ingest.tokenize,),
         "split": (ingest.split_document,),
         "analyze": (annotations.parse_sidecar, annotations.shallow_analyze,
-                    annotations.check_clause_spans, annotations.resolve_relevance,
-                    annotations.resolve_moves),
+                    annotations.check_clause_spans, annotations.resolved),
         "docindex": (docindex.DocIndex.__init__,),
         "segment": (phrasing.segment,),
         "plan": (pipeline._Compile.__init__, pipeline._Compile.build_script),
@@ -114,9 +119,9 @@ def count(run, stage_of: dict, root: Path = PACKAGE) -> dict[str, list[int]]:
 
 
 def report(counts: dict[str, list[int]], tokens: int) -> dict:
-    def entry(lines, calls):
-        return {"lines": lines, "calls": calls,
-                "lines_per_token": round(lines / tokens, 2),
+    def entry(ops, calls):
+        return {"ops": ops, "calls": calls,
+                "ops_per_token": round(ops / tokens, 2),
                 "calls_per_token": round(calls / tokens, 2)}
     return {"tokens": tokens,
             "stages": {stage: entry(*c) for stage, c in sorted(counts.items())},
@@ -158,7 +163,7 @@ def measure(seed: int, sizes=SIZES) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="Count line events and calls per stage.")
+    parser = argparse.ArgumentParser(description="Count instructions and calls per stage.")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--write", action="store_true",
                         help=f"also write the counts to {BENCH_FILE.name}")

@@ -7,10 +7,10 @@ Usage, from the root of a checkout (standard library only, plus pytest for
     python3 tools/line_census.py --pytest   # over the digest and the tests
 
 It traces, with ``sys.settrace``, every frame whose code lies under
-``src/prosomark`` while it compiles the 1,954 documents of
+``src/prosomark`` while it compiles the 2,554 documents of
 ``tools/corpus_digest.py`` and, with ``--pytest``, while it runs the tests
 of ``pyproject.toml``'s ``testpaths`` in this process.  On a two-core Xeon
-host the digest takes about 40 s and the tests about 55 s more.  It then prints one ``path:line: function: source`` line for
+host the digest takes about 15 s and the tests about 55 s more.  It then prints one ``path:line: function: source`` line for
 each statement of a function body that no line event reached, less the
 entries of ``ALLOWLIST``, and one line for each allowlist entry that
 matched nothing; pytest's report goes to stderr.  The exit status is 1
