@@ -1,12 +1,14 @@
 """Raw text to tokens, and tokens to a document.
 
-Tokenization separates punctuation and merges known multiwords into single
+Tokenization separates punctuation, merges known multiwords into single
 tokens (surface text is preserved, the normalized form joins the source
-words with underscores).  Every token keeps the whitespace before it, so
-the text can be rebuilt byte for byte.  A document is built from the
-tokens alone: its sentences, split at terminal punctuation, and its
-paragraph count, split at blank lines; a first sentence that ends on the
-first line without terminal punctuation is the title.
+words with underscores) and sets each token's phonetic override.  Every
+token keeps the whitespace before it, so the text can be rebuilt byte for
+byte.  A document is built from the tokens alone: its sentences, split at
+terminal punctuation, and its paragraph count, split at blank lines
+(``\\n`` and ``\\r\\n`` line ends alike); a first sentence that ends on the
+first line without terminal punctuation is the title.  Each token and each
+sentence is built complete: no field of one is assigned afterwards.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def longest_phrase(words: Sequence[str | None], i: int,
     return None
 
 
-_BLANK_LINE = re.compile(r"\n[ \t]*\n")
+_BLANK_LINE = re.compile(r"\n[ \t\r]*\n")
 
 
 def has_blank_line(ws: str) -> bool:
@@ -137,7 +139,8 @@ def has_blank_line(ws: str) -> bool:
     return "\n" in ws and _BLANK_LINE.search(ws) is not None
 
 
-def tokenize(text: str, multiwords: Mapping[str, Sequence] = MappingProxyType({})) -> list[Token]:
+def tokenize(text: str, multiwords: Mapping[str, Sequence] = MappingProxyType({}),
+             phonetic: Mapping[str, str] = MappingProxyType({})) -> list[Token]:
     """Split text into tokens, merging known multiword expressions.
 
     ``multiwords`` is the ``phrase_index`` of the multiwords, lowercased
@@ -145,7 +148,8 @@ def tokenize(text: str, multiwords: Mapping[str, Sequence] = MappingProxyType({}
     merges.  The longest match at each position wins, and no match spans a
     blank line.
     A merged token keeps the original surface text (inner whitespace
-    included) and gets an underscore-joined normalized form.
+    included) and gets an underscore-joined normalized form.  ``phonetic``,
+    as ``Config.phon_lexicon`` holds it, sets each token's phonetic override.
     """
     # [pre_ws, chunk, pre_ws, chunk, ..., trailing whitespace]
     parts = _TOKEN_RE.split(text)
@@ -173,12 +177,13 @@ def tokenize(text: str, multiwords: Mapping[str, Sequence] = MappingProxyType({}
     for start, n in merges + [(len(chunks), 0)]:
         tokens += map(Token, chunks[pos:start], norms[pos:start],
                       range(len(tokens), len(tokens) + start - pos),
-                      kinds[pos:start], pres[pos:start])
+                      kinds[pos:start], pres[pos:start], map(phonetic.get, norms[pos:start]))
         if n:
             surface = chunks[start] + "".join(
                 p + c for p, c in zip(pres[start + 1:start + n], chunks[start + 1:start + n]))
-            tokens.append(Token(surface, "_".join(norms[start:start + n]), len(tokens),
-                                WORD, pres[start], source_words=n))
+            norm = "_".join(norms[start:start + n])
+            tokens.append(Token(surface, norm, len(tokens), WORD, pres[start],
+                                phonetic.get(norm), n))
         pos = start + n
     return tokens
 
@@ -243,14 +248,13 @@ def split_document(tokens: list[Token], title_mode: str = "auto") -> Document:
             heads.append((start, terminal, first_word))
     heads = heads or [(0, "none", 0)]
     bounds = [0] + [start for start, _, _ in heads[1:]] + [len(tokens)]
-    sentences = [Sentence(tokens[a:b], terminal, index=i,
-                          paragraph_index=bisect_right(para_starts, w))
+    # the first sentence is the title when its last token starts on the first line
+    last = bounds[1] - 1
+    title = (title_mode == "force" or title_mode == "auto" and heads[0][1] == "none") \
+        and "\n" not in reconstruct(tokens[:last]) + tokens[last].pre_ws
+    sentences = [Sentence(tokens[a:b], terminal, i == 0 and title,
+                          bisect_right(para_starts, w), i)
                  for i, ((_, terminal, w), a, b) in enumerate(zip(heads, bounds, bounds[1:]))]
-
-    # a title's last token starts on the first line
-    first = sentences[0]
-    first.is_title = (title_mode == "force" or title_mode == "auto" and first.terminal == "none") \
-        and "\n" not in reconstruct(first.tokens[:-1]) + first.tokens[-1].pre_ws
     return Document(sentences, len(para_starts) + 1)
 
 

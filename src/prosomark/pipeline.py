@@ -99,12 +99,8 @@ class ProsodyManager:
 
     def process(self, text: str, ann: AnnotationSet | None = None) -> PipelineResult:
         cfg = self.config
-        tokens = tokenize(text, cfg.multiwords)
+        tokens = tokenize(text, cfg.multiwords, cfg.phon_lexicon)
         doc = split_document(tokens, cfg.title_mode)
-        listed = cfg.phon_lexicon
-        for t in tokens:
-            if t.normalized in listed:    # each key is one word token (config._build)
-                t.phon_override = listed[t.normalized]
         if ann is None:
             ann = shallow_analyze(doc)
         else:

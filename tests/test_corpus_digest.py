@@ -105,4 +105,4 @@ def test_every_corpus_document_keeps_its_bytes():
     assert got.keys() == expected.keys(), (
         f"missing: {sorted(expected.keys() - got.keys())}, "
         f"new: {sorted(got.keys() - expected.keys())}")
-    assert len(got) == 2554
+    assert len(got) == 2557

@@ -1,16 +1,19 @@
 """Tokenization, document splitting, comma classes, phonetic exceptions."""
 
+import ast
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from prosomark import ingest
 from prosomark.annotations import DiscourseNode
 from prosomark.config import Config
 from prosomark.docindex import POVSpan
-from prosomark.emit import GLUE_LEFT, GLUE_RIGHT, ScriptItem, render_markup
+from prosomark.emit import GLUE_LEFT, GLUE_RIGHT, ScriptItem, render_markup, render_tobi
 from prosomark.ingest import (COMMA, OTHER_PUNCT, QUOTE, TERMINAL,
                               TERMINAL_CHARS, QUOTE_CHARS, WORD, Document, Sentence,
                               Token, classify_comma, phrase_index, reconstruct,
@@ -275,6 +278,22 @@ def test_runs_without_a_word_join_the_sentence_before(config):
         assert reconstruct(doc.tokens()) == text
 
 
+@pytest.mark.parametrize("name", ["belling_cat", "fox_crow"])
+@pytest.mark.parametrize("sidecar", [False, True], ids=["plain", "ann"])
+def test_crlf_line_ends_compile_as_lf_ones(config, name, sidecar):
+    # a blank line of "\r\n" ends parts paragraphs as one of "\n" ends
+    # does; the CLI reads files with universal newlines, a library caller
+    # may pass the text as it is
+    text = load(f"{name}.txt")
+    ann = load(f"{name}.ann") if sidecar else None
+    lf, crlf = [(render_markup(r.doc, r.script), render_tobi(r.doc, r.script),
+                 r.groups_text(), r.diagnostics, r.doc.paragraph_count)
+                for r in (run_pipeline(t, ann, config)
+                          for t in (text, text.replace("\n", "\r\n")))]
+    assert crlf == lf
+    assert lf[-1] == text.count("\n\n") + 1
+
+
 def test_title_force_and_off(config):
     # (text, title under auto, title under force): the title is the first
     # sentence when its last token starts on the first line and, under
@@ -371,6 +390,38 @@ def test_phon_exception_absent(config):
     assert toks[0].normalized not in config.phon_lexicon
 
 
+def test_tokenize_sets_phonetic_overrides_as_it_makes_each_token(config):
+    # by normalized form: a merged token by its joined form, and without a
+    # lexicon no token takes one
+    phonetic = {"hue": "hUW", "long_ago": "lOng@gO"}
+    text = "Hue, long ago hue."
+    assert [(t.surface, t.phon_override)
+            for t in tokenize(text, config.multiwords, phonetic)] == [
+        ("Hue", "hUW"), (",", None), ("long ago", "lOng@gO"), ("hue", "hUW"), (".", None)]
+    assert {t.phon_override for t in tokenize(text, config.multiwords)} == {None}
+
+
+def test_no_statement_patches_a_built_token_or_sentence():
+    # the phonetic override and the title are set where the token and the
+    # sentence are made, so no later step of a compile assigns either
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for target in getattr(child, "targets", [getattr(child, "target", None)]):
+                    found.extend((path.name, scope, t.attr) for t in ast.walk(target)
+                                 if isinstance(t, ast.Attribute)
+                                 and t.attr in ("phon_override", "is_title"))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    for path in sorted(Path(ingest.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    assert found == [("ingest.py", "Token.__init__", "phon_override"),
+                     ("ingest.py", "Sentence.__init__", "is_title")]
+
+
 def test_phon_exception_case_folding(config):
     # oracle: the lexicon's keys are already case-folded
     folded = {k.lower(): v for k, v in config.phon_lexicon.items()}
@@ -380,8 +431,8 @@ def test_phon_exception_case_folding(config):
 
 
 def test_pipeline_sets_phonetic_overrides(config):
-    # the compile's own loop: every listed word in any case, and no other
-    # token
+    # tokenize, as the compile calls it: every listed word in any case, and
+    # no other token
     result = run_pipeline("Hue HUE hue cat.", None, config)
     assert [(t.surface, t.phon_override) for t in result.doc.tokens()] == [
         ("Hue", "hUW"), ("HUE", "hUW"), ("hue", "hUW"), ("cat", None), (".", None)]

@@ -12,7 +12,7 @@ outputs with ``diff`` lists every document whose output differs.
 ``tests/data/corpus_digest.tsv``; a change that means to move output
 regenerates that file with this script.
 
-The corpus, 2,554 documents:
+The corpus, 2,557 documents:
 
 * ``fixture:<name>`` and ``fixture:<name>+ann`` - both fixtures, without and
   with their sidecars;
@@ -25,7 +25,9 @@ The corpus, 2,554 documents:
 * ``shape:<name>:<n>`` - one sentence of each of the ``SHAPES``, its
   repeated piece ``n`` times then its end, for n = 50 and 200;
 * ``sidecar:<i>`` - 600 texts from ``fuzz_text``, each with a random valid
-  sidecar from ``fuzz_sidecar`` below.
+  sidecar from ``fuzz_sidecar`` below;
+* ``point:<name>`` - the ``POINTS``, each a text and sidecar written to
+  reach one statement that no other document of the corpus reaches.
 """
 
 from __future__ import annotations
@@ -68,6 +70,23 @@ SIDECAR_SEED = 36
 SIDECAR_COUNT = 600
 #: topic id -> its predicate
 SIDECAR_TOPICS = {"a": "cat", "b": "fox", "c": "crow", "d": "mouse"}
+#: name -> (text, sidecar or None), with the statement each one reaches
+POINTS = {
+    # render_groups: a sentence without a breath group prints no line
+    "wordless_lines": ("?\n?\n", None),
+    # _shallow_tense: "had" before a past participle is the perfect
+    "perfect": ("He had walked home.\n", None),
+    # _plan_group_finals: a final that already carries a break takes no
+    # contour; parse_sidecar: a semantic id with two lemmas warns
+    "final_keeps_its_break": ("He ran; but, she fell.\n", "".join(
+        "\t".join(fields) + "\n" for fields in (
+            ["CLAUSE", "1", "main/prop", "external", "factive", "null", "background",
+             "activity", "ran", "pres", "narration", "objective", "0-1"],
+            ["CLAUSE", "2", "main/prop", "external", "factive", "null", "background",
+             "activity", "fell", "pres", "narration", "objective", "3-6"],
+            ["TOPIC", "main", "1", "cat", "a", "3,nil,sing", "animate", "agent"],
+            ["TOPIC", "main", "2", "dog", "a", "3,nil,sing", "animate", "agent"]))),
+}
 
 
 def fuzz_text(rng: random.Random) -> str:
@@ -147,6 +166,8 @@ def corpus(fx: wl.Fixtures, cfg: Config):
         while not (tokens := tokenize(text, cfg.multiwords)):
             text = fuzz_text(rng)
         yield f"sidecar:{i}", text, fuzz_sidecar(rng, len(tokens)), cfg
+    for name, (text, sidecar) in POINTS.items():
+        yield f"point:{name}", text, sidecar, cfg
 
 
 def digest(result) -> str:

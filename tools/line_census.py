@@ -7,7 +7,7 @@ Usage, from the root of a checkout (standard library only, plus pytest for
     python3 tools/line_census.py --pytest   # over the digest and the tests
 
 It traces, with ``sys.settrace``, every frame whose code lies under
-``src/prosomark`` while it compiles the 2,554 documents of
+``src/prosomark`` while it compiles the 2,557 documents of
 ``tools/corpus_digest.py`` and, with ``--pytest``, while it runs the tests
 of ``pyproject.toml``'s ``testpaths`` in this process.  On a two-core Xeon
 host the digest takes about 15 s and the tests about 55 s more.  It then prints one ``path:line: function: source`` line for
