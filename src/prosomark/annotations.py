@@ -480,7 +480,7 @@ def _shallow_tense(words: list[str]) -> str:
 
 
 def _shallow_pred(words: list[str]) -> str:
-    content = [w for w in words if not lexica.function_word(w)]
+    content = [w for w in words if w not in lexica.FUNCTION_WORDS]
     return next((w for w in content if is_verby(w)),
                 content[-1] if content else (words[-1] if words else ""))
 
@@ -509,7 +509,7 @@ def shallow_analyze(doc: Document) -> AnnotationSet:
                 boundaries.append(i + 1)
             elif (w is not None and nxt == "to"
                   and i + 2 < len(toks) and words[i + 2] is not None
-                  and not lexica.function_word(words[i + 2])
+                  and words[i + 2] not in lexica.FUNCTION_WORDS
                   and not is_verby(w)):
                 boundaries.append(i + 1)
         boundaries.append(len(toks))

@@ -89,12 +89,12 @@ def _write_output(text: str, out_path: str | None):
     directory = os.path.dirname(out_path)
     fd, tmp = _new_sibling(directory)
     try:
-        try:
-            # a rewritten output keeps its permission bits, as with `>`
-            os.fchmod(fd, stat.S_IMODE(os.stat(out_path).st_mode))
-        except FileNotFoundError:
-            pass
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:     # closes fd on any failure
+            try:
+                # a rewritten output keeps its permission bits, as with `>`
+                os.fchmod(fd, stat.S_IMODE(os.stat(out_path).st_mode))
+            except FileNotFoundError:
+                pass
             fh.write(text)
         os.replace(tmp, out_path)
     except BaseException:

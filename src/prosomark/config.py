@@ -63,6 +63,22 @@ def _built(stamps: tuple[tuple[str, int, int], ...]) -> dict:
     return _build(*(path for path, _, _ in stamps))
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_INT_KEYS = ("min_len", "max_len", "max_subj")
+#: the keys that take one of a few words: the modes, and a switch's word
+_CHOICES = {"title_mode": TITLE_MODES, "emit_mode": EMIT_MODES, "pov_tracking": _BOOLS}
+
+
+def _check(key: str, value) -> None:
+    """Raise ``ValueError`` when ``key`` does not take ``value``: a count
+    below 0, or a word that is not one of its key's choices."""
+    if key in _INT_KEYS and value < 0:
+        raise ValueError(f"{key} must not be negative, not {value}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ValueError(f"{key} must be one of {'/'.join(_CHOICES[key])}, not {value!r}")
+
+
 class Config(Shown):
     """One compile's parameters and lexicon paths, and what ``load_lexica``
     builds from the files (empty until then): the read-only lexica, whose
@@ -80,14 +96,11 @@ class Config(Shown):
                  affect_path: Path = lexica.data_path("affect.tsv"),
                  quantifier_path: Path = lexica.data_path("quantifiers.txt"),
                  comm_verb_path: Path = lexica.data_path("comm_verbs.txt")):
-        for key, value in zip(_INT_KEYS, (min_len, max_len, max_subj)):
-            if value < 0:
-                raise ValueError(f"{key} must not be negative, not {value}")
+        for key, value in zip(_INT_KEYS + ("title_mode", "emit_mode"),
+                              (min_len, max_len, max_subj, title_mode, emit_mode)):
+            _check(key, value)
         if min_len > max_len:
             raise ValueError("min_len must not exceed max_len")
-        for (key, modes), value in zip(_MODE_KEYS.items(), (title_mode, emit_mode)):
-            if value not in modes:
-                raise ValueError(f"{key} must be one of {'/'.join(modes)}, not {value!r}")
         self.min_len, self.max_len, self.max_subj = min_len, max_len, max_subj
         self.title_mode, self.emit_mode, self.pov_tracking = title_mode, emit_mode, pov_tracking
         self.multiword_path, self.phonetic_path = multiword_path, phonetic_path
@@ -115,55 +128,34 @@ class Config(Shown):
         return self
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-_INT_KEYS = ("min_len", "max_len", "max_subj")
-_PATH_KEYS = set(_LEXICA)
-_MODE_KEYS = {"title_mode": TITLE_MODES, "emit_mode": EMIT_MODES}
-
-
 def parse_config_file(path: str | Path) -> Config:
-    """A ``Config`` from a config file.  A malformed line, an unknown key or
-    a value its key does not accept raises ``ValueError`` naming
-    ``path:line``; a file that is not UTF-8, or values the ``Config`` refuses
-    together (``min_len`` above ``max_len``), raise it naming ``path``."""
+    """A ``Config`` from a config file, whose lines ``lexica.lines`` reads.
+    A relative lexicon path is joined to the file's directory as written,
+    so no other file is read.  A malformed line, an unknown key or a value
+    its key does not accept raises ``ValueError`` naming ``path:line``; a
+    file that is not UTF-8, or values the ``Config`` refuses together
+    (``min_len`` above ``max_len``), raise it naming ``path``."""
     fields: dict[str, object] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8: {exc}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        where = f"{path}:{line_no}"
-        if not value:
-            raise ValueError(f"{where}: expected key = value")
-        if key in _INT_KEYS:
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ValueError(f"{where}: {key} must be an integer, "
-                                 f"not {value!r}") from None
-            if fields[key] < 0:                 # the Config's check, with the line
-                raise ValueError(f"{where}: {key} must not be negative, not {fields[key]}")
-        elif key == "pov_tracking":
-            if value.lower() not in _BOOLS:
-                raise ValueError(f"{where}: {key} must be one of "
-                                 f"{'/'.join(_BOOLS)}, not {value!r}")
-            fields[key] = _BOOLS[value.lower()]
-        elif key in _PATH_KEYS:
-            fields[key] = (Path(value) if Path(value).is_absolute()
-                           else (Path(path).parent / value).resolve())
-        elif key in _MODE_KEYS:
-            if value not in _MODE_KEYS[key]:
-                raise ValueError(f"{where}: {key} must be one of "
-                                 f"{'/'.join(_MODE_KEYS[key])}, not {value!r}")
-            fields[key] = value
-        else:
-            raise ValueError(f"{where}: unknown key {key!r}")
+    for line_no, line in lexica.lines(path):
+        key, _, value = (part.strip() for part in line.partition("="))
+        try:
+            if not value:
+                raise ValueError("expected key = value")
+            if key in _INT_KEYS:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(f"{key} must be an integer, not {value!r}") from None
+            elif key == "pov_tracking":
+                value = value.lower()
+            elif key in _LEXICA:
+                value = Path(path).parent.absolute() / value
+            elif key not in _CHOICES:
+                raise ValueError(f"unknown key {key!r}")
+            _check(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+        fields[key] = _BOOLS[value] if key == "pov_tracking" else value
     try:
         return Config(**fields)
     except ValueError as exc:

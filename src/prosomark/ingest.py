@@ -6,9 +6,10 @@ words with underscores) and sets each token's phonetic override.  Every
 token keeps the whitespace before it, so the text can be rebuilt byte for
 byte.  A document is built from the tokens alone: its sentences, split at
 terminal punctuation, and its paragraph count, split at blank lines
-(``\\n`` and ``\\r\\n`` line ends alike); a first sentence that ends on the
-first line without terminal punctuation is the title.  Each token and each
-sentence is built complete: no field of one is assigned afterwards.
+(``\\n``, ``\\r\\n`` and lone ``\\r`` line ends alike); a first sentence
+that ends on the first line without terminal punctuation is the title.
+Each token and each sentence is built complete: no field of one is
+assigned afterwards.
 """
 
 from __future__ import annotations
@@ -131,12 +132,15 @@ def longest_phrase(words: Sequence[str | None], i: int,
     return None
 
 
-_BLANK_LINE = re.compile(r"\n[ \t\r]*\n")
+#: a line end: ``\r\n``, ``\n`` or a lone ``\r`` (not the ``\r`` of a ``\r\n``)
+_LINE_END = re.compile(r"\r\n|\r(?!\n)|\n")
+_BLANK_LINE = re.compile(rf"(?:{_LINE_END.pattern})[ \t]*(?:{_LINE_END.pattern})")
 
 
 def has_blank_line(ws: str) -> bool:
     """Whether ``ws`` holds a blank line: it parts paragraphs, and no multiword spans one."""
-    return "\n" in ws and _BLANK_LINE.search(ws) is not None
+    # spaces are printable and line ends are not: one cheap test for most whitespace
+    return not ws.isprintable() and _BLANK_LINE.search(ws) is not None
 
 
 def tokenize(text: str, multiwords: Mapping[str, Sequence] = MappingProxyType({}),
@@ -251,7 +255,7 @@ def split_document(tokens: list[Token], title_mode: str = "auto") -> Document:
     # the first sentence is the title when its last token starts on the first line
     last = bounds[1] - 1
     title = (title_mode == "force" or title_mode == "auto" and heads[0][1] == "none") \
-        and "\n" not in reconstruct(tokens[:last]) + tokens[last].pre_ws
+        and not _LINE_END.search(reconstruct(tokens[:last]) + tokens[last].pre_ws)
     sentences = [Sentence(tokens[a:b], terminal, i == 0 and title,
                           bisect_right(para_starts, w), i)
                  for i, ((_, terminal, w), a, b) in enumerate(zip(heads, bounds, bounds[1:]))]

@@ -26,12 +26,13 @@ def data_path(name: str) -> Path:
 
 
 def lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """The non-comment lines of a lexicon file, each with its line number.
-    A file that is not UTF-8 raises ``ValueError`` naming it."""
+    """Each line of a lexicon or config file, with its line number, stripped
+    of its ``#`` comment and blanks; empty ones and a leading byte-order
+    mark are skipped.  A file not UTF-8 raises ``ValueError(PATH: not UTF-8: ...)``."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"cannot read lexicon {path}: {exc}") from exc
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -151,7 +152,3 @@ DEAR_TERMS = {"baby", "dear", "darling", "honey", "friend", "friends", "love"}
 FUNCTION_WORDS = frozenset(DETERMINERS | PREPOSITIONS | AUXILIARIES | PRONOUNS
                            | COORDINATORS | ADVERSATIVE_CONNECTIVES | SUBORDINATORS
                            | SUBORDINATE_MARKERS)
-
-
-def function_word(norm: str) -> bool:
-    return norm in FUNCTION_WORDS

@@ -100,16 +100,16 @@ def segment(sentence: Sentence, ix: DocIndex, config) -> list[BreathGroup]:
         # rule: infinitival complements (not after a verb)
         elif n == "to" and k:
             if (k + 1 < len(words)
-                    and not lexica.function_word(norms[words[k + 1]])
+                    and norms[words[k + 1]] not in lexica.FUNCTION_WORDS
                     and not _is_verbish(prev_word, ix)
                     and prev_word not in lexica.PREPOSITIONS):
                 add(i, "infinitival")
         # rule: relative clauses after a content noun
         elif n in lexica.RELATIVE_PRONOUNS:
             if prev_word in lexica.PREPOSITIONS:
-                if not lexica.function_word(norms[words[k - 2]]):
+                if norms[words[k - 2]] not in lexica.FUNCTION_WORDS:
                     add(words[k - 1], "relative")
-            elif not lexica.function_word(prev_word):
+            elif prev_word not in lexica.FUNCTION_WORDS:
                 add(i, "relative")
         prev_word = n
 

@@ -261,7 +261,7 @@ class _Compile:
             while start > 0 and words[start - 1] in lexica.NEGATION_WORDS:
                 start -= 1
             if n_hits == 1 and end + 1 < len(words) and words[end + 1] is not None \
-                    and not lexica.function_word(words[end + 1]):
+                    and words[end + 1] not in lexica.FUNCTION_WORDS:
                 end += 1
             out.append((start, end))
         return out
@@ -455,7 +455,7 @@ class _Compile:
                 if t2n in lexica.POSSESSIVES and t2 not in plan.consumed:
                     cluster = True
                 elif (owner_pred and not suppressed
-                        and not lexica.function_word(t2n)
+                        and t2n not in lexica.FUNCTION_WORDS
                         and t2n not in lexica.PRONOUN_QUANTIFIERS
                         and t2 not in plan.consumed):
                     cluster = True

@@ -208,7 +208,7 @@ def test_non_utf8_lexicon_is_usage_error(tmp_path, capsys):
     assert invoke(str(_three_tokens(tmp_path)), "--config", str(cfg),
                   "--out", str(tmp_path / "o.txt")) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"prosomark: cannot read lexicon {bad}: ") and err.count("\n") == 1
+    assert err.startswith(f"prosomark: {bad}: not UTF-8: ") and err.count("\n") == 1
 
 
 def _compile_with_bom(tmp_path, kind: str | None) -> str:
@@ -351,6 +351,23 @@ def test_out_writes_through_a_symlink(tmp_path):
     assert link.is_symlink() and os.readlink(link) == target.name
     assert target.read_text() == "cats run β\n"
     assert not list(tmp_path.glob(".prosomark-*"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+def test_failed_out_write_leaves_no_descriptor_open(tmp_path, capsys):
+    # an --out that is a self-symlink fails after the sibling file is open;
+    # one process may run many commands, so each failure must close it
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop.name)
+    src = str(_three_tokens(tmp_path))
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        assert invoke(src, "--out", str(loop)) == 1
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert not list(tmp_path.glob(".prosomark-*"))
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 5 and all(line.startswith("prosomark: cannot write output: ")
+                                   for line in lines)
 
 
 def test_output_goes_to_stdout_without_out(tmp_path, capsys):

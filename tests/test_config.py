@@ -1,6 +1,7 @@
 """Configuration: lexicon loading and config files."""
 
 import copy
+import errno
 import inspect
 import os
 import re
@@ -271,3 +272,20 @@ def test_min_len_above_max_len_is_rejected(tmp_path, capsys):
     assert run([str(text), "--config", str(path)]) == 1
     assert capsys.readouterr().err == \
         f"prosomark: config error: {path}: min_len must not exceed max_len\n"
+
+
+def test_config_file_lexicon_paths_are_joined_not_resolved(tmp_path, monkeypatch):
+    # parsing reads no lexicon: a relative path is joined to the config's
+    # directory as written, so a symlink loop fails only as the lexica load
+    (tmp_path / "loop").symlink_to("loop")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "c.cfg").write_text("affect_path = ../loop\n"
+                                            "frozen_path = /no/such/frozen.tsv\n")
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config_file("sub/c.cfg")
+    assert cfg.affect_path == tmp_path / "sub" / ".." / "loop"
+    assert cfg.frozen_path == Path("/no/such/frozen.tsv")
+    cfg.frozen_path = Config().frozen_path
+    with pytest.raises(OSError) as exc:
+        cfg.load_lexica()
+    assert exc.value.errno == errno.ELOOP

@@ -281,16 +281,17 @@ def test_runs_without_a_word_join_the_sentence_before(config):
 @pytest.mark.parametrize("name", ["belling_cat", "fox_crow"])
 @pytest.mark.parametrize("sidecar", [False, True], ids=["plain", "ann"])
 def test_crlf_line_ends_compile_as_lf_ones(config, name, sidecar):
-    # a blank line of "\r\n" ends parts paragraphs as one of "\n" ends
-    # does; the CLI reads files with universal newlines, a library caller
-    # may pass the text as it is
+    # a blank line of "\r\n" ends, or of lone "\r" ones (old Mac text),
+    # parts paragraphs as one of "\n" ends does, and either ends the
+    # title's line; the CLI reads files with universal newlines, a library
+    # caller may pass the text as it is
     text = load(f"{name}.txt")
     ann = load(f"{name}.ann") if sidecar else None
-    lf, crlf = [(render_markup(r.doc, r.script), render_tobi(r.doc, r.script),
-                 r.groups_text(), r.diagnostics, r.doc.paragraph_count)
-                for r in (run_pipeline(t, ann, config)
-                          for t in (text, text.replace("\n", "\r\n")))]
-    assert crlf == lf
+    lf, crlf, cr = [(render_markup(r.doc, r.script), render_tobi(r.doc, r.script),
+                     r.groups_text(), r.diagnostics, r.doc.paragraph_count)
+                    for r in (run_pipeline(text.replace("\n", end), ann, config)
+                              for end in ("\n", "\r\n", "\r"))]
+    assert crlf == lf and cr == lf
     assert lf[-1] == text.count("\n\n") + 1
 
 

@@ -4,7 +4,10 @@ The examples are derandomized and no example database is written, so the
 suite stays deterministic and leaves no files behind.
 """
 
+import contextlib
+import io
 import re
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -14,7 +17,7 @@ from prosomark.annotations import (ASPECTS, CHANGES, DISC_RELS, FACTIVITIES,
                                    MOVES, RELEVANCES, SUBJECTIVITIES, TENSES,
                                    TOPIC_TYPES, VIEWS)
 from prosomark.cli import run
-from prosomark.config import Config
+from prosomark.config import _LEXICA, EMIT_MODES, TITLE_MODES, Config
 from prosomark.emit import render_markup, render_tobi, strip_markup
 from prosomark.ingest import QUOTE, WORD, reconstruct, split_document, tokenize
 from prosomark.pipeline import run_pipeline
@@ -195,3 +198,59 @@ def test_sidecar_ends_in_an_exit_code(workdir, lines):
     code = run([str(workdir / "in.txt"), "--sidecar", str(sidecar), "--emit", "both",
                 "--out", str(workdir / "out.txt")])
     assert code in (0, 2)
+
+
+# Config files through the command line -----------------------------------------
+
+#: the values each key takes; a lexicon path is the shipped file or its
+#: copy next to the config
+_GOOD = {"min_len": [str(n) for n in range(5)], "max_len": [str(n) for n in range(4, 15)],
+         "max_subj": [str(n) for n in range(7)], "title_mode": TITLE_MODES,
+         "emit_mode": EMIT_MODES, "pov_tracking": ("1", "TRUE", "yes", "On", "0", "off"),
+         **{key: (str(getattr(CFG, key)), getattr(CFG, key).name) for key in _LEXICA}}
+#: values no key takes, and lexicon paths no file answers: a missing file
+#: and a symlink to itself
+_BAD = ("-1", "two", "1.5", "Force", "maybe", "missing.tsv", "loop")
+
+_setting = st.sampled_from(sorted(_GOOD)).flatmap(
+    lambda key: st.builds("{} = {}{}".format, st.just(key), st.sampled_from(_GOOD[key]),
+                          st.sampled_from(("", "  # a note"))))
+_neutral = st.sampled_from(("", "   ", "# a comment", "\t# an indented comment"))
+_broken = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(sorted(_GOOD) + ["colour"]),
+              st.one_of(st.sampled_from(_BAD), st.text(max_size=4))),
+    st.sampled_from(("emit_mode", "emit_mode =", "just words", "= 3")))
+
+
+@st.composite
+def _config_lines(draw):
+    """Settings, comments and blank lines; half the time one broken line among them."""
+    lines = draw(st.lists(st.one_of(_setting, _setting, _neutral), max_size=5))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_broken))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def config_dir(workdir):
+    for key in _LEXICA:
+        shutil.copy(getattr(CFG, key), workdir)
+    (workdir / "loop").symlink_to("loop")
+    return workdir
+
+
+@_settings(150)
+@given(lines=_config_lines(), bom=st.booleans(), line_end=st.sampled_from(("\n", "\r\n")))
+@example(lines=["affect_path = loop"], bom=False, line_end="\n")
+def test_config_ends_in_an_exit_code(config_dir, lines, bom, line_end):
+    # any config compiles or fails on one line, never with a traceback
+    config = config_dir / "c.cfg"
+    config.write_bytes((("\ufeff" if bom else "") + line_end.join(lines) + line_end).encode())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run([str(config_dir / "in.txt"), "--config", str(config),
+                    "--out", str(config_dir / "out.txt")])
+    messages = err.getvalue().splitlines()
+    assert code in (0, 1)
+    assert all(message.startswith("prosomark: ") for message in messages)
+    assert code == 0 or len(messages) == 1

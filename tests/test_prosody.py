@@ -551,7 +551,7 @@ def _ref_affect_spans(toks, consumed, affect):
                 and toks[start - 1].normalized in lexica.NEGATION_WORDS:
             start -= 1
         if n_hits == 1 and end + 1 < len(toks) and toks[end + 1].kind == "word" \
-                and not lexica.function_word(toks[end + 1].normalized):
+                and toks[end + 1].normalized not in lexica.FUNCTION_WORDS:
             end += 1
         out.append((start, end))
     return out
