@@ -7,7 +7,7 @@ a discourse node (move + attachment span).  These normally arrive in a
 sidecar file produced by a deep analyzer; a shallow fallback is provided so
 plain text can still be processed.
 
-Sidecar format (tab-separated, ``#`` comments):
+Sidecar format (tab-separated, lines read as ``lexica.lines`` reads them):
 
     CLAUSE <no> <func/role> <view> <factivity> <change> <relevance|_>
            <aspect> <pred> <tense> <disc_rel> <subjectivity> <from>-<to>
@@ -227,10 +227,7 @@ def _parse_span(text: str, line_no: int) -> tuple[int | None, int]:
 def parse_sidecar(text: str) -> AnnotationSet:
     ann = AnnotationSet()
     known: set[int] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].rstrip()
-        if not line:
-            continue
+    for line_no, line in lexica.lines(text):
         fields = line.split("\t")
         if "" in fields:
             fields = [f for f in fields if f]

@@ -20,6 +20,7 @@ from pathlib import Path
 from .annotations import IntegrityError, SidecarError
 from .config import EMIT_MODES, TITLE_MODES, Config, parse_config_file
 from .emit import render_markup, render_tobi
+from .lexica import LINE_END, read_text
 from .pipeline import run_pipeline
 
 EXIT_OK = 0
@@ -55,17 +56,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def golden_check(produced: str, golden: str) -> str:
-    """Byte comparison; on mismatch, a positional report with a token diff."""
+    """Byte comparison; on mismatch, a positional report with a token diff.
+    Lines end at ``LINE_END``, as in every file the package reads."""
     if produced == golden:
         return ""
-    p_lines, g_lines = produced.splitlines(keepends=True), golden.splitlines(keepends=True)
+    p_lines, g_lines = _ended_lines(produced), _ended_lines(golden)
     for ln, (p_line, g_line) in enumerate(zip(p_lines, g_lines), start=1):
         if p_line == g_line:
             continue
-        p, g = p_line.splitlines()[0], g_line.splitlines()[0]
+        (p, p_end), (g, g_end) = p_line, g_line
         if p == g:
             return (f"mismatch at line {ln}: line ends differ\n"
-                    f"expected: {g_line[len(g):]!r}\nactual:   {p_line[len(p):]!r}")
+                    f"expected: {g_end!r}\nactual:   {p_end!r}")
         col = next((i for i, (a, b) in enumerate(zip(p, g), start=1) if a != b),
                    min(len(p), len(g)) + 1)
         # without a differing word, the differing character ('' past the end)
@@ -77,6 +79,13 @@ def golden_check(produced: str, golden: str) -> str:
                 f"expected line: {g}\n"
                 f"actual line:   {p}")
     return f"mismatch: produced {len(p_lines)} lines, golden has {len(g_lines)}"
+
+
+def _ended_lines(text: str) -> list[tuple[str, str]]:
+    """``(line, end)`` of each line of ``text``; a last line without an end
+    has end ``''`` and counts only when it is not empty."""
+    parts = LINE_END.split(text) + [""]
+    return [(line, end) for line, end in zip(parts[::2], parts[1::2]) if line or end]
 
 
 def _write_output(text: str, out_path: str | None):
@@ -139,18 +148,16 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
 
     try:
-        text = Path(args.input).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+        text = read_text(args.input)
+    except (OSError, ValueError) as exc:
         print(f"prosomark: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    sidecar_text = None
-    if args.sidecar:
-        try:
-            sidecar_text = Path(args.sidecar).read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"prosomark: cannot read sidecar: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        sidecar_text = read_text(args.sidecar) if args.sidecar else None
+    except (OSError, ValueError) as exc:
+        print(f"prosomark: cannot read sidecar: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         result = run_pipeline(text, sidecar_text, cfg)

@@ -32,7 +32,7 @@ def _build(multiword_path, phonetic_path, frozen_path, affect_path, quantifier_p
     token, or a phonetic, quantifier or communication-verb entry of more
     than one token, raises ``ValueError`` naming ``path:line``."""
     multiwords = phrase_index((line.lower().split(), None)
-                              for _, line in lexica.lines(multiword_path))
+                              for _, line in lexica.lines(lexica.read_text(multiword_path)))
 
     def forms(path, line_no, phrase, one_word=False) -> tuple[str, ...]:
         tokens = tokenize(phrase, multiwords)
@@ -42,7 +42,8 @@ def _build(multiword_path, phonetic_path, frozen_path, affect_path, quantifier_p
         return tuple(t.normalized for t in tokens)
 
     def word_set(path) -> frozenset[str]:
-        return frozenset(forms(path, n, line, True)[0] for n, line in lexica.lines(path))
+        return frozenset(forms(path, n, line, True)[0]
+                         for n, line in lexica.lines(lexica.read_text(path)))
 
     frozen = phrase_index((forms(frozen_path, n, pattern), role)
                           for n, pattern, role in lexica.tagged(frozen_path, lexica.FROZEN_ROLES))
@@ -122,21 +123,21 @@ class Config(Shown):
             try:
                 st = os.stat(path)
             except FileNotFoundError:
-                raise FileNotFoundError(f"lexicon file not found: {path}") from None
+                raise FileNotFoundError(f"lexicon file not found: {path!r}") from None
             stamps.append((path, st.st_mtime_ns, st.st_size))
         vars(self).update(_built(tuple(stamps)))
         return self
 
 
 def parse_config_file(path: str | Path) -> Config:
-    """A ``Config`` from a config file, whose lines ``lexica.lines`` reads.
+    """A ``Config`` from a config file, read as a lexicon is (``lexica.lines``).
     A relative lexicon path is joined to the file's directory as written,
     so no other file is read.  A malformed line, an unknown key or a value
     its key does not accept raises ``ValueError`` naming ``path:line``; a
     file that is not UTF-8, or values the ``Config`` refuses together
     (``min_len`` above ``max_len``), raise it naming ``path``."""
     fields: dict[str, object] = {}
-    for line_no, line in lexica.lines(path):
+    for line_no, line in lexica.lines(lexica.read_text(path)):
         key, _, value = (part.strip() for part in line.partition("="))
         try:
             if not value:

@@ -20,6 +20,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import takewhile
 from types import MappingProxyType
 
+from .lexica import LINE_END
+
 WORD = "word"
 COMMA = "comma"
 TERMINAL = "terminal_punct"
@@ -132,9 +134,7 @@ def longest_phrase(words: Sequence[str | None], i: int,
     return None
 
 
-#: a line end: ``\r\n``, ``\n`` or a lone ``\r`` (not the ``\r`` of a ``\r\n``)
-_LINE_END = re.compile(r"\r\n|\r(?!\n)|\n")
-_BLANK_LINE = re.compile(rf"(?:{_LINE_END.pattern})[ \t]*(?:{_LINE_END.pattern})")
+_BLANK_LINE = re.compile(rf"(?:{LINE_END.pattern})[ \t]*(?:{LINE_END.pattern})")
 
 
 def has_blank_line(ws: str) -> bool:
@@ -255,7 +255,7 @@ def split_document(tokens: list[Token], title_mode: str = "auto") -> Document:
     # the first sentence is the title when its last token starts on the first line
     last = bounds[1] - 1
     title = (title_mode == "force" or title_mode == "auto" and heads[0][1] == "none") \
-        and not _LINE_END.search(reconstruct(tokens[:last]) + tokens[last].pre_ws)
+        and not LINE_END.search(reconstruct(tokens[:last]) + tokens[last].pre_ws)
     sentences = [Sentence(tokens[a:b], terminal, i == 0 and title,
                           bisect_right(para_starts, w), i)
                  for i, ((_, terminal, w), a, b) in enumerate(zip(heads, bounds, bounds[1:]))]

@@ -1,9 +1,10 @@
-"""Lexicon file lines and the small built-in word classes the rules consult.
+"""Text files, lexicon lines and the small built-in word classes the rules consult.
 
-All shipped lexica are plain UTF-8 text with ``#`` comments, so the
-fixtures can be edited by hand; a leading byte-order mark is skipped.
-This module splits a file's lines, each with its line number, and
-``Config.load_lexica`` builds the lexica from them.  Formats:
+Every text file the package reads is UTF-8, read by ``read_text``, and its
+lines end where ``LINE_END`` says.  All shipped lexica are plain text with
+``#`` comments, so the fixtures can be edited by hand.  ``lines`` splits a
+text into its numbered lines, and ``Config.load_lexica`` builds the lexica
+from a file's.  Formats:
 
 * multiword list  - one expression per line, words space-separated
 * phonetic list   - ``word<TAB>phonetic`` (a word, or a listed multiword)
@@ -15,28 +16,37 @@ This module splits a file's lines, each with its line number, and
 
 from __future__ import annotations
 
+import re
 from collections.abc import Collection, Iterator
 from pathlib import Path
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+#: a line end: ``\r\n``, ``\n`` or a lone ``\r``, and no other character, in
+#: any text the package reads; its group keeps the ends in a ``split``
+LINE_END = re.compile(r"(\r\n|\r(?!\n)|\n)")
 
 
 def data_path(name: str) -> Path:
     return DATA_DIR / name
 
 
-def lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Each line of a lexicon or config file, with its line number, stripped
-    of its ``#`` comment and blanks; empty ones and a leading byte-order
-    mark are skipped.  A file not UTF-8 raises ``ValueError(PATH: not UTF-8: ...)``."""
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text, a leading byte-order mark skipped and each ``LINE_END``
+    read as ``\\n``; a file not UTF-8 raises ``ValueError(PATH: not UTF-8: ...)``."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8-sig")    # universal newlines
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line
+
+
+def lines(text: str) -> list[tuple[int, str]]:
+    """Each line of ``text``, split at ``LINE_END``, with its line number,
+    stripped of its ``#`` comment and blanks; empty ones are skipped."""
+    if "\r" in text:              # LINE_END's split, done by str methods at C speed
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return [(line_no, line) for line_no, raw in enumerate(text.split("\n"), 1)
+            if (line := raw.partition("#")[0].strip())]
 
 
 #: the tags of the affect lexicon
@@ -52,7 +62,7 @@ def tagged(path: str | Path, tags: Collection[str]) -> Iterator[tuple[int, str, 
     lexicon file, split at the tab or else at the last space.  A line with
     one field, or whose tag is not one of ``tags``, raises ``ValueError``
     naming the file and the line."""
-    for line_no, line in lines(path):
+    for line_no, line in lines(read_text(path)):
         entry, _, tag = line.partition("\t")
         if not tag:
             entry, _, tag = line.rpartition(" ")
@@ -67,7 +77,7 @@ def phonetic(path: str | Path) -> Iterator[tuple[int, str, str]]:
     """``(line number, word, phonetic)`` of each ``word<TAB>phonetic`` line
     (without a tab, split at the first space).  A line without a phonetic
     field raises ``ValueError`` naming the file and the line."""
-    for line_no, line in lines(path):
+    for line_no, line in lines(read_text(path)):
         word, _, phon = line.partition("\t")
         if not phon:
             word, _, phon = line.partition(" ")

@@ -18,7 +18,7 @@ from itertools import accumulate
 from . import lexica
 from .annotations import is_verby
 from .docindex import DocIndex
-from .ingest import COMMA, OTHER_PUNCT, QUOTE, TERMINAL, Record, Sentence, classify_comma
+from .ingest import COMMA, QUOTE, TERMINAL, WORD, Record, Sentence, classify_comma
 
 END_STOPPED = "end_stopped"
 ENJAMBED = "enjambed"
@@ -198,17 +198,12 @@ def _groups_from_cuts(sentence, words, boundaries, config) -> list[BreathGroup]:
 
 
 def classify_junction(group: BreathGroup, sentence: Sentence) -> str:
-    """End-stopped at classified punctuation or sentence end, else enjambed."""
+    """Enjambed when the first token after the group, quote marks skipped,
+    is a word; end-stopped at punctuation or the sentence end."""
     toks = sentence.tokens
-    j = group.words[-1] + 1
-    while j < len(toks):
-        t = toks[j]
-        if t.kind == QUOTE:
-            j += 1
-            continue
-        if t.kind in (COMMA, OTHER_PUNCT, TERMINAL):
-            return END_STOPPED
-        return ENJAMBED
+    for j in range(group.words[-1] + 1, len(toks)):
+        if toks[j].kind != QUOTE:
+            return ENJAMBED if toks[j].kind == WORD else END_STOPPED
     return END_STOPPED
 
 

@@ -405,11 +405,8 @@ class _Compile:
     def _plan_coordination(self, plan: _SentencePlan):
         starts = {start for start, _ in self.ix.clauses_in(plan.sentence)}
         for i, w in enumerate(plan.words):
-            if w not in lexica.COORDINATORS:
-                continue
-            if i in plan.consumed or plan.has_prefix(i):
-                continue
-            if i in starts or i + 1 in starts:
+            if w in lexica.COORDINATORS and (i in starts or i + 1 in starts) \
+                    and i not in plan.consumed and not plan.has_prefix(i):
                 plan.add_prefix(i, *_pause(BreakIndex.BI2))
 
     def _plan_quantifiers(self, plan: _SentencePlan):
@@ -451,15 +448,10 @@ class _Compile:
             if len(g.words) >= 2:
                 t2 = g.words[-2]
                 t2n = toks[t2].normalized
-                cluster = False
-                if t2n in lexica.POSSESSIVES and t2 not in plan.consumed:
-                    cluster = True
-                elif (owner_pred and not suppressed
-                        and t2n not in lexica.FUNCTION_WORDS
-                        and t2n not in lexica.PRONOUN_QUANTIFIERS
-                        and t2 not in plan.consumed):
-                    cluster = True
-                if cluster:
+                if t2 not in plan.consumed and (
+                        t2n in lexica.POSSESSIVES
+                        or owner_pred and not suppressed and t2n not in lexica.FUNCTION_WORDS
+                        and t2n not in lexica.PRONOUN_QUANTIFIERS):
                     plan.add_prefix(t2, self._row_event("slowdown_head"))
                     continue
 
@@ -506,11 +498,8 @@ class _Compile:
         if nxt is None or nxt.tokens[0].kind != QUOTE:
             return
         clauses = self.ix.clauses_in(sent)
-        if not clauses:
-            return
-        if clauses[-1][1].pred not in self.config.comm_verbs:
-            return
-        plan.add_suffix(len(sent.tokens) - 1, self._row_event("announce", glue=GLUE_NONE))
+        if clauses and clauses[-1][1].pred in self.config.comm_verbs:
+            plan.add_suffix(len(sent.tokens) - 1, self._row_event("announce", glue=GLUE_NONE))
 
     def _chain_continuation(self, plan: _SentencePlan, prev_plan: _SentencePlan):
         """Open a quotation's continuation sentence with the downstepped

@@ -92,6 +92,32 @@ def test_render_parse_round_trip():
         assert again.clause_spans == ann.clause_spans
 
 
+_ONE_CLAUSE = ("CLAUSE\t1\tmain/prop\texternal\tfactive\tnull\tbackground"
+               "\tactivity\trun\tpres\tnarration\tobjective\t0-1\n")
+
+
+@pytest.mark.parametrize("before", ["# note\fCLAUSE\t1\tmain/prop\n", "  "],
+                         ids=["form_feed_in_comment", "space_indent"])
+def test_sidecar_line_is_read_as_a_lexicon_line(before):
+    # a form feed ends no line, and blanks around a record are skipped
+    assert [c.clause_no for c in parse_sidecar(before + _ONE_CLAUSE).clauses] == [1]
+
+
+#: the characters other than \r and \n that str.splitlines breaks at
+NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("stem", ["belling_cat", "fox_crow"])
+def test_sidecar_lines_end_only_at_a_line_end(stem, end):
+    # each line ends in the given end, after a comment that holds one of the
+    # other breaks and a record the comment hides
+    lf = load(f"{stem}.ann")
+    copy = end.join(f"{line}  # note{NOT_LINE_ENDS[k % len(NOT_LINE_ENDS)]}VERB\t1"
+                    for k, line in enumerate(lf.split("\n")))
+    assert render_sidecar(parse_sidecar(copy)) == render_sidecar(parse_sidecar(lf))
+
+
 # Relevance -------------------------------------------------------------------
 
 def test_relevance_use_perf_culminated():
@@ -491,7 +517,9 @@ def test_non_integer_clause_number_reports_line(line):
     ("CLAUSE\t1\tmain/prop\texternal\tfactive\tnull\tbackground"
      "\tactivity\trun\tpres\tnarration\tobjective\t0-1", "duplicate clause 1"),
     ("VERB\t1", "unknown record type 'VERB'"),
-], ids=["span_without_dash", "negative_span", "duplicate_clause", "unknown_record"])
+    ("TOPIC\tpoten\t1\tcat\tid1\t1,2\tobject\ttheme", "bad morph triple '1,2'"),
+], ids=["span_without_dash", "negative_span", "duplicate_clause", "unknown_record",
+        "bad_morph"])
 def test_bad_sidecar_line_reports_line(line, message):
     first = ("CLAUSE\t1\tmain/prop\texternal\tfactive\tnull\tbackground"
              "\tactivity\trun\tpres\tnarration\tobjective\t0-1\n")

@@ -133,6 +133,11 @@ def test_missing_lexicon_file_is_usage_error(tmp_path):
     assert code == 1
 
 
+_NEL_MARKUP = ("[[pbas 44.000; rate 140; volm +0.3]]They found the dead\x85body "
+               "[[pbas 38.000; rate 130; volm +0.3]]there[[slnc 200]],[[rset 0]] .\n\n"
+               "[[pbas 54.000; rate 170; volm +0.3]]It ran .\n")
+
+
 def test_golden_check_reports():
     assert golden_check("same\n", "same\n") == ""
     report = golden_check("a value 2 here\n", "a value 3 here\n")
@@ -146,7 +151,13 @@ def test_golden_check_reports():
             ("a b\n", "a b\r\n",
              "mismatch at line 1: line ends differ\nexpected: '\\r\\n'\nactual:   '\\n'"),
             ("x \n", "x\n", "mismatch at line 1, column 2\nexpected: ''\nactual:   ' '\n"
-                            "expected line: x\nactual line:   x ")]
+                            "expected line: x\nactual line:   x "),
+            # the markup of "They found the dead\x85body there.\n\nIt ran.": the
+            # multiword token keeps its NEL, which ends no line
+            (_NEL_MARKUP, _NEL_MARKUP.replace("It ran", "It sat"),
+             "mismatch at line 3, column 40\nexpected: 'sat'\nactual:   'ran'\n"
+             "expected line: [[pbas 54.000; rate 170; volm +0.3]]It sat .\n"
+             "actual line:   [[pbas 54.000; rate 170; volm +0.3]]It ran .")]
     for produced, golden, report in rows:
         assert golden_check(produced, golden) == report, (produced, golden)
 
@@ -197,7 +208,9 @@ def test_non_utf8_file_is_usage_error(tmp_path, capsys, which):
             "golden file": [str(_three_tokens(tmp_path)), "--check", str(bad)]}[which]
     assert invoke(*args, "--out", str(tmp_path / "o.txt")) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"prosomark: cannot read {which}:") and err.count("\n") == 1
+    # the input and the sidecar are read by lexica.read_text, which names the file
+    named = "" if which == "golden file" else f" {bad}: not UTF-8:"
+    assert err.startswith(f"prosomark: cannot read {which}:{named}") and err.count("\n") == 1
 
 
 def test_non_utf8_lexicon_is_usage_error(tmp_path, capsys):
@@ -270,8 +283,10 @@ def test_single_field_lexicon_line_is_usage_error(tmp_path, capsys, name, lines)
     ("max_subj = -1", "max_subj must not be negative, not -1"),
     ("emit_mode", "expected key = value"),
     ("colour = red", "unknown key 'colour'"),
+    # a form feed ends no line: the text after it is the value's
+    ("min_len = 3\fbogus = 1", "min_len must be an integer, not '3\\x0cbogus = 1'"),
 ], ids=["emit_mode", "title_mode", "pov_tracking", "min_len", "max_subj",
-        "no_value", "unknown_key"])
+        "no_value", "unknown_key", "form_feed"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# a config\n{line}\n")

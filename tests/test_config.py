@@ -83,7 +83,7 @@ def test_missing_lexicon_file_builds_nothing(tmp_path):
     cfg = Config(comm_verb_path=missing)
     with pytest.raises(FileNotFoundError) as exc:
         cfg.load_lexica()
-    assert str(exc.value) == f"lexicon file not found: {missing}"
+    assert str(exc.value) == f"lexicon file not found: {str(missing)!r}"
     assert (cfg.multiwords, cfg.quantifiers) == ({}, frozenset())
 
 
@@ -96,6 +96,13 @@ def test_lexicon_phrases_load_in_token_forms(tmp_path):
     assert dict(cfg.affect_words) == {"dead_body": "sad", "cold night": "exclaim"}
     assert cfg.frozen_index == {"got_up": ((("got_up",), "exhortative"),)}
     assert cfg.sad_index == {"dead_body": ((("dead_body",), "sad"),)}
+
+
+def test_lexicon_comment_hides_the_rest_of_its_line(tmp_path):
+    # a NEL ends no line, so the entry after it is part of the comment
+    affect = tmp_path / "affect.tsv"
+    affect.write_text("sly\tsad  # a note\x85dead body\tsad\n", encoding="utf-8")
+    assert dict(Config(affect_path=affect).load_lexica().affect_words) == {"sly": "sad"}
 
 
 @pytest.mark.parametrize("field,entries,expected", [

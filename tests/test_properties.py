@@ -6,6 +6,7 @@ suite stays deterministic and leaves no files behind.
 
 import contextlib
 import io
+import itertools
 import re
 import shutil
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from prosomark import lexica
 from prosomark.annotations import (ASPECTS, CHANGES, DISC_RELS, FACTIVITIES,
                                    MOVES, RELEVANCES, SUBJECTIVITIES, TENSES,
                                    TOPIC_TYPES, VIEWS)
@@ -149,6 +151,40 @@ def test_paragraphs_are_the_blocks_that_hold_a_token(text):
         start += len(sent.tokens)
 
 
+# Line ends ---------------------------------------------------------------------
+
+#: the line ends, written out as the test's own reference
+_LINE_END = re.compile(r"\r\n|\r|\n")
+#: characters that str.splitlines breaks a line at and no file of the package does
+_NOT_LINE_ENDS = ("\v", "\f", "\x1c", "\x85", "\u2028")
+_line_ends = st.sampled_from(("\n", "\r\n", "\r"))
+
+
+@_settings(300)
+@given(st.text(alphabet=st.sampled_from("ab #\t\r\n" + "".join(_NOT_LINE_ENDS))))
+def test_lines_split_at_line_end(text):
+    # lexica.lines splits with str methods where LINE_END would with a regex
+    expected = [(k, line.split("#", 1)[0].strip())
+                for k, line in enumerate(_LINE_END.split(text), start=1)]
+    assert list(lexica.lines(text)) == [(k, line) for k, line in expected if line]
+    assert lexica.LINE_END.split(text)[::2] == _LINE_END.split(text)
+
+
+_COMMENT = "  # a{}note"
+
+
+def _noted(draw, lines: list[str], tails=(_COMMENT, "{}x")) -> int | None:
+    """Half the time, append to one of ``lines`` that holds no line end one
+    of ``tails``, a comment or a value's tail, holding a character that
+    ends no line; the index of that line."""
+    whole = [k for k, line in enumerate(lines) if not _LINE_END.search(line)]
+    if not whole or draw(st.booleans()):
+        return None
+    k = draw(st.sampled_from(whole))
+    lines[k] += draw(st.sampled_from(tails)).format(draw(st.sampled_from(_NOT_LINE_ENDS)))
+    return k
+
+
 # Sidecars through the command line ---------------------------------------------
 
 _junk = st.text(max_size=4)
@@ -190,14 +226,41 @@ def workdir(tmp_path_factory):
     return path
 
 
+def _sidecar_run(workdir, text: str) -> tuple[int, str, str]:
+    """The exit code, stderr and output of a compile of in.txt with ``text`` as its sidecar."""
+    sidecar, out = workdir / "in.ann", workdir / "out.txt"
+    sidecar.write_bytes(text.encode())
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run([str(workdir / "in.txt"), "--sidecar", str(sidecar), "--emit", "both",
+                    "--out", str(out)])
+    return code, err.getvalue(), out.read_text(encoding="utf-8") if out.exists() else ""
+
+
+@st.composite
+def _sidecar_lines(draw):
+    """Records, half the time one of them with a comment holding a
+    character that ends no line; also the records without it."""
+    plain = draw(st.lists(_lines(), max_size=8))
+    lines = list(plain)
+    _noted(draw, lines, (_COMMENT,))
+    return lines, plain
+
+
 @_settings(100)
-@given(lines=st.lists(_lines(), max_size=8))
-def test_sidecar_ends_in_an_exit_code(workdir, lines):
-    sidecar = workdir / "in.ann"
-    sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code = run([str(workdir / "in.txt"), "--sidecar", str(sidecar), "--emit", "both",
-                "--out", str(workdir / "out.txt")])
-    assert code in (0, 2)
+@given(drawn=_sidecar_lines(), line_end=_line_ends)
+def test_sidecar_ends_in_an_exit_code(workdir, drawn, line_end):
+    # any sidecar compiles or fails with exit 2, and its line ends and
+    # comments change nothing: not the exit code, the output, nor the line
+    # an error names
+    lines, plain = drawn
+    text = line_end.join(lines) + line_end
+    result = _sidecar_run(workdir, text)
+    assert result[0] in (0, 2)
+    lf = _LINE_END.sub("\n", line_end.join(plain) + line_end)
+    if lf != text:
+        assert result == _sidecar_run(workdir, lf)
 
 
 # Config files through the command line -----------------------------------------
@@ -224,11 +287,17 @@ _broken = st.one_of(
 
 @st.composite
 def _config_lines(draw):
-    """Settings, comments and blank lines; half the time one broken line among them."""
+    """Settings, comments and blank lines; half the time one broken line among
+    them, and half the time a character that ends no line inside a comment
+    or a value.  Also the indices of the lines an error may name."""
     lines = draw(st.lists(st.one_of(_setting, _setting, _neutral), max_size=5))
+    suspects = set()
     if draw(st.booleans()):
-        lines.insert(draw(st.integers(0, len(lines))), draw(_broken))
-    return lines
+        k = draw(st.integers(0, len(lines)))
+        lines.insert(k, draw(_broken))
+        suspects.add(k)
+    suspects.add(_noted(draw, lines))
+    return lines, suspects - {None}
 
 
 @pytest.fixture(scope="module")
@@ -240,16 +309,97 @@ def config_dir(workdir):
 
 
 @_settings(150)
-@given(lines=_config_lines(), bom=st.booleans(), line_end=st.sampled_from(("\n", "\r\n")))
-@example(lines=["affect_path = loop"], bom=False, line_end="\n")
-def test_config_ends_in_an_exit_code(config_dir, lines, bom, line_end):
-    # any config compiles or fails on one line, never with a traceback
+@given(drawn=_config_lines(), bom=st.booleans(), line_end=_line_ends)
+@example(drawn=(["affect_path = loop"], set()), bom=False, line_end="\n")
+def test_config_ends_in_an_exit_code(config_dir, drawn, bom, line_end):
+    # any config compiles or fails on one line, never with a traceback; a
+    # line the error names is one of the suspects, counted at \n, \r\n and \r
+    lines, suspects = drawn
+    text = line_end.join(lines) + line_end
     config = config_dir / "c.cfg"
-    config.write_bytes((("\ufeff" if bom else "") + line_end.join(lines) + line_end).encode())
+    config.write_bytes((("\ufeff" if bom else "") + text).encode())
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = run([str(config_dir / "in.txt"), "--config", str(config),
                     "--out", str(config_dir / "out.txt")])
+    messages = err.getvalue().splitlines()
+    assert code in (0, 1)
+    assert all(message.startswith("prosomark: ") for message in messages)
+    assert code == 0 or len(messages) == 1
+    named = re.match(rf"prosomark: config error: {re.escape(str(config))}:(\d+): ", err.getvalue())
+    if named:
+        # the numbers of the lines each suspect spans: a broken line may hold a line end
+        starts = list(itertools.accumulate((len(line + line_end) for line in lines), initial=0))
+        firsts = {k: len(_LINE_END.findall(text, 0, starts[k])) + 1 for k in suspects}
+        assert any(firsts[k] <= int(named[1]) <= firsts[k] + len(_LINE_END.findall(lines[k]))
+                   for k in suspects), named[0]
+
+
+# Lexicon files through the command line -----------------------------------------
+
+#: words of in.txt, the words of two shipped multiwords, and a word it lacks
+_LEX_WORDS = ("fox", "said", "come", "on", "baby", "nobody", "ran", "cat", "sat",
+              "long", "ago", "dead", "body", "sly")
+#: the second field of each lexicon with one: its tags, or phonetic strings
+_SECOND = {"phonetic_path": ("fAks", "kat"), "frozen_path": lexica.FROZEN_ROLES,
+           "affect_path": lexica.AFFECT_TAGS}
+#: the lexica of phrases; each other one takes one word a line
+_PHRASE_LEXICA = ("multiword_path", "frozen_path", "affect_path")
+
+_phrase = st.lists(st.sampled_from(_LEX_WORDS), min_size=1, max_size=3).map(" ".join)
+#: lines any lexicon may hold that no entry of it gives: a non-word token, a
+#: bad tag, blank and comment lines, and a character that ends no line
+#: between words or in a comment
+_odd_line = st.one_of(
+    st.sampled_from(("!", "oh no!", "cat\tbogus", "", "   ", "# a note")),
+    st.builds("{}{}{}".format, st.sampled_from(_LEX_WORDS), st.sampled_from(_NOT_LINE_ENDS),
+              st.sampled_from(("cat", "sat\tsad", "# dead\tsad"))))
+
+
+def _entry(key):
+    words = _phrase if key in _PHRASE_LEXICA else st.sampled_from(_LEX_WORDS)
+    if key not in _SECOND:
+        return words
+    return st.builds("{}{}{}".format, words, st.sampled_from(("\t", " ")),
+                     st.sampled_from(_SECOND[key]))
+
+
+@st.composite
+def _lexicon_files(draw):
+    """Bytes for some of the six lexica, each of drawn entries; half the
+    time one of them gets an odd line, and then half the time a byte that
+    is not UTF-8."""
+    files = {key: [draw(_entry(key)) for _ in range(draw(st.integers(0, 3)))]
+             for key in draw(st.sets(st.sampled_from(_LEXICA), min_size=1))}
+    odd = draw(st.sampled_from(sorted(files))) if draw(st.booleans()) else None
+    if odd is not None:
+        files[odd].insert(draw(st.integers(0, len(files[odd]))), draw(_odd_line))
+    data = {key: "".join(line + draw(_line_ends) for line in lines).encode()
+            for key, lines in files.items()}
+    if odd is not None and draw(st.booleans()):
+        data[odd] += b"\xff\n"
+    return data
+
+
+_lexicon_runs = itertools.count()
+
+
+@_settings(100)
+@given(files=_lexicon_files())
+def test_lexica_end_in_an_exit_code(workdir, files):
+    # any lexicon files compile or fail on one line with exit 1
+    n = next(_lexicon_runs)     # fresh names: no earlier example's cached build applies
+    paths = []
+    for key, data in files.items():
+        path = workdir / f"lexicon{n}_{key}"
+        path.write_bytes(data)
+        paths.append(f"{key} = {path.name}\n")
+    config = workdir / "lexica.cfg"
+    config.write_text("".join(paths), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run([str(workdir / "in.txt"), "--config", str(config),
+                    "--out", str(workdir / "out.txt")])
     messages = err.getvalue().splitlines()
     assert code in (0, 1)
     assert all(message.startswith("prosomark: ") for message in messages)
