@@ -92,9 +92,13 @@ def _write_output(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
         return
-    # never leave a partial file behind: write to a sibling then rename;
     # a symlink is followed, so its target takes the output, as with `>`
     out_path = os.path.realpath(out_path)
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        # a FIFO or a device is written in place, as with `>`; a directory fails
+        Path(out_path).write_text(text, encoding="utf-8")
+        return
+    # never leave a partial file behind: write to a sibling then rename
     directory = os.path.dirname(out_path)
     fd, tmp = _new_sibling(directory)
     try:

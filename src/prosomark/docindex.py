@@ -27,12 +27,10 @@ class POVSpan(Shown):
 
 
 class DocIndex:
-    """Lookups for one compile of ``doc`` with ``ann``.  The quote scan's
-    notes go to ``diagnostics`` when it is given."""
+    """Lookups for one compile of ``doc`` with ``ann``; ``notes`` holds the
+    quote scan's notes on stray and unclosed marks, in document order."""
 
-    def __init__(self, doc: Document, ann: AnnotationSet,
-                 diagnostics: list[str] | None = None):
-        tokens = doc.tokens()
+    def __init__(self, doc: Document, ann: AnnotationSet):
         n = doc.token_count()
         self.spans = ann.clause_spans
         self._owner = innermost_clauses(ann, n)
@@ -67,9 +65,10 @@ class DocIndex:
         self.quotations: list[POVSpan] = []
         self._quote_starts: list[int] = []      # their opening quotes
         self._open_ends: list[int] = []         # their last token inside the marks
-        self._scan_quotes(tokens, diagnostics)
+        self.notes: list[str] = []
+        self._scan_quotes(doc.tokens())
 
-    def _scan_quotes(self, tokens: list[Token], diagnostics: list[str] | None):
+    def _scan_quotes(self, tokens: list[Token]):
         """The quotations, from a walk over the quote marks.
 
         A quote mark opens a quotation when it hugs the following word
@@ -94,13 +93,12 @@ class DocIndex:
             elif open_at is not None:
                 self._add_quotation(open_at, t.index, t.index - 1)
                 open_at = None
-            elif diagnostics is not None:
-                diagnostics.append(
+            else:
+                self.notes.append(
                     f"unbalanced quotation mark ignored ({t.surface!r} "
                     f"in sentence {sentence_of[t.index].index})")
         if open_at is not None:
-            if diagnostics is not None:
-                diagnostics.append("quotation left open at document end")
+            self.notes.append("quotation left open at document end")
             self._close_at_paragraph_end(open_at)
 
     def _close_at_paragraph_end(self, start: int):

@@ -67,14 +67,11 @@ def params_to_tobi(events: Sequence[ParamEvent]) -> list[tuple[str, str | None]]
                 break
         else:
             e = events[i]
-            if e.slnc is not None and e.pbas is None and e.rate is None and e.volm is None:
-                reset = i + 1 < len(events) and events[i + 1].rset
-                bi = _BI_OF.get((e.slnc, reset))
-                if bi is not None:
-                    out.append(("", bi.label))
-                    i += 2 if reset else 1
-                    continue
-            if not e.rset:              # a bare reset reads as nothing
+            bare = e.slnc is not None and e.pbas is None and e.rate is None and e.volm is None
+            bi = params_to_bi(events[i:i + 2]) if bare else None
+            if bi is not None:          # a reset after it reads next, as nothing
+                out.append(("", bi.label))
+            elif not e.rset:            # a bare reset reads as nothing
                 out.append((UNKNOWN_LABEL, None))
             i += 1
     return out

@@ -107,12 +107,11 @@ class ProsodyManager:
             check_clause_spans(ann, len(tokens))
             ann = resolved(ann)
 
-        diagnostics = list(ann.warnings)
-        ix = DocIndex(doc, ann, diagnostics)
+        ix = DocIndex(doc, ann)
         groups = {s.index: segment(s, ix, cfg) for s in doc.sentences}
         pov_spans = ix.quotations if cfg.pov_tracking else []
         script = _Compile(cfg, doc, ann, ix).build_script(groups, pov_spans)
-        return PipelineResult(doc, ann, groups, script, pov_spans, diagnostics)
+        return PipelineResult(doc, ann, groups, script, pov_spans, ann.warnings + ix.notes)
 
 
 class _Compile:

@@ -227,9 +227,9 @@ TONE_ROWS: tuple[MappingRow, ...] = (
 class MappingTable:
     """The mapping-table rows, looked up by row id."""
 
-    def __init__(self, rows: tuple[MappingRow, ...] = TONE_ROWS):
-        self.rows = rows
-        self._by_id = {r.row_id: r for r in rows}
+    def __init__(self):
+        self.rows = TONE_ROWS
+        self._by_id = {r.row_id: r for r in TONE_ROWS}
 
     def row(self, row_id: str) -> MappingRow:
         return self._by_id[row_id]

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, exit codes, golden checking."""
 
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -365,6 +366,22 @@ def test_out_writes_through_a_symlink(tmp_path):
     assert invoke(str(_three_tokens(tmp_path)), "--emit", "groups", "--out", str(link)) == 0
     assert link.is_symlink() and os.readlink(link) == target.name
     assert target.read_text() == "cats run β\n"
+    assert not list(tmp_path.glob(".prosomark-*"))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_out_writes_into_a_fifo_in_place(tmp_path):
+    # as for `> fifo`: the FIFO stays and its reader takes the output; the
+    # read end opens first and without blocking, so neither side blocks
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert invoke(str(_three_tokens(tmp_path)), "--emit", "groups", "--out", str(fifo)) == 0
+        assert os.read(reader, 1 << 16) == "cats run β\n".encode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert not list(tmp_path.glob(".prosomark-*"))
 
 

@@ -233,10 +233,9 @@ def test_clauses_per_sentence_keep_their_order():
 
 def test_quote_regions_match_the_scan():
     for rng, text, doc, ann in _cases(400, 3):
-        diags = []
-        ix = DocIndex(doc, ann, diags)
+        ix = DocIndex(doc, ann)
         depths, region_of, ref_diags = _ref_quotes(doc)
-        assert diags == ref_diags, text
+        assert ix.notes == ref_diags, text
         for t in doc.tokens():
             assert ix.quote_open(t.index) == depths[t.index]
             assert ix.quote_sentences(t.index) == region_of(t.index), (text, t.index)
@@ -246,9 +245,8 @@ def test_quotation_reopened_at_each_paragraph():
     # a quotation over two paragraphs, the second reopened with a mark
     text = 'He said: "The cat ran. It fell.\n\n"The dog sat. It ran."\n'
     doc = split_document(tokenize(text), "off")
-    diags = []
-    ix = DocIndex(doc, AnnotationSet(), diags)
-    assert diags == []
+    ix = DocIndex(doc, AnnotationSet())
+    assert ix.notes == []
     marks = [t.index for t in doc.tokens() if t.kind == QUOTE]
     first_end = doc.sentences[2].tokens[-1].index
     assert [(q.start_token, q.end_token, q.sentences) for q in ix.quotations] == \
@@ -268,7 +266,7 @@ def test_quotation_reopened_at_each_paragraph():
 ])
 def test_later_paragraph_marks_that_do_not_reopen(text, closes_at):
     doc = split_document(tokenize(text), "off")
-    ix = DocIndex(doc, AnnotationSet(), [])
+    ix = DocIndex(doc, AnnotationSet())
     marks = [t.index for t in doc.tokens() if t.kind == QUOTE]
     assert [(q.start_token, q.end_token) for q in ix.quotations] == \
         [(marks[0], marks[closes_at])]

@@ -155,6 +155,19 @@ def test_silences_outside_the_realization_table():
     assert params_to_bi([]) is None
 
 
+def test_a_bare_silence_reads_as_params_to_bi_reads_it():
+    # alone or before a reset, the reset reading as nothing after it
+    for silence in sorted({ms for ms, _ in BI_REALIZATION.values()}) + [77]:
+        for events in ([ev(slnc=silence)], [ev(slnc=silence), RSET]):
+            bi = params_to_bi(events)
+            assert params_to_tobi(events) == \
+                [("", bi.label) if bi else ("X-?", None)], events
+    assert params_to_tobi([ev(slnc=400), RSET]) == [("", "BI-44")]
+    assert params_to_tobi([ev(slnc=77), RSET]) == [("X-?", None)]
+    assert params_to_tobi([ev(slnc=300), RSET, ev(slnc=300)]) == \
+        [("", "BI-4"), ("", "BI-22")]
+
+
 def test_param_event_fields_are_checked():
     with pytest.raises(ValueError, match="reset events carry no other fields"):
         ParamEvent(slnc=100, rset=True)

@@ -75,7 +75,12 @@ def _outputs(result):
 @example("The cat sat. The mice met long\n\nago the cat ran.")
 @example("The mice met long\nago.")
 def test_compile_invariants(text):
-    result = run_pipeline(text, None, CFG)
+    _assert_compile_invariants(text)
+
+
+def _assert_compile_invariants(text: str, sidecar: str | None = None):
+    """What every compile of ``text``, with ``sidecar`` when given, keeps."""
+    result = run_pipeline(text, sidecar, CFG)
     markup, tobi, groups = _outputs(result)
     assert result.script.validate() == []
     # each line of the reading is a breath group: BI-3, BI-4 and BI-22
@@ -119,7 +124,65 @@ def test_compile_invariants(text):
     assert [(t.pre_ws, t.surface) for t in tokens] == \
         [(t.pre_ws, t.surface) for t in tokenized]
 
-    assert _outputs(run_pipeline(text, None, CFG)) == (markup, tobi, groups)
+    assert _outputs(run_pipeline(text, sidecar, CFG)) == (markup, tobi, groups)
+
+
+_FUNC_ROLES = ("main/prop", "sub/prop", "xcomp/prop", "coord", "adjunct/manner")
+
+
+@st.composite
+def _sidecar_for(draw, text: str) -> str:
+    """A valid sidecar for ``text``: clauses over spans inside its tokens,
+    each drawn anywhere, one token long, inside an earlier span or
+    overlapping its end; each predicate a word of the text or a speech
+    verb.  Half the time TOPIC lines and, apart, half the time DISC lines,
+    each naming a clause."""
+    tokens = tokenize(text, CFG.multiwords)
+    n = len(tokens)
+    if not n:
+        return ""
+    preds = sorted({t.normalized for t in tokens if t.kind == WORD} | {"said"})
+    spans: list[tuple[int, int]] = []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(("any", "one", "nested", "overlapping")))
+        lo, hi = draw(st.sampled_from(spans)) if spans and shape != "any" else (0, n - 1)
+        if shape == "overlapping" and hi < n - 1:
+            frm, to = draw(st.integers(lo, hi)), draw(st.integers(hi + 1, n - 1))
+        else:
+            frm = draw(st.integers(lo, hi))
+            to = frm if shape == "one" else draw(st.integers(frm, hi))
+        spans.append((frm, to))
+    nos = draw(st.permutations(range(len(spans) + 3)))[:len(spans)]
+    lines = []
+    for no, (frm, to) in zip(nos, spans):
+        change, aspect = draw(st.sampled_from(CHANGES)), draw(st.sampled_from(ASPECTS))
+        if change == "graded" and aspect == "state":
+            change = "null"
+        lines.append("\t".join((
+            "CLAUSE", str(no), draw(st.sampled_from(_FUNC_ROLES)), draw(st.sampled_from(VIEWS)),
+            draw(st.sampled_from(FACTIVITIES)), change,
+            draw(st.sampled_from(RELEVANCES + ("_",))), aspect, draw(st.sampled_from(preds)),
+            draw(st.sampled_from(TENSES)), draw(st.sampled_from(DISC_RELS)),
+            draw(st.sampled_from(SUBJECTIVITIES)), f"{frm}-{to}")))
+    clause_nos = st.sampled_from(nos) if nos else st.nothing()
+    if nos and draw(st.booleans()):
+        lines += ["\t".join(("TOPIC", draw(st.sampled_from(TOPIC_TYPES)), str(draw(clause_nos)),
+                             draw(st.sampled_from(preds)), draw(st.sampled_from(("id1", "id2"))),
+                             draw(st.sampled_from(("3,f,sg", "3,nil,nil", "1,m,pl"))),
+                             "animal", draw(st.sampled_from(("agent", "patient")))))
+                  for _ in range(draw(st.integers(1, 4)))]
+    if nos and draw(st.booleans()):
+        lines += ["\t".join(("DISC", f"s_{no}", str(no), draw(st.sampled_from(MOVES)),
+                             draw(st.sampled_from(("nil-", f"{no}-"))) + str(draw(clause_nos))))
+                  for no in draw(st.lists(clause_nos, min_size=1, unique=True))]
+    return "".join(line + "\n" for line in draw(st.permutations(lines)))
+
+
+@_settings(150)
+@given(st.data(), texts)
+def test_compile_invariants_with_a_sidecar(data, text):
+    # a valid sidecar keeps what a compile without one keeps
+    _assert_compile_invariants(text, data.draw(_sidecar_for(text), label="sidecar"))
 
 
 def test_a_document_without_a_word_keeps_its_tokens():
@@ -199,7 +262,7 @@ _spans = st.one_of(st.builds("{}-{}".format, st.one_of(st.just("nil"), _numbers)
                              _numbers), _junk)
 _clause = st.tuples(
     st.just("CLAUSE"), _numbers,
-    _field(("main/prop", "sub/prop", "xcomp/prop", "coord", "adjunct/manner")),
+    _field(_FUNC_ROLES),
     _field(VIEWS), _field(FACTIVITIES), _field(CHANGES), _field(RELEVANCES + ("_",)),
     _field(ASPECTS), st.sampled_from(("ran", "said", "cat", "")), _field(TENSES),
     _field(DISC_RELS), _field(SUBJECTIVITIES), _spans)
@@ -261,6 +324,27 @@ def test_sidecar_ends_in_an_exit_code(workdir, drawn, line_end):
     lf = _LINE_END.sub("\n", line_end.join(plain) + line_end)
     if lf != text:
         assert result == _sidecar_run(workdir, lf)
+
+
+# Input bytes through the command line ------------------------------------------
+
+#: any bytes, and half the time the UTF-8 of a drawn text
+_input_bytes = st.one_of(st.binary(max_size=60), texts.map(str.encode))
+
+
+@_settings(150)
+@given(_input_bytes)
+def test_input_bytes_end_in_an_exit_code(workdir, data):
+    # any input compiles or fails on one line with exit 1
+    source, out = workdir / "bytes.txt", workdir / "out.txt"
+    source.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run([str(source), "--emit", "both", "--out", str(out)])
+    messages = err.getvalue().splitlines()
+    assert code in (0, 1)
+    assert all(message.startswith("prosomark: ") for message in messages)
+    assert code == 0 or len(messages) == 1
 
 
 # Config files through the command line -----------------------------------------
